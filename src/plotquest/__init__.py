@@ -38,8 +38,8 @@ from .plotgen import (
 )
 from .qgen import QuestionInstance, gold_answer, instantiate, instantiate_all, paraphrase
 from .sie import (
-    associate_bars, associate_legend, associate_ticks, extract_table,
-    interpolate_value, table_f1,
+    PlotReading, associate_legend, associate_ticks, extract_table,
+    interpolate_value, read, table_f1,
 )
 from .table import ExtractionTuple, SemiStructuredTable
 from .tableqa import KnowledgeGraph, ParsedQuestion, answer, build_kg, execute, parse, to_sexpr
@@ -55,8 +55,8 @@ __all__ = [
     "PlotAnnotation", "PlotSpec", "StyleParams", "VisualElement", "LayoutError",
     "make_plot_spec", "render", "validate_annotation",
     "QuestionInstance", "gold_answer", "instantiate", "instantiate_all", "paraphrase",
-    "associate_bars", "associate_legend", "associate_ticks", "extract_table",
-    "interpolate_value", "table_f1",
+    "PlotReading", "associate_legend", "associate_ticks", "extract_table",
+    "interpolate_value", "read", "table_f1",
     "ExtractionTuple", "SemiStructuredTable",
     "KnowledgeGraph", "ParsedQuestion", "answer", "build_kg", "execute", "parse", "to_sexpr",
     "Template", "default_templates", "load_templates",

@@ -25,13 +25,14 @@ import sys
 from dataclasses import dataclass
 
 from . import __version__
+from .answers import AnswerUnavailable, UnparseableQuestion
 from .corpus import CorpusError, default_corpus, load_corpus, sample_plot_data
-from .detsim import NoiseModel, average_precision, get_preset, perturb_with_provenance
+from .detsim import DetectionSet, NoiseModel, average_precision, get_preset, perturb_with_provenance
 from .harness import EvalReport, SplitSpec, evaluate, score_answer, split
 from .hybrid import answer_hybrid
 from .plotgen import LayoutError, PlotAnnotation, make_plot_spec, render
 from .qgen import DEFAULT_QUESTIONS_PER_PLOT, QuestionInstance, instantiate
-from .sie import extract_table, table_f1
+from .sie import extract_table, read, table_f1
 from .templates import default_matcher, default_templates
 
 TABLE_F1_REL_TOL = 0.02
@@ -60,7 +61,6 @@ class RunConfig:
     corpus: str | None
     n_plots: int
     seed: int
-    noise: str
     split_ratios: tuple[float, float, float]
     out_dir: str
     questions_per_plot: int = DEFAULT_QUESTIONS_PER_PLOT
@@ -84,6 +84,15 @@ def _load_noise(spec: str) -> NoiseModel:
         return get_preset(spec)
     except KeyError as e:
         raise UsageError(str(e))
+
+
+def _read_json(path: str, what: str):
+    """Parse a JSON file; malformed content is a data error."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            return json.load(f)
+        except ValueError as e:  # JSONDecodeError, and undecodable bytes
+            raise DataError(f"malformed {what} {path}: {e}")
 
 
 def _sha256(data: bytes) -> str:
@@ -164,19 +173,23 @@ def _load_dataset(dataset_dir: str) -> tuple[dict, list[tuple[QuestionInstance, 
     manifest_path = os.path.join(dataset_dir, "manifest.json")
     if not os.path.exists(manifest_path):
         raise DataError(f"no manifest.json in {dataset_dir}")
-    with open(manifest_path, encoding="utf-8") as f:
-        manifest = json.load(f)
+    manifest = _read_json(manifest_path, "manifest")
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("splits"), dict):
+        raise DataError(f"manifest {manifest_path} has no split assignment")
     questions_path = os.path.join(dataset_dir, "questions.jsonl")
     if not os.path.exists(questions_path):
         raise DataError(f"missing {questions_path}")
     questions = []
     with open(questions_path, encoding="utf-8") as f:
-        for line in f:
+        for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
-            questions.append((QuestionInstance.from_json(obj), int(obj["plot_id"])))
+            try:
+                obj = json.loads(line)
+                questions.append((QuestionInstance.from_json(obj), int(obj["plot_id"])))
+            except (ValueError, KeyError, TypeError) as e:
+                raise DataError(f"malformed question at {questions_path}:{lineno}: {e!r}")
     return manifest, questions
 
 
@@ -185,7 +198,11 @@ def _load_annotation(dataset_dir: str, plot_id: int) -> PlotAnnotation:
     if not os.path.exists(path):
         raise DataError(f"missing annotation {path}")
     with open(path, encoding="utf-8") as f:
-        return PlotAnnotation.loads(f.read())
+        text = f.read()
+    try:
+        return PlotAnnotation.loads(text)
+    except (ValueError, KeyError, TypeError) as e:
+        raise DataError(f"malformed annotation {path}: {e!r}")
 
 
 def cmd_run(dataset_dir: str, noise_spec: str, out_dir: str, run_split: str = "test",
@@ -205,25 +222,43 @@ def cmd_run(dataset_dir: str, noise_spec: str, out_dir: str, run_split: str = "t
     if not by_plot:
         raise DataError(f"no questions in split {run_split!r}")
 
+    # Per plot: perturb, read once, score the table, answer the plot's
+    # questions from that one reading, then let the reading go. AP pools
+    # all plots, so it runs after the loop.
+    plot_ids = sorted(by_plot)
     dets_per_plot = {}
     golds_per_plot = {}
     f1s = []
     ocr_pairs_pred, ocr_pairs_gold = [], []
-    for pid in sorted(by_plot):
+    predictions = []
+    answers = {}
+    for pid in plot_ids:
         annotation = _load_annotation(dataset_dir, pid)
         det, provenance = perturb_with_provenance(
             annotation, noise.with_seed(stable_seed(noise.seed, "plot", pid)))
         dets_per_plot[pid] = det
         golds_per_plot[pid] = annotation
-        table = extract_table(det)
-        f1s.append(table_f1(table, annotation.gold_table, TABLE_F1_REL_TOL)[2])
+        reading = read(det)
+        f1s.append(table_f1(extract_table(reading), annotation.gold_table, TABLE_F1_REL_TOL)[2])
         for gold_el, d in provenance:
             if gold_el.text is None or d is None:
                 continue
             ocr_pairs_gold.append((gold_el.cls, gold_el.text))
             ocr_pairs_pred.append((gold_el.cls, d.text or ""))
+        for q in by_plot[pid]:
+            try:
+                pred = answer_hybrid(q.text, reading, matcher)
+                pred_json = pred.to_json()
+            except (AnswerUnavailable, UnparseableQuestion) as e:
+                pred, pred_json = None, {"error": type(e).__name__}
+            answers[id(q)] = pred
+            rec = q.to_json()
+            rec["plot_id"] = pid
+            rec["prediction"] = pred_json
+            rec["correct"] = score_answer(pred, q.gold_answer)
+            predictions.append(rec)
+        del reading
 
-    plot_ids = sorted(by_plot)
     map_scores = {}
     for thr in MAP_THRESHOLDS:
         _, m = average_precision(
@@ -233,24 +268,6 @@ def cmd_run(dataset_dir: str, noise_spec: str, out_dir: str, run_split: str = "t
 
     from .detsim import ocr_accuracy as _ocr_acc
     ocr_total = _ocr_acc(ocr_pairs_pred, ocr_pairs_gold)["total"] if ocr_pairs_gold else None
-
-    flat: list[tuple[QuestionInstance, int]] = [
-        (q, pid) for pid in plot_ids for q in by_plot[pid]
-    ]
-    predictions = []
-    answers = {}
-    for q, pid in flat:
-        try:
-            pred = answer_hybrid(q.text, dets_per_plot[pid], matcher)
-            pred_json = pred.to_json()
-        except Exception as e:
-            pred, pred_json = None, {"error": type(e).__name__}
-        answers[id(q)] = pred
-        rec = q.to_json()
-        rec["plot_id"] = pid
-        rec["prediction"] = pred_json
-        rec["correct"] = score_answer(pred, q.gold_answer)
-        predictions.append(rec)
 
     with open(os.path.join(out_dir, "predictions.jsonl"), "w", encoding="utf-8") as f:
         for rec in predictions:
@@ -266,7 +283,7 @@ def cmd_run(dataset_dir: str, noise_spec: str, out_dir: str, run_split: str = "t
                             rec["answer_type"], int(rec["correct"]), rec["text"]])
 
     report = evaluate(
-        [q for q, _ in flat],
+        [q for pid in plot_ids for q in by_plot[pid]],
         lambda q: answers[id(q)],
         map_scores=map_scores,
         ocr_accuracy=ocr_total,
@@ -286,19 +303,17 @@ def cmd_run(dataset_dir: str, noise_spec: str, out_dir: str, run_split: str = "t
 def cmd_extract(input_path: str, out_path: str | None) -> int:
     if not os.path.exists(input_path):
         raise DataError(f"no such file: {input_path}")
-    with open(input_path, encoding="utf-8") as f:
-        obj = json.load(f)
-    if "elements" in obj:
-        from .hybrid import _as_detections
-        det = _as_detections(PlotAnnotation.from_json(obj))
-    elif "detections" in obj:
-        from .detsim import DetectionSet
-        det = DetectionSet.from_json(obj)
-    else:
+    obj = _read_json(input_path, "input")
+    if not isinstance(obj, dict) or not ("elements" in obj or "detections" in obj):
         raise DataError("input is neither an annotation nor a detection set")
-    if not det.detections:
+    try:
+        source = PlotAnnotation.from_json(obj) if "elements" in obj else DetectionSet.from_json(obj)
+    except (ValueError, KeyError, TypeError) as e:
+        raise DataError(f"malformed input {input_path}: {e!r}")
+    reading = read(source)
+    if not reading.detections.detections:
         print("warning: empty detection set", file=sys.stderr)
-    csv_text = extract_table(det).to_csv()
+    csv_text = extract_table(reading).to_csv()
     if out_path:
         with open(out_path, "w", encoding="utf-8") as f:
             f.write(csv_text)
@@ -406,7 +421,6 @@ def main(argv: list[str] | None = None) -> int:
                 corpus=args.corpus,
                 n_plots=args.n_plots,
                 seed=args.seed,
-                noise="zero",
                 split_ratios=args.split,
                 out_dir=args.out,
                 questions_per_plot=args.questions_per_plot,

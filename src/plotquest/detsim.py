@@ -18,7 +18,8 @@ set therefore scores AP = 0.5.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -54,6 +55,9 @@ class NoiseModel:
                 raise ValueError(f"{name}={p} outside [0, 1]")
         if self.box_jitter_sigma < 0:
             raise ValueError("box_jitter_sigma must be >= 0")
+        for cls, sigma in self.class_sigma.items():
+            if sigma < 0:
+                raise ValueError(f"class_sigma[{cls!r}]={sigma} must be >= 0")
 
     def sigma_for(self, cls: str) -> float:
         return float(self.class_sigma.get(cls, self.box_jitter_sigma))
@@ -83,16 +87,27 @@ class NoiseModel:
 
     @staticmethod
     def from_json(obj: dict) -> "NoiseModel":
-        return NoiseModel(
-            box_jitter_sigma=obj.get("box_jitter_sigma", 0.0),
-            drop_prob=obj.get("drop_prob", 0.0),
-            misclass_prob=obj.get("misclass_prob", 0.0),
-            ocr_char_sub_prob=obj.get("ocr_char_sub_prob", 0.0),
-            ocr_truncate_prob=obj.get("ocr_truncate_prob", 0.0),
-            ocr_sign_digit_prob=obj.get("ocr_sign_digit_prob", 0.0),
-            seed=obj.get("seed", 0),
-            class_sigma=dict(obj.get("class_sigma", {})),
-        )
+        """Strict inverse of to_json: every key is optional and none unknown
+        (a misspelt key would otherwise mean, silently, no such noise).
+        Raises ValueError on an unknown key or class, a value that is not a
+        finite number, a negative sigma or a probability outside [0, 1]."""
+        if not isinstance(obj, dict):
+            raise ValueError("noise model must be a JSON object")
+        names = [f.name for f in fields(NoiseModel)]
+        unknown = sorted(set(obj) - set(names))
+        if unknown:
+            raise ValueError(f"unknown noise model keys {unknown}; known: {names}")
+        seed = obj.get("seed", 0)
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise ValueError(f"seed={seed!r} is not an integer")
+        class_sigma = obj.get("class_sigma", {})
+        if not isinstance(class_sigma, dict) or not set(class_sigma) <= set(ELEMENT_CLASSES):
+            raise ValueError(f"class_sigma must map element classes to sigmas, got {class_sigma!r}")
+        numbers = {k: v for k, v in obj.items() if k not in ("seed", "class_sigma")}
+        for name, v in [*numbers.items(), *class_sigma.items()]:
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+                raise ValueError(f"{name}={v!r} is not a finite number")
+        return NoiseModel(**numbers, seed=seed, class_sigma=dict(class_sigma))
 
 
 ZERO_NOISE = NoiseModel()

@@ -4,15 +4,16 @@ that resolve against geometry: ordinal bar order, tick step, title, axis
 labels) or to the multi-stage pipeline branch (everything whose answer
 lives in the extracted table).
 
-The classification branch answers from the detection set directly: element
-counts, positions, style metadata and tick/legend texts. For comparative
-yes/no questions it reconstructs per-series value readings geometrically
-(tick parsing + interpolation) but never builds or consults the extracted
-table; the pipeline branch, by contrast, is exactly ``tableqa.answer``
-over ``sie.extract_table``.
+Both branches answer from one ``sie.PlotReading`` per plot, so a plot's
+detections are associated once however many questions it has. The
+classification branch answers from the reading's geometry: element counts,
+positions, style metadata, tick/legend texts and, for comparative yes/no
+questions, the per-series value rows. The pipeline branch is
+``tableqa.execute`` over the knowledge graph of the reading's table, built
+once per reading.
 
-Routing is a pure function of the question text. Unparseable questions
-fall through to the pipeline branch, which fails loudly there.
+Each question is parsed once; its route is a pure function of the matched
+template. Unparseable questions raise ``UnparseableQuestion``.
 """
 
 from __future__ import annotations
@@ -22,17 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tableqa
 from .answers import Answer, AnswerUnavailable, UnparseableQuestion, number, text, yes_no
 from .detsim import Detection, DetectionSet
 from .plotgen import PlotAnnotation
 from .qgen import count_line_crossings, is_monotonic_nondecreasing
-from .sie import (
-    ExtractionError, _canonical, _infer_orientation, _interp, _tick_refs,
-    associate_legend, extract_table, parse_tick_value,
-)
-from .tableqa import answer as table_answer
+from .sie import PlotReading, _canonical, read
 from .tableqa import parse as parse_question
-from .templates import TemplateMatcher, default_matcher, parse_ordinal
+from .templates import Template, TemplateMatcher, default_matcher, parse_ordinal
 
 CLASSIFICATION_BRANCH = "classification_branch"
 PIPELINE_BRANCH = "pipeline_branch"
@@ -50,12 +48,15 @@ class Route:
     reason: str
 
 
-def route(question: str, matcher: TemplateMatcher | None = None) -> Route:
-    """Branch decision from the question text alone."""
-    m = (matcher or default_matcher()).match(question)
-    if m is None:
-        return Route(PIPELINE_BRANCH, "unparseable: pipeline is the safe default")
-    template, _ = m
+def route(question: str | Template, matcher: TemplateMatcher | None = None) -> Route:
+    """Branch decision from a question's template (matched from its text
+    when given text)."""
+    template = question
+    if isinstance(question, str):
+        m = (matcher or default_matcher()).match(question)
+        if m is None:
+            return Route(PIPELINE_BRANCH, "unparseable: pipeline is the safe default")
+        template = m[0]
     if template.category == "structural":
         return Route(CLASSIFICATION_BRANCH, f"structural template {template.id}")
     if template.answer_type == "yes_no":
@@ -66,154 +67,63 @@ def route(question: str, matcher: TemplateMatcher | None = None) -> Route:
 
 
 # ---------------------------------------------------------------------------
-# geometric reading of a detection set
+# lookups on a reading for the classification branch
 
-def _as_detections(d: DetectionSet | PlotAnnotation) -> DetectionSet:
-    if isinstance(d, DetectionSet):
-        return d
-    dets = [
-        Detection(cls=e.cls, bbox=e.bbox, score=1.0, text=e.text, color=e.color)
-        for e in d.elements
-    ]
-    return DetectionSet(dets, style=d.style)
+def _one_text(rd: PlotReading, cls: str) -> str:
+    for det in _canonical(rd.detections.by_class(cls)):
+        if det.text:
+            return det.text
+    raise AnswerUnavailable(f"no {cls} detected")
 
 
-class VisualReading:
-    """Lazy geometric digest of a detection set for structural answering."""
+def _cats(rd: PlotReading) -> list[str]:
+    return [r.text for r in rd.cat_refs]
 
-    def __init__(self, d: DetectionSet | PlotAnnotation):
-        self.d = _as_detections(d)
-        self.style = self.d.style
-        self.bars = _canonical(self.d.by_class("bar"))
-        self.points = _canonical([x for x in self.d.detections if x.cls in ("line", "dotline")])
-        self.bars_are_data = len(self.bars) >= len(self.points)
-        self.orientation = _infer_orientation(self.bars) if self.bars_are_data else "vertical"
-        self.horizontal = self.orientation == "horizontal"
-        cat_axis = "y" if self.horizontal else "x"
-        val_axis = "x" if self.horizontal else "y"
-        self.cat_refs = _tick_refs(self.d, cat_axis)
-        self.val_tick_values: list[tuple[float, float]] = []
-        for r in _tick_refs(self.d, val_axis):
-            v = parse_tick_value(r.text)
-            if v is not None:
-                self.val_tick_values.append((v, r.pos))
-        self.val_tick_texts = [r.text for r in _tick_refs(self.d, val_axis)]
-        self.legend_map = associate_legend(self.d)  # text -> color, reading order
-        self._rows: tuple[list[str], np.ndarray] | None = None
 
-    # -- small lookups ------------------------------------------------------
+def _group_counts(rd: PlotReading) -> list[int]:
+    counts = [0] * len(rd.cat_refs)
+    for bar in rd.bars:
+        counts[rd.nearest_cat(bar)] += 1
+    return counts
 
-    def one_text(self, cls: str) -> str:
-        dets = _canonical(self.d.by_class(cls))
-        for det in dets:
-            if det.text:
-                return det.text
-        raise AnswerUnavailable(f"no {cls} detected")
 
-    @property
-    def legend_texts(self) -> list[str]:
-        return list(self.legend_map.keys())
+def _row_for(rd: PlotReading, legend: str | None) -> np.ndarray:
+    names, V = rd.series_rows()
+    if legend is None:
+        if len(names) == 1:
+            return V[0]
+        raise AnswerUnavailable("ambiguous series reference")
+    if legend not in names:
+        raise AnswerUnavailable(f"no series labeled {legend!r}")
+    return V[names.index(legend)]
 
-    def cats(self) -> list[str]:
-        return [r.text for r in self.cat_refs]
 
-    def _nearest_cat(self, det: Detection) -> int:
-        if not self.cat_refs:
-            raise AnswerUnavailable("no category ticks detected")
-        c_axis = det.center[1] if self.horizontal else det.center[0]
-        return min(range(len(self.cat_refs)), key=lambda k: abs(self.cat_refs[k].pos - c_axis))
-
-    def group_counts(self) -> list[int]:
-        counts = [0] * len(self.cat_refs)
-        for bar in self.bars:
-            counts[self._nearest_cat(bar)] += 1
-        return counts
-
-    def value_of(self, det: Detection) -> float:
-        if len(self.val_tick_values) < 2:
-            raise AnswerUnavailable("fewer than 2 readable value ticks")
-        if det.cls == "bar":
-            x, y, w, h = det.bbox
-            p = (x + w) if self.horizontal else y
-        else:
-            p = det.center[0] if self.horizontal else det.center[1]
-        return _interp(p, self.val_tick_values)
-
-    def series_rows(self) -> tuple[list[str], np.ndarray]:
-        """Per-series value readings aligned to category order (nan = missing)."""
-        if self._rows is not None:
-            return self._rows
-        data = self.bars if self.bars_are_data else self.points
-        n_cats = len(self.cat_refs)
-        if self.legend_map:
-            names = self.legend_texts
-            color_to_row = {c: k for k, (_, c) in enumerate(self.legend_map.items())}
-        else:
-            names = [""]
-            color_to_row = {}
-        V = np.full((len(names), n_cats), np.nan)
-        for det in data:
-            if self.legend_map:
-                if det.color is None or det.color not in color_to_row:
-                    continue
-                r = color_to_row[det.color]
-            else:
-                r = 0
-            c = self._nearest_cat(det)
-            if np.isnan(V[r][c]):
-                V[r][c] = self.value_of(det)
-        self._rows = (names, V)
-        return self._rows
-
-    def row_for(self, legend: str | None) -> np.ndarray:
-        names, V = self.series_rows()
-        if legend is None:
-            if len(names) == 1:
-                return V[0]
-            raise AnswerUnavailable("ambiguous series reference")
-        if legend not in names:
-            raise AnswerUnavailable(f"no series labeled {legend!r}")
-        return V[names.index(legend)]
-
-    def require(self, row: np.ndarray, *idx: int) -> list[float]:
-        out = []
-        for i in idx:
-            if i < 0 or i >= len(row) or np.isnan(row[i]):
-                raise AnswerUnavailable("required data point not detected")
-            out.append(float(row[i]))
-        return out
+def _require(row: np.ndarray, *idx: int) -> list[float]:
+    out = []
+    for i in idx:
+        if i < 0 or i >= len(row) or np.isnan(row[i]):
+            raise AnswerUnavailable("required data point not detected")
+        out.append(float(row[i]))
+    return out
 
 
 # ---------------------------------------------------------------------------
 # classification-branch answering
 
-def answer_structural(question: str, d: DetectionSet | PlotAnnotation,
-                      matcher: TemplateMatcher | None = None) -> Answer:
-    """Answer a classification-branch question from visual elements only."""
-    parsed = parse_question(question, matcher)
-    reading = VisualReading(d)
-    try:
-        return _structural(parsed.template_id, parsed.bindings, reading)
-    except AnswerUnavailable:
-        raise
-    except (ValueError, KeyError, IndexError, ZeroDivisionError, ExtractionError) as e:
-        raise AnswerUnavailable(str(e))
-
-
-def _ordered_cat_indices(reading: VisualReading, direction: str) -> list[int]:
+def _ordered_cat_indices(reading: PlotReading, direction: str) -> list[int]:
     # cat_refs are sorted by pixel position: ascending x (left->right) for
     # vertical plots, ascending y (top->bottom) for horizontal ones
     idx = list(range(len(reading.cat_refs)))
     return idx if direction in ("left", "top") else idx[::-1]
 
 
-def _style_or_unavailable(reading: VisualReading):
+def _style_or_unavailable(reading: PlotReading):
     if reading.style is None:
         raise AnswerUnavailable("no style metadata available")
     return reading.style
 
 
-def _structural(tid: int, b: dict[str, str], rd: VisualReading) -> Answer:
+def _structural(tid: int, b: dict[str, str], rd: PlotReading) -> Answer:
     if tid == 1:
         _, V = rd.series_rows()
         vals = V[~np.isnan(V)]
@@ -225,12 +135,12 @@ def _structural(tid: int, b: dict[str, str], rd: VisualReading) -> Answer:
     if tid == 3:
         return text(_style_or_unavailable(rd).legend_position)
     if tid == 4:
-        n = len(rd.d.by_class("legend_label"))
+        n = len(rd.detections.by_class("legend_label"))
         if n == 0:
             raise AnswerUnavailable("no legend detected")
         return number(n)
     if tid == 5:
-        labels = _canonical(rd.d.by_class("legend_label"))
+        labels = _canonical(rd.detections.by_class("legend_label"))
         if len(labels) >= 2:
             xs = [l.center[0] for l in labels]
             ys = [l.center[1] for l in labels]
@@ -254,7 +164,7 @@ def _structural(tid: int, b: dict[str, str], rd: VisualReading) -> Answer:
             raise AnswerUnavailable("no bars detected")
         return number(len(rd.cat_refs))
     if tid in (10, 11):
-        counts = rd.group_counts()
+        counts = _group_counts(rd)
         if not counts:
             raise AnswerUnavailable("no category ticks detected")
         if tid == 10:
@@ -266,7 +176,7 @@ def _structural(tid: int, b: dict[str, str], rd: VisualReading) -> Answer:
         order = _ordered_cat_indices(rd, direction)
         if i < 1 or i > len(order):
             raise AnswerUnavailable(f"no {b['i']} tick")
-        return number(rd.group_counts()[order[i - 1]])
+        return number(_group_counts(rd)[order[i - 1]])
     if tid == 16:
         if not rd.bars:
             raise AnswerUnavailable("no bars detected")
@@ -287,7 +197,7 @@ def _structural(tid: int, b: dict[str, str], rd: VisualReading) -> Answer:
             raise AnswerUnavailable("no bars detected")
         groups: dict[int, list[Detection]] = {}
         for bar in rd.bars:
-            groups.setdefault(rd._nearest_cat(bar), []).append(bar)
+            groups.setdefault(rd.nearest_cat(bar), []).append(bar)
         # within-group order along the category axis
         axis = (lambda det: det.center[1]) if rd.horizontal else (lambda det: det.center[0])
         color_to_label = {c: t for t, c in rd.legend_map.items()}
@@ -311,13 +221,13 @@ def _structural(tid: int, b: dict[str, str], rd: VisualReading) -> Answer:
             raise AnswerUnavailable(f"no {b['j']} group")
         return text(rd.cat_refs[order[j - 1]].text)
     if tid in (25, 35):
-        row = rd.row_for(b.get("legend_label"))
-        vals = rd.require(row, *range(len(row)))
+        row = _row_for(rd, b.get("legend_label"))
+        vals = _require(row, *range(len(row)))
         return yes_no(is_monotonic_nondecreasing(vals))
     if tid == 26:
-        if len(rd.val_tick_values) < 2:
+        if len(rd.val_ticks) < 2:
             raise AnswerUnavailable("fewer than 2 readable value ticks")
-        ordered = sorted(v for v, _ in rd.val_tick_values)
+        ordered = sorted(v for v, _ in rd.val_ticks)
         steps = [b2 - a2 for a2, b2 in zip(ordered, ordered[1:])]
         return number(float(np.median(steps)))
     if tid == 27:
@@ -326,23 +236,23 @@ def _structural(tid: int, b: dict[str, str], rd: VisualReading) -> Answer:
         hits = sum(1 for t in rd.val_tick_texts if _SCI_RE.fullmatch(t))
         return yes_no(hits > len(rd.val_tick_texts) / 2.0)
     if tid == 28:
-        return text(rd.one_text("title"))
+        return text(_one_text(rd, "title"))
     if tid == 29:
         return yes_no(b["legend_label"] in rd.legend_texts)
     if tid == 30:
-        return text(rd.one_text("xaxis_label"))
+        return text(_one_text(rd, "xaxis_label"))
     if tid == 31:
-        return text(rd.one_text("yaxis_label"))
+        return text(_one_text(rd, "yaxis_label"))
     if tid in (36, 37):
-        v1 = rd.row_for(b["legend_label"])
-        v2 = rd.row_for(b["legend_label2"])
-        a = rd.require(v1, *range(len(v1)))
-        c = rd.require(v2, *range(len(v2)))
+        v1 = _row_for(rd, b["legend_label"])
+        v2 = _row_for(rd, b["legend_label2"])
+        a = _require(v1, *range(len(v1)))
+        c = _require(v2, *range(len(v2)))
         ok = all(x > y for x, y in zip(a, c)) if tid == 36 else all(x < y for x, y in zip(a, c))
         return yes_no(ok)
     if tid == 57:
-        row = rd.row_for(None)
-        cats = rd.cats()
+        row = _row_for(rd, None)
+        cats = _cats(rd)
         if b["x_tick"] not in cats or b["x_tick2"] not in cats:
             raise AnswerUnavailable("span endpoint tick missing")
         i, j = sorted((cats.index(b["x_tick"]), cats.index(b["x_tick2"])))
@@ -350,58 +260,58 @@ def _structural(tid: int, b: dict[str, str], rd: VisualReading) -> Answer:
             i, j = i + 1, j - 1
         if i > j:
             raise AnswerUnavailable("empty span")
-        window = rd.require(row, *range(i, j + 1))
+        window = _require(row, *range(i, j + 1))
         n = float(b["n"])
         return yes_no(sum(1 for v in window if v > n) > len(window) / 2.0)
     if tid in (59, 62):
-        row = rd.row_for(b.get("legend_label") if tid == 62 else None)
-        cats = rd.cats()
+        row = _row_for(rd, b.get("legend_label") if tid == 62 else None)
+        cats = _cats(rd)
         if b["x_tick"] not in cats or b["x_tick2"] not in cats:
             raise AnswerUnavailable("tick missing")
-        vi, vj = rd.require(row, cats.index(b["x_tick"]), cats.index(b["x_tick2"]))
+        vi, vj = _require(row, cats.index(b["x_tick"]), cats.index(b["x_tick2"]))
         return yes_no(vi < vj)
     if tid == 63:
-        row = rd.row_for(None)
-        vals = rd.require(row, *range(len(row)))
-        cats = rd.cats()
-        vi, vj = rd.require(row, cats.index(b["x_tick"]), cats.index(b["x_tick2"]))
+        row = _row_for(rd, None)
+        vals = _require(row, *range(len(row)))
+        cats = _cats(rd)
+        vi, vj = _require(row, cats.index(b["x_tick"]), cats.index(b["x_tick2"]))
         return yes_no((vi - vj) > (max(vals) - min(vals)))
     if tid == 65:
-        row = rd.row_for(None)
-        vals = rd.require(row, *range(len(row)))
-        cats = rd.cats()
-        vi, vj = rd.require(row, cats.index(b["x_tick"]), cats.index(b["x_tick2"]))
+        row = _row_for(rd, None)
+        vals = _require(row, *range(len(row)))
+        cats = _cats(rd)
+        vi, vj = _require(row, cats.index(b["x_tick"]), cats.index(b["x_tick2"]))
         return yes_no(vi + vj > max(vals))
     if tid == 68:
-        cats = rd.cats()
+        cats = _cats(rd)
         if b["x_tick"] not in cats or b["x_tick2"] not in cats:
             raise AnswerUnavailable("tick missing")
         i, j = cats.index(b["x_tick"]), cats.index(b["x_tick2"])
-        a1, a2 = rd.require(rd.row_for(b["legend_label"]), i, j)
-        c1, c2 = rd.require(rd.row_for(b["legend_label2"]), i, j)
+        a1, a2 = _require(_row_for(rd, b["legend_label"]), i, j)
+        c1, c2 = _require(_row_for(rd, b["legend_label2"]), i, j)
         return yes_no((a1 - a2) > (c1 - c2))
     if tid == 72:
-        r1 = rd.row_for(b["legend_label"])
-        r2 = rd.row_for(b["legend_label2"])
-        r3 = rd.row_for(b["legend_label3"])
+        r1 = _row_for(rd, b["legend_label"])
+        r2 = _row_for(rd, b["legend_label2"])
+        r3 = _row_for(rd, b["legend_label3"])
         n = len(r1)
-        a = rd.require(r1, *range(n))
-        c = rd.require(r2, *range(n))
-        e = rd.require(r3, *range(n))
+        a = _require(r1, *range(n))
+        c = _require(r2, *range(n))
+        e = _require(r3, *range(n))
         return yes_no(all(x + y > z for x, y, z in zip(a, c, e)))
     if tid == 73:
-        cats = rd.cats()
+        cats = _cats(rd)
         if b["x_tick"] not in cats or b["x_tick2"] not in cats:
             raise AnswerUnavailable("tick missing")
         i, j = cats.index(b["x_tick"]), cats.index(b["x_tick2"])
-        vi, vj = rd.require(rd.row_for(b["legend_label"]), i, j)
-        other = rd.row_for(b["legend_label2"])
-        vals = rd.require(other, *range(len(other)))
+        vi, vj = _require(_row_for(rd, b["legend_label"]), i, j)
+        other = _row_for(rd, b["legend_label2"])
+        vals = _require(other, *range(len(other)))
         return yes_no(vi + vj > max(vals))
     if tid == 74:
-        rows = [rd.row_for(b[k]) for k in ("legend_label", "legend_label2", "legend_label3", "legend_label4")]
+        rows = [_row_for(rd, b[k]) for k in ("legend_label", "legend_label2", "legend_label3", "legend_label4")]
         n = len(rows[0])
-        vals = [rd.require(r, *range(n)) for r in rows]
+        vals = [_require(r, *range(n)) for r in rows]
         return yes_no(all(a + c > e + g for a, c, e, g in zip(*vals)))
     raise AnswerUnavailable(f"template {tid} is not a classification-branch question")
 
@@ -409,37 +319,55 @@ def _structural(tid: int, b: dict[str, str], rd: VisualReading) -> Answer:
 # ---------------------------------------------------------------------------
 # composition
 
-def answer_hybrid(question: str, d: DetectionSet | PlotAnnotation,
-                  matcher: TemplateMatcher | None = None) -> Answer:
-    """Dispatch per route; errors surface as AnswerUnavailable, never a crash."""
-    r = route(question, matcher)
+def _knowledge_graph(rd: PlotReading) -> tableqa.KnowledgeGraph:
+    """The reading's knowledge graph, built on first use. A table that has
+    none (duplicate row headers) fails the same way for every question."""
+    if rd.kg is None:
+        try:
+            rd.kg = tableqa.build_kg(rd.table())
+        except ValueError as e:
+            rd.kg = AnswerUnavailable(str(e))  # kept unraised: no traceback holds the reading
+    if isinstance(rd.kg, AnswerUnavailable):
+        raise AnswerUnavailable(*rd.kg.args)
+    return rd.kg
+
+
+def _answer(question: str, d: DetectionSet | PlotAnnotation | PlotReading,
+            matcher: TemplateMatcher | None, branch: str | None) -> Answer:
+    """Parse once, then answer on ``branch`` (None: the question's route).
+    Errors surface as AnswerUnavailable or UnparseableQuestion, never a crash."""
     try:
-        if r.branch == CLASSIFICATION_BRANCH:
-            return answer_structural(question, d, matcher)
-        return table_answer(question, extract_table(_as_detections(d)), matcher)
+        parsed = parse_question(question, matcher)
+        rd = d if isinstance(d, PlotReading) else read(d)
+        if branch is None:
+            branch = route(parsed.template).branch
+        if branch == CLASSIFICATION_BRANCH:
+            return _structural(parsed.template_id, parsed.bindings, rd)
+        return tableqa.execute(parsed.logical_form, _knowledge_graph(rd))
     except (AnswerUnavailable, UnparseableQuestion):
         raise
     except (ValueError, KeyError, IndexError, ZeroDivisionError) as e:
         raise AnswerUnavailable(str(e))
 
 
-def answer_pipeline_only(question: str, d: DetectionSet | PlotAnnotation,
+def answer_hybrid(question: str, d: DetectionSet | PlotAnnotation | PlotReading,
+                  matcher: TemplateMatcher | None = None) -> Answer:
+    """Answer on the question's routed branch. Pass one ``sie.read`` result
+    for all of a plot's questions to associate its detections once."""
+    return _answer(question, d, matcher, None)
+
+
+def answer_pipeline_only(question: str, d: DetectionSet | PlotAnnotation | PlotReading,
                          matcher: TemplateMatcher | None = None) -> Answer:
     """Everything through table extraction + QA (ablation arm)."""
-    try:
-        return table_answer(question, extract_table(_as_detections(d)), matcher)
-    except (AnswerUnavailable, UnparseableQuestion):
-        raise
-    except (ValueError, KeyError, IndexError, ZeroDivisionError) as e:
-        raise AnswerUnavailable(str(e))
+    return _answer(question, d, matcher, PIPELINE_BRANCH)
 
 
-def answer_structural_only(question: str, d: DetectionSet | PlotAnnotation,
-                           matcher: TemplateMatcher | None = None) -> Answer:
-    """Everything through the classification branch (ablation arm)."""
-    try:
-        return answer_structural(question, d, matcher)
-    except (AnswerUnavailable, UnparseableQuestion):
-        raise
-    except (ValueError, KeyError, IndexError, ZeroDivisionError) as e:
-        raise AnswerUnavailable(str(e))
+def answer_structural(question: str, d: DetectionSet | PlotAnnotation | PlotReading,
+                      matcher: TemplateMatcher | None = None) -> Answer:
+    """Everything through the classification branch, from visual elements
+    only (ablation arm)."""
+    return _answer(question, d, matcher, CLASSIFICATION_BRANCH)
+
+
+answer_structural_only = answer_structural

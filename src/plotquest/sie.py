@@ -18,6 +18,13 @@ are detections.
 
 All association is permutation-invariant: detections are put into a
 canonical order before any tie can matter.
+
+``read`` does this work once per plot and returns a ``PlotReading``: the
+canonical marks, ticks, legend map and orientation, plus one assignment
+per data mark (its cell and value, or why it was left out). Everything
+downstream reads from it: ``extract_table(d)`` is ``read(d).table()``, and
+both answering branches in ``hybrid`` share the same reading for all of a
+plot's questions.
 """
 
 from __future__ import annotations
@@ -27,10 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .answers import AnswerUnavailable
 from .detsim import Detection, DetectionSet
+from .plotgen import PlotAnnotation
 from .table import SemiStructuredTable
-
-DATA_CLASSES = ("bar", "line", "dotline")
 
 
 class ExtractionError(ValueError):
@@ -124,33 +131,6 @@ def associate_ticks(d: DetectionSet, axis: str) -> list[tuple[str, float]]:
     return [(r.text, r.pos) for r in refs]
 
 
-def associate_bars(
-    d: DetectionSet,
-    legend_map: dict[str, int],
-    x_ticks: list[tuple[str, float]],
-) -> list[tuple[str, str]]:
-    """Per-bar (row, col) assignment for vertical bar detections.
-
-    Exposed for inspection; extract_table performs the same association
-    internally for all plot types. Bars whose color matches no legend entry
-    come back with col '' (unassigned).
-    """
-    bars = _canonical(d.by_class("bar"))
-    if not bars:
-        raise ExtractionError("no bar detections")
-    color_to_col = {c: name for name, c in legend_map.items()}
-    out = []
-    for bar in bars:
-        cx = bar.center[0]
-        row = min(x_ticks, key=lambda t: abs(t[1] - cx))[0]
-        if legend_map:
-            col = color_to_col.get(bar.color, "")
-        else:
-            col = ""
-        out.append((row, col))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # value interpolation
 
@@ -193,7 +173,24 @@ def interpolate_value(
 
 
 # ---------------------------------------------------------------------------
-# full extraction
+# one reading per plot
+
+# why a data mark was left out of the table; the last two also make every
+# series reading unavailable (the texts double as AnswerUnavailable messages)
+UNASSIGNED_COLOR = "mark colour matches no legend entry"
+NO_CATEGORY_TICKS = "no category ticks detected"
+TOO_FEW_VALUE_TICKS = "fewer than 2 readable value ticks"
+
+
+@dataclass(frozen=True)
+class MarkAssignment:
+    """Where one data mark lands: cell (row, col) and value, or the reason
+    it was left out (then row, col and value are None)."""
+    row: int | None
+    col: int | None
+    value: float | None
+    reason: str | None = None
+
 
 def _axis_label_text(d: DetectionSet, axis: str) -> str:
     cls = "xaxis_label" if axis == "x" else "yaxis_label"
@@ -210,69 +207,133 @@ def _infer_orientation(bars: list[Detection]) -> str:
     return "vertical" if np.std(bottoms) <= np.std(lefts) else "horizontal"
 
 
-def extract_table(d: DetectionSet) -> SemiStructuredTable:
+class PlotReading:
+    """Everything geometric association learns from one detection set.
+
+    Built once per plot by ``read``; the table, the per-series value rows
+    and (in ``hybrid``) the knowledge graph are derived from it on first
+    use and kept.
+    """
+
+    def __init__(self, d: DetectionSet):
+        self.detections = d
+        self.style = d.style
+        self.bars = _canonical(d.by_class("bar"))
+        self.points = _canonical([det for det in d.detections if det.cls in ("line", "dotline")])
+        # majority vote between mark families: a lone misclassified element
+        # must not displace the real data marks
+        self.bars_are_data = len(self.bars) >= len(self.points)
+        self.orientation = _infer_orientation(self.bars) if self.bars_are_data else "vertical"
+        self.horizontal = self.orientation == "horizontal"
+        self.cat_axis = "y" if self.horizontal else "x"
+        self.val_axis = "x" if self.horizontal else "y"
+        self.cat_refs = _tick_refs(d, self.cat_axis)
+        val_refs = _tick_refs(d, self.val_axis)
+        self.val_tick_texts = [r.text for r in val_refs]
+        self.val_ticks: list[tuple[float, float]] = []  # (value, pixel)
+        for r in val_refs:
+            v = parse_tick_value(r.text)
+            if v is not None:
+                self.val_ticks.append((v, r.pos))
+        self.legend_map = associate_legend(d)  # text -> color, reading order
+        self._color_to_col = {c: k for k, c in enumerate(self.legend_map.values())}
+        self.assignments = [self._assign(mark) for mark in self.data_marks]  # parallel to data_marks
+        self.kg = None  # knowledge graph (or its build error), filled in by hybrid
+        self._table: SemiStructuredTable | None = None
+        self._series: tuple[list[str], np.ndarray] | None = None
+
+    @property
+    def data_marks(self) -> list[Detection]:
+        return self.bars if self.bars_are_data else self.points
+
+    @property
+    def legend_texts(self) -> list[str]:
+        return list(self.legend_map.keys())
+
+    def nearest_cat(self, det: Detection) -> int:
+        """Index of the category tick nearest a mark along the category axis."""
+        if not self.cat_refs:
+            raise AnswerUnavailable(NO_CATEGORY_TICKS)
+        c_axis = det.center[1] if self.horizontal else det.center[0]
+        return min(range(len(self.cat_refs)), key=lambda k: abs(self.cat_refs[k].pos - c_axis))
+
+    def _assign(self, mark: Detection) -> MarkAssignment:
+        # colour first, then category ticks, then value ticks
+        if self.legend_map:
+            col = self._color_to_col.get(mark.color)
+            if col is None:
+                return MarkAssignment(None, None, None, UNASSIGNED_COLOR)
+        else:
+            col = 0
+        if not self.cat_refs:
+            return MarkAssignment(None, None, None, NO_CATEGORY_TICKS)
+        if len(self.val_ticks) < 2:
+            return MarkAssignment(None, None, None, TOO_FEW_VALUE_TICKS)
+        if mark.cls == "bar":
+            value = interpolate_value(mark.bbox, self.val_ticks, self.orientation)
+        else:
+            value = _interp(mark.center[0] if self.horizontal else mark.center[1], self.val_ticks)
+        return MarkAssignment(self.nearest_cat(mark), col, float(value))
+
+    def table(self) -> SemiStructuredTable:
+        """The extracted table; the first mark assigned to a cell wins."""
+        if self._table is None:
+            if self.legend_map:
+                col_headers = self.legend_texts  # insertion follows reading order
+            else:
+                fallback = _axis_label_text(self.detections, self.val_axis)
+                col_headers = [fallback if fallback else "value"]
+            cells: list[list[float | None]] = [[None] * len(col_headers) for _ in self.cat_refs]
+            for a in self.assignments:
+                if a.reason is None and cells[a.row][a.col] is None:
+                    cells[a.row][a.col] = a.value
+            self._table = SemiStructuredTable(
+                row_headers=[r.text for r in self.cat_refs],
+                col_headers=col_headers,
+                cells=cells,
+                row_label=_axis_label_text(self.detections, self.cat_axis),
+            )
+        return self._table
+
+    def series_rows(self) -> tuple[list[str], np.ndarray]:
+        """Per-series value readings aligned to category order (nan = missing).
+
+        Series names are the legend texts, or a lone "" without a legend.
+        Unavailable when any data mark that passes the colour filter cannot
+        be placed for lack of category ticks or of 2 numeric value ticks.
+        """
+        if self._series is None:
+            for a in self.assignments:
+                if a.reason in (NO_CATEGORY_TICKS, TOO_FEW_VALUE_TICKS):
+                    raise AnswerUnavailable(a.reason)
+            names = self.legend_texts if self.legend_map else [""]
+            cells = self.table().cells
+            V = np.full((len(names), len(self.cat_refs)), np.nan)
+            for i, row in enumerate(cells):
+                for j, v in enumerate(row):
+                    if v is not None:
+                        V[j][i] = v
+            self._series = (names, V)
+        return self._series
+
+
+def read(d: DetectionSet | PlotAnnotation) -> PlotReading:
+    """Associate a detection set (or an exact annotation) once; never raises."""
+    if isinstance(d, PlotAnnotation):
+        d = DetectionSet(
+            [Detection(cls=e.cls, bbox=e.bbox, score=1.0, text=e.text, color=e.color) for e in d.elements],
+            style=d.style,
+        )
+    return PlotReading(d)
+
+
+def extract_table(d: DetectionSet | PlotAnnotation | PlotReading) -> SemiStructuredTable:
     """Reconstruct the semi-structured table from detections.
 
     Always returns a table; association failures leave empty cells and
     unreadable axes simply produce no values.
     """
-    bars = _canonical([det for det in d.detections if det.cls == "bar"])
-    points = _canonical([det for det in d.detections if det.cls in ("line", "dotline")])
-    # majority vote between mark families: a lone misclassified element must
-    # not displace the real data marks
-    use_bars = len(bars) >= len(points)
-    data_elems = bars if use_bars else points
-    orientation = _infer_orientation(bars) if use_bars else "vertical"
-
-    cat_axis = "y" if orientation == "horizontal" else "x"
-    val_axis = "x" if orientation == "horizontal" else "y"
-
-    cat_refs = _tick_refs(d, cat_axis)
-    row_headers = [r.text for r in cat_refs]
-
-    val_ticks: list[tuple[float, float]] = []
-    for r in _tick_refs(d, val_axis):
-        v = parse_tick_value(r.text)
-        if v is not None:
-            val_ticks.append((v, r.pos))
-    can_interpolate = len(val_ticks) >= 2
-
-    legend_map = associate_legend(d)
-    if legend_map:
-        col_headers = list(legend_map.keys())  # insertion follows reading order
-    else:
-        fallback = _axis_label_text(d, val_axis)
-        col_headers = [fallback if fallback else "value"]
-    color_to_col = {c: k for k, (name, c) in enumerate(legend_map.items())}
-
-    cells: list[list[float | None]] = [[None] * len(col_headers) for _ in row_headers]
-    if cat_refs:
-        for el in data_elems:
-            # nearest category tick by axis-projected centroid distance
-            c_axis = el.center[1] if orientation == "horizontal" else el.center[0]
-            ri = min(range(len(cat_refs)), key=lambda k: abs(cat_refs[k].pos - c_axis))
-            if legend_map:
-                if el.color is None or el.color not in color_to_col:
-                    continue  # unassignable mark: leave the cell empty
-                ci = color_to_col[el.color]
-            else:
-                ci = 0
-            if not can_interpolate:
-                continue
-            if el.cls == "bar":
-                value = interpolate_value(el.bbox, val_ticks, orientation)
-            else:
-                p = el.center[0] if orientation == "horizontal" else el.center[1]
-                value = _interp(p, val_ticks)
-            if cells[ri][ci] is None:
-                cells[ri][ci] = float(value)
-
-    return SemiStructuredTable(
-        row_headers=row_headers,
-        col_headers=col_headers,
-        cells=cells,
-        row_label=_axis_label_text(d, cat_axis),
-    )
+    return (d if isinstance(d, PlotReading) else read(d)).table()
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ AnswerUnavailable rather than a fabricated number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .answers import Answer, AnswerUnavailable, UnparseableQuestion, number, text, yes_no
 from .table import SemiStructuredTable
@@ -39,12 +39,20 @@ class KnowledgeGraph:
     edges: list[tuple[str, str, str]]  # (row node, label, entity node)
     columns: list[str]
     row_header_label: str
+    _out: dict[str, list[tuple[str, str]]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # row node -> (label, entity) edges, in edge order; edges are not
+        # mutated after construction
+        self._out = {rn: [] for rn in self.row_nodes}
+        for rn, label, ent in self.edges:
+            self._out.setdefault(rn, []).append((label, ent))
 
     def out_edges(self, row_node: str) -> list[tuple[str, str]]:
-        return [(label, ent) for rn, label, ent in self.edges if rn == row_node]
+        return list(self._out.get(row_node, ()))
 
     def row_header(self, row_node: str) -> str:
-        for label, ent in self.out_edges(row_node):
+        for label, ent in self._out.get(row_node, ()):
             if label == self.row_header_label:
                 return str(self.entity_nodes[ent])
         raise KeyError(f"{row_node} has no header entity")
@@ -54,7 +62,7 @@ class KnowledgeGraph:
         out = []
         for rn in self.row_nodes:
             header, value = None, None
-            for label, ent in self.out_edges(rn):
+            for label, ent in self._out[rn]:
                 if label == self.row_header_label:
                     header = str(self.entity_nodes[ent])
                 elif label == col:
@@ -109,6 +117,7 @@ class ParsedQuestion:
     template_id: int
     bindings: dict[str, str]
     logical_form: LF
+    template: Template  # the matched template; routing reads it
 
     def __hash__(self):  # pragma: no cover - convenience only
         return hash((self.template_id, tuple(sorted(self.bindings.items()))))
@@ -229,7 +238,7 @@ def parse(question: str, matcher: TemplateMatcher | None = None) -> ParsedQuesti
     if m is None:
         raise UnparseableQuestion(question)
     template, bindings = m
-    return ParsedQuestion(template.id, bindings, build_logical_form(template, bindings))
+    return ParsedQuestion(template.id, bindings, build_logical_form(template, bindings), template)
 
 
 # ---------------------------------------------------------------------------

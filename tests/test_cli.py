@@ -138,3 +138,88 @@ def test_evaluate_and_report_commands(dataset, tmp_path):
 
 def test_usage_error_on_unknown_command():
     assert main(["frobnicate"]) == 1
+
+
+def test_extract_malformed_json_is_data_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"detections": [')
+    assert main(["extract", "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed input") and "Traceback" not in err
+
+
+def test_extract_invalid_detection_is_data_error(tmp_path):
+    path = tmp_path / "det.json"
+    path.write_text(json.dumps({"detections": [{"class": "bar", "bbox": [0, 0, 1, 1], "score": 0}]}))
+    assert main(["extract", "--input", str(path)]) == 2
+
+
+def _copy_dataset(dataset, tmp_path):
+    import shutil
+    dst = tmp_path / "ds"
+    shutil.copytree(dataset, dst)
+    return dst
+
+
+def test_run_malformed_question_line_is_data_error(dataset, tmp_path, capsys):
+    ds = _copy_dataset(dataset, tmp_path)
+    with open(ds / "questions.jsonl", "a") as f:
+        f.write('{"plot_id": 0, "text": \n')
+    assert main(["run", "--dataset", str(ds), "--out", str(tmp_path / "o")]) == 2
+    assert "malformed question" in capsys.readouterr().err
+
+
+def test_run_malformed_annotation_is_data_error(dataset, tmp_path, capsys):
+    ds = _copy_dataset(dataset, tmp_path)
+    with open(ds / "manifest.json") as f:
+        pid = json.load(f)["splits"]["test"][0]
+    (ds / "annotations" / f"{pid:04d}.json").write_text("not json")
+    assert main(["run", "--dataset", str(ds), "--out", str(tmp_path / "o")]) == 2
+    assert "malformed annotation" in capsys.readouterr().err
+
+
+def test_run_malformed_manifest_is_data_error(dataset, tmp_path):
+    ds = _copy_dataset(dataset, tmp_path)
+    (ds / "manifest.json").write_text("[1, 2")
+    assert main(["run", "--dataset", str(ds), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("model", [
+    {"box_jiter_sigma": 2.0},
+    {"box_jitter_sigma": -1.0},
+    {"class_sigma": {"bar": -0.5}},
+    {"drop_prob": 1.5},
+    {"ocr_truncate_prob": -0.1},
+    {"misclass_prob": "high"},
+    [0.1],
+], ids=["unknown-key", "negative-sigma", "negative-class-sigma", "prob-above-1",
+        "prob-below-0", "non-numeric", "not-an-object"])
+def test_run_bad_noise_model_is_data_error(dataset, tmp_path, model):
+    noise_file = tmp_path / "noise.json"
+    noise_file.write_text(json.dumps(model))
+    assert main(["run", "--dataset", dataset, "--noise", str(noise_file),
+                 "--out", str(tmp_path / "o")]) == 2
+
+
+def test_run_reads_each_plot_once_and_parses_each_question_once(dataset, tmp_path, monkeypatch):
+    from plotquest import cli
+    from plotquest.templates import TemplateMatcher
+    calls = {"extract_table": 0, "match": 0}
+    extract_table, match = cli.extract_table, TemplateMatcher.match
+
+    def counting_extract(*args, **kwargs):
+        calls["extract_table"] += 1
+        return extract_table(*args, **kwargs)
+
+    def counting_match(self, *args, **kwargs):
+        calls["match"] += 1
+        return match(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "extract_table", counting_extract)
+    monkeypatch.setattr(TemplateMatcher, "match", counting_match)
+    out = tmp_path / "run"
+    assert main(["run", "--dataset", dataset, "--noise", "paper_like", "--run-split", "train",
+                 "--out", str(out)]) == 0
+    records = [json.loads(line) for line in open(out / "predictions.jsonl")]
+    assert calls["extract_table"] == len({r["plot_id"] for r in records})
+    assert calls["match"] == len(records)

@@ -223,3 +223,20 @@ def test_noise_model_validates_probabilities():
         NoiseModel(drop_prob=1.5)
     with pytest.raises(ValueError):
         NoiseModel(box_jitter_sigma=-1)
+
+
+def test_noise_model_from_json_is_strict():
+    from plotquest.detsim import PAPER_LIKE
+    assert NoiseModel.from_json(PAPER_LIKE.to_json()) == PAPER_LIKE
+    assert NoiseModel.from_json({}) == NoiseModel()
+    for bad in ({"box_jiter_sigma": 1.0}, {"box_jitter_sigma": -0.1},
+                {"class_sigma": {"bar": -1.0}}, {"class_sigma": {"barr": 1.0}},
+                {"drop_prob": 1.01}, {"misclass_prob": -0.5}, {"ocr_char_sub_prob": 2},
+                {"drop_prob": "0.1"}, {"box_jitter_sigma": float("nan")}, {"seed": 1.5}, [1]):
+        with pytest.raises(ValueError):
+            NoiseModel.from_json(bad)
+
+
+def test_noise_model_rejects_negative_class_sigma():
+    with pytest.raises(ValueError):
+        NoiseModel(class_sigma={"bar": -0.1})

@@ -1,0 +1,164 @@
+"""PlotReading: one association pass per plot, shared by both answering
+branches. The brute-force oracle below is the per-mark loop the structural
+branch used before the reading owned the association; it stays as an
+independent check on the reading's series values."""
+
+import random
+
+import numpy as np
+import pytest
+
+from plotquest.answers import AnswerUnavailable
+from plotquest.corpus import sample_plot_data
+from plotquest.detsim import PAPER_LIKE, ZERO_NOISE, Detection, DetectionSet, NoiseModel, perturb
+from plotquest.hybrid import answer_hybrid
+from plotquest.plotgen import make_plot_spec, render
+from plotquest.qgen import instantiate_all
+from plotquest.sie import (
+    NO_CATEGORY_TICKS, TOO_FEW_VALUE_TICKS, UNASSIGNED_COLOR,
+    _canonical, _infer_orientation, _interp, _tick_refs, associate_legend,
+    parse_tick_value, read,
+)
+
+HEAVY = NoiseModel(box_jitter_sigma=6.0, drop_prob=0.35, misclass_prob=0.2,
+                   ocr_char_sub_prob=0.4, ocr_truncate_prob=0.4,
+                   ocr_sign_digit_prob=0.4, seed=5)
+
+
+def brute_series_rows(d: DetectionSet) -> tuple[list[str], np.ndarray]:
+    """Per-series readings by a fresh per-mark association loop."""
+    bars = _canonical(d.by_class("bar"))
+    points = _canonical([x for x in d.detections if x.cls in ("line", "dotline")])
+    data = bars if len(bars) >= len(points) else points
+    horizontal = len(bars) >= len(points) and _infer_orientation(bars) == "horizontal"
+    cat_refs = _tick_refs(d, "y" if horizontal else "x")
+    val_ticks = []
+    for r in _tick_refs(d, "x" if horizontal else "y"):
+        v = parse_tick_value(r.text)
+        if v is not None:
+            val_ticks.append((v, r.pos))
+    legend_map = associate_legend(d)
+    if legend_map:
+        names = list(legend_map)
+        color_to_row = {c: k for k, (_, c) in enumerate(legend_map.items())}
+    else:
+        names, color_to_row = [""], {}
+    V = np.full((len(names), len(cat_refs)), np.nan)
+    for det in data:
+        if legend_map:
+            if det.color is None or det.color not in color_to_row:
+                continue
+            r = color_to_row[det.color]
+        else:
+            r = 0
+        if not cat_refs:
+            raise AnswerUnavailable("no category ticks detected")
+        c_axis = det.center[1] if horizontal else det.center[0]
+        c = min(range(len(cat_refs)), key=lambda k: abs(cat_refs[k].pos - c_axis))
+        if np.isnan(V[r][c]):
+            if len(val_ticks) < 2:
+                raise AnswerUnavailable("fewer than 2 readable value ticks")
+            if det.cls == "bar":
+                x, y, w, h = det.bbox
+                p = (x + w) if horizontal else y
+            else:
+                p = det.center[0] if horizontal else det.center[1]
+            V[r][c] = _interp(p, val_ticks)
+    return names, V
+
+
+def random_detections(rng: random.Random) -> DetectionSet:
+    """Small random detection sets that hit every association corner:
+    missing or unparseable ticks, off-legend and None colours, and marks
+    duplicated onto one cell."""
+    dets = []
+    for _ in range(rng.choice([0, 0, 1, 2, 3, 4])):
+        text = rng.choice(["2001", "2002", "2003", "200B", None, "Brazil"])
+        dets.append(Detection("xtick_label", (rng.uniform(50, 700), 520, 30, 12), 1.0, text=text))
+    for _ in range(rng.choice([0, 1, 1, 2, 3, 5])):
+        text = rng.choice(["0", "10", "20", "2.000e+1", "1O", None, "-5"])
+        dets.append(Detection("ytick_label", (20, rng.uniform(50, 500), 25, 12), 1.0, text=text))
+    for k in range(rng.choice([0, 0, 1, 2, 3])):
+        y = 40 + 25 * k
+        dets.append(Detection("legend_preview", (600, y, 18, 10), 1.0, color=rng.choice([0, 1, 2, None])))
+        dets.append(Detection("legend_label", (623, y, 40, 12), 1.0, text=rng.choice(["A", "B", "C", ""])))
+    mark_cls = rng.choice(["bar", "line", "dotline"])
+    horizontal = mark_cls == "bar" and rng.random() < 0.4
+    for _ in range(rng.choice([0, 1, 3, 6, 9])):
+        color = rng.choice([0, 1, 2, 5, None])  # 5 is on no legend
+        a, b = rng.uniform(50, 700), rng.uniform(20, 300)
+        if mark_cls != "bar":
+            bbox = (a, rng.uniform(50, 500), 9.0, 9.0)
+        elif horizontal:
+            bbox = (80.0, a * 0.6, b, 20.0)
+        else:
+            bbox = (a, 500.0 - b, 20.0, b)
+        mark = Detection(mark_cls, bbox, 1.0, color=color)
+        dets.append(mark)
+        if rng.random() < 0.2:
+            dets.append(mark)  # duplicate mark on the same cell
+    if rng.random() < 0.2:  # a stray mark of another family
+        dets.append(Detection("line" if mark_cls == "bar" else "bar", (300, 200, 9, 9), 1.0, color=0))
+    rng.shuffle(dets)
+    return DetectionSet(dets)
+
+
+def outcome(fn):
+    try:
+        return fn()
+    except AnswerUnavailable as e:
+        return ("unavailable", str(e))
+
+
+def test_series_rows_match_brute_force_oracle():
+    rng = random.Random(20240)
+    seen = {"raised": 0, "answered": 0, UNASSIGNED_COLOR: 0, NO_CATEGORY_TICKS: 0, TOO_FEW_VALUE_TICKS: 0}
+    for _ in range(3000):
+        d = random_detections(rng)
+        want = outcome(lambda: brute_series_rows(d))
+        reading = read(d)
+        got = outcome(reading.series_rows)
+        if isinstance(want[1], str):
+            assert got == want
+            seen["raised"] += 1
+        else:
+            assert got[0] == want[0]
+            assert np.array_equal(got[1], want[1], equal_nan=True)
+            seen["answered"] += 1
+        for a in reading.assignments:
+            if a.reason:
+                seen[a.reason] += 1
+    # every corner of the association was exercised
+    assert all(n > 20 for n in seen.values()), seen
+
+
+def test_reading_assignments_fill_the_table():
+    rng = random.Random(7)
+    for _ in range(500):
+        reading = read(random_detections(rng))
+        table = reading.table()
+        assert len(reading.assignments) == len(reading.data_marks)
+        first: dict[tuple[int, int], float] = {}
+        for a in reading.assignments:
+            if a.reason is None:
+                first.setdefault((a.row, a.col), a.value)
+        filled = {(i, j): v for i, row in enumerate(table.cells) for j, v in enumerate(row) if v is not None}
+        assert filled == first
+
+
+@pytest.mark.parametrize("noise", [ZERO_NOISE, PAPER_LIKE, HEAVY], ids=["zero", "paper_like", "heavy"])
+def test_shared_reading_answers_like_fresh_calls(corpus, templates, matcher, noise):
+    def result(d, text):
+        try:
+            return answer_hybrid(text, d, matcher).to_json()
+        except Exception as e:  # compare failure types, whatever they are
+            return type(e).__name__
+
+    for seed in range(10):
+        data = sample_plot_data(corpus, seed)
+        spec = make_plot_spec(data, seed)
+        _, ann = render(spec)
+        det = perturb(ann, noise.with_seed(seed))
+        reading = read(det)
+        for q in instantiate_all(data, spec, templates, seed):
+            assert result(reading, q.text) == result(det, q.text), (seed, q.text)

@@ -8,8 +8,8 @@ from plotquest.detsim import ZERO_NOISE, Detection, DetectionSet, perturb
 from plotquest.palette import PALETTE
 from plotquest.plotgen import make_plot_spec, render
 from plotquest.sie import (
-    ExtractionError, associate_bars, associate_legend, associate_ticks,
-    extract_table, interpolate_value, parse_tick_value, table_f1,
+    UNASSIGNED_COLOR, ExtractionError, associate_legend, associate_ticks,
+    extract_table, interpolate_value, parse_tick_value, read, table_f1,
 )
 from plotquest.table import SemiStructuredTable
 
@@ -103,11 +103,17 @@ def test_sixteen_bars_get_distinct_cells():
                      cats=["1996", "1997", "1998", "1999"])
     _, _, ann = rendered(data, "vbar")
     det = clean_detections(ann)
-    legend_map = associate_legend(det)
-    x_ticks = associate_ticks(det, "x")
-    pairs = associate_bars(det, legend_map, x_ticks)
+    reading = read(det)
+    pairs = [(a.row, a.col) for a in reading.assignments]
     assert len(pairs) == 16
     assert len(set(pairs)) == 16  # every (row, col) distinct
+    assert all(a.reason is None for a in reading.assignments)
+    # cell (row, col) holds that mark's value, and it matches gold
+    table = reading.table()
+    for a in reading.assignments:
+        assert table.cells[a.row][a.col] == a.value
+        gold = ann.gold_table.cell(table.row_headers[a.row], table.col_headers[a.col])
+        assert a.value == pytest.approx(gold, rel=1e-6)
 
 
 def test_single_series_bars_fall_back_to_unlabeled_column():
@@ -137,9 +143,12 @@ def test_corrupted_bar_color_leaves_cell_empty():
             flipped = 1
         else:
             bad.append(d)
-    table = extract_table(DetectionSet(bad, style=det.style))
-    empty = sum(1 for row in table.cells for v in row if v is None)
+    reading = read(DetectionSet(bad, style=det.style))
+    empty = sum(1 for row in extract_table(reading).cells for v in row if v is None)
     assert empty == 1
+    # the off-legend bar's assignment says why it was left out
+    assert [a.reason for a in reading.assignments].count(UNASSIGNED_COLOR) == 1
+    assert [a.reason for a in reading.assignments].count(None) == 3
 
 
 # -- interpolation ------------------------------------------------------------
