@@ -10,7 +10,7 @@ because they fail on complementary question families.
 
 import plotquest as pq
 from plotquest.cli import stable_seed
-from plotquest.hybrid import answer_hybrid, answer_pipeline_only, answer_structural_only
+from plotquest.hybrid import answer_hybrid, answer_pipeline_only, answer_structural
 from plotquest.templates import default_matcher
 
 matcher = default_matcher()
@@ -37,7 +37,7 @@ for i in range(80):
 
 for name, fn in (("hybrid", answer_hybrid),
                  ("pipeline only", answer_pipeline_only),
-                 ("structural only", answer_structural_only)):
+                 ("structural only", answer_structural)):
     report = pq.evaluate(questions, lambda q: fn(q.text, det_of[id(q)], matcher))
     print(f"\n=== {name}: {100 * report.overall_accuracy:.1f}% overall")
     if name == "hybrid":

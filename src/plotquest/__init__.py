@@ -15,9 +15,9 @@ exact element annotations; qgen instantiates the 74-template question
 grammar with gold answers; detsim perturbs annotations into noisy
 detections and scores them (AP/mAP, OCR accuracy); sie reconstructs the
 table geometrically and scores it (tuple F1); tableqa answers questions
-over the table's knowledge graph; hybrid routes each question to the
-structural or the table branch; harness computes the 5%-tolerance accuracy
-and the 3x3 report grid.
+by executing logical forms on that table; hybrid routes each question to
+the structural or the table branch; harness computes the 5%-tolerance
+accuracy and the 3x3 report grid.
 """
 
 __version__ = "0.1.0"
@@ -42,7 +42,7 @@ from .sie import (
     interpolate_value, read, table_f1,
 )
 from .table import ExtractionTuple, SemiStructuredTable
-from .tableqa import KnowledgeGraph, ParsedQuestion, answer, build_kg, execute, parse, to_sexpr
+from .tableqa import ParsedQuestion, answer, execute, parse, to_sexpr
 from .templates import Template, default_templates, load_templates
 
 __all__ = [
@@ -58,6 +58,6 @@ __all__ = [
     "PlotReading", "associate_legend", "associate_ticks", "extract_table",
     "interpolate_value", "read", "table_f1",
     "ExtractionTuple", "SemiStructuredTable",
-    "KnowledgeGraph", "ParsedQuestion", "answer", "build_kg", "execute", "parse", "to_sexpr",
+    "ParsedQuestion", "answer", "execute", "parse", "to_sexpr",
     "Template", "default_templates", "load_templates",
 ]

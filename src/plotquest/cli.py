@@ -25,7 +25,7 @@ import sys
 from dataclasses import dataclass
 
 from . import __version__
-from .answers import AnswerUnavailable, UnparseableQuestion
+from .answers import Answer, AnswerUnavailable, UnparseableQuestion
 from .corpus import CorpusError, default_corpus, load_corpus, sample_plot_data
 from .detsim import DetectionSet, NoiseModel, average_precision, get_preset, perturb_with_provenance
 from .harness import EvalReport, SplitSpec, evaluate, score_answer, split
@@ -64,7 +64,6 @@ class RunConfig:
     split_ratios: tuple[float, float, float]
     out_dir: str
     questions_per_plot: int = DEFAULT_QUESTIONS_PER_PLOT
-    category_weights: dict[str, float] | None = None
 
     def validate(self) -> None:
         if self.n_plots < 1:
@@ -93,6 +92,22 @@ def _read_json(path: str, what: str):
             return json.load(f)
         except ValueError as e:  # JSONDecodeError, and undecodable bytes
             raise DataError(f"malformed {what} {path}: {e}")
+
+
+def _read_jsonl(path: str, what: str, decode) -> list:
+    """``decode`` each non-blank line's JSON object; a line that does not
+    parse or decode is a data error naming the path and line number."""
+    out = []
+    with open(path, "rb") as f:  # bytes: a bad encoding fails in json.loads, on its line
+        for lineno, line in enumerate(f, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                out.append(decode(json.loads(line)))
+            except (ValueError, KeyError, TypeError, AttributeError) as e:
+                raise DataError(f"malformed {what} at {path}:{lineno}: {e!r}")
+    return out
 
 
 def _sha256(data: bytes) -> str:
@@ -133,7 +148,6 @@ def cmd_generate(config: RunConfig) -> int:
         questions = instantiate(
             data, spec, templates, stable_seed(config.seed, "questions", i),
             n_questions=config.questions_per_plot,
-            category_weights=config.category_weights,
         )
         for q in questions:
             rec = q.to_json()
@@ -154,7 +168,6 @@ def cmd_generate(config: RunConfig) -> int:
             "seed": config.seed,
             "split": list(config.split_ratios),
             "questions_per_plot": config.questions_per_plot,
-            "category_weights": config.category_weights,
         },
         "splits": {"train": train, "valid": valid, "test": test},
         "n_questions": n_questions,
@@ -179,17 +192,8 @@ def _load_dataset(dataset_dir: str) -> tuple[dict, list[tuple[QuestionInstance, 
     questions_path = os.path.join(dataset_dir, "questions.jsonl")
     if not os.path.exists(questions_path):
         raise DataError(f"missing {questions_path}")
-    questions = []
-    with open(questions_path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                questions.append((QuestionInstance.from_json(obj), int(obj["plot_id"])))
-            except (ValueError, KeyError, TypeError) as e:
-                raise DataError(f"malformed question at {questions_path}:{lineno}: {e!r}")
+    questions = _read_jsonl(questions_path, "question",
+                            lambda obj: (QuestionInstance.from_json(obj), int(obj["plot_id"])))
     return manifest, questions
 
 
@@ -322,24 +326,19 @@ def cmd_extract(input_path: str, out_path: str | None) -> int:
     return 0
 
 
+def _prediction_record(obj: dict) -> tuple[QuestionInstance, Answer | None]:
+    p = obj.get("prediction")
+    return QuestionInstance.from_json(obj), (Answer.from_json(p) if p and "kind" in p else None)
+
+
 def cmd_evaluate(predictions_path: str, out_path: str | None) -> int:
-    from .answers import Answer
     if not os.path.exists(predictions_path):
         raise DataError(f"no such file: {predictions_path}")
-    questions, preds = [], []
-    with open(predictions_path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            questions.append(QuestionInstance.from_json(obj))
-            p = obj.get("prediction")
-            preds.append(Answer.from_json(p) if p and "kind" in p else None)
-    if not questions:
+    records = _read_jsonl(predictions_path, "prediction", _prediction_record)
+    if not records:
         raise DataError("empty predictions file")
-    lookup = {id(q): p for q, p in zip(questions, preds)}
-    report = evaluate(questions, lambda q: lookup[id(q)])
+    lookup = {id(q): p for q, p in records}
+    report = evaluate([q for q, _ in records], lambda q: lookup[id(q)])
     text_out = report.render_text()
     if out_path:
         with open(out_path, "w", encoding="utf-8") as f:
@@ -351,9 +350,12 @@ def cmd_evaluate(predictions_path: str, out_path: str | None) -> int:
 def cmd_report(report_path: str) -> int:
     if not os.path.exists(report_path):
         raise DataError(f"no such file: {report_path}")
-    with open(report_path, encoding="utf-8") as f:
-        report = EvalReport.from_json(json.load(f))
-    print(report.render_text())
+    obj = _read_json(report_path, "report")
+    try:
+        text_out = EvalReport.from_json(obj).render_text()
+    except (KeyError, TypeError, ValueError, AttributeError) as e:
+        raise DataError(f"malformed report {report_path}: {e!r}")
+    print(text_out)
     return 0
 
 

@@ -1,19 +1,18 @@
 """Hybrid answering: route each question to the classification-style branch
-(structural and yes/no questions, plus the plot-text retrieval templates
-that resolve against geometry: ordinal bar order, tick step, title, axis
-labels) or to the multi-stage pipeline branch (everything whose answer
-lives in the extracted table).
+(yes/no questions and every template whose logical form is visual, i.e.
+answered from plot geometry: structure, ordinal bar order, tick step,
+title, axis labels) or to the multi-stage pipeline branch (everything whose
+answer lives in the extracted table).
 
 Both branches answer from one ``sie.PlotReading`` per plot, so a plot's
 detections are associated once however many questions it has. The
 classification branch answers from the reading's geometry: element counts,
 positions, style metadata, tick/legend texts and, for comparative yes/no
 questions, the per-series value rows. The pipeline branch is
-``tableqa.execute`` over the knowledge graph of the reading's table, built
-once per reading.
+``tableqa.execute`` on the reading's table.
 
-Each question is parsed once; its route is a pure function of the matched
-template. Unparseable questions raise ``UnparseableQuestion``.
+Each question is parsed once; its route is a pure function of the parse.
+Unparseable questions raise ``UnparseableQuestion``.
 """
 
 from __future__ import annotations
@@ -29,15 +28,11 @@ from .detsim import Detection, DetectionSet
 from .plotgen import PlotAnnotation
 from .qgen import count_line_crossings, is_monotonic_nondecreasing
 from .sie import PlotReading, _canonical, read
-from .tableqa import parse as parse_question
-from .templates import Template, TemplateMatcher, default_matcher, parse_ordinal
+from .tableqa import ParsedQuestion, parse as parse_question
+from .templates import TemplateMatcher, parse_ordinal
 
 CLASSIFICATION_BRANCH = "classification_branch"
 PIPELINE_BRANCH = "pipeline_branch"
-
-# data-retrieval templates whose answers are plot text or element order,
-# not table content; they resolve against annotation geometry
-_ANNOTATION_TEMPLATES = frozenset({19, 20, 21, 22, 23, 24, 26, 28, 30, 31})
 
 _SCI_RE = re.compile(r"-?\d\.\d{3}e[+-]\d+")
 
@@ -48,21 +43,20 @@ class Route:
     reason: str
 
 
-def route(question: str | Template, matcher: TemplateMatcher | None = None) -> Route:
-    """Branch decision from a question's template (matched from its text
-    when given text)."""
-    template = question
+def route(question: str | ParsedQuestion, matcher: TemplateMatcher | None = None) -> Route:
+    """Branch decision from a question's parse (parsed here when given text):
+    yes/no answers and visual logical forms read the plot's geometry."""
+    parsed = question
     if isinstance(question, str):
-        m = (matcher or default_matcher()).match(question)
-        if m is None:
+        try:
+            parsed = parse_question(question, matcher)
+        except UnparseableQuestion:
             return Route(PIPELINE_BRANCH, "unparseable: pipeline is the safe default")
-        template = m[0]
-    if template.category == "structural":
-        return Route(CLASSIFICATION_BRANCH, f"structural template {template.id}")
+    template = parsed.template
     if template.answer_type == "yes_no":
         return Route(CLASSIFICATION_BRANCH, f"yes/no template {template.id}")
-    if template.id in _ANNOTATION_TEMPLATES:
-        return Route(CLASSIFICATION_BRANCH, f"plot-text template {template.id}")
+    if parsed.logical_form[0] == "visual":
+        return Route(CLASSIFICATION_BRANCH, f"visual template {template.id}")
     return Route(PIPELINE_BRANCH, f"{template.answer_type} {template.category} template {template.id}")
 
 
@@ -319,19 +313,6 @@ def _structural(tid: int, b: dict[str, str], rd: PlotReading) -> Answer:
 # ---------------------------------------------------------------------------
 # composition
 
-def _knowledge_graph(rd: PlotReading) -> tableqa.KnowledgeGraph:
-    """The reading's knowledge graph, built on first use. A table that has
-    none (duplicate row headers) fails the same way for every question."""
-    if rd.kg is None:
-        try:
-            rd.kg = tableqa.build_kg(rd.table())
-        except ValueError as e:
-            rd.kg = AnswerUnavailable(str(e))  # kept unraised: no traceback holds the reading
-    if isinstance(rd.kg, AnswerUnavailable):
-        raise AnswerUnavailable(*rd.kg.args)
-    return rd.kg
-
-
 def _answer(question: str, d: DetectionSet | PlotAnnotation | PlotReading,
             matcher: TemplateMatcher | None, branch: str | None) -> Answer:
     """Parse once, then answer on ``branch`` (None: the question's route).
@@ -340,10 +321,10 @@ def _answer(question: str, d: DetectionSet | PlotAnnotation | PlotReading,
         parsed = parse_question(question, matcher)
         rd = d if isinstance(d, PlotReading) else read(d)
         if branch is None:
-            branch = route(parsed.template).branch
+            branch = route(parsed).branch
         if branch == CLASSIFICATION_BRANCH:
             return _structural(parsed.template_id, parsed.bindings, rd)
-        return tableqa.execute(parsed.logical_form, _knowledge_graph(rd))
+        return tableqa.execute(parsed.logical_form, rd.table())
     except (AnswerUnavailable, UnparseableQuestion):
         raise
     except (ValueError, KeyError, IndexError, ZeroDivisionError) as e:
@@ -368,6 +349,3 @@ def answer_structural(question: str, d: DetectionSet | PlotAnnotation | PlotRead
     """Everything through the classification branch, from visual elements
     only (ablation arm)."""
     return _answer(question, d, matcher, CLASSIFICATION_BRANCH)
-
-
-answer_structural_only = answer_structural

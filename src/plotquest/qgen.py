@@ -21,7 +21,6 @@ Two sampling rules keep generated questions well-posed:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -628,25 +627,4 @@ def instantiate_all(
                 template.fill(bindings), bindings, gold,
             ))
             break
-    return out
-
-
-def write_jsonl(instances: list[QuestionInstance], path: str, plot_ids: list[int] | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for k, inst in enumerate(instances):
-            rec = inst.to_json()
-            if plot_ids is not None:
-                rec["plot_id"] = plot_ids[k]
-            f.write(json.dumps(rec) + "\n")
-
-
-def read_jsonl(path: str) -> list[tuple[QuestionInstance, int | None]]:
-    out = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            out.append((QuestionInstance.from_json(obj), obj.get("plot_id")))
     return out

@@ -210,9 +210,8 @@ def _infer_orientation(bars: list[Detection]) -> str:
 class PlotReading:
     """Everything geometric association learns from one detection set.
 
-    Built once per plot by ``read``; the table, the per-series value rows
-    and (in ``hybrid``) the knowledge graph are derived from it on first
-    use and kept.
+    Built once per plot by ``read``; the table and the per-series value
+    rows are derived from it on first use and kept.
     """
 
     def __init__(self, d: DetectionSet):
@@ -238,7 +237,6 @@ class PlotReading:
         self.legend_map = associate_legend(d)  # text -> color, reading order
         self._color_to_col = {c: k for k, c in enumerate(self.legend_map.values())}
         self.assignments = [self._assign(mark) for mark in self.data_marks]  # parallel to data_marks
-        self.kg = None  # knowledge graph (or its build error), filled in by hybrid
         self._table: SemiStructuredTable | None = None
         self._series: tuple[list[str], np.ndarray] | None = None
 

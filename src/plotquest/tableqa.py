@@ -1,12 +1,11 @@
-"""Table question answering over a knowledge graph.
+"""Table question answering over the extracted table.
 
-The table becomes a graph with one row node per table row and one entity
-node per cell plus one per row header; edges run row -> entity and carry
-the column header as label (the row-header edge carries the table's corner
-label). Questions parse deterministically against the closed template
-grammar into logical forms, small expression trees over aggregation /
-selection / comparison primitives, which the executor evaluates against
-the graph.
+Questions parse deterministically against the closed template grammar into
+logical forms, small expression trees over aggregation / selection /
+comparison primitives, which the executor evaluates directly on the
+``SemiStructuredTable``: a column expression is the column's (row header,
+value) pairs, a cell reference looks a row up by its header. A table whose
+rows cannot be told apart by header answers nothing (``_check_rows``).
 
 Questions about plot structure (legend placement, bar ordering, axis
 titles...) have no table semantics; they parse fine but execute to
@@ -20,93 +19,14 @@ AnswerUnavailable rather than a fabricated number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .answers import Answer, AnswerUnavailable, UnparseableQuestion, number, text, yes_no
 from .table import SemiStructuredTable
 from .templates import Template, TemplateMatcher, default_matcher
 from .sie import parse_tick_value
 
-ROW_HEADER_EDGE = "__row__"  # edge label for header entities on unlabeled tables
-
 LF = tuple  # ("op", arg, ...) expression trees
-
-
-@dataclass
-class KnowledgeGraph:
-    row_nodes: list[str]
-    entity_nodes: dict[str, float | str]
-    edges: list[tuple[str, str, str]]  # (row node, label, entity node)
-    columns: list[str]
-    row_header_label: str
-    _out: dict[str, list[tuple[str, str]]] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        # row node -> (label, entity) edges, in edge order; edges are not
-        # mutated after construction
-        self._out = {rn: [] for rn in self.row_nodes}
-        for rn, label, ent in self.edges:
-            self._out.setdefault(rn, []).append((label, ent))
-
-    def out_edges(self, row_node: str) -> list[tuple[str, str]]:
-        return list(self._out.get(row_node, ()))
-
-    def row_header(self, row_node: str) -> str:
-        for label, ent in self._out.get(row_node, ()):
-            if label == self.row_header_label:
-                return str(self.entity_nodes[ent])
-        raise KeyError(f"{row_node} has no header entity")
-
-    def column(self, col: str) -> list[tuple[str, float]]:
-        """(row header, value) pairs for one column, in row order."""
-        out = []
-        for rn in self.row_nodes:
-            header, value = None, None
-            for label, ent in self._out[rn]:
-                if label == self.row_header_label:
-                    header = str(self.entity_nodes[ent])
-                elif label == col:
-                    value = self.entity_nodes[ent]
-            if header is not None and value is not None:
-                out.append((header, float(value)))
-        return out
-
-    def to_table(self) -> SemiStructuredTable:
-        rows = [self.row_header(rn) for rn in self.row_nodes]
-        cells: list[list[float | None]] = []
-        for rn in self.row_nodes:
-            by_label = dict(self.out_edges(rn))
-            row = []
-            for col in self.columns:
-                ent = by_label.get(col)
-                row.append(None if ent is None else float(self.entity_nodes[ent]))
-            cells.append(row)
-        label = "" if self.row_header_label == ROW_HEADER_EDGE else self.row_header_label
-        return SemiStructuredTable(rows, list(self.columns), cells, row_label=label)
-
-
-def build_kg(t: SemiStructuredTable) -> KnowledgeGraph:
-    """Convert a table into its knowledge graph (lossless)."""
-    if len(set(t.row_headers)) != len(t.row_headers):
-        raise ValueError("duplicate row headers make row nodes ambiguous")
-    header_label = t.row_label if t.row_label else ROW_HEADER_EDGE
-    if header_label in t.col_headers:
-        raise ValueError(f"row-header label {header_label!r} collides with a column")
-    row_nodes = [f"r{i}" for i in range(t.n_rows)]
-    entity_nodes: dict[str, float | str] = {}
-    edges = []
-    for i, header in enumerate(t.row_headers):
-        hid = f"h{i}"
-        entity_nodes[hid] = header
-        edges.append((row_nodes[i], header_label, hid))
-        for j, col in enumerate(t.col_headers):
-            v = t.cells[i][j]
-            if v is None:
-                continue
-            cid = f"c{i}_{j}"
-            entity_nodes[cid] = float(v)
-            edges.append((row_nodes[i], col, cid))
-    return KnowledgeGraph(row_nodes, entity_nodes, edges, list(t.col_headers), header_label)
 
 
 # ---------------------------------------------------------------------------
@@ -254,28 +174,40 @@ _CMP = {
 }
 
 
-def _resolve_col(kg: KnowledgeGraph, name: str) -> str:
-    if name in kg.columns:
-        return name
-    if len(kg.columns) == 1:
+def _check_rows(t: SemiStructuredTable) -> None:
+    """Rows are addressed by header text, so a repeated row header, or a
+    row label that is also a column header, leaves the table unanswerable."""
+    if len(set(t.row_headers)) != len(t.row_headers):
+        raise AnswerUnavailable("duplicate row headers make rows ambiguous")
+    if t.row_label and t.row_label in t.col_headers:
+        raise AnswerUnavailable(f"row label {t.row_label!r} collides with a column")
+
+
+def _resolve_col(t: SemiStructuredTable, name: str) -> int:
+    if name in t.col_headers:
+        return t.col_headers.index(name)
+    if len(t.col_headers) == 1:
         # plots without a legend label their lone column with the value-axis
         # phrase; any value-phrase mention resolves to it
-        return kg.columns[0]
+        return 0
     raise AnswerUnavailable(f"no column named {name!r}")
 
 
-def _eval_list(lf: LF, kg: KnowledgeGraph) -> list[tuple[str, float]]:
+def _column(t: SemiStructuredTable, name: str) -> list[tuple[str, float]]:
+    """(row header, value) pairs of one column's non-empty cells, in row order."""
+    j = _resolve_col(t, name)
+    return [(header, float(row[j])) for header, row in zip(t.row_headers, t.cells) if row[j] is not None]
+
+
+def _eval_list(lf: LF, t: SemiStructuredTable) -> list[tuple[str, float]]:
     op = lf[0]
     if op == "col":
-        return kg.column(_resolve_col(kg, lf[1]))
+        return _column(t, lf[1])
     if op == "row_sizes":
-        sizes = []
-        for rn in kg.row_nodes:
-            n = sum(1 for label, _ in kg.out_edges(rn) if label != kg.row_header_label)
-            sizes.append((kg.row_header(rn), float(n)))
-        return sizes
+        return [(header, float(sum(v is not None for v in row)))
+                for header, row in zip(t.row_headers, t.cells)]
     if op == "span":
-        items = _eval_list(lf[1], kg)
+        items = _eval_list(lf[1], t)
         labels = [lab for lab, _ in items]
         a, b2, mode = lf[2], lf[3], lf[4]
         if a not in labels or b2 not in labels:
@@ -289,28 +221,27 @@ def _eval_list(lf: LF, kg: KnowledgeGraph) -> list[tuple[str, float]]:
             raise AnswerUnavailable("empty span")
         return items[i:j + 1]
     if op == "pointwise_sum":
-        xs, ys = _eval_list(lf[1], kg), _eval_list(lf[2], kg)
+        xs, ys = _eval_list(lf[1], t), _eval_list(lf[2], t)
         if [l for l, _ in xs] != [l for l, _ in ys]:
             raise AnswerUnavailable("pointwise sum over misaligned columns")
         return [(l, vx + vy) for (l, vx), (_, vy) in zip(xs, ys)]
     raise AnswerUnavailable(f"not a list expression: {op}")
 
 
-def _eval_scalar(lf: LF, kg: KnowledgeGraph) -> float:
+def _eval_scalar(lf: LF, t: SemiStructuredTable) -> float:
     op = lf[0]
     if op == "num":
         return float(lf[1])
     if op == "ncols":
-        return float(len(kg.columns))
+        return float(len(t.col_headers))
     if op == "cell":
         row_text, col_name = lf[1], lf[2]
-        col = _resolve_col(kg, col_name)
-        for label, value in kg.column(col):
+        for label, value in _column(t, col_name):
             if label == row_text:
                 return value
-        raise AnswerUnavailable(f"no cell ({row_text!r}, {col!r})")
+        raise AnswerUnavailable(f"no cell ({row_text!r}, {col_name!r})")
     if op in ("max", "min", "sum", "mean", "median"):
-        values = [v for _, v in _eval_list(lf[1], kg)]
+        values = [v for _, v in _eval_list(lf[1], t)]
         if not values:
             raise AnswerUnavailable(f"{op} over an empty column")
         if op == "max":
@@ -326,35 +257,36 @@ def _eval_scalar(lf: LF, kg: KnowledgeGraph) -> float:
         mid = k // 2
         return vs[mid] if k % 2 else (vs[mid - 1] + vs[mid]) / 2.0
     if op == "nth_from":
-        values = [v for _, v in _eval_list(lf[1], kg)]
+        values = [v for _, v in _eval_list(lf[1], t)]
         k, direction = int(lf[2]), lf[3]
         if k < 1 or k > len(values):
             raise AnswerUnavailable(f"rank {k} outside column of size {len(values)}")
         ordered = sorted(values, reverse=(direction == "largest"))
         return ordered[k - 1]
     if op == "diff":
-        return _eval_scalar(lf[1], kg) - _eval_scalar(lf[2], kg)
+        return _eval_scalar(lf[1], t) - _eval_scalar(lf[2], t)
     if op == "add":
-        return _eval_scalar(lf[1], kg) + _eval_scalar(lf[2], kg)
+        return _eval_scalar(lf[1], t) + _eval_scalar(lf[2], t)
     if op == "ratio":
-        den = _eval_scalar(lf[2], kg)
+        den = _eval_scalar(lf[2], t)
         if den == 0:
             raise AnswerUnavailable("ratio with zero denominator")
-        return _eval_scalar(lf[1], kg) / den
+        return _eval_scalar(lf[1], t) / den
     if op == "count_where":
-        threshold = _eval_scalar(lf[3], kg)
+        threshold = _eval_scalar(lf[3], t)
         cmp = _CMP[lf[2]]
-        return float(sum(1 for _, v in _eval_list(lf[1], kg) if cmp(v, threshold)))
+        return float(sum(1 for _, v in _eval_list(lf[1], t) if cmp(v, threshold)))
     raise AnswerUnavailable(f"not a scalar expression: {op}")
 
 
-def execute(lf: LF, kg: KnowledgeGraph) -> Answer:
-    """Evaluate a logical form against the knowledge graph."""
+def execute(lf: LF, t: SemiStructuredTable) -> Answer:
+    """Evaluate a logical form against the table."""
+    _check_rows(t)
     op = lf[0]
     if op == "visual":
         raise AnswerUnavailable(f"template {lf[1]} resolves against plot geometry, not the table")
     if op in ("argmax", "argmin"):
-        items = _eval_list(lf[1], kg)
+        items = _eval_list(lf[1], t)
         if not items:
             raise AnswerUnavailable(f"{op} over an empty column")
         best = max(items, key=lambda it: it[1]) if op == "argmax" else min(items, key=lambda it: it[1])
@@ -363,34 +295,33 @@ def execute(lf: LF, kg: KnowledgeGraph) -> Answer:
             if v == best[1]:
                 return text(label)
     if op == "has_col":
-        return yes_no(lf[1] in kg.columns)
+        return yes_no(lf[1] in t.col_headers)
     if op == "monotonic_increasing":
-        values = [v for _, v in _eval_list(lf[1], kg)]
+        values = [v for _, v in _eval_list(lf[1], t)]
         if not values:
             raise AnswerUnavailable("monotonicity of an empty column")
         strict = bool(lf[2]) if len(lf) > 2 else False
         ok = all(b > a if strict else b >= a for a, b in zip(values, values[1:]))
         return yes_no(ok)
     if op == "strictly_dominates":
-        xs, ys = _eval_list(lf[1], kg), _eval_list(lf[2], kg)
+        xs, ys = _eval_list(lf[1], t), _eval_list(lf[2], t)
         if not xs or [l for l, _ in xs] != [l for l, _ in ys]:
             raise AnswerUnavailable("dominance over misaligned columns")
         return yes_no(all(vx > vy for (_, vx), (_, vy) in zip(xs, ys)))
     if op == "majority_gt":
-        items = _eval_list(lf[1], kg)
+        items = _eval_list(lf[1], t)
         if not items:
             raise AnswerUnavailable("majority over an empty span")
-        threshold = _eval_scalar(lf[2], kg)
+        threshold = _eval_scalar(lf[2], t)
         return yes_no(sum(1 for _, v in items if v > threshold) > len(items) / 2.0)
     if op == "cmp":
-        return yes_no(_CMP[lf[1]](_eval_scalar(lf[2], kg), _eval_scalar(lf[3], kg)))
-    return number(_eval_scalar(lf, kg))
+        return yes_no(_CMP[lf[1]](_eval_scalar(lf[2], t), _eval_scalar(lf[3], t)))
+    return number(_eval_scalar(lf, t))
 
 
 def answer(question: str, t: SemiStructuredTable, matcher: TemplateMatcher | None = None) -> Answer:
-    """Parse, build the knowledge graph, execute."""
-    parsed = parse(question, matcher)
-    return execute(parsed.logical_form, build_kg(t))
+    """Parse, then execute on the table."""
+    return execute(parse(question, matcher).logical_form, t)
 
 
 def to_sexpr(lf: LF) -> str:

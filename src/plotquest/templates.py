@@ -33,21 +33,6 @@ _SLOT_PATTERNS = {
 }
 _DEFAULT_SLOT_PATTERN = r".+?"
 
-# human-readable applicability; the executable predicate lives in qgen
-_APPLICABILITY = {
-    **{tid: "bar plots" for tid in (9, 10, 11, 16, 32)},
-    **{tid: "vertical bar plots" for tid in (12, 13, 19, 20, 23)},
-    **{tid: "horizontal bar plots" for tid in (14, 15, 21, 22, 24)},
-    **{tid: "line and dot-line plots" for tid in (17, 18)},
-    **{tid: "plots with a vertical value axis" for tid in (26, 27)},
-    **{tid: "single-series plots" for tid in (33, 35, 38, 39, 40, 41, 46, 47, 48,
-                                              49, 56, 57, 58, 59, 63, 64, 65, 66, 67)},
-    **{tid: "plots with >= 2 series" for tid in (36, 37, 52, 54, 55, 68, 73)},
-    72: "plots with >= 3 series",
-    74: "plots with >= 4 series",
-}
-
-
 class TemplateError(ValueError):
     pass
 
@@ -58,7 +43,6 @@ class Template:
     category: str
     answer_type: str
     surface_pattern: str
-    applicability_predicate: str = ""  # filled from the rules table in qgen
 
     @property
     def slots(self) -> list[str]:
@@ -124,9 +108,7 @@ def load_templates(path: str | None = None) -> list[Template]:
             raise TemplateError(f"line {lineno}: bad category {category!r}")
         if answer_type not in ANSWER_TYPES:
             raise TemplateError(f"line {lineno}: bad answer_type {answer_type!r}")
-        tid = int(tid_s)
-        out.append(Template(tid, category, answer_type, pattern,
-                            _APPLICABILITY.get(tid, "all plots")))
+        out.append(Template(int(tid_s), category, answer_type, pattern))
     ids = [t.id for t in out]
     if len(set(ids)) != len(ids):
         raise TemplateError("duplicate template ids")

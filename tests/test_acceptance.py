@@ -19,7 +19,7 @@ from plotquest.detsim import (
     ocr_accuracy, perturb,
 )
 from plotquest.harness import evaluate, score_answer
-from plotquest.hybrid import answer_hybrid, answer_pipeline_only, answer_structural_only
+from plotquest.hybrid import answer_hybrid, answer_pipeline_only, answer_structural
 from plotquest.qgen import ANSWER_TYPE_WEIGHTS, instantiate, instantiate_all
 from plotquest.sie import extract_table, table_f1
 from plotquest.tableqa import parse
@@ -194,7 +194,7 @@ def test_criterion_ablation_ordering():
 
     hybrid = run(answer_hybrid)
     pipeline = run(answer_pipeline_only)
-    structural = run(answer_structural_only)
+    structural = run(answer_structural)
     yes_no_cell = hybrid.cell("structural", "yes_no")
     open_reasoning = hybrid.cell("reasoning", "open_vocab")
     ok = (

@@ -136,6 +136,42 @@ def test_evaluate_and_report_commands(dataset, tmp_path):
     assert main(["report", "--report", str(run_out / "report.json")]) == 0
 
 
+GOOD_PREDICTION = {
+    "template_id": 4, "category": "structural", "answer_type": "fixed_vocab",
+    "text": "How many legend labels are there?", "bindings": {},
+    "gold_answer": {"kind": "number", "value": 2}, "prediction": {"kind": "number", "value": 2},
+}
+
+
+@pytest.mark.parametrize("line", [
+    b'{"template_id": 4, "text": ',
+    json.dumps({**GOOD_PREDICTION, "prediction": {"kind": "colour", "value": 2}}).encode(),
+    json.dumps({k: v for k, v in GOOD_PREDICTION.items() if k != "gold_answer"}).encode(),
+    b"[1, 2]",
+    b'{"text": "\xff"}',
+], ids=["malformed-json", "unknown-answer-kind", "missing-key", "not-an-object", "not-utf8"])
+def test_evaluate_bad_line_is_data_error(tmp_path, capsys, line):
+    path = tmp_path / "predictions.jsonl"
+    path.write_bytes(json.dumps(GOOD_PREDICTION).encode() + b"\n" + line + b"\n")
+    assert main(["evaluate", "--predictions", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: malformed prediction at {path}:2:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("content", [
+    "[1,",
+    "{}",
+    "[1]",
+    json.dumps({"overall_accuracy": 1.0, "accuracy_by": {}, "counts": {}}),
+], ids=["malformed-json", "missing-keys", "not-an-object", "empty-grid"])
+def test_report_bad_file_is_data_error(tmp_path, capsys, content):
+    path = tmp_path / "report.json"
+    path.write_text(content)
+    assert main(["report", "--report", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: malformed report {path}") and err.count("\n") == 1
+
+
 def test_usage_error_on_unknown_command():
     assert main(["frobnicate"]) == 1
 

@@ -10,6 +10,7 @@ from plotquest.hybrid import (
 )
 from plotquest.plotgen import make_plot_spec, render
 from plotquest.qgen import instantiate_all
+from plotquest.tableqa import parse
 
 from conftest import clean_detections, make_data, make_spec, rendered
 
@@ -29,7 +30,7 @@ def test_route_partitions_every_template(corpus, templates, matcher):
         spec = make_spec(data, ("vbar", "hbar", "line", "dotline")[seed % 4])
         for q in instantiate_all(data, spec, templates, seed):
             r1, r2 = route(q.text, matcher), route(q.text, matcher)
-            assert r1 == r2
+            assert r1 == r2 == route(parse(q.text, matcher))
             assert r1.branch in (CLASSIFICATION_BRANCH, PIPELINE_BRANCH)
             if q.category == "structural" or q.answer_type == "yes_no":
                 assert r1.branch == CLASSIFICATION_BRANCH
@@ -123,7 +124,7 @@ def test_hybrid_never_panics_under_heavy_noise(corpus, templates, matcher):
 def test_hybrid_strictly_dominates_single_branches_at_zero_noise(corpus, templates, matcher):
     from plotquest.answers import UnparseableQuestion
     from plotquest.harness import evaluate
-    from plotquest.hybrid import answer_pipeline_only, answer_structural_only
+    from plotquest.hybrid import answer_pipeline_only
     questions, dets = [], {}
     for seed in range(15):
         data = sample_plot_data(corpus, seed)
@@ -144,7 +145,7 @@ def test_hybrid_strictly_dominates_single_branches_at_zero_noise(corpus, templat
 
     hybrid = run(answer_hybrid)
     pipeline = run(answer_pipeline_only)
-    structural = run(answer_structural_only)
+    structural = run(answer_structural)
     assert hybrid == 1.0
     # each single branch fails on the other branch's questions
     assert pipeline < hybrid

@@ -9,62 +9,24 @@ import pytest
 
 from plotquest.answers import Answer, AnswerUnavailable, UnparseableQuestion
 from plotquest.table import SemiStructuredTable
-from plotquest.tableqa import ROW_HEADER_EDGE, answer, build_kg, execute, parse, to_sexpr
+from plotquest.tableqa import answer, execute, parse, to_sexpr
 
 
-# -- knowledge graph -----------------------------------------------------------
+# -- table addressing --------------------------------------------------------
 
-def diesel_table():
-    return SemiStructuredTable(
-        ["1996", "1997", "1998", "1999"],
-        ["Brazil", "Iceland", "Thailand", "Lebanon"],
-        [[float(16 - i * 4 - j) for j in range(4)] for i in range(4)],
-        row_label="Year",
-    )
+def test_duplicate_row_headers_unavailable():
+    t = SemiStructuredTable(["a", "a"], ["x"], [[1.0], [2.0]])
+    for lf in (("max", ("col", "x")), ("cell", "a", "x"), ("has_col", "x"), ("visual", 4)):
+        with pytest.raises(AnswerUnavailable, match="duplicate row headers"):
+            execute(lf, t)
 
 
-def test_kg_counts_4x4():
-    kg = build_kg(diesel_table())
-    assert len(kg.row_nodes) == 4
-    assert len(kg.entity_nodes) == 20  # 16 cells + 4 row headers
-    assert len(kg.edges) == 20
-
-
-def test_kg_counts_1x1():
-    kg = build_kg(SemiStructuredTable(["a"], ["x"], [[3.0]]))
-    assert len(kg.row_nodes) == 1
-    assert len(kg.entity_nodes) == 2
-    assert len(kg.edges) == 2
-
-
-def test_kg_skips_empty_cells():
-    kg = build_kg(SemiStructuredTable(["a", "b"], ["x"], [[3.0], [None]]))
-    assert len(kg.edges) == 3  # 2 header edges + 1 cell edge
-
-
-def test_kg_duplicate_rows_rejected():
-    with pytest.raises(ValueError, match="ambiguous"):
-        build_kg(SemiStructuredTable(["a", "a"], ["x"], [[1.0], [2.0]]))
-
-
-def test_kg_lossless():
-    t = diesel_table()
-    assert build_kg(t).to_table().to_json() == t.to_json()
-    sparse = SemiStructuredTable(["a", "b"], ["x", "y"], [[1.0, None], [None, 4.0]])
-    assert build_kg(sparse).to_table().to_json() == sparse.to_json()
-
-
-def test_kg_edge_labels_are_column_headers():
-    t = diesel_table()
-    kg = build_kg(t)
-    labels = {label for _, label, _ in kg.edges}
-    assert labels == set(t.col_headers) | {"Year"}
-
-
-def test_kg_injective_on_distinct_tables():
-    a = SemiStructuredTable(["r"], ["x"], [[1.0]])
-    b = SemiStructuredTable(["r"], ["x"], [[2.0]])
-    assert build_kg(a).to_table().to_json() != build_kg(b).to_table().to_json()
+def test_row_label_colliding_with_column_unavailable():
+    t = SemiStructuredTable(["a", "b"], ["Year", "x"], [[1.0, 2.0], [3.0, 4.0]], row_label="Year")
+    with pytest.raises(AnswerUnavailable, match="collides"):
+        execute(("max", ("col", "x")), t)
+    unlabeled = SemiStructuredTable(["a", "b"], ["x"], [[1.0], [3.0]])  # no row label
+    assert execute(("max", ("col", "x")), unlabeled).value == 3.0
 
 
 # -- parsing -------------------------------------------------------------------
@@ -99,14 +61,14 @@ def test_mean_renders_and_scores():
     values = [45.0, 52.0, 58.01]
     oracle = sum(values) / len(values)
     t = SemiStructuredTable(["a", "b", "c"], ["students"], [[v] for v in values])
-    got = execute(("mean", ("col", "students")), build_kg(t))
+    got = execute(("mean", ("col", "students")), t)
     assert got.value == pytest.approx(oracle)
     assert got.rendered() == "51.67"
 
 
 def test_ratio_identity():
     t = SemiStructuredTable(["a"], ["x"], [[7.5]])
-    got = execute(("ratio", ("cell", "a", "x"), ("cell", "a", "x")), build_kg(t))
+    got = execute(("ratio", ("cell", "a", "x"), ("cell", "a", "x")), t)
     assert got.value == 1.0
 
 
@@ -114,21 +76,20 @@ def test_monotonic_non_strict_default():
     vals = [1.0, 2.0, 2.0, 3.0]
     oracle = all(b >= a for a, b in zip(vals, vals[1:]))  # brute force, non-strict
     t = SemiStructuredTable(["a", "b", "c", "d"], ["x"], [[v] for v in vals])
-    got = execute(("monotonic_increasing", ("col", "x")), build_kg(t))
+    got = execute(("monotonic_increasing", ("col", "x")), t)
     assert got.value is oracle is True
-    strict = execute(("monotonic_increasing", ("col", "x"), True), build_kg(t))
+    strict = execute(("monotonic_increasing", ("col", "x"), True), t)
     assert strict.value is False
 
 
 def test_missing_cell_is_unavailable():
     t = SemiStructuredTable(["a", "b"], ["x"], [[1.0], [None]])
-    kg = build_kg(t)
     with pytest.raises(AnswerUnavailable):
-        execute(("cell", "b", "x"), kg)
+        execute(("cell", "b", "x"), t)
     with pytest.raises(AnswerUnavailable):
-        execute(("cell", "zzz", "x"), kg)
+        execute(("cell", "zzz", "x"), t)
     with pytest.raises(AnswerUnavailable):
-        execute(("ratio", ("cell", "a", "x"), ("num", 0.0)), kg)
+        execute(("ratio", ("cell", "a", "x"), ("num", 0.0)), t)
 
 
 def test_answer_composition(matcher):
@@ -148,23 +109,17 @@ def test_answer_on_corrupted_header_never_crashes(matcher):
 
 def test_diff_of_max_min_constant_column():
     t = SemiStructuredTable(["a", "b", "c"], ["x"], [[4.0], [4.0], [4.0]])
-    got = execute(("diff", ("max", ("col", "x")), ("min", ("col", "x"))), build_kg(t))
+    got = execute(("diff", ("max", ("col", "x")), ("min", ("col", "x"))), t)
     assert got.value == 0.0
 
 
 def test_single_column_fallback_resolution():
     t = SemiStructuredTable(["a", "b"], ["Brazil"], [[1.0], [2.0]])
-    got = execute(("max", ("col", "price of diesel")), build_kg(t))
+    got = execute(("max", ("col", "price of diesel")), t)
     assert got.value == 2.0
     multi = SemiStructuredTable(["a"], ["x", "y"], [[1.0, 2.0]])
     with pytest.raises(AnswerUnavailable):
-        execute(("max", ("col", "nonexistent")), build_kg(multi))
-
-
-def test_row_header_edge_label_fallback():
-    t = SemiStructuredTable(["a"], ["x"], [[1.0]])  # no row_label
-    kg = build_kg(t)
-    assert kg.row_header_label == ROW_HEADER_EDGE
+        execute(("max", ("col", "nonexistent")), multi)
 
 
 # -- executor vs brute-force oracle ---------------------------------------------
@@ -188,58 +143,75 @@ def oracle_column(t, col):
     return [(t.row_headers[i], t.cells[i][j]) for i in range(t.n_rows) if t.cells[i][j] is not None]
 
 
-def check_scalar(lf, kg, expected):
+def check_scalar(lf, t, expected):
     if expected is None:
         with pytest.raises(AnswerUnavailable):
-            execute(lf, kg)
+            execute(lf, t)
     else:
-        got = execute(lf, kg)
+        got = execute(lf, t)
         assert got.kind == "number"
         assert got.value == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
-def check_answer(lf, kg, expected):
+def check_answer(lf, t, expected):
     if expected is None:
         with pytest.raises(AnswerUnavailable):
-            execute(lf, kg)
+            execute(lf, t)
     else:
-        got = execute(lf, kg)
+        got = execute(lf, t)
         assert got.value == expected
 
 
+def with_repeated_row_header(t):
+    rows = list(t.row_headers)
+    rows[-1] = rows[0]
+    return SemiStructuredTable(rows, t.col_headers, t.cells, t.row_label)
+
+
 def exercise_primitives(t, rng):
-    kg = build_kg(t)
+    """Compare every primitive with the oracle on ``t``, then check that
+    the same logical forms are all unavailable once a row header repeats."""
+    forms = []
+
+    def scalar(lf, expected):
+        forms.append(lf)
+        check_scalar(lf, t, expected)
+
+    def expect(lf, expected):
+        forms.append(lf)
+        check_answer(lf, t, expected)
+
+    def run(lf):
+        forms.append(lf)
+        return execute(lf, t)
+
     col = t.col_headers[int(rng.integers(t.n_cols))]
     items = oracle_column(t, col)
     values = [v for _, v in items]
     c = ("col", col)
 
-    check_scalar(("max", c), kg, max(values) if values else None)
-    check_scalar(("min", c), kg, min(values) if values else None)
-    check_scalar(("sum", c), kg, sum(values) if values else None)
-    check_scalar(("mean", c), kg, sum(values) / len(values) if values else None)
-    check_scalar(("median", c), kg, statistics.median(values) if values else None)
+    scalar(("max", c), max(values) if values else None)
+    scalar(("min", c), min(values) if values else None)
+    scalar(("sum", c), sum(values) if values else None)
+    scalar(("mean", c), sum(values) / len(values) if values else None)
+    scalar(("median", c), statistics.median(values) if values else None)
 
     if values:
         best = max(values)
         expected = next(lab for lab, v in items if v == best)
-        check_answer(("argmax", c), kg, expected)
+        expect(("argmax", c), expected)
         worst = min(values)
-        check_answer(("argmin", c), kg, next(lab for lab, v in items if v == worst))
+        expect(("argmin", c), next(lab for lab, v in items if v == worst))
         k = int(rng.integers(1, len(values) + 1))
-        check_scalar(("nth_from", c, k, "largest"), kg, sorted(values, reverse=True)[k - 1])
-        check_scalar(("nth_from", c, k, "smallest"), kg, sorted(values)[k - 1])
-        check_answer(("nth_from", c, len(values) + 1, "largest"), kg, None)
+        scalar(("nth_from", c, k, "largest"), sorted(values, reverse=True)[k - 1])
+        scalar(("nth_from", c, k, "smallest"), sorted(values)[k - 1])
+        expect(("nth_from", c, len(values) + 1, "largest"), None)
 
         thr = float(rng.integers(-50, 51))
-        check_scalar(("count_where", c, ">", ("num", thr)), kg,
-                     sum(1 for v in values if v > thr))
-        check_scalar(("count_where", c, "<", ("num", thr)), kg,
-                     sum(1 for v in values if v < thr))
-        check_answer(("monotonic_increasing", c), kg,
-                     all(b >= a for a, b in zip(values, values[1:])))
-        check_answer(("majority_gt", c, ("num", thr)), kg,
-                     sum(1 for v in values if v > thr) > len(values) / 2)
+        scalar(("count_where", c, ">", ("num", thr)), sum(1 for v in values if v > thr))
+        scalar(("count_where", c, "<", ("num", thr)), sum(1 for v in values if v < thr))
+        expect(("monotonic_increasing", c), all(b >= a for a, b in zip(values, values[1:])))
+        expect(("majority_gt", c, ("num", thr)), sum(1 for v in values if v > thr) > len(values) / 2)
 
     # diff / ratio / add / cmp over two random cells
     i1, j1 = int(rng.integers(t.n_rows)), int(rng.integers(t.n_cols))
@@ -248,13 +220,13 @@ def exercise_primitives(t, rng):
     cell1 = ("cell", t.row_headers[i1], t.col_headers[j1])
     cell2 = ("cell", t.row_headers[i2], t.col_headers[j2])
     both = v1 is not None and v2 is not None
-    check_scalar(("diff", cell1, cell2), kg, v1 - v2 if both else None)
-    check_scalar(("add", cell1, cell2), kg, v1 + v2 if both else None)
+    scalar(("diff", cell1, cell2), v1 - v2 if both else None)
+    scalar(("add", cell1, cell2), v1 + v2 if both else None)
     if both and v2 != 0:
-        check_scalar(("ratio", cell1, cell2), kg, v1 / v2)
+        scalar(("ratio", cell1, cell2), v1 / v2)
     if both:
-        check_answer(("cmp", "<", cell1, cell2), kg, v1 < v2)
-        check_answer(("cmp", ">", cell1, cell2), kg, v1 > v2)
+        expect(("cmp", "<", cell1, cell2), v1 < v2)
+        expect(("cmp", ">", cell1, cell2), v1 > v2)
 
     # dominance and pointwise sum over two columns
     if t.n_cols >= 2:
@@ -264,18 +236,30 @@ def exercise_primitives(t, rng):
         aligned = [lab for lab, _ in a_items] == [lab for lab, _ in b_items] and a_items
         if aligned:
             expected_dom = all(x > y for (_, x), (_, y) in zip(a_items, b_items))
-            check_answer(("strictly_dominates", ("col", ca), ("col", cb)), kg, expected_dom)
+            expect(("strictly_dominates", ("col", ca), ("col", cb)), expected_dom)
             expected_sum = [x + y for (_, x), (_, y) in zip(a_items, b_items)]
-            got = execute(("max", ("pointwise_sum", ("col", ca), ("col", cb))), kg)
+            got = run(("max", ("pointwise_sum", ("col", ca), ("col", cb))))
             assert got.value == pytest.approx(max(expected_sum))
         else:
-            check_answer(("strictly_dominates", ("col", ca), ("col", cb)), kg, None)
+            expect(("strictly_dominates", ("col", ca), ("col", cb)), None)
 
     # span over the full column bounds
     if len(items) >= 2:
         lab_a, lab_b = items[0][0], items[-1][0]
-        got = execute(("sum", ("span", c, lab_a, lab_b, "inclusive")), kg)
+        got = run(("sum", ("span", c, lab_a, lab_b, "inclusive")))
         assert got.value == pytest.approx(sum(values))
+
+    # the template-32 form, and column membership
+    scalar(("count_where", ("row_sizes",), "!=", ("ncols",)),
+           sum(1 for row in t.cells if any(v is None for v in row)))
+    expect(("has_col", col), True)
+    expect(("has_col", "no such column"), False)
+
+    if t.n_rows >= 2:
+        dup = with_repeated_row_header(t)
+        for lf in forms:
+            with pytest.raises(AnswerUnavailable):
+                execute(lf, dup)
 
 
 def test_executor_matches_brute_force_oracle():
@@ -294,25 +278,24 @@ def test_scaling_invariance():
         scaled = SemiStructuredTable(
             t.row_headers, t.col_headers,
             [[None if v is None else v * c for v in row] for row in t.cells])
-        kg, kgs = build_kg(t), build_kg(scaled)
         col = ("col", t.col_headers[0])
         vals = [v for _, v in oracle_column(t, t.col_headers[0])]
         if not vals:
             continue
-        assert execute(("argmax", col), kg).value == execute(("argmax", col), kgs).value
-        assert execute(("argmin", col), kg).value == execute(("argmin", col), kgs).value
+        assert execute(("argmax", col), t).value == execute(("argmax", col), scaled).value
+        assert execute(("argmin", col), t).value == execute(("argmin", col), scaled).value
         thr = 10.0
-        assert (execute(("count_where", col, ">", ("num", thr)), kg).value
-                == execute(("count_where", col, ">", ("num", thr * c)), kgs).value)
+        assert (execute(("count_where", col, ">", ("num", thr)), t).value
+                == execute(("count_where", col, ">", ("num", thr * c)), scaled).value)
         for op in ("sum", "mean", "median"):
-            assert execute((op, col), kgs).value == pytest.approx(execute((op, col), kg).value * c)
+            assert execute((op, col), scaled).value == pytest.approx(execute((op, col), t).value * c)
         d = ("diff", ("max", col), ("min", col))
-        assert execute(d, kgs).value == pytest.approx(execute(d, kg).value * c)
+        assert execute(d, scaled).value == pytest.approx(execute(d, t).value * c)
         if len(vals) >= 2 and vals[1] != 0:
             r = ("ratio", ("cell", t.row_headers[0], t.col_headers[0]),
                  ("cell", t.row_headers[1], t.col_headers[0]))
             try:
-                assert execute(r, kgs).value == pytest.approx(execute(r, kg).value)
+                assert execute(r, scaled).value == pytest.approx(execute(r, t).value)
             except AnswerUnavailable:
                 pass
 
