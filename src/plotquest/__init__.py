@@ -15,9 +15,10 @@ exact element annotations; qgen instantiates the 74-template question
 grammar with gold answers; detsim perturbs annotations into noisy
 detections and scores them (AP/mAP, OCR accuracy); sie reconstructs the
 table geometrically and scores it (tuple F1); tableqa answers questions
-by executing logical forms on that table; hybrid routes each question to
-the structural or the table branch; harness computes the 5%-tolerance
-accuracy and the 3x3 report grid.
+by executing logical forms on that table; hybrid sends questions with a
+visual logical form to the structural branch and every other question to
+the table branch; harness computes the 5%-tolerance accuracy and the 3x3
+report grid.
 """
 
 __version__ = "0.1.0"

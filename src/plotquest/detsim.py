@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .plotgen import ELEMENT_CLASSES, PlotAnnotation, StyleParams, VisualElement
+from .plotgen import ELEMENT_CLASSES, PlotAnnotation, StyleParams, VisualElement, check_bbox
 
 BBox = tuple[float, float, float, float]
 
@@ -148,6 +148,7 @@ class Detection:
     def __post_init__(self):
         if not (0.0 < self.score <= 1.0):
             raise ValueError(f"detection score {self.score} outside (0, 1]")
+        check_bbox(self.bbox)
 
     @property
     def center(self) -> tuple[float, float]:

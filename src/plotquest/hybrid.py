@@ -1,14 +1,14 @@
 """Hybrid answering: route each question to the classification-style branch
-(yes/no questions and every template whose logical form is visual, i.e.
-answered from plot geometry: structure, ordinal bar order, tick step,
-title, axis labels) or to the multi-stage pipeline branch (everything whose
-answer lives in the extracted table).
+(templates whose logical form is visual, i.e. answered from plot geometry:
+structure, ordinal bar order, tick step, title, axis labels) or to the
+multi-stage pipeline branch (everything whose answer lives in the extracted
+table, yes/no questions over values included).
 
 Both branches answer from one ``sie.PlotReading`` per plot, so a plot's
 detections are associated once however many questions it has. The
 classification branch answers from the reading's geometry: element counts,
-positions, style metadata, tick/legend texts and, for comparative yes/no
-questions, the per-series value rows. The pipeline branch is
+positions, style metadata, tick/legend texts and, for the zero-value and
+line-crossing questions, the per-series value rows. The pipeline branch is
 ``tableqa.execute`` on the reading's table.
 
 Each question is parsed once; its route is a pure function of the parse.
@@ -26,7 +26,7 @@ from . import tableqa
 from .answers import Answer, AnswerUnavailable, UnparseableQuestion, number, text, yes_no
 from .detsim import Detection, DetectionSet
 from .plotgen import PlotAnnotation
-from .qgen import count_line_crossings, is_monotonic_nondecreasing
+from .qgen import count_line_crossings
 from .sie import PlotReading, _canonical, read
 from .tableqa import ParsedQuestion, parse as parse_question
 from .templates import TemplateMatcher, parse_ordinal
@@ -45,7 +45,8 @@ class Route:
 
 def route(question: str | ParsedQuestion, matcher: TemplateMatcher | None = None) -> Route:
     """Branch decision from a question's parse (parsed here when given text):
-    yes/no answers and visual logical forms read the plot's geometry."""
+    a question goes to the classification branch iff its logical form is
+    visual; every other form executes on the table."""
     parsed = question
     if isinstance(question, str):
         try:
@@ -53,8 +54,6 @@ def route(question: str | ParsedQuestion, matcher: TemplateMatcher | None = None
         except UnparseableQuestion:
             return Route(PIPELINE_BRANCH, "unparseable: pipeline is the safe default")
     template = parsed.template
-    if template.answer_type == "yes_no":
-        return Route(CLASSIFICATION_BRANCH, f"yes/no template {template.id}")
     if parsed.logical_form[0] == "visual":
         return Route(CLASSIFICATION_BRANCH, f"visual template {template.id}")
     return Route(PIPELINE_BRANCH, f"{template.answer_type} {template.category} template {template.id}")
@@ -70,35 +69,11 @@ def _one_text(rd: PlotReading, cls: str) -> str:
     raise AnswerUnavailable(f"no {cls} detected")
 
 
-def _cats(rd: PlotReading) -> list[str]:
-    return [r.text for r in rd.cat_refs]
-
-
 def _group_counts(rd: PlotReading) -> list[int]:
     counts = [0] * len(rd.cat_refs)
     for bar in rd.bars:
         counts[rd.nearest_cat(bar)] += 1
     return counts
-
-
-def _row_for(rd: PlotReading, legend: str | None) -> np.ndarray:
-    names, V = rd.series_rows()
-    if legend is None:
-        if len(names) == 1:
-            return V[0]
-        raise AnswerUnavailable("ambiguous series reference")
-    if legend not in names:
-        raise AnswerUnavailable(f"no series labeled {legend!r}")
-    return V[names.index(legend)]
-
-
-def _require(row: np.ndarray, *idx: int) -> list[float]:
-    out = []
-    for i in idx:
-        if i < 0 or i >= len(row) or np.isnan(row[i]):
-            raise AnswerUnavailable("required data point not detected")
-        out.append(float(row[i]))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -214,10 +189,6 @@ def _structural(tid: int, b: dict[str, str], rd: PlotReading) -> Answer:
         if j < 1 or j > len(order):
             raise AnswerUnavailable(f"no {b['j']} group")
         return text(rd.cat_refs[order[j - 1]].text)
-    if tid in (25, 35):
-        row = _row_for(rd, b.get("legend_label"))
-        vals = _require(row, *range(len(row)))
-        return yes_no(is_monotonic_nondecreasing(vals))
     if tid == 26:
         if len(rd.val_ticks) < 2:
             raise AnswerUnavailable("fewer than 2 readable value ticks")
@@ -231,82 +202,10 @@ def _structural(tid: int, b: dict[str, str], rd: PlotReading) -> Answer:
         return yes_no(hits > len(rd.val_tick_texts) / 2.0)
     if tid == 28:
         return text(_one_text(rd, "title"))
-    if tid == 29:
-        return yes_no(b["legend_label"] in rd.legend_texts)
     if tid == 30:
         return text(_one_text(rd, "xaxis_label"))
     if tid == 31:
         return text(_one_text(rd, "yaxis_label"))
-    if tid in (36, 37):
-        v1 = _row_for(rd, b["legend_label"])
-        v2 = _row_for(rd, b["legend_label2"])
-        a = _require(v1, *range(len(v1)))
-        c = _require(v2, *range(len(v2)))
-        ok = all(x > y for x, y in zip(a, c)) if tid == 36 else all(x < y for x, y in zip(a, c))
-        return yes_no(ok)
-    if tid == 57:
-        row = _row_for(rd, None)
-        cats = _cats(rd)
-        if b["x_tick"] not in cats or b["x_tick2"] not in cats:
-            raise AnswerUnavailable("span endpoint tick missing")
-        i, j = sorted((cats.index(b["x_tick"]), cats.index(b["x_tick2"])))
-        if b["incl"] == "exclusive":
-            i, j = i + 1, j - 1
-        if i > j:
-            raise AnswerUnavailable("empty span")
-        window = _require(row, *range(i, j + 1))
-        n = float(b["n"])
-        return yes_no(sum(1 for v in window if v > n) > len(window) / 2.0)
-    if tid in (59, 62):
-        row = _row_for(rd, b.get("legend_label") if tid == 62 else None)
-        cats = _cats(rd)
-        if b["x_tick"] not in cats or b["x_tick2"] not in cats:
-            raise AnswerUnavailable("tick missing")
-        vi, vj = _require(row, cats.index(b["x_tick"]), cats.index(b["x_tick2"]))
-        return yes_no(vi < vj)
-    if tid == 63:
-        row = _row_for(rd, None)
-        vals = _require(row, *range(len(row)))
-        cats = _cats(rd)
-        vi, vj = _require(row, cats.index(b["x_tick"]), cats.index(b["x_tick2"]))
-        return yes_no((vi - vj) > (max(vals) - min(vals)))
-    if tid == 65:
-        row = _row_for(rd, None)
-        vals = _require(row, *range(len(row)))
-        cats = _cats(rd)
-        vi, vj = _require(row, cats.index(b["x_tick"]), cats.index(b["x_tick2"]))
-        return yes_no(vi + vj > max(vals))
-    if tid == 68:
-        cats = _cats(rd)
-        if b["x_tick"] not in cats or b["x_tick2"] not in cats:
-            raise AnswerUnavailable("tick missing")
-        i, j = cats.index(b["x_tick"]), cats.index(b["x_tick2"])
-        a1, a2 = _require(_row_for(rd, b["legend_label"]), i, j)
-        c1, c2 = _require(_row_for(rd, b["legend_label2"]), i, j)
-        return yes_no((a1 - a2) > (c1 - c2))
-    if tid == 72:
-        r1 = _row_for(rd, b["legend_label"])
-        r2 = _row_for(rd, b["legend_label2"])
-        r3 = _row_for(rd, b["legend_label3"])
-        n = len(r1)
-        a = _require(r1, *range(n))
-        c = _require(r2, *range(n))
-        e = _require(r3, *range(n))
-        return yes_no(all(x + y > z for x, y, z in zip(a, c, e)))
-    if tid == 73:
-        cats = _cats(rd)
-        if b["x_tick"] not in cats or b["x_tick2"] not in cats:
-            raise AnswerUnavailable("tick missing")
-        i, j = cats.index(b["x_tick"]), cats.index(b["x_tick2"])
-        vi, vj = _require(_row_for(rd, b["legend_label"]), i, j)
-        other = _row_for(rd, b["legend_label2"])
-        vals = _require(other, *range(len(other)))
-        return yes_no(vi + vj > max(vals))
-    if tid == 74:
-        rows = [_row_for(rd, b[k]) for k in ("legend_label", "legend_label2", "legend_label3", "legend_label4")]
-        n = len(rows[0])
-        vals = [_require(r, *range(n)) for r in rows]
-        return yes_no(all(a + c > e + g for a, c, e, g in zip(*vals)))
     raise AnswerUnavailable(f"template {tid} is not a classification-branch question")
 
 
@@ -316,19 +215,14 @@ def _structural(tid: int, b: dict[str, str], rd: PlotReading) -> Answer:
 def _answer(question: str, d: DetectionSet | PlotAnnotation | PlotReading,
             matcher: TemplateMatcher | None, branch: str | None) -> Answer:
     """Parse once, then answer on ``branch`` (None: the question's route).
-    Errors surface as AnswerUnavailable or UnparseableQuestion, never a crash."""
-    try:
-        parsed = parse_question(question, matcher)
-        rd = d if isinstance(d, PlotReading) else read(d)
-        if branch is None:
-            branch = route(parsed).branch
-        if branch == CLASSIFICATION_BRANCH:
-            return _structural(parsed.template_id, parsed.bindings, rd)
-        return tableqa.execute(parsed.logical_form, rd.table())
-    except (AnswerUnavailable, UnparseableQuestion):
-        raise
-    except (ValueError, KeyError, IndexError, ZeroDivisionError) as e:
-        raise AnswerUnavailable(str(e))
+    Raises only AnswerUnavailable or UnparseableQuestion."""
+    parsed = parse_question(question, matcher)
+    rd = d if isinstance(d, PlotReading) else read(d)
+    if branch is None:
+        branch = route(parsed).branch
+    if branch == CLASSIFICATION_BRANCH:
+        return _structural(parsed.template_id, parsed.bindings, rd)
+    return tableqa.execute(parsed.logical_form, rd.table())
 
 
 def answer_hybrid(question: str, d: DetectionSet | PlotAnnotation | PlotReading,
@@ -347,5 +241,6 @@ def answer_pipeline_only(question: str, d: DetectionSet | PlotAnnotation | PlotR
 def answer_structural(question: str, d: DetectionSet | PlotAnnotation | PlotReading,
                       matcher: TemplateMatcher | None = None) -> Answer:
     """Everything through the classification branch, from visual elements
-    only (ablation arm)."""
+    only (ablation arm). Only templates with a visual logical form have a
+    geometry answer; every other question is AnswerUnavailable here."""
     return _answer(question, d, matcher, CLASSIFICATION_BRANCH)

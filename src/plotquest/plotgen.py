@@ -119,6 +119,12 @@ class PlotSpec:
             raise ValueError(f"bad plot_type {self.plot_type!r}")
 
 
+def check_bbox(bbox: tuple[float, ...]) -> None:
+    """Reject a box that is not four finite numbers with non-negative size."""
+    if len(bbox) != 4 or not all(math.isfinite(v) for v in bbox) or bbox[2] < 0 or bbox[3] < 0:
+        raise ValueError(f"bbox {bbox} is not (x, y, w, h) with finite values and w, h >= 0")
+
+
 @dataclass(frozen=True)
 class VisualElement:
     cls: str  # one of ELEMENT_CLASSES ("class" in JSON)
@@ -127,6 +133,9 @@ class VisualElement:
     color: int | None = None
     series_index: int | None = None
     x_index: int | None = None
+
+    def __post_init__(self):
+        check_bbox(self.bbox)
 
     @property
     def center(self) -> tuple[float, float]:

@@ -229,11 +229,15 @@ class PlotReading:
         self.cat_refs = _tick_refs(d, self.cat_axis)
         val_refs = _tick_refs(d, self.val_axis)
         self.val_tick_texts = [r.text for r in val_refs]
-        self.val_ticks: list[tuple[float, float]] = []  # (value, pixel)
+        at_pixel: dict[float, set[float]] = {}
         for r in val_refs:
             v = parse_tick_value(r.text)
             if v is not None:
-                self.val_ticks.append((v, r.pos))
+                at_pixel.setdefault(r.pos, set()).add(v)
+        # one (value, pixel) anchor per position: identical ticks count once,
+        # and a position whose ticks disagree anchors nothing
+        self.val_ticks: list[tuple[float, float]] = [
+            (vs.pop(), pos) for pos, vs in at_pixel.items() if len(vs) == 1]
         self.legend_map = associate_legend(d)  # text -> color, reading order
         self._color_to_col = {c: k for k, c in enumerate(self.legend_map.values())}
         self.assignments = [self._assign(mark) for mark in self.data_marks]  # parallel to data_marks

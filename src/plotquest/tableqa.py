@@ -39,9 +39,6 @@ class ParsedQuestion:
     logical_form: LF
     template: Template  # the matched template; routing reads it
 
-    def __hash__(self):  # pragma: no cover - convenience only
-        return hash((self.template_id, tuple(sorted(self.bindings.items()))))
-
 
 def _num_binding(bindings: dict[str, str], key: str) -> LF:
     v = parse_tick_value(bindings[key])
@@ -300,9 +297,7 @@ def execute(lf: LF, t: SemiStructuredTable) -> Answer:
         values = [v for _, v in _eval_list(lf[1], t)]
         if not values:
             raise AnswerUnavailable("monotonicity of an empty column")
-        strict = bool(lf[2]) if len(lf) > 2 else False
-        ok = all(b > a if strict else b >= a for a, b in zip(values, values[1:]))
-        return yes_no(ok)
+        return yes_no(all(b >= a for a, b in zip(values, values[1:])))
     if op == "strictly_dominates":
         xs, ys = _eval_list(lf[1], t), _eval_list(lf[2], t)
         if not xs or [l for l, _ in xs] != [l for l, _ in ys]:

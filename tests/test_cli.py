@@ -190,6 +190,29 @@ def test_extract_invalid_detection_is_data_error(tmp_path):
     assert main(["extract", "--input", str(path)]) == 2
 
 
+@pytest.mark.parametrize("bbox", [
+    [90, float("nan"), 20, 200],
+    [90, 10, float("inf"), 200],
+    [90, 10, -20, 200],
+    [90, 10, 20],
+], ids=["nan", "inf", "negative-width", "three-numbers"])
+def test_extract_bad_bbox_is_data_error(dataset, tmp_path, capsys, bbox):
+    # a NaN coordinate used to flip the inferred orientation and print a garbled table
+    dets = {"detections": [
+        {"class": "bar", "bbox": [290, 150, 40, 256], "score": 1.0, "color": 0},
+        {"class": "bar", "bbox": bbox, "score": 1.0, "color": 0},
+    ]}
+    with open(os.path.join(dataset, "annotations", "0000.json")) as f:
+        ann = json.load(f)
+    ann["elements"][0]["bbox"] = bbox
+    for k, obj in enumerate((dets, ann)):
+        path = tmp_path / f"input{k}.json"
+        path.write_text(json.dumps(obj))
+        assert main(["extract", "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed input") and "Traceback" not in err
+
+
 def _copy_dataset(dataset, tmp_path):
     import shutil
     dst = tmp_path / "ds"

@@ -10,6 +10,7 @@ from plotquest.hybrid import (
 )
 from plotquest.plotgen import make_plot_spec, render
 from plotquest.qgen import instantiate_all
+from plotquest.sie import read
 from plotquest.tableqa import parse
 
 from conftest import clean_detections, make_data, make_spec, rendered
@@ -24,16 +25,27 @@ def test_route_fixtures(matcher):
 
 
 def test_route_partitions_every_template(corpus, templates, matcher):
-    # each question lands on exactly one branch, decided by text alone
+    # each question lands on exactly one branch, decided by text alone: the
+    # classification branch iff the logical form is visual, and only there
+    # does the geometry answer
+    seen = set()
     for seed in range(10):
         data = sample_plot_data(corpus, seed)
         spec = make_spec(data, ("vbar", "hbar", "line", "dotline")[seed % 4])
+        reading = read(render(spec)[1])
         for q in instantiate_all(data, spec, templates, seed):
+            seen.add(q.template_id)
             r1, r2 = route(q.text, matcher), route(q.text, matcher)
             assert r1 == r2 == route(parse(q.text, matcher))
             assert r1.branch in (CLASSIFICATION_BRANCH, PIPELINE_BRANCH)
-            if q.category == "structural" or q.answer_type == "yes_no":
-                assert r1.branch == CLASSIFICATION_BRANCH
+            visual = parse(q.text, matcher).logical_form[0] == "visual"
+            assert (r1.branch == CLASSIFICATION_BRANCH) == visual
+            if q.category == "structural":
+                assert visual
+            if not visual:
+                with pytest.raises(AnswerUnavailable, match="not a classification-branch question"):
+                    answer_structural(q.text, reading, matcher)
+    assert seen == {t.id for t in templates}
 
 
 def test_structural_bars_on_second_tick_from_top(matcher):

@@ -8,7 +8,7 @@ from plotquest.detsim import ZERO_NOISE, Detection, DetectionSet, perturb
 from plotquest.palette import PALETTE
 from plotquest.plotgen import make_plot_spec, render
 from plotquest.sie import (
-    UNASSIGNED_COLOR, ExtractionError, associate_legend, associate_ticks,
+    TOO_FEW_VALUE_TICKS, UNASSIGNED_COLOR, ExtractionError, associate_legend, associate_ticks,
     extract_table, interpolate_value, parse_tick_value, read, table_f1,
 )
 from plotquest.table import SemiStructuredTable
@@ -218,6 +218,26 @@ def test_corrupted_tick_text_becomes_row_header():
     ]
     table = extract_table(DetectionSet(mangled, style=det.style))
     assert "200B" in table.row_headers
+
+
+def test_coincident_value_ticks():
+    base = [
+        Detection("xtick_label", (100, 430, 30, 12), 1.0, text="2008"),
+        Detection("bar", (100, 200, 30, 200), 1.0, color=0),  # top edge at pixel 200
+        Detection("ytick_label", (10, 394, 20, 12), 1.0, text="0"),  # centre 400
+    ]
+    # a repeated identical tick is one anchor
+    same = read(DetectionSet(base + [Detection("ytick_label", (10, 94, 20, 12), 1.0, text="100")] * 2))
+    assert same.val_ticks == [(100.0, 100.0), (0.0, 400.0)]
+    assert extract_table(same).cells == [[pytest.approx(100.0 * 2 / 3)]]
+    # two values at one pixel anchor nothing, leaving one position: no value is read
+    clash = read(DetectionSet(base + [
+        Detection("ytick_label", (10, 94, 20, 12), 1.0, text="100"),
+        Detection("ytick_label", (10, 94, 20, 12), 1.0, text="50"),
+    ]))
+    assert clash.val_ticks == [(0.0, 400.0)]
+    assert [a.reason for a in clash.assignments] == [TOO_FEW_VALUE_TICKS]
+    assert extract_table(clash).cells == [[None]]
 
 
 def test_extraction_permutation_invariant(corpus):

@@ -78,8 +78,6 @@ def test_monotonic_non_strict_default():
     t = SemiStructuredTable(["a", "b", "c", "d"], ["x"], [[v] for v in vals])
     got = execute(("monotonic_increasing", ("col", "x")), t)
     assert got.value is oracle is True
-    strict = execute(("monotonic_increasing", ("col", "x"), True), t)
-    assert strict.value is False
 
 
 def test_missing_cell_is_unavailable():
