@@ -14,9 +14,8 @@ from plotquest import tableqa
 corpus = pq.default_corpus()
 data = pq.sample_plot_data(corpus, seed=11)
 spec = pq.make_plot_spec(data, seed=2)
-templates = pq.default_templates()
 
-questions = pq.instantiate(data, spec, templates, seed=5, n_questions=10)
+questions = pq.instantiate(data, spec, seed=5, n_questions=10)
 for q in questions:
     print(f"[{q.category}/{q.answer_type}] {q.text}")
     print(f"    gold: {q.gold_answer.rendered()}")

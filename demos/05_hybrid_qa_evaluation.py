@@ -11,34 +11,30 @@ because they fail on complementary question families.
 import plotquest as pq
 from plotquest.cli import stable_seed
 from plotquest.hybrid import answer_hybrid, answer_pipeline_only, answer_structural
-from plotquest.templates import default_matcher
-
-matcher = default_matcher()
 
 print("routing examples:")
 for q in ("How many legend labels are there?",
           "Does the graph contain grids?",
           "What is the ratio of the price of diesel in Lebanon in 2010 to that in 2014?"):
-    r = pq.route(q, matcher)
+    r = pq.route(q)
     print(f"  {r.branch:<22} <- {q}")
 
 # build a small evaluation batch under calibrated noise
 corpus = pq.default_corpus()
-templates = pq.default_templates()
 questions, det_of = [], {}
 for i in range(80):
     data = pq.sample_plot_data(corpus, stable_seed(1, "data", i))
     spec = pq.make_plot_spec(data, stable_seed(1, "style", i))
     _, ann = pq.render(spec)
     det = pq.perturb(ann, pq.PAPER_LIKE.with_seed(stable_seed(1, "noise", i)))
-    for q in pq.instantiate(data, spec, templates, stable_seed(1, "q", i)):
+    for q in pq.instantiate(data, spec, stable_seed(1, "q", i)):
         questions.append(q)
         det_of[id(q)] = det
 
 for name, fn in (("hybrid", answer_hybrid),
                  ("pipeline only", answer_pipeline_only),
                  ("structural only", answer_structural)):
-    report = pq.evaluate(questions, lambda q: fn(q.text, det_of[id(q)], matcher))
+    report = pq.evaluate(questions, lambda q: fn(q.text, det_of[id(q)]))
     print(f"\n=== {name}: {100 * report.overall_accuracy:.1f}% overall")
     if name == "hybrid":
         print(report.render_text())

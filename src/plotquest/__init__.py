@@ -43,7 +43,7 @@ from .sie import (
     interpolate_value, read, table_f1,
 )
 from .table import ExtractionTuple, SemiStructuredTable
-from .tableqa import ParsedQuestion, answer, execute, parse, to_sexpr
+from .tableqa import ParsedQuestion, execute, parse, to_sexpr
 from .templates import Template, default_templates, load_templates
 
 __all__ = [
@@ -59,6 +59,6 @@ __all__ = [
     "PlotReading", "associate_legend", "associate_ticks", "extract_table",
     "interpolate_value", "read", "table_f1",
     "ExtractionTuple", "SemiStructuredTable",
-    "ParsedQuestion", "answer", "execute", "parse", "to_sexpr",
+    "ParsedQuestion", "execute", "parse", "to_sexpr",
     "Template", "default_templates", "load_templates",
 ]

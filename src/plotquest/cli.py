@@ -33,7 +33,6 @@ from .hybrid import answer_hybrid
 from .plotgen import LayoutError, PlotAnnotation, make_plot_spec, render
 from .qgen import DEFAULT_QUESTIONS_PER_PLOT, QuestionInstance, instantiate
 from .sie import extract_table, read, table_f1
-from .templates import default_matcher, default_templates
 
 TABLE_F1_REL_TOL = 0.02
 MAP_THRESHOLDS = (0.5, 0.75, 0.9)
@@ -129,7 +128,6 @@ def cmd_generate(config: RunConfig) -> int:
     corpus = load_corpus(config.corpus) if config.corpus else default_corpus()
     if not corpus:
         raise DataError("corpus is empty")
-    templates = default_templates()
     out = config.out_dir
     os.makedirs(out, exist_ok=True)
 
@@ -146,7 +144,7 @@ def cmd_generate(config: RunConfig) -> int:
         _write(os.path.join(out, "tables", f"{i:04d}.csv"),
                annotation.gold_table.to_csv().encode(), hashes, out)
         questions = instantiate(
-            data, spec, templates, stable_seed(config.seed, "questions", i),
+            data, spec, stable_seed(config.seed, "questions", i),
             n_questions=config.questions_per_plot,
         )
         for q in questions:
@@ -209,14 +207,12 @@ def _load_annotation(dataset_dir: str, plot_id: int) -> PlotAnnotation:
         raise DataError(f"malformed annotation {path}: {e!r}")
 
 
-def cmd_run(dataset_dir: str, noise_spec: str, out_dir: str, run_split: str = "test",
-            verdicts_csv: str | None = None) -> int:
+def cmd_run(dataset_dir: str, noise_spec: str, out_dir: str, run_split: str = "test") -> int:
     manifest, questions = _load_dataset(dataset_dir)
     if run_split not in manifest["splits"]:
         raise UsageError(f"unknown split {run_split!r}")
     wanted = set(manifest["splits"][run_split])
     noise = _load_noise(noise_spec)
-    matcher = default_matcher()
     os.makedirs(out_dir, exist_ok=True)
 
     by_plot: dict[int, list[QuestionInstance]] = {}
@@ -251,7 +247,7 @@ def cmd_run(dataset_dir: str, noise_spec: str, out_dir: str, run_split: str = "t
             ocr_pairs_pred.append((gold_el.cls, d.text or ""))
         for q in by_plot[pid]:
             try:
-                pred = answer_hybrid(q.text, reading, matcher)
+                pred = answer_hybrid(q.text, reading)
                 pred_json = pred.to_json()
             except (AnswerUnavailable, UnparseableQuestion) as e:
                 pred, pred_json = None, {"error": type(e).__name__}
@@ -276,15 +272,6 @@ def cmd_run(dataset_dir: str, noise_spec: str, out_dir: str, run_split: str = "t
     with open(os.path.join(out_dir, "predictions.jsonl"), "w", encoding="utf-8") as f:
         for rec in predictions:
             f.write(json.dumps(rec) + "\n")
-
-    if verdicts_csv:
-        import csv as _csv
-        with open(verdicts_csv, "w", encoding="utf-8", newline="") as f:
-            w = _csv.writer(f)
-            w.writerow(["plot_id", "template_id", "category", "answer_type", "correct", "question"])
-            for rec in predictions:
-                w.writerow([rec["plot_id"], rec["template_id"], rec["category"],
-                            rec["answer_type"], int(rec["correct"]), rec["text"]])
 
     report = evaluate(
         [q for pid in plot_ids for q in by_plot[pid]],
@@ -398,7 +385,6 @@ def build_parser() -> _Parser:
     r.add_argument("--dataset", required=True)
     r.add_argument("--noise", default="zero", help="preset name or NoiseModel JSON file")
     r.add_argument("--run-split", default="test", choices=["train", "valid", "test"])
-    r.add_argument("--verdicts-csv", default=None, help="also write per-question verdicts CSV")
     r.add_argument("--out", required=True)
 
     e = sub.add_parser("extract", help="extract a table CSV from one annotation/detection file")
@@ -429,8 +415,7 @@ def main(argv: list[str] | None = None) -> int:
             )
             return cmd_generate(config)
         if args.command == "run":
-            return cmd_run(args.dataset, args.noise, args.out, args.run_split,
-                           verdicts_csv=args.verdicts_csv)
+            return cmd_run(args.dataset, args.noise, args.out, args.run_split)
         if args.command == "extract":
             return cmd_extract(args.input, args.out)
         if args.command == "evaluate":

@@ -181,25 +181,7 @@ def _parse_line(line: str, lineno: int) -> IndicatorVariable:
     return ind
 
 
-def load_corpus(path: str) -> list[IndicatorVariable]:
-    """Load indicator variables from a corpus file, preserving line order."""
-    try:
-        with open(path, encoding="utf-8") as f:
-            raw = f.read()
-    except FileNotFoundError:
-        raise CorpusError(f"corpus file not found: {path}")
-    out = []
-    for lineno, line in enumerate(raw.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        out.append(_parse_line(line, lineno))
-    return out
-
-
-def default_corpus() -> list[IndicatorVariable]:
-    """The corpus bundled with the package."""
-    text = resources.files("plotquest.data").joinpath("default_corpus.txt").read_text("utf-8")
+def _parse_corpus(text: str) -> list[IndicatorVariable]:
     out = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -207,6 +189,23 @@ def default_corpus() -> list[IndicatorVariable]:
             continue
         out.append(_parse_line(line, lineno))
     return out
+
+
+def load_corpus(path: str) -> list[IndicatorVariable]:
+    """Load indicator variables from a corpus file, preserving line order."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except FileNotFoundError:
+        raise CorpusError(f"corpus file not found: {path}")
+    except (OSError, UnicodeDecodeError) as e:  # a directory, unreadable, not UTF-8
+        raise CorpusError(f"cannot read corpus file {path}: {e}")
+    return _parse_corpus(text)
+
+
+def default_corpus() -> list[IndicatorVariable]:
+    """The corpus bundled with the package."""
+    return _parse_corpus(resources.files("plotquest.data").joinpath("default_corpus.txt").read_text("utf-8"))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,9 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .plotgen import ELEMENT_CLASSES, PlotAnnotation, StyleParams, VisualElement, check_bbox
+from .plotgen import (
+    ELEMENT_CLASSES, PlotAnnotation, StyleParams, VisualElement, check_bbox, check_text_and_color,
+)
 
 BBox = tuple[float, float, float, float]
 
@@ -149,6 +151,7 @@ class Detection:
         if not (0.0 < self.score <= 1.0):
             raise ValueError(f"detection score {self.score} outside (0, 1]")
         check_bbox(self.bbox)
+        check_text_and_color(self.text, self.color)
 
     @property
     def center(self) -> tuple[float, float]:

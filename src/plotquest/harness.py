@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -107,7 +107,6 @@ class EvalReport:
     map_scores: dict[str, float] | None = None  # {"0.5": ..., "0.75": ..., "0.9": ...}
     ocr_accuracy: float | None = None
     mean_table_f1: float | None = None
-    verdicts: list[bool] = field(default_factory=list, repr=False)
 
     def cell(self, category: str, answer_type: str) -> float | None:
         return self.accuracy_by[category][answer_type]
@@ -178,14 +177,12 @@ def evaluate(
         raise ValueError("no questions to evaluate")
     hits: dict[tuple[str, str], int] = {}
     totals: dict[tuple[str, str], int] = {}
-    verdicts = []
     for q in questions:
         try:
             pred = system(q)
         except (AnswerUnavailable, UnparseableQuestion):
             pred = None
         ok = score_answer(pred, q.gold_answer)
-        verdicts.append(ok)
         key = (q.category, q.answer_type)
         totals[key] = totals.get(key, 0) + 1
         hits[key] = hits.get(key, 0) + (1 if ok else 0)
@@ -210,5 +207,4 @@ def evaluate(
         map_scores=map_scores,
         ocr_accuracy=ocr_accuracy,
         mean_table_f1=mean_table_f1,
-        verdicts=verdicts,
     )

@@ -27,9 +27,9 @@ from .answers import Answer, AnswerUnavailable, UnparseableQuestion, number, tex
 from .detsim import Detection, DetectionSet
 from .plotgen import PlotAnnotation
 from .qgen import count_line_crossings
-from .sie import PlotReading, _canonical, read
+from .sie import PlotReading, _canonical, _stacked_horizontally, read
 from .tableqa import ParsedQuestion, parse as parse_question
-from .templates import TemplateMatcher, parse_ordinal
+from .templates import parse_ordinal
 
 CLASSIFICATION_BRANCH = "classification_branch"
 PIPELINE_BRANCH = "pipeline_branch"
@@ -43,14 +43,14 @@ class Route:
     reason: str
 
 
-def route(question: str | ParsedQuestion, matcher: TemplateMatcher | None = None) -> Route:
+def route(question: str | ParsedQuestion) -> Route:
     """Branch decision from a question's parse (parsed here when given text):
     a question goes to the classification branch iff its logical form is
     visual; every other form executes on the table."""
     parsed = question
     if isinstance(question, str):
         try:
-            parsed = parse_question(question, matcher)
+            parsed = parse_question(question)
         except UnparseableQuestion:
             return Route(PIPELINE_BRANCH, "unparseable: pipeline is the safe default")
     template = parsed.template
@@ -109,11 +109,9 @@ def _structural(tid: int, b: dict[str, str], rd: PlotReading) -> Answer:
             raise AnswerUnavailable("no legend detected")
         return number(n)
     if tid == 5:
-        labels = _canonical(rd.detections.by_class("legend_label"))
+        labels = rd.detections.by_class("legend_label")
         if len(labels) >= 2:
-            xs = [l.center[0] for l in labels]
-            ys = [l.center[1] for l in labels]
-            return text("horizontal" if max(xs) - min(xs) >= max(ys) - min(ys) else "vertical")
+            return text("horizontal" if _stacked_horizontally(labels) else "vertical")
         pos = _style_or_unavailable(rd).legend_position
         return text("horizontal" if pos.startswith("bottom") else "vertical")
     if tid == 6:
@@ -212,11 +210,10 @@ def _structural(tid: int, b: dict[str, str], rd: PlotReading) -> Answer:
 # ---------------------------------------------------------------------------
 # composition
 
-def _answer(question: str, d: DetectionSet | PlotAnnotation | PlotReading,
-            matcher: TemplateMatcher | None, branch: str | None) -> Answer:
+def _answer(question: str, d: DetectionSet | PlotAnnotation | PlotReading, branch: str | None) -> Answer:
     """Parse once, then answer on ``branch`` (None: the question's route).
     Raises only AnswerUnavailable or UnparseableQuestion."""
-    parsed = parse_question(question, matcher)
+    parsed = parse_question(question)
     rd = d if isinstance(d, PlotReading) else read(d)
     if branch is None:
         branch = route(parsed).branch
@@ -225,22 +222,19 @@ def _answer(question: str, d: DetectionSet | PlotAnnotation | PlotReading,
     return tableqa.execute(parsed.logical_form, rd.table())
 
 
-def answer_hybrid(question: str, d: DetectionSet | PlotAnnotation | PlotReading,
-                  matcher: TemplateMatcher | None = None) -> Answer:
+def answer_hybrid(question: str, d: DetectionSet | PlotAnnotation | PlotReading) -> Answer:
     """Answer on the question's routed branch. Pass one ``sie.read`` result
     for all of a plot's questions to associate its detections once."""
-    return _answer(question, d, matcher, None)
+    return _answer(question, d, None)
 
 
-def answer_pipeline_only(question: str, d: DetectionSet | PlotAnnotation | PlotReading,
-                         matcher: TemplateMatcher | None = None) -> Answer:
+def answer_pipeline_only(question: str, d: DetectionSet | PlotAnnotation | PlotReading) -> Answer:
     """Everything through table extraction + QA (ablation arm)."""
-    return _answer(question, d, matcher, PIPELINE_BRANCH)
+    return _answer(question, d, PIPELINE_BRANCH)
 
 
-def answer_structural(question: str, d: DetectionSet | PlotAnnotation | PlotReading,
-                      matcher: TemplateMatcher | None = None) -> Answer:
+def answer_structural(question: str, d: DetectionSet | PlotAnnotation | PlotReading) -> Answer:
     """Everything through the classification branch, from visual elements
     only (ablation arm). Only templates with a visual logical form have a
     geometry answer; every other question is AnswerUnavailable here."""
-    return _answer(question, d, matcher, CLASSIFICATION_BRANCH)
+    return _answer(question, d, CLASSIFICATION_BRANCH)

@@ -125,6 +125,15 @@ def check_bbox(bbox: tuple[float, ...]) -> None:
         raise ValueError(f"bbox {bbox} is not (x, y, w, h) with finite values and w, h >= 0")
 
 
+def check_text_and_color(text, color) -> None:
+    """Reject a text that is not a string and a colour id that is not an
+    integer (None stands for either being absent)."""
+    if text is not None and not isinstance(text, str):
+        raise ValueError(f"text {text!r} is not a string")
+    if color is not None and (isinstance(color, bool) or not isinstance(color, int)):
+        raise ValueError(f"color {color!r} is not an integer colour id")
+
+
 @dataclass(frozen=True)
 class VisualElement:
     cls: str  # one of ELEMENT_CLASSES ("class" in JSON)
@@ -136,6 +145,7 @@ class VisualElement:
 
     def __post_init__(self):
         check_bbox(self.bbox)
+        check_text_and_color(self.text, self.color)
 
     @property
     def center(self) -> tuple[float, float]:

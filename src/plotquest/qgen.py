@@ -34,9 +34,9 @@ from .templates import (
 
 DEFAULT_QUESTIONS_PER_PLOT = 12
 
-# defaults skew heavily toward reasoning and open-vocabulary answers;
+# questions skew heavily toward reasoning and open-vocabulary answers;
 # structural questions are a small slice and never have open answers
-DEFAULT_CATEGORY_WEIGHTS = {"structural": 0.045, "data_retrieval": 0.14, "reasoning": 0.815}
+CATEGORY_WEIGHTS = {"structural": 0.045, "data_retrieval": 0.14, "reasoning": 0.815}
 ANSWER_TYPE_WEIGHTS = {
     "structural": {"yes_no": 0.3699, "fixed_vocab": 0.6301, "open_vocab": 0.0},
     "data_retrieval": {"yes_no": 0.0519, "fixed_vocab": 0.1852, "open_vocab": 0.7629},
@@ -161,10 +161,10 @@ def _applicable(tid: int, ctx: _Ctx) -> bool:
     return True
 
 
-def applicable_templates(ctx_or_pair, templates: list[Template] | None = None) -> list[Template]:
+def applicable_templates(data: PlotData, spec: PlotSpec) -> list[Template]:
     """Templates that can be instantiated on this plot."""
-    ctx = ctx_or_pair if isinstance(ctx_or_pair, _Ctx) else _Ctx(*ctx_or_pair)
-    return [t for t in (templates or default_templates()) if _applicable(t.id, ctx)]
+    ctx = _Ctx(data, spec)
+    return [t for t in default_templates() if _applicable(t.id, ctx)]
 
 
 # ---------------------------------------------------------------------------
@@ -537,11 +537,8 @@ def paraphrase(pattern: str, bindings: dict[str, str], lexicon: dict[str, str]) 
 def instantiate(
     data: PlotData,
     spec: PlotSpec,
-    templates: list[Template],
     seed: int,
     n_questions: int = DEFAULT_QUESTIONS_PER_PLOT,
-    category_weights: dict[str, float] | None = None,
-    lexicon: dict[str, str] | None = None,
 ) -> list[QuestionInstance]:
     """Sample questions for one plot.
 
@@ -549,24 +546,18 @@ def instantiate(
     types from the per-category distribution grid, templates uniformly
     within the bucket. Duplicate surface texts are rejected.
     """
-    if not templates:
-        raise ValueError("no templates supplied")
     rng = np.random.default_rng(seed)
-    lexicon = lexicon or {}
     ctx = _Ctx(data, spec)
-    cat_w = category_weights or DEFAULT_CATEGORY_WEIGHTS
 
+    # templates 1-8 apply to every plot, so there is always a bucket, and
+    # every weight of a non-empty bucket is positive
     buckets: dict[tuple[str, str], list[Template]] = {}
-    for t in templates:
+    for t in default_templates():
         if _applicable(t.id, ctx):
             buckets.setdefault((t.category, t.answer_type), []).append(t)
-    if not buckets:
-        return []
 
     categories = sorted({c for c, _ in buckets})
-    cw = np.array([cat_w.get(c, 0.0) for c in categories], dtype=float)
-    if cw.sum() == 0:
-        cw[:] = 1.0
+    cw = np.array([CATEGORY_WEIGHTS[c] for c in categories], dtype=float)
     cw /= cw.sum()
 
     out: list[QuestionInstance] = []
@@ -576,9 +567,7 @@ def instantiate(
         attempts += 1
         cat = categories[int(rng.choice(len(categories), p=cw))]
         atypes = sorted({a for c, a in buckets if c == cat})
-        aw = np.array([ANSWER_TYPE_WEIGHTS[cat].get(a, 0.0) for a in atypes], dtype=float)
-        if aw.sum() == 0:
-            aw[:] = 1.0
+        aw = np.array([ANSWER_TYPE_WEIGHTS[cat][a] for a in atypes], dtype=float)
         aw /= aw.sum()
         atype = atypes[int(rng.choice(len(atypes), p=aw))]
         pool = buckets[(cat, atype)]
@@ -588,7 +577,6 @@ def instantiate(
             gold = _gold(template.id, bindings, ctx)
         except Degenerate:
             continue
-        bindings = {k: lexicon.get(v, v) for k, v in bindings.items()}
         try:
             text_q = template.fill(bindings)
         except TemplateError:
@@ -600,19 +588,12 @@ def instantiate(
     return out
 
 
-def instantiate_all(
-    data: PlotData,
-    spec: PlotSpec,
-    templates: list[Template],
-    seed: int,
-    lexicon: dict[str, str] | None = None,
-) -> list[QuestionInstance]:
+def instantiate_all(data: PlotData, spec: PlotSpec, seed: int) -> list[QuestionInstance]:
     """One instance of every applicable template (skipping degenerate draws)."""
     rng = np.random.default_rng(seed)
-    lexicon = lexicon or {}
     ctx = _Ctx(data, spec)
     out = []
-    for template in templates:
+    for template in default_templates():
         if not _applicable(template.id, ctx):
             continue
         for _ in range(8):
@@ -621,7 +602,6 @@ def instantiate_all(
                 gold = _gold(template.id, bindings, ctx)
             except Degenerate:
                 continue
-            bindings = {k: lexicon.get(v, v) for k, v in bindings.items()}
             out.append(QuestionInstance(
                 template.id, template.category, template.answer_type,
                 template.fill(bindings), bindings, gold,

@@ -67,13 +67,19 @@ def parse_tick_value(text: str) -> float | None:
 # ---------------------------------------------------------------------------
 # associations
 
+def _stacked_horizontally(dets: list[Detection]) -> bool:
+    """Legend entries sit side by side: their centres spread at least as far
+    along x as along y (needs at least one entry)."""
+    xs = [d.center[0] for d in dets]
+    ys = [d.center[1] for d in dets]
+    return (max(xs) - min(xs)) >= (max(ys) - min(ys))
+
+
 def _reading_order(dets: list[Detection]) -> list[Detection]:
     """Order legend entries along their stacking direction."""
     if len(dets) <= 1:
         return list(dets)
-    xs = [d.center[0] for d in dets]
-    ys = [d.center[1] for d in dets]
-    horizontal = (max(xs) - min(xs)) >= (max(ys) - min(ys))
+    horizontal = _stacked_horizontally(dets)
     return sorted(dets, key=(lambda d: d.center[0]) if horizontal else (lambda d: d.center[1]))
 
 
@@ -134,9 +140,20 @@ def associate_ticks(d: DetectionSet, axis: str) -> list[tuple[str, float]]:
 # ---------------------------------------------------------------------------
 # value interpolation
 
+def _value_anchors(value_ticks) -> list[tuple[float, float]]:
+    """One (value, pixel) anchor per pixel position, sorted by pixel.
+
+    Identical ticks at one position count once; a position whose ticks
+    disagree anchors nothing.
+    """
+    at_pixel: dict[float, set[float]] = {}
+    for v, pos in value_ticks:
+        at_pixel.setdefault(pos, set()).add(v)
+    return sorted(((vs.pop(), pos) for pos, vs in at_pixel.items() if len(vs) == 1), key=lambda t: t[1])
+
+
 def _interp(p: float, ticks: list[tuple[float, float]]) -> float:
-    """Linear value at pixel p given >= 2 (value, pixel) anchors."""
-    ticks = sorted(ticks, key=lambda t: t[1])  # by pixel position
+    """Linear value at pixel p given >= 2 ``_value_anchors``."""
     lo, hi = None, None
     for k in range(len(ticks) - 1):
         if ticks[k][1] <= p <= ticks[k + 1][1]:
@@ -149,9 +166,12 @@ def _interp(p: float, ticks: list[tuple[float, float]]) -> float:
         else:
             lo, hi = ticks[-2], ticks[-1]
     (v0, p0), (v1, p1) = lo, hi
-    if p1 == p0:
-        return v0
     return v0 + (p - p0) * (v1 - v0) / (p1 - p0)
+
+
+def _value_edge(bar_bbox: tuple[float, float, float, float], orientation: str) -> float:
+    x, y, w, h = bar_bbox
+    return (x + w) if orientation == "horizontal" else y
 
 
 def interpolate_value(
@@ -161,15 +181,16 @@ def interpolate_value(
 ) -> float:
     """Value represented by a bar, read from its value-edge pixel.
 
-    value_ticks are (numeric value, pixel position) pairs; orientation is
+    value_ticks are (numeric value, pixel position) pairs, read as one
+    anchor per pixel position like ``PlotReading.val_ticks``; orientation is
     'vertical' (value grows upward, edge = box top) or 'horizontal' (value
-    grows rightward, edge = box right).
+    grows rightward, edge = box right). Raises ExtractionError when fewer
+    than 2 positions anchor a value.
     """
-    if len(value_ticks) < 2:
-        raise ExtractionError("interpolation needs at least 2 numeric ticks")
-    x, y, w, h = bar_bbox
-    p = (x + w) if orientation == "horizontal" else y
-    return _interp(p, value_ticks)
+    anchors = _value_anchors(value_ticks)
+    if len(anchors) < 2:
+        raise ExtractionError("interpolation needs numeric ticks at 2 or more pixel positions")
+    return _interp(_value_edge(bar_bbox, orientation), anchors)
 
 
 # ---------------------------------------------------------------------------
@@ -229,15 +250,8 @@ class PlotReading:
         self.cat_refs = _tick_refs(d, self.cat_axis)
         val_refs = _tick_refs(d, self.val_axis)
         self.val_tick_texts = [r.text for r in val_refs]
-        at_pixel: dict[float, set[float]] = {}
-        for r in val_refs:
-            v = parse_tick_value(r.text)
-            if v is not None:
-                at_pixel.setdefault(r.pos, set()).add(v)
-        # one (value, pixel) anchor per position: identical ticks count once,
-        # and a position whose ticks disagree anchors nothing
-        self.val_ticks: list[tuple[float, float]] = [
-            (vs.pop(), pos) for pos, vs in at_pixel.items() if len(vs) == 1]
+        parsed = ((parse_tick_value(r.text), r.pos) for r in val_refs)
+        self.val_ticks = _value_anchors((v, pos) for v, pos in parsed if v is not None)
         self.legend_map = associate_legend(d)  # text -> color, reading order
         self._color_to_col = {c: k for k, c in enumerate(self.legend_map.values())}
         self.assignments = [self._assign(mark) for mark in self.data_marks]  # parallel to data_marks
@@ -272,9 +286,10 @@ class PlotReading:
         if len(self.val_ticks) < 2:
             return MarkAssignment(None, None, None, TOO_FEW_VALUE_TICKS)
         if mark.cls == "bar":
-            value = interpolate_value(mark.bbox, self.val_ticks, self.orientation)
+            p = _value_edge(mark.bbox, self.orientation)
         else:
-            value = _interp(mark.center[0] if self.horizontal else mark.center[1], self.val_ticks)
+            p = mark.center[0] if self.horizontal else mark.center[1]
+        value = _interp(p, self.val_ticks)
         return MarkAssignment(self.nearest_cat(mark), col, float(value))
 
     def table(self) -> SemiStructuredTable:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .answers import Answer, AnswerUnavailable, UnparseableQuestion, number, text, yes_no
 from .table import SemiStructuredTable
-from .templates import Template, TemplateMatcher, default_matcher
+from .templates import Template, default_matcher
 from .sie import parse_tick_value
 
 LF = tuple  # ("op", arg, ...) expression trees
@@ -149,9 +149,9 @@ def build_logical_form(template: Template, bindings: dict[str, str]) -> LF:
     return ("visual", tid)
 
 
-def parse(question: str, matcher: TemplateMatcher | None = None) -> ParsedQuestion:
+def parse(question: str) -> ParsedQuestion:
     """Match a question against the grammar; unique by template priority."""
-    m = (matcher or default_matcher()).match(question)
+    m = default_matcher().match(question)
     if m is None:
         raise UnparseableQuestion(question)
     template, bindings = m
@@ -312,11 +312,6 @@ def execute(lf: LF, t: SemiStructuredTable) -> Answer:
     if op == "cmp":
         return yes_no(_CMP[lf[1]](_eval_scalar(lf[2], t), _eval_scalar(lf[3], t)))
     return number(_eval_scalar(lf, t))
-
-
-def answer(question: str, t: SemiStructuredTable, matcher: TemplateMatcher | None = None) -> Answer:
-    """Parse, then execute on the table."""
-    return execute(parse(question, matcher).logical_form, t)
 
 
 def to_sexpr(lf: LF) -> str:

@@ -88,13 +88,9 @@ class Template:
         return text
 
 
-def load_templates(path: str | None = None) -> list[Template]:
-    """Load the template set; defaults to the bundled 74-template grammar."""
-    if path is None:
-        text = resources.files("plotquest.data").joinpath("templates.txt").read_text("utf-8")
-    else:
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
+def load_templates() -> list[Template]:
+    """Load the bundled 74-template grammar."""
+    text = resources.files("plotquest.data").joinpath("templates.txt").read_text("utf-8")
     out = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()

@@ -4,7 +4,7 @@ import pytest
 from plotquest.corpus import IndicatorVariable, PlotData, default_corpus
 from plotquest.detsim import ZERO_NOISE, perturb
 from plotquest.plotgen import PlotSpec, StyleParams, make_plot_spec, render
-from plotquest.templates import default_matcher, default_templates
+from plotquest.templates import default_templates
 
 
 @pytest.fixture(scope="session")
@@ -15,11 +15,6 @@ def corpus():
 @pytest.fixture(scope="session")
 def templates():
     return default_templates()
-
-
-@pytest.fixture(scope="session")
-def matcher():
-    return default_matcher()
 
 
 def make_indicator(unit_phrase="price of diesel", lo=0.1, hi=10.0, kind="float",

@@ -23,7 +23,7 @@ from plotquest.hybrid import answer_hybrid, answer_pipeline_only, answer_structu
 from plotquest.qgen import ANSWER_TYPE_WEIGHTS, instantiate, instantiate_all
 from plotquest.sie import extract_table, table_f1
 from plotquest.tableqa import parse
-from plotquest.templates import default_matcher, default_templates
+from plotquest.templates import default_templates
 
 from test_tableqa import exercise_primitives, random_table
 
@@ -43,14 +43,13 @@ def _generated_plots():
     if "plots" in _cache:
         return _cache["plots"], _cache["gen_seconds"]
     corpus = pq.default_corpus()
-    templates = default_templates()
     t0 = time.time()
     plots = []
     for i in range(N_PLOTS):
         data = pq.sample_plot_data(corpus, stable_seed(SEED, "data", i))
         spec = pq.make_plot_spec(data, stable_seed(SEED, "style", i))
         _, ann = pq.render(spec)
-        questions = instantiate(data, spec, templates, stable_seed(SEED, "q", i))
+        questions = instantiate(data, spec, stable_seed(SEED, "q", i))
         plots.append((data, spec, ann, questions))
     elapsed = time.time() - t0
     _cache["plots"] = plots
@@ -70,7 +69,6 @@ def _paper_like_detections():
 
 def test_criterion_roundtrip_exactness():
     plots, gen_seconds = _generated_plots()
-    matcher = default_matcher()
     t0 = time.time()
     types_seen = set()
     n_questions = n_correct = 0
@@ -83,7 +81,7 @@ def test_criterion_roundtrip_exactness():
         for q in questions:
             n_questions += 1
             try:
-                pred = answer_hybrid(q.text, det, matcher)
+                pred = answer_hybrid(q.text, det)
             except (AnswerUnavailable, UnparseableQuestion):
                 pred = None
             if score_answer(pred, q.gold_answer):
@@ -112,15 +110,14 @@ def test_criterion_executor_oracle_equivalence():
 def test_criterion_parser_roundtrip():
     corpus = pq.default_corpus()
     templates = default_templates()
-    matcher = default_matcher()
     counts = {t.id: 0 for t in templates}
     total = 0
     seed = 0
     while min(counts.values()) < 20:
         data = pq.sample_plot_data(corpus, stable_seed(SEED, "rt", seed))
         spec = pq.make_plot_spec(data, stable_seed(SEED, "rts", seed))
-        for q in instantiate_all(data, spec, templates, seed):
-            parsed = parse(q.text, matcher)
+        for q in instantiate_all(data, spec, seed):
+            parsed = parse(q.text)
             assert (parsed.template_id, parsed.bindings) == (q.template_id, q.bindings), q.text
             counts[q.template_id] += 1
             total += 1
@@ -181,7 +178,6 @@ def test_criterion_calibrated_noise_reproduction():
 def test_criterion_ablation_ordering():
     plots, _ = _generated_plots()
     noisy = _paper_like_detections()
-    matcher = default_matcher()
     subset = range(0, 250)
     questions, det_of = [], {}
     for i in subset:
@@ -190,7 +186,7 @@ def test_criterion_ablation_ordering():
             det_of[id(q)] = noisy[i]
 
     def run(fn):
-        return evaluate(questions, lambda q: fn(q.text, det_of[id(q)], matcher))
+        return evaluate(questions, lambda q: fn(q.text, det_of[id(q)]))
 
     hybrid = run(answer_hybrid)
     pipeline = run(answer_pipeline_only)
@@ -232,14 +228,13 @@ def test_criterion_ocr_fixtures():
 
 def test_criterion_question_distribution():
     corpus = pq.default_corpus()
-    templates = default_templates()
     counts: dict = {}
     total = 0
     i = 0
     while total < 100_000:
         data = pq.sample_plot_data(corpus, stable_seed(SEED, "dist", i))
         spec = pq.make_plot_spec(data, stable_seed(SEED, "dists", i))
-        for q in instantiate(data, spec, templates, stable_seed(SEED, "distq", i), n_questions=25):
+        for q in instantiate(data, spec, stable_seed(SEED, "distq", i), n_questions=25):
             counts[(q.category, q.answer_type)] = counts.get((q.category, q.answer_type), 0) + 1
             total += 1
         i += 1

@@ -213,6 +213,34 @@ def test_extract_bad_bbox_is_data_error(dataset, tmp_path, capsys, bbox):
         assert err.startswith("error: malformed input") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("field,value", [("text", 5), ("color", "red"), ("color", True)],
+                         ids=["int-text", "str-color", "bool-color"])
+def test_extract_bad_text_or_color_is_data_error(dataset, tmp_path, capsys, field, value):
+    # two elements that differ only in a mistyped text or colour used to make
+    # the canonical sort raise TypeError
+    good = {"class": "xtick_label", "bbox": [90, 420, 30, 12], "score": 1.0, "text": "2008", "color": 0}
+    dets = {"detections": [good, {**good, field: value}]}
+    with open(os.path.join(dataset, "annotations", "0000.json")) as f:
+        ann = json.load(f)
+    ann["elements"].append({**ann["elements"][0], field: value})
+    for k, obj in enumerate((dets, ann)):
+        path = tmp_path / f"input{k}.json"
+        path.write_text(json.dumps(obj))
+        assert main(["extract", "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed input") and "Traceback" not in err
+
+
+def test_generate_unreadable_corpus_is_data_error(tmp_path, capsys):
+    not_utf8 = tmp_path / "corpus.txt"
+    not_utf8.write_bytes(b"Diesel price | price of diesel | countries | 0.1 | 3 | float\n\xff\xfe\n")
+    for corpus in (tmp_path, not_utf8):  # a directory, then a file that is not UTF-8
+        assert main(["generate", "--n-plots", "1", "--corpus", str(corpus),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read corpus file") and "Traceback" not in err
+
+
 def _copy_dataset(dataset, tmp_path):
     import shutil
     dst = tmp_path / "ds"

@@ -16,15 +16,15 @@ from plotquest.tableqa import parse
 from conftest import clean_detections, make_data, make_spec, rendered
 
 
-def test_route_fixtures(matcher):
-    assert route("How many legend labels are there?", matcher).branch == CLASSIFICATION_BRANCH
-    assert route("What is the ratio of the price of diesel in Lebanon in 2010 to that in 2014?",
-                 matcher).branch == PIPELINE_BRANCH
-    assert route("Does the graph contain grids?", matcher).branch == CLASSIFICATION_BRANCH
-    assert route("this is not a question the grammar knows", matcher).branch == PIPELINE_BRANCH
+def test_route_fixtures():
+    assert route("How many legend labels are there?").branch == CLASSIFICATION_BRANCH
+    assert route("What is the ratio of the price of diesel in Lebanon in 2010 to that in 2014?"
+                 ).branch == PIPELINE_BRANCH
+    assert route("Does the graph contain grids?").branch == CLASSIFICATION_BRANCH
+    assert route("this is not a question the grammar knows").branch == PIPELINE_BRANCH
 
 
-def test_route_partitions_every_template(corpus, templates, matcher):
+def test_route_partitions_every_template(corpus, templates):
     # each question lands on exactly one branch, decided by text alone: the
     # classification branch iff the logical form is visual, and only there
     # does the geometry answer
@@ -33,90 +33,90 @@ def test_route_partitions_every_template(corpus, templates, matcher):
         data = sample_plot_data(corpus, seed)
         spec = make_spec(data, ("vbar", "hbar", "line", "dotline")[seed % 4])
         reading = read(render(spec)[1])
-        for q in instantiate_all(data, spec, templates, seed):
+        for q in instantiate_all(data, spec, seed):
             seen.add(q.template_id)
-            r1, r2 = route(q.text, matcher), route(q.text, matcher)
-            assert r1 == r2 == route(parse(q.text, matcher))
+            r1, r2 = route(q.text), route(q.text)
+            assert r1 == r2 == route(parse(q.text))
             assert r1.branch in (CLASSIFICATION_BRANCH, PIPELINE_BRANCH)
-            visual = parse(q.text, matcher).logical_form[0] == "visual"
+            visual = parse(q.text).logical_form[0] == "visual"
             assert (r1.branch == CLASSIFICATION_BRANCH) == visual
             if q.category == "structural":
                 assert visual
             if not visual:
                 with pytest.raises(AnswerUnavailable, match="not a classification-branch question"):
-                    answer_structural(q.text, reading, matcher)
+                    answer_structural(q.text, reading)
     assert seen == {t.id for t in templates}
 
 
-def test_structural_bars_on_second_tick_from_top(matcher):
+def test_structural_bars_on_second_tick_from_top():
     data = make_data([[3, 4], [5, 6]], legends=["Indoor", "Outdoor"])
     _, _, ann = rendered(data, "hbar")
-    got = answer_structural("How many bars are there on the 2nd tick from the top?", ann, matcher)
+    got = answer_structural("How many bars are there on the 2nd tick from the top?", ann)
     assert got.value == 2
 
 
-def test_structural_legend_stacking_horizontal(matcher):
+def test_structural_legend_stacking_horizontal():
     data = make_data([[1, 2], [3, 4]])
     _, _, ann = rendered(data, "vbar", legend_position="bottom-centre")
-    got = answer_structural("How are the legend labels stacked?", ann, matcher)
+    got = answer_structural("How are the legend labels stacked?", ann)
     assert got.value == "horizontal"
     _, _, ann2 = rendered(data, "vbar", legend_position="center-right")
-    assert answer_structural("How are the legend labels stacked?", ann2, matcher).value == "vertical"
+    assert answer_structural("How are the legend labels stacked?", ann2).value == "vertical"
 
 
-def test_structural_parallel_lines_never_intersect(matcher):
+def test_structural_parallel_lines_never_intersect():
     data = make_data([[2.0, 2.0, 2.0], [5.0, 5.0, 5.0]])
     _, _, ann = rendered(data, "line")
-    got = answer_structural("How many lines intersect with each other?", ann, matcher)
+    got = answer_structural("How many lines intersect with each other?", ann)
     assert got.value == 0
 
 
-def test_structural_crossing_lines_counted(matcher):
+def test_structural_crossing_lines_counted():
     data = make_data([[1.0, 6.0], [6.0, 1.0]])
     _, _, ann = rendered(data, "line")
-    got = answer_structural("How many lines intersect with each other?", ann, matcher)
+    got = answer_structural("How many lines intersect with each other?", ann)
     assert got.value == 1
 
 
-def test_structural_missing_elements_unavailable(matcher):
+def test_structural_missing_elements_unavailable():
     det = DetectionSet([Detection("bar", (10, 10, 5, 5), 1.0, color=0)])
     with pytest.raises(AnswerUnavailable):
-        answer_structural("What is the title of the graph?", det, matcher)
+        answer_structural("What is the title of the graph?", det)
     with pytest.raises(AnswerUnavailable):
-        answer_structural("How many legend labels are there?", det, matcher)
+        answer_structural("How many legend labels are there?", det)
 
 
-def test_structural_works_on_detections_and_annotations(corpus, matcher):
+def test_structural_works_on_detections_and_annotations(corpus):
     data = sample_plot_data(corpus, 3)
     _, ann = render(make_plot_spec(data, 3))
     det = clean_detections(ann)
     q = "Where does the legend appear in the graph?"
-    assert answer_structural(q, ann, matcher).value == answer_structural(q, det, matcher).value
+    assert answer_structural(q, ann).value == answer_structural(q, det).value
 
 
-def test_count_answers_survive_jitter(matcher):
+def test_count_answers_survive_jitter():
     # pure-count questions do not depend on box accuracy, only presence
     from plotquest.detsim import NoiseModel
     data = make_data([[3, 4, 5], [5, 6, 7]])
     _, _, ann = rendered(data, "vbar")
     noisy = perturb(ann, NoiseModel(box_jitter_sigma=2.5, seed=11))
-    got = answer_hybrid("How many bars are there?", noisy, matcher)
+    got = answer_hybrid("How many bars are there?", noisy)
     assert got.value == 6
 
 
-def test_hybrid_zero_noise_equals_gold(corpus, templates, matcher):
+def test_hybrid_zero_noise_equals_gold(corpus):
     from plotquest.harness import score_answer
     for seed in range(12):
         data = sample_plot_data(corpus, seed)
         spec = make_plot_spec(data, seed)
         _, ann = render(spec)
         det = clean_detections(ann)
-        for q in instantiate_all(data, spec, templates, seed):
-            got = answer_hybrid(q.text, det, matcher)
+        for q in instantiate_all(data, spec, seed):
+            got = answer_hybrid(q.text, det)
             assert score_answer(got, q.gold_answer), (seed, q.text, got, q.gold_answer)
 
 
-def test_hybrid_never_panics_under_heavy_noise(corpus, templates, matcher):
+def test_hybrid_never_panics_under_heavy_noise(corpus):
     from plotquest.detsim import NoiseModel
     brutal = NoiseModel(box_jitter_sigma=6.0, drop_prob=0.35, misclass_prob=0.2,
                         ocr_char_sub_prob=0.4, ocr_truncate_prob=0.4,
@@ -126,14 +126,14 @@ def test_hybrid_never_panics_under_heavy_noise(corpus, templates, matcher):
         spec = make_plot_spec(data, seed)
         _, ann = render(spec)
         det = perturb(ann, brutal.with_seed(seed))
-        for q in instantiate_all(data, spec, templates, seed):
+        for q in instantiate_all(data, spec, seed):
             try:
-                answer_hybrid(q.text, det, matcher)
+                answer_hybrid(q.text, det)
             except AnswerUnavailable:
                 pass  # the only acceptable failure mode
 
 
-def test_hybrid_strictly_dominates_single_branches_at_zero_noise(corpus, templates, matcher):
+def test_hybrid_strictly_dominates_single_branches_at_zero_noise(corpus):
     from plotquest.answers import UnparseableQuestion
     from plotquest.harness import evaluate
     from plotquest.hybrid import answer_pipeline_only
@@ -143,14 +143,14 @@ def test_hybrid_strictly_dominates_single_branches_at_zero_noise(corpus, templat
         spec = make_plot_spec(data, seed)
         _, ann = render(spec)
         det = clean_detections(ann)
-        for q in instantiate_all(data, spec, templates, seed):
+        for q in instantiate_all(data, spec, seed):
             questions.append(q)
             dets[id(q)] = det
 
     def run(fn):
         def system(q):
             try:
-                return fn(q.text, dets[id(q)], matcher)
+                return fn(q.text, dets[id(q)])
             except UnparseableQuestion:
                 return None
         return evaluate(questions, system).overall_accuracy
@@ -164,9 +164,9 @@ def test_hybrid_strictly_dominates_single_branches_at_zero_noise(corpus, templat
     assert structural < hybrid
 
 
-def test_unparseable_question_fails_loudly_via_pipeline(corpus, matcher):
+def test_unparseable_question_fails_loudly_via_pipeline(corpus):
     from plotquest.answers import UnparseableQuestion
     data = sample_plot_data(corpus, 0)
     _, ann = render(make_plot_spec(data, 0))
     with pytest.raises(UnparseableQuestion):
-        answer_hybrid("what is the airspeed of an unladen swallow?", ann, matcher)
+        answer_hybrid("what is the airspeed of an unladen swallow?", ann)

@@ -18,7 +18,7 @@ from plotquest.detsim import Detection, DetectionSet
 from plotquest.hybrid import answer_hybrid, answer_pipeline_only, answer_structural
 from plotquest.plotgen import ELEMENT_CLASSES, make_plot_spec, render
 from plotquest.sie import extract_table, read
-from plotquest.templates import default_matcher, default_templates, ordinal
+from plotquest.templates import default_templates, ordinal
 
 from conftest import clean_detections, make_style
 
@@ -119,11 +119,10 @@ def test_extraction_never_raises_and_ignores_order(d, data):
 @PROPERTY_SETTINGS
 @given(d=detection_sets, data=st.data())
 def test_answering_raises_only_documented_errors(d, data):
-    matcher = default_matcher()
     reading = read(d)
     for q in data.draw(st.lists(questions(d), min_size=1, max_size=8)):
         for fn in (answer_hybrid, answer_pipeline_only, answer_structural):
             try:
-                fn(q, reading, matcher)
+                fn(q, reading)
             except (AnswerUnavailable, UnparseableQuestion):
                 pass

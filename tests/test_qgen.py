@@ -45,13 +45,13 @@ def test_reference_cell_lookup_question(templates):
     assert gold.value == 0.7  # that cell of the gold table
 
 
-def test_single_series_excludes_multi_legend_templates(templates):
+def test_single_series_excludes_multi_legend_templates():
     data = make_data([[1, 2, 3]])
     spec = make_spec(data, "vbar")
-    ids = {t.id for t in applicable_templates((data, spec), templates)}
+    ids = {t.id for t in applicable_templates(data, spec)}
     for tid in (36, 37, 52, 54, 55, 68, 72, 74):  # need >= 2 distinct legends
         assert tid not in ids
-    qs = instantiate(data, spec, templates, seed=1, n_questions=30)
+    qs = instantiate(data, spec, seed=1, n_questions=30)
     assert all(q.template_id not in (36, 37, 52, 54, 55, 68, 72, 74) for q in qs)
 
 
@@ -118,20 +118,20 @@ def test_paraphrase_missing_slot_names_it():
         paraphrase("What is the {y_label}?", {}, {})
 
 
-def test_instances_parse_back(corpus, templates, matcher):
+def test_instances_parse_back(corpus):
     for seed in range(25):
         data = sample_plot_data(corpus, seed)
         spec = make_spec(data, ("vbar", "hbar", "line", "dotline")[seed % 4])
-        for q in instantiate_all(data, spec, templates, seed):
-            parsed = tableqa.parse(q.text, matcher)
+        for q in instantiate_all(data, spec, seed):
+            parsed = tableqa.parse(q.text)
             assert (parsed.template_id, parsed.bindings) == (q.template_id, q.bindings)
 
 
-def test_answer_type_consistency(corpus, templates):
+def test_answer_type_consistency(corpus):
     for seed in range(25):
         data = sample_plot_data(corpus, seed)
         spec = make_spec(data, ("vbar", "hbar", "line", "dotline")[seed % 4])
-        for q in instantiate_all(data, spec, templates, seed):
+        for q in instantiate_all(data, spec, seed):
             if q.answer_type == "yes_no":
                 assert q.gold_answer.kind == "boolean"
             else:
@@ -140,7 +140,7 @@ def test_answer_type_consistency(corpus, templates):
             assert "{" not in q.text and "}" not in q.text
 
 
-def test_table_templates_agree_with_executor(corpus, templates, matcher):
+def test_table_templates_agree_with_executor(corpus):
     # gold answers for every template with a table logical form equal
     # executing that form on the gold table
     from plotquest.plotgen import render
@@ -150,8 +150,8 @@ def test_table_templates_agree_with_executor(corpus, templates, matcher):
         data = sample_plot_data(corpus, seed)
         spec = make_spec(data, ("vbar", "hbar", "line", "dotline")[seed % 4])
         _, ann = render(spec)
-        for q in instantiate_all(data, spec, templates, seed):
-            parsed = tableqa.parse(q.text, matcher)
+        for q in instantiate_all(data, spec, seed):
+            parsed = tableqa.parse(q.text)
             if parsed.logical_form[0] == "visual":
                 continue
             got = tableqa.execute(parsed.logical_form, ann.gold_table)
@@ -160,28 +160,28 @@ def test_table_templates_agree_with_executor(corpus, templates, matcher):
     assert checked > 400
 
 
-def test_instantiate_deterministic(corpus, templates):
+def test_instantiate_deterministic(corpus):
     data = sample_plot_data(corpus, 8)
     spec = make_spec(data, "line")
-    a = instantiate(data, spec, templates, seed=99)
-    b = instantiate(data, spec, templates, seed=99)
+    a = instantiate(data, spec, seed=99)
+    b = instantiate(data, spec, seed=99)
     assert [q.to_json() for q in a] == [q.to_json() for q in b]
 
 
-def test_instantiate_unique_texts(corpus, templates):
+def test_instantiate_unique_texts(corpus):
     data = sample_plot_data(corpus, 8)
     spec = make_spec(data, "vbar")
-    qs = instantiate(data, spec, templates, seed=5, n_questions=25)
+    qs = instantiate(data, spec, seed=5, n_questions=25)
     texts = [q.text for q in qs]
     assert len(set(texts)) == len(texts)
 
 
-def test_threshold_questions_are_nondegenerate(corpus, templates):
+def test_threshold_questions_are_nondegenerate(corpus):
     # no generated threshold may equal a data value (knife-edge answers)
     for seed in range(40):
         data = sample_plot_data(corpus, seed)
         spec = make_spec(data, "vbar")
-        for q in instantiate_all(data, spec, templates, seed):
+        for q in instantiate_all(data, spec, seed):
             if "n" not in q.bindings:
                 continue
             n = float(q.bindings["n"])
@@ -189,14 +189,6 @@ def test_threshold_questions_are_nondegenerate(corpus, templates):
             V = data.values_matrix()
             row = V[list(data.legend_labels).index(legend)] if legend in data.legend_labels else V[0]
             assert all(v != n for v in row)
-
-
-def test_category_weights_are_configurable(corpus, templates):
-    data = sample_plot_data(corpus, 8)
-    spec = make_spec(data, "vbar")
-    qs = instantiate(data, spec, templates, seed=5, n_questions=15,
-                     category_weights={"structural": 1.0, "data_retrieval": 0.0, "reasoning": 0.0})
-    assert qs and all(q.category == "structural" for q in qs)
 
 
 def test_ordinal_formatting():

@@ -147,10 +147,10 @@ def test_reading_assignments_fill_the_table():
 
 
 @pytest.mark.parametrize("noise", [ZERO_NOISE, PAPER_LIKE, HEAVY], ids=["zero", "paper_like", "heavy"])
-def test_shared_reading_answers_like_fresh_calls(corpus, templates, matcher, noise):
+def test_shared_reading_answers_like_fresh_calls(corpus, noise):
     def result(d, text):
         try:
-            return answer_hybrid(text, d, matcher).to_json()
+            return answer_hybrid(text, d).to_json()
         except Exception as e:  # compare failure types, whatever they are
             return type(e).__name__
 
@@ -160,5 +160,5 @@ def test_shared_reading_answers_like_fresh_calls(corpus, templates, matcher, noi
         _, ann = render(spec)
         det = perturb(ann, noise.with_seed(seed))
         reading = read(det)
-        for q in instantiate_all(data, spec, templates, seed):
+        for q in instantiate_all(data, spec, seed):
             assert result(reading, q.text) == result(det, q.text), (seed, q.text)

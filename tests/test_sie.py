@@ -177,6 +177,12 @@ def test_interpolate_horizontal_uses_right_edge():
 def test_interpolate_requires_two_ticks():
     with pytest.raises(ExtractionError):
         interpolate_value((0, 0, 1, 1), [(0.0, 300.0)], "vertical")
+    # two values at one pixel anchor nothing, as in PlotReading
+    with pytest.raises(ExtractionError):
+        interpolate_value((0, 100, 1, 1), [(0.0, 300.0), (100.0, 300.0)], "vertical")
+    # an identical repeat is one anchor
+    with pytest.raises(ExtractionError):
+        interpolate_value((0, 100, 1, 1), [(0.0, 300.0), (0.0, 300.0)], "vertical")
 
 
 # -- full extraction ----------------------------------------------------------
