@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from . import __version__
 from .answers import Answer, AnswerUnavailable, UnparseableQuestion
 from .corpus import CorpusError, default_corpus, load_corpus, sample_plot_data
-from .detsim import DetectionSet, NoiseModel, average_precision, get_preset, perturb_with_provenance
+from .detsim import APPool, DetectionSet, NoiseModel, get_preset, perturb_with_provenance
 from .harness import EvalReport, SplitSpec, evaluate, score_answer, split
 from .hybrid import answer_hybrid
 from .plotgen import LayoutError, PlotAnnotation, make_plot_spec, render
@@ -222,12 +222,11 @@ def cmd_run(dataset_dir: str, noise_spec: str, out_dir: str, run_split: str = "t
     if not by_plot:
         raise DataError(f"no questions in split {run_split!r}")
 
-    # Per plot: perturb, read once, score the table, answer the plot's
-    # questions from that one reading, then let the reading go. AP pools
-    # all plots, so it runs after the loop.
+    # Per plot: perturb, add the detections to the AP pool, read once, score
+    # the table, answer the plot's questions from that one reading, then let
+    # the plot go: the pool keeps only its match records.
     plot_ids = sorted(by_plot)
-    dets_per_plot = {}
-    golds_per_plot = {}
+    ap_pool = APPool(MAP_THRESHOLDS)
     f1s = []
     ocr_pairs_pred, ocr_pairs_gold = [], []
     predictions = []
@@ -236,8 +235,7 @@ def cmd_run(dataset_dir: str, noise_spec: str, out_dir: str, run_split: str = "t
         annotation = _load_annotation(dataset_dir, pid)
         det, provenance = perturb_with_provenance(
             annotation, noise.with_seed(stable_seed(noise.seed, "plot", pid)))
-        dets_per_plot[pid] = det
-        golds_per_plot[pid] = annotation
+        ap_pool.add(det, annotation)
         reading = read(det)
         f1s.append(table_f1(extract_table(reading), annotation.gold_table, TABLE_F1_REL_TOL)[2])
         for gold_el, d in provenance:
@@ -259,12 +257,7 @@ def cmd_run(dataset_dir: str, noise_spec: str, out_dir: str, run_split: str = "t
             predictions.append(rec)
         del reading
 
-    map_scores = {}
-    for thr in MAP_THRESHOLDS:
-        _, m = average_precision(
-            [dets_per_plot[p] for p in plot_ids],
-            [golds_per_plot[p] for p in plot_ids], thr)
-        map_scores[str(thr)] = m
+    map_scores = {str(thr): m for thr, (_, m) in zip(MAP_THRESHOLDS, ap_pool.result())}
 
     from .detsim import ocr_accuracy as _ocr_acc
     ocr_total = _ocr_acc(ocr_pairs_pred, ocr_pairs_gold)["total"] if ocr_pairs_gold else None

@@ -163,6 +163,9 @@ def pluralize(singular: str) -> str:
 # corpus file handling
 
 def _parse_line(line: str, lineno: int) -> IndicatorVariable:
+    if "{" in line or "}" in line:
+        # braces are the question templates' slot markers
+        raise CorpusError(f"line {lineno}: '{{' and '}}' are not allowed in a corpus line")
     parts = [p.strip() for p in line.split("|")]
     if len(parts) != 6:
         raise CorpusError(f"line {lineno}: expected 6 '|'-separated fields, got {len(parts)}")

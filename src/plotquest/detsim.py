@@ -12,13 +12,17 @@ sign/digit damage on numeric strings).
 
 AP uses every-point interpolation (area under the precision envelope) with
 greedy one-to-one matching in score order; an exact half-recall detection
-set therefore scores AP = 0.5.
+set therefore scores AP = 0.5. Scoring takes one pass per plot: one IOU
+matrix per (plot, class), matched at all thresholds from that matrix, with
+only the compact match records pooled across plots (APPool).
 """
 
 from __future__ import annotations
 
 import json
 import math
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -207,20 +211,30 @@ class DetectionSet:
 # ---------------------------------------------------------------------------
 # geometry
 
-def iou(a: BBox, b: BBox) -> float:
-    """Intersection over union of two (x, y, w, h) boxes."""
-    ax, ay, aw, ah = a
-    bx, by, bw, bh = b
-    if aw < 0 or ah < 0 or bw < 0 or bh < 0:
+def iou_matrix(a: Sequence[BBox], b: Sequence[BBox]) -> np.ndarray:
+    """Intersection over union of every (x, y, w, h) box in ``a`` against
+    every box in ``b``, as an len(a) x len(b) float64 matrix."""
+    A = np.asarray(a, dtype=np.float64).reshape(-1, 4)
+    B = np.asarray(b, dtype=np.float64).reshape(-1, 4)
+    if (A[:, 2:] < 0).any() or (B[:, 2:] < 0).any():
         raise ValueError("box extents must be non-negative")
-    ix = max(0.0, min(ax + aw, bx + bw) - max(ax, bx))
-    iy = max(0.0, min(ay + ah, by + bh) - max(ay, by))
+    ax, ay, aw, ah = (c[:, None] for c in A.T)
+    bx, by, bw, bh = B.T
+    ix = np.maximum(0.0, np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx))
+    iy = np.maximum(0.0, np.minimum(ay + ah, by + bh) - np.maximum(ay, by))
     inter = ix * iy
     union = aw * ah + bw * bh - inter
-    if union <= 0.0:
-        # two degenerate boxes; identical ones still count as a perfect match
-        return 1.0 if a == b else 0.0
-    return inter / union
+    degenerate = union <= 0.0
+    if not degenerate.any():
+        return inter / union
+    # two degenerate boxes; identical ones still count as a perfect match
+    same = (A[:, None, :] == B[None, :, :]).all(axis=2)
+    return np.where(degenerate, same.astype(np.float64), inter / np.where(degenerate, 1.0, union))
+
+
+def iou(a: BBox, b: BBox) -> float:
+    """Intersection over union of two (x, y, w, h) boxes."""
+    return float(iou_matrix([a], [b])[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -327,47 +341,84 @@ def perturb_with_provenance(
 # ---------------------------------------------------------------------------
 # detection scoring
 
-def _match_plot(preds: list[Detection], golds: list[VisualElement], thr: float) -> list[tuple[float, bool]]:
-    """Greedy one-to-one matching in score order; returns (score, is_tp)."""
-    order = sorted(range(len(preds)), key=lambda k: (-preds[k].score, k))
-    taken = [False] * len(golds)
-    out = []
-    for k in order:
-        best, best_iou = -1, thr
-        for g, gold in enumerate(golds):
-            if taken[g]:
-                continue
-            v = iou(preds[k].bbox, gold.bbox)
-            if v >= best_iou:
-                best, best_iou = g, v
-        if best >= 0:
-            taken[best] = True
-            out.append((preds[k].score, True))
-        else:
-            out.append((preds[k].score, False))
-    return out
+class APPool:
+    """Per-class AP and mAP at several IOU thresholds, fed one plot at a time.
+
+    ``add`` matches one plot's detections to its gold elements: per class,
+    one IOU matrix, then greedy one-to-one matching in score order at every
+    threshold (among golds tied at the best IOU the last one wins). Only the
+    compact match records are kept, so a caller can drop the plot after
+    ``add``. Records pool per class across plots.
+    """
+
+    def __init__(self, thresholds: Sequence[float]):
+        if not thresholds:
+            raise ValueError("no IOU thresholds")
+        if not all(0.0 < thr < 1.0 for thr in thresholds):
+            raise ValueError("iou_threshold must lie in (0, 1)")
+        self.thresholds = tuple(thresholds)
+        self._lowest = min(self.thresholds)
+        self._n_gold: dict[str, int] = {}
+        self._scores: dict[str, array] = {}  # per class, in match order
+        self._hits: list[dict[str, bytearray]] = [{} for _ in self.thresholds]
+
+    def add(self, pred: DetectionSet, gold: PlotAnnotation) -> None:
+        gold_boxes: dict[str, list[BBox]] = {}
+        for e in gold.elements:
+            gold_boxes.setdefault(e.cls, []).append(e.bbox)
+        for cls, boxes in gold_boxes.items():
+            self._n_gold[cls] = self._n_gold.get(cls, 0) + len(boxes)
+        preds: dict[str, list[Detection]] = {}
+        for d in pred.detections:
+            preds.setdefault(d.cls, []).append(d)
+        for cls, dets in preds.items():
+            dets.sort(key=lambda d: -d.score)  # stable: ties keep detection order
+            self._scores.setdefault(cls, array("d")).extend(d.score for d in dets)
+            boxes = gold_boxes.get(cls, [])
+            rows = iou_matrix([d.bbox for d in dets], boxes).tolist()
+            # per detection, the golds that clear the lowest threshold
+            candidates = [[(g, v) for g, v in enumerate(row) if v >= self._lowest] for row in rows]
+            for thr, hits in zip(self.thresholds, self._hits):
+                out = hits.setdefault(cls, bytearray())
+                taken = [False] * len(boxes)
+                for row in candidates:
+                    best, best_iou = -1, thr
+                    for g, v in row:
+                        if v >= best_iou and not taken[g]:
+                            best, best_iou = g, v
+                    if best >= 0:
+                        taken[best] = True
+                    out.append(best >= 0)
+
+    def result(self) -> list[tuple[dict[str, float], float]]:
+        """One (per-class AP, mAP) per threshold; mAP averages over the
+        classes present in gold."""
+        per_class: list[dict[str, float]] = [{} for _ in self.thresholds]
+        for cls, n_gold in sorted(self._n_gold.items()):
+            scores = np.array(self._scores.get(cls, ()), dtype=np.float64)
+            order = np.argsort(-scores, kind="stable")
+            for aps, hits in zip(per_class, self._hits):
+                hit = np.array(hits.get(cls, ()), dtype=np.bool_)[order]
+                aps[cls] = _every_point_ap(hit, n_gold)
+        return [(aps, float(np.mean(list(aps.values()))) if aps else 0.0) for aps in per_class]
 
 
-def _ap_from_records(records: list[tuple[float, bool]], n_gold: int) -> float:
-    """Every-point interpolated AP from pooled (score, is_tp) records."""
-    if n_gold == 0:
+def _every_point_ap(hit: np.ndarray, n_gold: int) -> float:
+    """Every-point interpolated AP of detections in score order, given
+    which of them are true positives."""
+    if not len(hit):
         return 0.0
-    if not records:
-        return 0.0
-    records = sorted(records, key=lambda r: -r[0])
-    tp = np.cumsum([1 if hit else 0 for _, hit in records])
-    fp = np.cumsum([0 if hit else 1 for _, hit in records])
-    recall = tp / n_gold
-    precision = tp / np.maximum(tp + fp, 1)
-    # precision envelope, then area under the recall steps
+    tp = np.cumsum(hit)
+    precision = tp / np.arange(1, len(hit) + 1)
+    # precision envelope, then area under the recall steps; recall rises
+    # exactly at the true positives
     env = np.maximum.accumulate(precision[::-1])[::-1]
     ap = 0.0
     prev_r = 0.0
-    for r, p in zip(recall, env):
-        if r > prev_r:
-            ap += (r - prev_r) * p
-            prev_r = r
-    return float(ap)
+    for r, p in zip((tp[hit] / n_gold).tolist(), env[hit].tolist()):
+        ap += (r - prev_r) * p
+        prev_r = r
+    return ap
 
 
 def average_precision(
@@ -381,25 +432,14 @@ def average_precision(
     form detections are pooled per class across plots (matching stays
     within each plot). mAP averages over the classes present in gold.
     """
-    if not (0.0 < iou_threshold < 1.0):
-        raise ValueError("iou_threshold must lie in (0, 1)")
+    pool = APPool((iou_threshold,))
     preds = [pred] if isinstance(pred, DetectionSet) else list(pred)
     golds = [gold] if isinstance(gold, PlotAnnotation) else list(gold)
     if len(preds) != len(golds):
         raise ValueError("pred/gold list lengths differ")
-
-    classes = sorted({e.cls for g in golds for e in g.elements})
-    per_class: dict[str, float] = {}
-    for cls in classes:
-        records: list[tuple[float, bool]] = []
-        n_gold = 0
-        for p, g in zip(preds, golds):
-            gold_elems = [e for e in g.elements if e.cls == cls]
-            n_gold += len(gold_elems)
-            records.extend(_match_plot(p.by_class(cls), gold_elems, iou_threshold))
-        per_class[cls] = _ap_from_records(records, n_gold)
-    m_ap = float(np.mean(list(per_class.values()))) if per_class else 0.0
-    return per_class, m_ap
+    for p, g in zip(preds, golds):
+        pool.add(p, g)
+    return pool.result()[0]
 
 
 def ocr_accuracy(

@@ -29,7 +29,7 @@ from .answers import Answer, number, text, yes_no
 from .corpus import ENTITY_POOLS, PlotData, pluralize
 from .plotgen import PlotSpec, plot_title, screen_axis_labels, value_axis
 from .templates import (
-    Template, TemplateError, default_templates, ordinal, parse_ordinal,
+    Template, default_templates, ordinal, parse_ordinal,
 )
 
 DEFAULT_QUESTIONS_PER_PLOT = 12
@@ -577,10 +577,7 @@ def instantiate(
             gold = _gold(template.id, bindings, ctx)
         except Degenerate:
             continue
-        try:
-            text_q = template.fill(bindings)
-        except TemplateError:
-            continue
+        text_q = template.fill(bindings)
         if text_q in seen:
             continue
         seen.add(text_q)

@@ -241,6 +241,16 @@ def test_generate_unreadable_corpus_is_data_error(tmp_path, capsys):
         assert err.startswith("error: cannot read corpus file") and "Traceback" not in err
 
 
+def test_generate_corpus_with_braces_is_data_error(tmp_path, capsys):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("Diesel {price} | price of {diesel} | countries | 0.1 | 3 | float\n")
+    assert main(["generate", "--n-plots", "1", "--seed", "1", "--corpus", str(corpus),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 1:") and "Traceback" not in err
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
 def _copy_dataset(dataset, tmp_path):
     import shutil
     dst = tmp_path / "ds"

@@ -38,6 +38,19 @@ def test_load_corpus_rejects_bad_kind(tmp_path):
         load_corpus(str(p))
 
 
+@pytest.mark.parametrize("line", [
+    "Diesel {price} | price of diesel | countries | 0.1 | 3 | float",
+    "Diesel price | price of {diesel} | countries | 0.1 | 3 | float",
+    "Diesel price | price of diesel} | countries | 0.1 | 3 | float",
+])
+def test_load_corpus_rejects_braces(tmp_path, line):
+    # braces would reach the question templates as slot markers
+    p = tmp_path / "c.txt"
+    p.write_text("A | alpha rate | countries | 1 | 5 | float\n" + line + "\n")
+    with pytest.raises(CorpusError, match="line 2"):
+        load_corpus(str(p))
+
+
 def test_default_corpus_is_broad():
     corpus = default_corpus()
     assert len(corpus) >= 50

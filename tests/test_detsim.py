@@ -1,11 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from plotquest.corpus import sample_plot_data
 from plotquest.detsim import (
-    PAPER_LIKE, ZERO_NOISE, Detection, DetectionSet, NoiseModel,
-    average_precision, corrupt_text, get_preset, iou, ocr_accuracy, perturb,
+    PAPER_LIKE, ZERO_NOISE, APPool, Detection, DetectionSet, NoiseModel,
+    average_precision, corrupt_text, get_preset, iou, iou_matrix, ocr_accuracy, perturb,
 )
+from plotquest.plotgen import VisualElement
 from plotquest.plotgen import make_plot_spec, render
 
 from conftest import make_data, rendered
@@ -178,6 +181,183 @@ def test_ap_dataset_pooling(corpus):
         average_precision(dets[:2], anns, 0.9)
     with pytest.raises(ValueError):
         average_precision(dets[0], anns[0], 1.5)
+
+
+def test_appool_validates_thresholds():
+    for bad in ((), (0.5, 1.0), (0.0,)):
+        with pytest.raises(ValueError):
+            APPool(bad)
+
+
+def test_iou_matrix_matches_pairwise_iou():
+    rng = np.random.default_rng(1)
+    a = [tuple(rng.integers(0, 6, 2)) + tuple(rng.integers(0, 4, 2)) for _ in range(9)]
+    b = [tuple(rng.integers(0, 6, 2)) + tuple(rng.integers(0, 4, 2)) for _ in range(7)] + [a[0]]
+    M = iou_matrix(a, b)
+    assert M.shape == (9, 8)
+    assert M.tolist() == [[_oracle_iou(x, y) for y in b] for x in a]
+    assert iou_matrix([], b).shape == (0, 8)
+
+
+# -- brute-force AP oracle ---------------------------------------------------
+# The per-pair scalar implementation that APPool replaced, kept as the
+# reference: the pooled kernel must give exactly (==) the same numbers.
+
+def _oracle_iou(a, b) -> float:
+    """Intersection over union of two (x, y, w, h) boxes."""
+    ax, ay, aw, ah = a
+    bx, by, bw, bh = b
+    if aw < 0 or ah < 0 or bw < 0 or bh < 0:
+        raise ValueError("box extents must be non-negative")
+    ix = max(0.0, min(ax + aw, bx + bw) - max(ax, bx))
+    iy = max(0.0, min(ay + ah, by + bh) - max(ay, by))
+    inter = ix * iy
+    union = aw * ah + bw * bh - inter
+    if union <= 0.0:
+        # two degenerate boxes; identical ones still count as a perfect match
+        return 1.0 if a == b else 0.0
+    return inter / union
+
+
+def _oracle_match_plot(preds, golds, thr):
+    """Greedy one-to-one matching in score order; returns (score, is_tp)."""
+    order = sorted(range(len(preds)), key=lambda k: (-preds[k].score, k))
+    taken = [False] * len(golds)
+    out = []
+    for k in order:
+        best, best_iou = -1, thr
+        for g, gold in enumerate(golds):
+            if taken[g]:
+                continue
+            v = _oracle_iou(preds[k].bbox, gold.bbox)
+            if v >= best_iou:
+                best, best_iou = g, v
+        if best >= 0:
+            taken[best] = True
+            out.append((preds[k].score, True))
+        else:
+            out.append((preds[k].score, False))
+    return out
+
+
+def _oracle_ap_from_records(records, n_gold):
+    """Every-point interpolated AP from pooled (score, is_tp) records."""
+    if n_gold == 0:
+        return 0.0
+    if not records:
+        return 0.0
+    records = sorted(records, key=lambda r: -r[0])
+    tp = np.cumsum([1 if hit else 0 for _, hit in records])
+    fp = np.cumsum([0 if hit else 1 for _, hit in records])
+    recall = tp / n_gold
+    precision = tp / np.maximum(tp + fp, 1)
+    # precision envelope, then area under the recall steps
+    env = np.maximum.accumulate(precision[::-1])[::-1]
+    ap = 0.0
+    prev_r = 0.0
+    for r, p in zip(recall, env):
+        if r > prev_r:
+            ap += (r - prev_r) * p
+            prev_r = r
+    return float(ap)
+
+
+def _oracle_average_precision(preds, golds, thr):
+    classes = sorted({e.cls for g in golds for e in g.elements})
+    per_class = {}
+    for cls in classes:
+        records = []
+        n_gold = 0
+        for p, g in zip(preds, golds):
+            gold_elems = [e for e in g.elements if e.cls == cls]
+            n_gold += len(gold_elems)
+            records.extend(_oracle_match_plot(p.by_class(cls), gold_elems, thr))
+        per_class[cls] = _oracle_ap_from_records(records, n_gold)
+    m_ap = float(np.mean(list(per_class.values()))) if per_class else 0.0
+    return per_class, m_ap
+
+
+THRESHOLDS = (0.5, 0.75, 0.9)
+HEAVY = NoiseModel(box_jitter_sigma=6.0, drop_prob=0.35, misclass_prob=0.2, ocr_char_sub_prob=0.4,
+                   ocr_truncate_prob=0.4, ocr_sign_digit_prob=0.4, seed=5)
+
+
+def _assert_matches_oracle(dets, anns):
+    pool = APPool(THRESHOLDS)
+    for d, a in zip(dets, anns):
+        pool.add(d, a)
+    for thr, got in zip(THRESHOLDS, pool.result()):
+        want = _oracle_average_precision(dets, anns, thr)
+        assert got == want  # per-class dict and mAP, exactly
+        assert average_precision(dets, anns, thr) == want
+
+
+def _grid_plot(rng, template, classes, n_gold, n_pred):
+    """A plot on a coarse integer grid, so that duplicate boxes, IOU ties,
+    score ties and zero-size boxes (identical or not) are all common."""
+    def box():
+        w, h = rng.integers(0, 4, 2)
+        return tuple(float(v) for v in (*rng.integers(0, 5, 2), w, h))
+
+    golds = [VisualElement(str(rng.choice(classes)), box()) for _ in range(n_gold)]
+    if golds and n_gold > 1:
+        golds.append(golds[0])  # a duplicated gold element
+    dets = []
+    for _ in range(n_pred):
+        if golds and rng.random() < 0.5:
+            src = golds[int(rng.integers(len(golds)))]
+            cls, bbox = src.cls, src.bbox if rng.random() < 0.5 else box()
+        else:
+            cls, bbox = str(rng.choice(classes)), box()
+        dets.append(Detection(cls, bbox, float(rng.choice([0.25, 0.5, 0.5, 1.0]))))
+    if dets:
+        dets.append(dets[-1])  # a duplicated detection, same score
+    return DetectionSet(dets), replace(template, elements=golds)
+
+
+def test_appool_equals_oracle_on_grid_plots():
+    _, _, template = rendered(make_data([[3.0, 7.0]]), "vbar")
+    classes = ["bar", "title", "xtick_label"]
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        plots = [_grid_plot(rng, template, classes, int(rng.integers(0, 8)), int(rng.integers(0, 10)))
+                 for _ in range(int(rng.integers(1, 6)))]
+        _assert_matches_oracle([d for d, _ in plots], [a for _, a in plots])
+
+
+def test_appool_equals_oracle_on_edge_cases():
+    _, _, template = rendered(make_data([[3.0, 7.0]]), "vbar")
+    zero_a, zero_b = (1.0, 1.0, 0.0, 0.0), (2.0, 1.0, 0.0, 3.0)
+    plot_a = replace(template, elements=[
+        VisualElement("bar", (0.0, 0.0, 2.0, 2.0)), VisualElement("bar", (0.0, 0.0, 2.0, 2.0)),
+        VisualElement("bar", zero_a), VisualElement("bar", zero_b)])
+    plot_b = replace(template, elements=[VisualElement("title", (0.0, 0.0, 4.0, 1.0))])
+    dets_a = DetectionSet([
+        Detection("bar", (0.0, 0.0, 2.0, 2.0), 0.5), Detection("bar", (0.0, 0.0, 2.0, 2.0), 0.5),
+        Detection("bar", zero_a, 0.5), Detection("bar", zero_b, 1.0), Detection("bar", zero_a, 0.25),
+        # misclassified: the only "title" gold is in the other plot
+        Detection("title", (0.0, 0.0, 4.0, 1.0), 1.0)])
+    cases = [
+        ([dets_a, DetectionSet([])], [plot_a, plot_b]),
+        ([DetectionSet([]), DetectionSet([])], [plot_a, plot_b]),
+        ([dets_a], [plot_a]),
+        ([DetectionSet([])], [replace(template, elements=[])]),
+        ([dets_a], [replace(template, elements=[])]),
+    ]
+    for dets, anns in cases:
+        _assert_matches_oracle(dets, anns)
+    per_class, _ = average_precision(dets_a, plot_a, 0.5)
+    assert per_class["bar"] == 1.0  # both duplicates and both zero-size golds found
+
+
+@pytest.mark.parametrize("noise", [PAPER_LIKE, HEAVY], ids=["paper_like", "heavy"])
+def test_appool_equals_oracle_on_perturbed_plots(corpus, noise):
+    anns, dets = [], []
+    for seed in range(25):
+        _, ann = render(make_plot_spec(sample_plot_data(corpus, seed), seed))
+        anns.append(ann)
+        dets.append(perturb(ann, noise.with_seed(noise.seed + seed)))
+    _assert_matches_oracle(dets, anns)
 
 
 # -- ocr accuracy ------------------------------------------------------------

@@ -13,23 +13,22 @@ import numpy as np
 
 import plotquest as pq
 from plotquest.cli import stable_seed
-from plotquest.detsim import NoiseModel, average_precision, perturb
+from plotquest.detsim import APPool, NoiseModel, perturb
 from plotquest.sie import extract_table, table_f1
 
 def measure(noise: NoiseModel, n_plots: int = 200, seed0: int = 0):
     corpus = pq.default_corpus()
-    dets, golds, f1s = [], [], []
+    thresholds = (0.5, 0.75, 0.9)
+    pool = APPool(thresholds)
+    f1s = []
     for i in range(n_plots):
         data = pq.sample_plot_data(corpus, stable_seed(seed0, "data", i))
         spec = pq.make_plot_spec(data, stable_seed(seed0, "style", i))
         _, ann = pq.render(spec)
         det = perturb(ann, noise.with_seed(stable_seed(noise.seed, "plot", i)))
-        dets.append(det)
-        golds.append(ann)
+        pool.add(det, ann)
         f1s.append(table_f1(extract_table(det), ann.gold_table, 0.02)[2])
-    out = {}
-    for thr in (0.5, 0.75, 0.9):
-        out[f"mAP@{thr}"] = average_precision(dets, golds, thr)[1]
+    out = {f"mAP@{thr}": m for thr, (_, m) in zip(thresholds, pool.result())}
     out["meanF1"] = float(np.mean(f1s))
     return out
 
