@@ -16,19 +16,22 @@ data = pq.sample_plot_data(corpus, seed=23)
 spec = pq.make_plot_spec(data, seed=8)
 _, annotation = pq.render(spec)
 
+# read() associates a plot's detections once; the table and every
+# association step can be inspected on the one reading it returns
 clean = pq.perturb(annotation, pq.ZERO_NOISE)
-table = pq.extract_table(clean)
+reading = pq.read(clean)
+table = reading.table()
 print("extracted from clean detections:")
 print(table.to_csv())
 
 p, r, f1 = pq.table_f1(table, annotation.gold_table, rel_tol=0.005)
 print(f"vs gold at 0.5% tolerance: P={p:.3f} R={r:.3f} F1={f1:.3f}")
 
-# the individual association steps are available on their own
-legend_map = pq.associate_legend(clean)
-print("\nlegend map (label -> palette id):", legend_map)
-ticks = pq.associate_ticks(clean, "y" if spec.plot_type != "hbar" else "x")
-print("value ticks:", ticks[:3], "...")
+print("\nlegend map (label -> palette id):", reading.legend_map)
+print("category ticks (text, pixel):", [(ref.text, ref.pos) for ref in reading.cat_refs])
+print("value anchors (value, pixel):", reading.val_ticks[:3], "...")
+for mark, a in list(zip(reading.data_marks, reading.assignments))[:3]:
+    print(f"  {mark.cls} at pixel {mark.center}: row {a.row}, column {a.col}, value {a.value:.3g}")
 
 # under calibrated noise, small box errors and OCR damage cost real cells;
 # the matching tolerance for extraction tuples is 2% (the QA metric's 5%

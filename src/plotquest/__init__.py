@@ -38,10 +38,7 @@ from .plotgen import (
     make_plot_spec, render, validate_annotation,
 )
 from .qgen import QuestionInstance, gold_answer, instantiate, instantiate_all, paraphrase
-from .sie import (
-    PlotReading, associate_legend, associate_ticks, extract_table,
-    interpolate_value, read, table_f1,
-)
+from .sie import PlotReading, associate_legend, extract_table, read, table_f1
 from .table import ExtractionTuple, SemiStructuredTable
 from .tableqa import ParsedQuestion, execute, parse, to_sexpr
 from .templates import Template, default_templates, load_templates
@@ -56,8 +53,7 @@ __all__ = [
     "PlotAnnotation", "PlotSpec", "StyleParams", "VisualElement", "LayoutError",
     "make_plot_spec", "render", "validate_annotation",
     "QuestionInstance", "gold_answer", "instantiate", "instantiate_all", "paraphrase",
-    "PlotReading", "associate_legend", "associate_ticks", "extract_table",
-    "interpolate_value", "read", "table_f1",
+    "PlotReading", "associate_legend", "extract_table", "read", "table_f1",
     "ExtractionTuple", "SemiStructuredTable",
     "ParsedQuestion", "execute", "parse", "to_sexpr",
     "Template", "default_templates", "load_templates",

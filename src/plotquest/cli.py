@@ -85,27 +85,33 @@ def _load_noise(spec: str) -> NoiseModel:
 
 
 def _read_json(path: str, what: str):
-    """Parse a JSON file; malformed content is a data error."""
-    with open(path, encoding="utf-8") as f:
-        try:
+    """Parse a JSON file; a missing or unreadable file, or malformed
+    content, is a data error."""
+    try:
+        with open(path, encoding="utf-8") as f:
             return json.load(f)
-        except ValueError as e:  # JSONDecodeError, and undecodable bytes
-            raise DataError(f"malformed {what} {path}: {e}")
+    except OSError as e:  # missing file, a directory, no permission
+        raise DataError(f"cannot read {what} {path}: {e}")
+    except ValueError as e:  # JSONDecodeError, and undecodable bytes
+        raise DataError(f"malformed {what} {path}: {e}")
 
 
 def _read_jsonl(path: str, what: str, decode) -> list:
     """``decode`` each non-blank line's JSON object; a line that does not
     parse or decode is a data error naming the path and line number."""
     out = []
-    with open(path, "rb") as f:  # bytes: a bad encoding fails in json.loads, on its line
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                out.append(decode(json.loads(line)))
-            except (ValueError, KeyError, TypeError, AttributeError) as e:
-                raise DataError(f"malformed {what} at {path}:{lineno}: {e!r}")
+    try:
+        with open(path, "rb") as f:  # bytes: a bad encoding fails in json.loads, on its line
+            for lineno, line in enumerate(f, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    out.append(decode(json.loads(line)))
+                except (ValueError, KeyError, TypeError, AttributeError) as e:
+                    raise DataError(f"malformed {what} at {path}:{lineno}: {e!r}")
+    except OSError as e:
+        raise DataError(f"cannot read {what} file {path}: {e}")
     return out
 
 
@@ -182,14 +188,10 @@ def cmd_generate(config: RunConfig) -> int:
 
 def _load_dataset(dataset_dir: str) -> tuple[dict, list[tuple[QuestionInstance, int]]]:
     manifest_path = os.path.join(dataset_dir, "manifest.json")
-    if not os.path.exists(manifest_path):
-        raise DataError(f"no manifest.json in {dataset_dir}")
     manifest = _read_json(manifest_path, "manifest")
     if not isinstance(manifest, dict) or not isinstance(manifest.get("splits"), dict):
         raise DataError(f"manifest {manifest_path} has no split assignment")
     questions_path = os.path.join(dataset_dir, "questions.jsonl")
-    if not os.path.exists(questions_path):
-        raise DataError(f"missing {questions_path}")
     questions = _read_jsonl(questions_path, "question",
                             lambda obj: (QuestionInstance.from_json(obj), int(obj["plot_id"])))
     return manifest, questions
@@ -197,13 +199,12 @@ def _load_dataset(dataset_dir: str) -> tuple[dict, list[tuple[QuestionInstance, 
 
 def _load_annotation(dataset_dir: str, plot_id: int) -> PlotAnnotation:
     path = os.path.join(dataset_dir, "annotations", f"{plot_id:04d}.json")
-    if not os.path.exists(path):
-        raise DataError(f"missing annotation {path}")
-    with open(path, encoding="utf-8") as f:
-        text = f.read()
     try:
-        return PlotAnnotation.loads(text)
-    except (ValueError, KeyError, TypeError) as e:
+        with open(path, encoding="utf-8") as f:
+            return PlotAnnotation.loads(f.read())
+    except OSError as e:  # missing file, a directory, no permission
+        raise DataError(f"cannot read annotation {path}: {e}")
+    except (ValueError, KeyError, TypeError) as e:  # undecodable bytes too
         raise DataError(f"malformed annotation {path}: {e!r}")
 
 
@@ -211,7 +212,10 @@ def cmd_run(dataset_dir: str, noise_spec: str, out_dir: str, run_split: str = "t
     manifest, questions = _load_dataset(dataset_dir)
     if run_split not in manifest["splits"]:
         raise UsageError(f"unknown split {run_split!r}")
-    wanted = set(manifest["splits"][run_split])
+    members = manifest["splits"][run_split]
+    if not isinstance(members, list) or not all(type(pid) is int for pid in members):
+        raise DataError(f"manifest split {run_split!r} is not a list of plot ids")
+    wanted = set(members)
     noise = _load_noise(noise_spec)
     os.makedirs(out_dir, exist_ok=True)
 
@@ -285,8 +289,6 @@ def cmd_run(dataset_dir: str, noise_spec: str, out_dir: str, run_split: str = "t
 # extract / evaluate / report
 
 def cmd_extract(input_path: str, out_path: str | None) -> int:
-    if not os.path.exists(input_path):
-        raise DataError(f"no such file: {input_path}")
     obj = _read_json(input_path, "input")
     if not isinstance(obj, dict) or not ("elements" in obj or "detections" in obj):
         raise DataError("input is neither an annotation nor a detection set")
@@ -312,8 +314,6 @@ def _prediction_record(obj: dict) -> tuple[QuestionInstance, Answer | None]:
 
 
 def cmd_evaluate(predictions_path: str, out_path: str | None) -> int:
-    if not os.path.exists(predictions_path):
-        raise DataError(f"no such file: {predictions_path}")
     records = _read_jsonl(predictions_path, "prediction", _prediction_record)
     if not records:
         raise DataError("empty predictions file")
@@ -328,8 +328,6 @@ def cmd_evaluate(predictions_path: str, out_path: str | None) -> int:
 
 
 def cmd_report(report_path: str) -> int:
-    if not os.path.exists(report_path):
-        raise DataError(f"no such file: {report_path}")
     obj = _read_json(report_path, "report")
     try:
         text_out = EvalReport.from_json(obj).render_text()

@@ -17,6 +17,7 @@ Unparseable questions raise ``UnparseableQuestion``.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -27,7 +28,9 @@ from .answers import Answer, AnswerUnavailable, UnparseableQuestion, number, tex
 from .detsim import Detection, DetectionSet
 from .plotgen import PlotAnnotation
 from .qgen import count_line_crossings
-from .sie import PlotReading, _canonical, _stacked_horizontally, read
+from .sie import (
+    NO_CATEGORY_TICKS, TOO_FEW_VALUE_TICKS, PlotReading, _canonical, _stacked_horizontally, read,
+)
 from .tableqa import ParsedQuestion, parse as parse_question
 from .templates import parse_ordinal
 
@@ -116,7 +119,7 @@ def _structural(tid: int, b: dict[str, str], rd: PlotReading) -> Answer:
         return text("horizontal" if pos.startswith("bottom") else "vertical")
     if tid == 6:
         if not rd.cat_refs:
-            raise AnswerUnavailable("no category ticks detected")
+            raise AnswerUnavailable(NO_CATEGORY_TICKS)
         return number(len(rd.cat_refs))
     if tid in (7, 8):
         ft = b["figure_type"]
@@ -133,7 +136,7 @@ def _structural(tid: int, b: dict[str, str], rd: PlotReading) -> Answer:
     if tid in (10, 11):
         counts = _group_counts(rd)
         if not counts:
-            raise AnswerUnavailable("no category ticks detected")
+            raise AnswerUnavailable(NO_CATEGORY_TICKS)
         if tid == 10:
             return yes_no(all(c == len(rd.legend_texts) for c in counts))
         return yes_no(len(set(counts)) == 1)
@@ -189,10 +192,12 @@ def _structural(tid: int, b: dict[str, str], rd: PlotReading) -> Answer:
         return text(rd.cat_refs[order[j - 1]].text)
     if tid == 26:
         if len(rd.val_ticks) < 2:
-            raise AnswerUnavailable("fewer than 2 readable value ticks")
+            raise AnswerUnavailable(TOO_FEW_VALUE_TICKS)
         ordered = sorted(v for v, _ in rd.val_ticks)
-        steps = [b2 - a2 for a2, b2 in zip(ordered, ordered[1:])]
-        return number(float(np.median(steps)))
+        step = float(np.median([b2 - a2 for a2, b2 in zip(ordered, ordered[1:])]))
+        if not math.isfinite(step):  # finite ticks far apart can overflow
+            raise AnswerUnavailable("tick step is not finite")
+        return number(step)
     if tid == 27:
         if not rd.val_tick_texts:
             raise AnswerUnavailable("no value ticks detected")

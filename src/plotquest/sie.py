@@ -1,30 +1,31 @@
 """Geometric reconstruction of the underlying table from a detection set.
 
-The association procedure mirrors how a human reads a chart: legend labels
-pair with the nearest preview swatch, tick labels give named positions on
-each axis, every bar (or line vertex) is assigned to the closest category
-tick and to the legend entry whose color it carries, and the value is
-linearly interpolated from the bar's value-edge pixel between the two
-bracketing numeric ticks.
+``read(d)`` is the extraction API. It associates a plot's detections once
+and returns a ``PlotReading``: the canonical marks, the category and value
+ticks (``cat_refs``, ``val_ticks``), the legend map, the orientation, and
+one ``MarkAssignment`` per data mark (its cell and value, or the reason it
+was left out). Everything downstream reads from it: ``extract_table(d)`` is
+``read(d).table()``, and both answering branches in ``hybrid`` share one
+reading for all of a plot's questions.
+
+The association mirrors how a human reads a chart: legend labels pair with
+the nearest preview swatch, tick labels give named positions on each axis,
+every bar (or line vertex) is assigned to the closest category tick and to
+the legend entry whose color it carries, and the value is linearly
+interpolated from the bar's value-edge pixel between the two bracketing
+numeric ticks.
 
 Legend labels pair with previews by minimal Euclidean centroid distance
 (ties broken in reading order). Marks pair with category ticks by centroid
 distance projected onto the category axis: the perpendicular coordinate of
 a bar centroid scales with its value, so unprojected distance misassigns
 long bars even on noise-free input. Anything that cannot be associated
-(unmatched color, unparseable tick text, too few numeric ticks) degrades
-to an empty cell; extraction never guesses and never raises once inputs
-are detections.
+(unmatched color, unparseable tick text, too few numeric ticks, a value
+that is not finite) degrades to an empty cell; extraction never guesses
+and never raises once inputs are detections.
 
 All association is permutation-invariant: detections are put into a
 canonical order before any tie can matter.
-
-``read`` does this work once per plot and returns a ``PlotReading``: the
-canonical marks, ticks, legend map and orientation, plus one assignment
-per data mark (its cell and value, or why it was left out). Everything
-downstream reads from it: ``extract_table(d)`` is ``read(d).table()``, and
-both answering branches in ``hybrid`` share the same reading for all of a
-plot's questions.
 """
 
 from __future__ import annotations
@@ -38,10 +39,6 @@ from .answers import AnswerUnavailable
 from .detsim import Detection, DetectionSet
 from .plotgen import PlotAnnotation
 from .table import SemiStructuredTable
-
-
-class ExtractionError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -116,8 +113,7 @@ def associate_legend(d: DetectionSet) -> dict[str, int]:
 
 
 def _tick_refs(d: DetectionSet, axis: str) -> list[_TickRef]:
-    if axis not in ("x", "y"):
-        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
+    """Labelled ticks on axis 'x' or 'y', ordered by pixel position."""
     cls = "xtick_label" if axis == "x" else "ytick_label"
     refs = []
     for det in _canonical(d.by_class(cls)):
@@ -127,14 +123,6 @@ def _tick_refs(d: DetectionSet, axis: str) -> list[_TickRef]:
         refs.append(_TickRef(det.text, cx if axis == "x" else cy, (cx, cy)))
     refs.sort(key=lambda r: r.pos)
     return refs
-
-
-def associate_ticks(d: DetectionSet, axis: str) -> list[tuple[str, float]]:
-    """Ordered (tick text, pixel position) pairs along one axis."""
-    refs = _tick_refs(d, axis)
-    if len(refs) < 2:
-        raise ExtractionError(f"fewer than 2 tick labels on the {axis} axis")
-    return [(r.text, r.pos) for r in refs]
 
 
 # ---------------------------------------------------------------------------
@@ -169,38 +157,15 @@ def _interp(p: float, ticks: list[tuple[float, float]]) -> float:
     return v0 + (p - p0) * (v1 - v0) / (p1 - p0)
 
 
-def _value_edge(bar_bbox: tuple[float, float, float, float], orientation: str) -> float:
-    x, y, w, h = bar_bbox
-    return (x + w) if orientation == "horizontal" else y
-
-
-def interpolate_value(
-    bar_bbox: tuple[float, float, float, float],
-    value_ticks: list[tuple[float, float]],
-    orientation: str,
-) -> float:
-    """Value represented by a bar, read from its value-edge pixel.
-
-    value_ticks are (numeric value, pixel position) pairs, read as one
-    anchor per pixel position like ``PlotReading.val_ticks``; orientation is
-    'vertical' (value grows upward, edge = box top) or 'horizontal' (value
-    grows rightward, edge = box right). Raises ExtractionError when fewer
-    than 2 positions anchor a value.
-    """
-    anchors = _value_anchors(value_ticks)
-    if len(anchors) < 2:
-        raise ExtractionError("interpolation needs numeric ticks at 2 or more pixel positions")
-    return _interp(_value_edge(bar_bbox, orientation), anchors)
-
-
 # ---------------------------------------------------------------------------
 # one reading per plot
 
-# why a data mark was left out of the table; the last two also make every
-# series reading unavailable (the texts double as AnswerUnavailable messages)
+# why a data mark was left out of the table; the tick reasons also make every
+# series reading unavailable (their texts double as AnswerUnavailable messages)
 UNASSIGNED_COLOR = "mark colour matches no legend entry"
 NO_CATEGORY_TICKS = "no category ticks detected"
 TOO_FEW_VALUE_TICKS = "fewer than 2 readable value ticks"
+NON_FINITE_VALUE = "mark value reads as a non-finite number"
 
 
 @dataclass(frozen=True)
@@ -285,12 +250,15 @@ class PlotReading:
             return MarkAssignment(None, None, None, NO_CATEGORY_TICKS)
         if len(self.val_ticks) < 2:
             return MarkAssignment(None, None, None, TOO_FEW_VALUE_TICKS)
-        if mark.cls == "bar":
-            p = _value_edge(mark.bbox, self.orientation)
+        if mark.cls == "bar":  # the value edge: right for horizontal bars, top for vertical
+            x, y, w, _ = mark.bbox
+            p = x + w if self.horizontal else y
         else:
             p = mark.center[0] if self.horizontal else mark.center[1]
-        value = _interp(p, self.val_ticks)
-        return MarkAssignment(self.nearest_cat(mark), col, float(value))
+        value = float(_interp(p, self.val_ticks))
+        if not math.isfinite(value):  # finite ticks far apart can overflow
+            return MarkAssignment(None, None, None, NON_FINITE_VALUE)
+        return MarkAssignment(self.nearest_cat(mark), col, value)
 
     def table(self) -> SemiStructuredTable:
         """The extracted table; the first mark assigned to a cell wins."""

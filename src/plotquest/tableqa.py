@@ -19,6 +19,7 @@ AnswerUnavailable rather than a fabricated number.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .answers import Answer, AnswerUnavailable, UnparseableQuestion, number, text, yes_no
@@ -226,6 +227,15 @@ def _eval_list(lf: LF, t: SemiStructuredTable) -> list[tuple[str, float]]:
 
 
 def _eval_scalar(lf: LF, t: SemiStructuredTable) -> float:
+    """A scalar expression's value; finite cells can still overflow in
+    sum/mean/median/add/diff/ratio, and such a value answers nothing."""
+    value = _scalar(lf, t)
+    if not math.isfinite(value):
+        raise AnswerUnavailable(f"{lf[0]} is not finite")
+    return value
+
+
+def _scalar(lf: LF, t: SemiStructuredTable) -> float:
     op = lf[0]
     if op == "num":
         return float(lf[1])
@@ -315,12 +325,14 @@ def execute(lf: LF, t: SemiStructuredTable) -> Answer:
 
 
 def to_sexpr(lf: LF) -> str:
-    """Debug rendering, e.g. (count_where (col "price of diesel") > 0.6)."""
-    parts = []
-    for item in lf:
+    """Debug rendering, e.g. (count_where (col "price of diesel") > 0.6).
+    Every string argument of a table lookup is quoted."""
+    quote = lf[0] in ("col", "cell", "has_col", "span")
+    parts = [lf[0]]
+    for item in lf[1:]:
         if isinstance(item, tuple):
             parts.append(to_sexpr(item))
-        elif isinstance(item, str) and lf[0] in ("col", "cell", "has_col", "span") and item is not lf[0]:
+        elif quote and isinstance(item, str):
             parts.append(f'"{item}"')
         else:
             parts.append(str(item))

@@ -281,6 +281,44 @@ def test_run_malformed_manifest_is_data_error(dataset, tmp_path):
     assert main(["run", "--dataset", str(ds), "--out", str(tmp_path / "o")]) == 2
 
 
+def _set_test_split(ds, members):
+    manifest = json.loads((ds / "manifest.json").read_text())
+    manifest["splits"]["test"] = members
+    (ds / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _manifest_dir(ds):
+    (ds / "manifest.json").unlink()
+    (ds / "manifest.json").mkdir()
+
+
+def _annotation_not_utf8(ds):
+    pid = json.loads((ds / "manifest.json").read_text())["splits"]["test"][0]
+    (ds / "annotations" / f"{pid:04d}.json").write_bytes(b'{"elements": "\xff"}')
+
+
+@pytest.mark.parametrize("argv,damage", [
+    (["extract", "--input", "{ds}"], None),
+    (["evaluate", "--predictions", "{ds}"], None),
+    (["report", "--report", "{ds}"], None),
+    (["run", "--dataset", "{ds}"], _manifest_dir),
+    (["run", "--dataset", "{ds}"], _annotation_not_utf8),
+    (["run", "--dataset", "{ds}"], lambda ds: _set_test_split(ds, 3)),
+    (["run", "--dataset", "{ds}"], lambda ds: _set_test_split(ds, [[0, 1]])),
+], ids=["extract-dir", "evaluate-dir", "report-dir", "manifest-dir", "annotation-not-utf8",
+        "split-int", "split-of-lists"])
+def test_damaged_input_is_one_line_data_error(dataset, tmp_path, capsys, argv, damage):
+    ds = _copy_dataset(dataset, tmp_path)
+    if damage:
+        damage(ds)
+    argv = [arg.format(ds=ds) for arg in argv]
+    if argv[0] == "run":
+        argv += ["--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("model", [
     {"box_jiter_sigma": 2.0},
     {"box_jitter_sigma": -1.0},

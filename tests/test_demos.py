@@ -1,4 +1,5 @@
-"""Every script under demos/ runs to completion from a scratch directory."""
+"""Every script under demos/, and the noise calibration tool on a few plots,
+runs to completion from a scratch directory."""
 
 import os
 import subprocess
@@ -11,10 +12,20 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
-def test_demo_runs(demo, tmp_path):
+def run_script(path: Path, cwd: Path, *args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+    proc = subprocess.run([sys.executable, str(path), *args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_runs(demo, tmp_path):
+    run_script(demo, tmp_path)
+
+
+def test_calibrate_noise_runs(tmp_path):
+    proc = run_script(ROOT / "tools" / "calibrate_noise.py", tmp_path, "5")
+    assert proc.stdout.startswith("current paper_like: mAP@0.5=")

@@ -83,15 +83,20 @@ def test_perturb_different_seeds_differ(corpus):
     assert a.to_json() != b.to_json()
 
 
-def test_jittered_value_edge_shifts_reading():
+def test_jittered_bar_edge_shifts_reading():
     # an 80 px edge error on an axis where 80 px equal 80 units turns a
     # gold reading of 680 into 760
-    from plotquest.sie import interpolate_value
-    ticks = [(0.0, 800.0), (1000.0, -200.0)]  # 1 unit per pixel, value up
+    from plotquest.sie import read
+    axes = [
+        Detection("ytick_label", (10, 794, 20, 12), 1.0, text="0"),  # centre 800
+        Detection("ytick_label", (10, 294, 20, 12), 1.0, text="500"),  # centre 300: 1 unit per pixel
+        Detection("xtick_label", (100, 830, 40, 12), 1.0, text="2008"),
+    ]
     gold_box = (100.0, 800.0 - 680.0, 40.0, 680.0)
-    assert interpolate_value(gold_box, ticks, "vertical") == pytest.approx(680.0)
     jittered = (100.0, 800.0 - 760.0, 40.0, 760.0)
-    assert interpolate_value(jittered, ticks, "vertical") == pytest.approx(760.0)
+    for box, value in ((gold_box, 680.0), (jittered, 760.0)):
+        reading = read(DetectionSet(axes + [Detection("bar", box, 1.0, color=0)]))
+        assert reading.table().cells == [[pytest.approx(value)]]
 
 
 # -- corrupt_text ------------------------------------------------------------

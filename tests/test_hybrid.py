@@ -10,7 +10,7 @@ from plotquest.hybrid import (
 )
 from plotquest.plotgen import make_plot_spec, render
 from plotquest.qgen import instantiate_all
-from plotquest.sie import read
+from plotquest.sie import NON_FINITE_VALUE, read
 from plotquest.tableqa import parse
 
 from conftest import clean_detections, make_data, make_spec, rendered
@@ -170,3 +170,21 @@ def test_unparseable_question_fails_loudly_via_pipeline(corpus):
     _, ann = render(make_plot_spec(data, 0))
     with pytest.raises(UnparseableQuestion):
         answer_hybrid("what is the airspeed of an unladen swallow?", ann)
+
+
+def test_overflowing_value_ticks_answer_nothing():
+    # finite tick texts 2e308 apart: every bar reads as -inf, and so does the tick step
+    reading = read(DetectionSet([
+        Detection("ytick_label", (10, 0, 30, 12), 1.0, text="1e308"),
+        Detection("ytick_label", (10, 100, 30, 12), 1.0, text="-1e308"),
+        Detection("xtick_label", (100, 430, 30, 12), 1.0, text="2008"),
+        Detection("xtick_label", (300, 430, 30, 12), 1.0, text="2009"),
+        Detection("bar", (100, 200, 30, 200), 1.0, color=0),
+        Detection("bar", (300, 250, 30, 150), 1.0, color=0),
+    ]))
+    assert [a.reason for a in reading.assignments] == [NON_FINITE_VALUE] * 2
+    assert reading.table().cells == [[None], [None]]
+    for q in ("What is the median price?",
+              "What is the difference between two consecutive major ticks on the Y-axis?"):
+        with pytest.raises(AnswerUnavailable):
+            answer_hybrid(q, reading)

@@ -25,7 +25,7 @@ from conftest import clean_detections, make_style
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
 TEXTS = ["2001", "2002", "2003", "200B", "0", "10", "20", "-5", "2.000e+1", "1O", "",
-         "A", "B", "Brazil", "Price of diesel"]
+         "A", "B", "Brazil", "Price of diesel", "1e308", "-1e308"]
 COLORS = [None, 0, 1, 2, 999, -1]  # 999 and -1 are on no palette
 TEXT_SLOTS = [t for t in TEXTS if t]
 SLOT_VALUES = {

@@ -8,8 +8,8 @@ from plotquest.detsim import ZERO_NOISE, Detection, DetectionSet, perturb
 from plotquest.palette import PALETTE
 from plotquest.plotgen import make_plot_spec, render
 from plotquest.sie import (
-    TOO_FEW_VALUE_TICKS, UNASSIGNED_COLOR, ExtractionError, associate_legend, associate_ticks,
-    extract_table, interpolate_value, parse_tick_value, read, table_f1,
+    TOO_FEW_VALUE_TICKS, UNASSIGNED_COLOR, associate_legend, extract_table, parse_tick_value, read,
+    table_f1,
 )
 from plotquest.table import SemiStructuredTable
 
@@ -59,40 +59,47 @@ def test_legend_empty_when_no_labels():
 
 # -- tick association ---------------------------------------------------------
 
-def test_associate_ticks_ordered_pairs():
+def ytick(text, y):
+    """A y-axis tick label centred on pixel row y."""
+    return Detection("ytick_label", (10, y - 6, 20, 12), 1.0, text=text)
+
+
+def xtick(text, x):
+    """An x-axis tick label centred on pixel column x."""
+    return Detection("xtick_label", (x - 15, 430, 30, 12), 1.0, text=text)
+
+
+def vbar(x, top, bottom=400):
+    """A vertical bar of palette colour 0 centred on column x."""
+    return Detection("bar", (x - 15, top, 30, bottom - top), 1.0, color=0)
+
+
+def test_category_ticks_ordered_by_position():
     d = DetectionSet([
         Detection("xtick_label", (300, 500, 30, 12), 1.0, text="1997"),
         Detection("xtick_label", (100, 500, 30, 12), 1.0, text="1996"),
         Detection("xtick_label", (700, 500, 30, 12), 1.0, text="1999"),
         Detection("xtick_label", (500, 500, 30, 12), 1.0, text="1998"),
     ])
-    ticks = associate_ticks(d, "x")
-    assert [t for t, _ in ticks] == ["1996", "1997", "1998", "1999"]
-    assert [p for _, p in ticks] == sorted(p for _, p in ticks)
+    reading = read(d)
+    assert [(r.text, r.pos) for r in reading.cat_refs] == [
+        ("1996", 115.0), ("1997", 315.0), ("1998", 515.0), ("1999", 715.0)]
 
 
-def test_associate_ticks_numeric_positions_ascend_with_value():
+def test_value_ticks_pair_values_with_positions():
     d = DetectionSet([
         Detection("ytick_label", (10, 100, 30, 12), 1.0, text="100"),
         Detection("ytick_label", (10, 300, 30, 12), 1.0, text="0"),
     ])
-    ticks = associate_ticks(d, "y")
-    parsed = [(parse_tick_value(t), p) for t, p in ticks]
-    assert parsed == [(100.0, 106.0), (0.0, 306.0)]
+    reading = read(d)
+    assert reading.val_tick_texts == ["100", "0"]
+    assert reading.val_ticks == [(100.0, 106.0), (0.0, 306.0)]
 
 
 def test_scientific_tick_text_parses():
     assert parse_tick_value("2.000e+5") == 200000.0
     assert parse_tick_value("200B") is None
     assert parse_tick_value("-2009") == -2009.0
-
-
-def test_associate_ticks_needs_two():
-    d = DetectionSet([Detection("ytick_label", (10, 100, 30, 12), 1.0, text="0")])
-    with pytest.raises(ExtractionError):
-        associate_ticks(d, "y")
-    with pytest.raises(ValueError):
-        associate_ticks(d, "z")
 
 
 # -- bar association ----------------------------------------------------------
@@ -152,37 +159,57 @@ def test_corrupted_bar_color_leaves_cell_empty():
 
 
 # -- interpolation ------------------------------------------------------------
+# each value is read through PlotReading from a bar's value edge: the top of
+# a vertical bar, the right end of a horizontal one
 
 def test_interpolate_midpoint():
-    ticks = [(0.0, 300.0), (100.0, 100.0)]
-    assert interpolate_value((50, 200, 30, 100), ticks, "vertical") == pytest.approx(50.0)
+    reading = read(DetectionSet([ytick("0", 300), ytick("100", 100), xtick("2008", 115),
+                                 vbar(115, 200, 300)]))
+    assert reading.table().cells == [[pytest.approx(50.0)]]
 
 
 def test_interpolate_exact_at_tick():
-    ticks = [(0.0, 300.0), (50.0, 200.0), (100.0, 100.0)]
-    assert interpolate_value((10, 200.0, 5, 100.0), ticks, "vertical") == 50.0
-    assert interpolate_value((10, 100.0, 5, 200.0), ticks, "vertical") == 100.0
+    reading = read(DetectionSet([
+        ytick("0", 300), ytick("50", 200), ytick("100", 100),
+        xtick("2008", 115), xtick("2009", 315), vbar(115, 200, 300), vbar(315, 100, 300),
+    ]))
+    assert reading.table().cells == [[50.0], [100.0]]
 
 
 def test_interpolate_extrapolates_beyond_ticks():
-    ticks = [(0.0, 300.0), (100.0, 100.0)]
-    assert interpolate_value((10, 50.0, 5, 250.0), ticks, "vertical") == pytest.approx(125.0)
+    # unequal spacing (0.5 then 1 unit per pixel): each side extrapolates
+    # from its own nearest pair of anchors
+    reading = read(DetectionSet([
+        ytick("0", 300), ytick("50", 200), ytick("150", 100),
+        xtick("2008", 115), xtick("2009", 315), vbar(115, 50), vbar(315, 350),
+    ]))
+    assert reading.table().cells == [[pytest.approx(200.0)], [pytest.approx(-25.0)]]
 
 
 def test_interpolate_horizontal_uses_right_edge():
-    ticks = [(0.0, 100.0), (10.0, 300.0)]
-    assert interpolate_value((100.0, 50, 100.0, 20), ticks, "horizontal") == pytest.approx(5.0)
+    # bars sharing a left edge read as horizontal; the value axis is x
+    reading = read(DetectionSet([
+        xtick("0", 100), xtick("10", 300), ytick("A", 60), ytick("B", 160),
+        Detection("bar", (100.0, 50, 100.0, 20), 1.0, color=0),
+        Detection("bar", (100.0, 150, 150.0, 20), 1.0, color=0),
+    ]))
+    assert reading.orientation == "horizontal"
+    assert reading.table().cells == [[pytest.approx(5.0)], [pytest.approx(7.5)]]
 
 
 def test_interpolate_requires_two_ticks():
-    with pytest.raises(ExtractionError):
-        interpolate_value((0, 0, 1, 1), [(0.0, 300.0)], "vertical")
-    # two values at one pixel anchor nothing, as in PlotReading
-    with pytest.raises(ExtractionError):
-        interpolate_value((0, 100, 1, 1), [(0.0, 300.0), (100.0, 300.0)], "vertical")
-    # an identical repeat is one anchor
-    with pytest.raises(ExtractionError):
-        interpolate_value((0, 100, 1, 1), [(0.0, 300.0), (0.0, 300.0)], "vertical")
+    cases = [
+        ([ytick("0", 300)], [(0.0, 300.0)]),
+        # two values at one pixel anchor nothing
+        ([ytick("0", 300), ytick("100", 300)], []),
+        # an identical repeat is one anchor
+        ([ytick("0", 300), ytick("0", 300)], [(0.0, 300.0)]),
+    ]
+    for ticks, anchors in cases:
+        reading = read(DetectionSet(ticks + [xtick("2008", 115), vbar(115, 100, 300)]))
+        assert reading.val_ticks == anchors
+        assert [a.reason for a in reading.assignments] == [TOO_FEW_VALUE_TICKS]
+        assert reading.table().cells == [[None]]
 
 
 # -- full extraction ----------------------------------------------------------

@@ -90,6 +90,24 @@ def test_missing_cell_is_unavailable():
         execute(("ratio", ("cell", "a", "x"), ("num", 0.0)), t)
 
 
+def test_overflowing_scalars_are_unavailable():
+    # finite cells whose sum, mean, median, difference or ratio overflows
+    # answer nothing, so no NaN from inf - inf reaches a comparison
+    same = SemiStructuredTable(["a", "b"], ["x"], [[1e308], [1e308]])
+    apart = SemiStructuredTable(["a", "b"], ["x"], [[1e308], [-1e308]])
+    tiny = SemiStructuredTable(["a", "b"], ["x"], [[1e308], [1e-300]])
+    a, b, col = ("cell", "a", "x"), ("cell", "b", "x"), ("col", "x")
+    cases = [
+        (("sum", col), same), (("mean", col), same), (("median", col), same), (("add", a, b), same),
+        (("cmp", ">", ("diff", ("add", a, b), ("add", a, b)), ("num", 0.0)), same),
+        (("diff", a, b), apart), (("diff", ("max", col), ("min", col)), apart),
+        (("ratio", a, b), tiny),
+    ]
+    for lf, t in cases:
+        with pytest.raises(AnswerUnavailable, match="not finite"):
+            execute(lf, t)
+
+
 def test_answer_composition():
     t = SemiStructuredTable(["2008", "2009"], ["price of diesel"], [[0.5], [0.9]])
     got = execute(parse("What is the price of diesel in 2008?").logical_form, t)
@@ -302,3 +320,7 @@ def test_sexpr_rendering():
     lf = ("count_where", ("col", "price of diesel"), ">", ("num", 0.6))
     s = to_sexpr(lf)
     assert s == '(count_where (col "price of diesel") > (num 0.6))'
+    # every string argument of a lookup is quoted, also one spelled like its operator
+    assert to_sexpr(("col", "col")) == '(col "col")'
+    assert to_sexpr(("cell", "cell", "x")) == '(cell "cell" "x")'
+    assert to_sexpr(parse("What is the median cell?").logical_form) == '(median (col "cell"))'
