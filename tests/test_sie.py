@@ -96,6 +96,16 @@ def test_value_ticks_pair_values_with_positions():
     assert reading.val_ticks == [(100.0, 106.0), (0.0, 306.0)]
 
 
+def test_associate_ticks_needs_two():
+    # one value tick anchors no scale: the bar is read but left unvalued
+    d = DetectionSet([Detection("ytick_label", (10, 100, 30, 12), 1.0, text="0"),
+                      xtick("2008", 115), vbar(115, 200, 300)])
+    reading = read(d)
+    assert reading.val_ticks == [(0.0, 106.0)]
+    assert [a.reason for a in reading.assignments] == [TOO_FEW_VALUE_TICKS]
+    assert reading.table().cells == [[None]]
+
+
 def test_scientific_tick_text_parses():
     assert parse_tick_value("2.000e+5") == 200000.0
     assert parse_tick_value("200B") is None
