@@ -119,6 +119,21 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _make_out_dir(path: str) -> None:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as e:  # an existing file, a file on the path, no permission
+        raise UsageError(f"cannot use --out {path} as a directory: {e.strerror}")
+
+
+def _write_out_file(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
+    except OSError as e:  # a directory, a missing parent, no permission
+        raise UsageError(f"cannot write --out {path}: {e.strerror}")
+
+
 def _write(path: str, data: bytes, hashes: dict[str, str], root: str) -> None:
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "wb") as f:
@@ -135,7 +150,7 @@ def cmd_generate(config: RunConfig) -> int:
     if not corpus:
         raise DataError("corpus is empty")
     out = config.out_dir
-    os.makedirs(out, exist_ok=True)
+    _make_out_dir(out)
 
     hashes: dict[str, str] = {}
     question_lines: list[str] = []
@@ -217,7 +232,7 @@ def cmd_run(dataset_dir: str, noise_spec: str, out_dir: str, run_split: str = "t
         raise DataError(f"manifest split {run_split!r} is not a list of plot ids")
     wanted = set(members)
     noise = _load_noise(noise_spec)
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
 
     by_plot: dict[int, list[QuestionInstance]] = {}
     for q, pid in questions:
@@ -301,8 +316,7 @@ def cmd_extract(input_path: str, out_path: str | None) -> int:
         print("warning: empty detection set", file=sys.stderr)
     csv_text = extract_table(reading).to_csv()
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as f:
-            f.write(csv_text)
+        _write_out_file(out_path, csv_text)
     else:
         sys.stdout.write(csv_text)
     return 0
@@ -321,8 +335,7 @@ def cmd_evaluate(predictions_path: str, out_path: str | None) -> int:
     report = evaluate([q for q, _ in records], lambda q: lookup[id(q)])
     text_out = report.render_text()
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as f:
-            f.write(report.dumps())
+        _write_out_file(out_path, report.dumps())
     print(text_out)
     return 0
 

@@ -13,8 +13,14 @@ sign/digit damage on numeric strings).
 AP uses every-point interpolation (area under the precision envelope) with
 greedy one-to-one matching in score order; an exact half-recall detection
 set therefore scores AP = 0.5. Scoring takes one pass per plot: one IOU
-matrix per (plot, class), matched at all thresholds from that matrix, with
+matrix of all the plot's detections against all its gold elements, masked
+to same-class pairs and matched at all thresholds from that matrix, with
 only the compact match records pooled across plots (APPool).
+
+The random stream is part of the behaviour: perturbation draws a fixed six
+values per element from one generator per plot, and text corruption draws
+from one generator per string; any change to those draws or their order
+changes every noisy output.
 """
 
 from __future__ import annotations
@@ -174,7 +180,7 @@ class Detection:
     def from_json(obj: dict) -> "Detection":
         return Detection(
             cls=obj["class"],
-            bbox=tuple(float(v) for v in obj["bbox"]),
+            bbox=tuple(map(float, obj["bbox"])),
             score=float(obj["score"]),
             text=obj.get("text"),
             color=obj.get("color"),
@@ -249,11 +255,13 @@ def corrupt_text(s: str, noise: NoiseModel, seed: int) -> str:
     rng = np.random.default_rng(seed)
     out = list(s)
 
-    # character substitution: per-position, length preserving
+    # character substitution: per-position, length preserving; one uniform
+    # per character, drawn as one block (the same doubles, in order, as one
+    # draw per character)
     if noise.ocr_char_sub_prob > 0:
-        for k, c in enumerate(out):
-            if rng.random() < noise.ocr_char_sub_prob and c in CHAR_CONFUSION:
-                out[k] = CHAR_CONFUSION[c]
+        for k, u in enumerate(rng.random(len(out)).tolist()):
+            if u < noise.ocr_char_sub_prob and out[k] in CHAR_CONFUSION:
+                out[k] = CHAR_CONFUSION[out[k]]
 
     # sign/digit damage on numeric-looking strings
     if noise.ocr_sign_digit_prob > 0 and _is_numericish(s):
@@ -297,11 +305,13 @@ def perturb_with_provenance(
     rng = np.random.default_rng(noise.seed)
     zero = noise.is_zero()
     classes = list(ELEMENT_CLASSES)
+    sigmas: dict[str, float] = {}  # per class, looked up once per call
     detections: list[Detection] = []
     provenance: list[tuple[VisualElement, Detection | None]] = []
     for e in annotation.elements:
+        # six draws per element, whatever fires
         r_drop = rng.random()
-        jit = rng.normal(0.0, 1.0, size=4)
+        jit = rng.normal(0.0, 1.0, size=4).tolist()
         r_mis = rng.random()
         mis_pick = int(rng.integers(len(classes) - 1))
         r_score = rng.random()
@@ -311,9 +321,11 @@ def perturb_with_provenance(
             provenance.append((e, None))
             continue
 
-        x, y, w, h = e.bbox
-        sigma = noise.sigma_for(e.cls)
+        sigma = sigmas.get(e.cls)
+        if sigma is None:
+            sigma = sigmas[e.cls] = noise.sigma_for(e.cls)
         if sigma > 0:
+            x, y, w, h = e.bbox
             x1 = x + sigma * jit[0]
             y1 = y + sigma * jit[1]
             x2 = x + w + sigma * jit[2]
@@ -324,13 +336,8 @@ def perturb_with_provenance(
 
         cls = e.cls
         if r_mis < noise.misclass_prob:
-            others = [c for c in classes if c != e.cls]
-            cls = others[mis_pick]
-
-        text = e.text
-        if text is not None:
-            text = corrupt_text(text, noise, text_seed)
-
+            cls = [c for c in classes if c != e.cls][mis_pick]
+        text = e.text if e.text is None else corrupt_text(e.text, noise, text_seed)
         score = 1.0 if zero else 0.5 + 0.5 * r_score
         det = Detection(cls=cls, bbox=bbox, score=score, text=text, color=e.color)
         detections.append(det)
@@ -344,11 +351,12 @@ def perturb_with_provenance(
 class APPool:
     """Per-class AP and mAP at several IOU thresholds, fed one plot at a time.
 
-    ``add`` matches one plot's detections to its gold elements: per class,
-    one IOU matrix, then greedy one-to-one matching in score order at every
-    threshold (among golds tied at the best IOU the last one wins). Only the
-    compact match records are kept, so a caller can drop the plot after
-    ``add``. Records pool per class across plots.
+    ``add`` matches one plot's detections to its gold elements: one IOU
+    matrix of all detections against all golds, masked to same-class pairs
+    that clear the lowest threshold, then greedy one-to-one matching in
+    score order at every threshold (among golds tied at the best IOU the
+    last one wins). Only the compact match records are kept, so a caller
+    can drop the plot after ``add``. Records pool per class across plots.
     """
 
     def __init__(self, thresholds: Sequence[float]):
@@ -363,32 +371,36 @@ class APPool:
         self._hits: list[dict[str, bytearray]] = [{} for _ in self.thresholds]
 
     def add(self, pred: DetectionSet, gold: PlotAnnotation) -> None:
-        gold_boxes: dict[str, list[BBox]] = {}
         for e in gold.elements:
-            gold_boxes.setdefault(e.cls, []).append(e.bbox)
-        for cls, boxes in gold_boxes.items():
-            self._n_gold[cls] = self._n_gold.get(cls, 0) + len(boxes)
-        preds: dict[str, list[Detection]] = {}
-        for d in pred.detections:
-            preds.setdefault(d.cls, []).append(d)
-        for cls, dets in preds.items():
-            dets.sort(key=lambda d: -d.score)  # stable: ties keep detection order
-            self._scores.setdefault(cls, array("d")).extend(d.score for d in dets)
-            boxes = gold_boxes.get(cls, [])
-            rows = iou_matrix([d.bbox for d in dets], boxes).tolist()
-            # per detection, the golds that clear the lowest threshold
-            candidates = [[(g, v) for g, v in enumerate(row) if v >= self._lowest] for row in rows]
-            for thr, hits in zip(self.thresholds, self._hits):
-                out = hits.setdefault(cls, bytearray())
-                taken = [False] * len(boxes)
-                for row in candidates:
-                    best, best_iou = -1, thr
-                    for g, v in row:
-                        if v >= best_iou and not taken[g]:
-                            best, best_iou = g, v
-                    if best >= 0:
-                        taken[best] = True
-                    out.append(best >= 0)
+            self._n_gold[e.cls] = self._n_gold.get(e.cls, 0) + 1
+        dets = sorted(pred.detections, key=lambda d: -d.score)  # stable: ties keep detection order
+        if not dets:
+            return
+        codes: dict[str, int] = {}  # class -> index, in order of first detection
+        det_codes = [codes.setdefault(d.cls, len(codes)) for d in dets]
+        gold_codes = [codes.get(e.cls, -1) for e in gold.elements]
+        scores = [self._scores.setdefault(cls, array("d")) for cls in codes]
+        for d, c in zip(dets, det_codes):
+            scores[c].append(d.score)
+        m = iou_matrix([d.bbox for d in dets], [e.bbox for e in gold.elements])
+        same_cls = np.array(det_codes)[:, None] == np.array(gold_codes, dtype=np.int64)[None, :]
+        rows, cols = np.nonzero(same_cls & (m >= self._lowest))
+        # per detection, the golds of its class that clear the lowest
+        # threshold, in plot order
+        candidates: list[list[tuple[int, float]]] = [[] for _ in dets]
+        for i, g, v in zip(rows.tolist(), cols.tolist(), m[rows, cols].tolist()):
+            candidates[i].append((g, v))
+        for thr, hits in zip(self.thresholds, self._hits):
+            outs = [hits.setdefault(cls, bytearray()) for cls in codes]
+            taken = [False] * len(gold_codes)  # golds of different classes never compete
+            for c, row in zip(det_codes, candidates):
+                best, best_iou = -1, thr
+                for g, v in row:
+                    if v >= best_iou and not taken[g]:
+                        best, best_iou = g, v
+                if best >= 0:
+                    taken[best] = True
+                outs[c].append(best >= 0)
 
     def result(self) -> list[tuple[dict[str, float], float]]:
         """One (per-class AP, mAP) per threshold; mAP averages over the

@@ -121,7 +121,10 @@ class PlotSpec:
 
 def check_bbox(bbox: tuple[float, ...]) -> None:
     """Reject a box that is not four finite numbers with non-negative size."""
-    if len(bbox) != 4 or not all(math.isfinite(v) for v in bbox) or bbox[2] < 0 or bbox[3] < 0:
+    if (len(bbox) != 4
+            or not (math.isfinite(bbox[0]) and math.isfinite(bbox[1])
+                    and math.isfinite(bbox[2]) and math.isfinite(bbox[3]))
+            or bbox[2] < 0 or bbox[3] < 0):
         raise ValueError(f"bbox {bbox} is not (x, y, w, h) with finite values and w, h >= 0")
 
 
@@ -168,7 +171,7 @@ class VisualElement:
     def from_json(obj: dict) -> "VisualElement":
         return VisualElement(
             cls=obj["class"],
-            bbox=tuple(float(v) for v in obj["bbox"]),
+            bbox=tuple(map(float, obj["bbox"])),
             text=obj.get("text"),
             color=obj.get("color"),
             series_index=obj.get("series_index"),

@@ -534,6 +534,22 @@ def paraphrase(pattern: str, bindings: dict[str, str], lexicon: dict[str, str]) 
     return Template(0, "structural", "yes_no", pattern).fill(mapped)
 
 
+def _cdf(weights: list[float]) -> np.ndarray:
+    """The cumulative distribution that ``Generator.choice`` builds from
+    ``p=weights / sum(weights)``, so that ``_draw`` picks what it picks."""
+    p = np.array(weights, dtype=float)
+    p /= p.sum()
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
+    """One index drawn from ``cdf``: the same single uniform and the same
+    index as ``rng.choice(len(cdf), p=...)``, without re-validating ``p``."""
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def instantiate(
     data: PlotData,
     spec: PlotSpec,
@@ -557,19 +573,17 @@ def instantiate(
             buckets.setdefault((t.category, t.answer_type), []).append(t)
 
     categories = sorted({c for c, _ in buckets})
-    cw = np.array([CATEGORY_WEIGHTS[c] for c in categories], dtype=float)
-    cw /= cw.sum()
+    cat_cdf = _cdf([CATEGORY_WEIGHTS[c] for c in categories])
+    atypes = {cat: sorted({a for c, a in buckets if c == cat}) for cat in categories}
+    atype_cdf = {cat: _cdf([ANSWER_TYPE_WEIGHTS[cat][a] for a in atypes[cat]]) for cat in categories}
 
     out: list[QuestionInstance] = []
     seen: set[str] = set()
     attempts = 0
     while len(out) < n_questions and attempts < n_questions * 40:
         attempts += 1
-        cat = categories[int(rng.choice(len(categories), p=cw))]
-        atypes = sorted({a for c, a in buckets if c == cat})
-        aw = np.array([ANSWER_TYPE_WEIGHTS[cat][a] for a in atypes], dtype=float)
-        aw /= aw.sum()
-        atype = atypes[int(rng.choice(len(atypes), p=aw))]
+        cat = categories[_draw(cat_cdf, rng)]
+        atype = atypes[cat][_draw(atype_cdf[cat], rng)]
         pool = buckets[(cat, atype)]
         template = pool[int(rng.integers(len(pool)))]
         try:

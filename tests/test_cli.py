@@ -358,3 +358,24 @@ def test_run_reads_each_plot_once_and_parses_each_question_once(dataset, tmp_pat
     records = [json.loads(line) for line in open(out / "predictions.jsonl")]
     assert calls["extract_table"] == len({r["plot_id"] for r in records})
     assert calls["match"] == len(records)
+
+
+@pytest.mark.parametrize("argv,out_is", [
+    (["generate", "--n-plots", "2"], "file"),
+    (["run", "--dataset", "{ds}"], "file"),
+    (["extract", "--input", "{ds}/annotations/0000.json"], "dir"),
+    (["evaluate", "--predictions", "{predictions}"], "dir"),
+], ids=["generate-out-file", "run-out-file", "extract-out-dir", "evaluate-out-dir"])
+def test_unusable_out_path_is_one_line_usage_error(dataset, tmp_path, capsys, argv, out_is):
+    predictions = tmp_path / "predictions.jsonl"
+    predictions.write_text(json.dumps(GOOD_PREDICTION) + "\n")
+    out = tmp_path / "out"
+    if out_is == "file":
+        out.write_text("kept")
+    else:
+        out.mkdir()
+    argv = [arg.format(ds=dataset, predictions=predictions) for arg in argv]
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1, err
+    assert out.read_text() == "kept" if out_is == "file" else not os.listdir(out)

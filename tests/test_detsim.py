@@ -5,10 +5,11 @@ import pytest
 
 from plotquest.corpus import sample_plot_data
 from plotquest.detsim import (
-    PAPER_LIKE, ZERO_NOISE, APPool, Detection, DetectionSet, NoiseModel,
-    average_precision, corrupt_text, get_preset, iou, iou_matrix, ocr_accuracy, perturb,
+    CHAR_CONFUSION, DIGIT_CONFUSION, PAPER_LIKE, ZERO_NOISE, APPool, Detection, DetectionSet,
+    NoiseModel, _is_numericish, average_precision, corrupt_text, get_preset, iou, iou_matrix,
+    ocr_accuracy, perturb, perturb_with_provenance,
 )
-from plotquest.plotgen import VisualElement
+from plotquest.plotgen import ELEMENT_CLASSES, VisualElement
 from plotquest.plotgen import make_plot_spec, render
 
 from conftest import make_data, rendered
@@ -363,6 +364,151 @@ def test_appool_equals_oracle_on_perturbed_plots(corpus, noise):
         anns.append(ann)
         dets.append(perturb(ann, noise.with_seed(noise.seed + seed)))
     _assert_matches_oracle(dets, anns)
+
+
+# -- perturbation oracle -----------------------------------------------------
+# corrupt_text and perturb_with_provenance as they were before their per-call
+# overheads were cut (one draw per character, a sigma lookup per element,
+# jitter arithmetic on numpy scalars), kept verbatim as the reference apart
+# from the names: the current code must consume the same random stream and
+# give exactly the same detections and provenance.
+
+def _oracle_corrupt_text(s: str, noise: NoiseModel, seed: int) -> str:
+    """Apply the OCR error model to one string, deterministically per seed."""
+    rng = np.random.default_rng(seed)
+    out = list(s)
+
+    # character substitution: per-position, length preserving
+    if noise.ocr_char_sub_prob > 0:
+        for k, c in enumerate(out):
+            if rng.random() < noise.ocr_char_sub_prob and c in CHAR_CONFUSION:
+                out[k] = CHAR_CONFUSION[c]
+
+    # sign/digit damage on numeric-looking strings
+    if noise.ocr_sign_digit_prob > 0 and _is_numericish(s):
+        if rng.random() < noise.ocr_sign_digit_prob:
+            if rng.random() < 0.5:
+                out.insert(0, "-")
+            else:
+                digit_pos = [k for k, c in enumerate(out) if c in DIGIT_CONFUSION]
+                if digit_pos:
+                    k = digit_pos[int(rng.integers(len(digit_pos)))]
+                    out[k] = DIGIT_CONFUSION[out[k]]
+                else:
+                    out.insert(0, "-")
+
+    # tail truncation
+    if noise.ocr_truncate_prob > 0 and len(out) > 1:
+        if rng.random() < noise.ocr_truncate_prob:
+            out = out[:-1]
+
+    return "".join(out)
+
+
+def _oracle_perturb_with_provenance(annotation, noise):
+    """Like perturb, but also maps each gold element to its detection
+    (None when dropped), which OCR scoring needs for alignment."""
+    rng = np.random.default_rng(noise.seed)
+    zero = noise.is_zero()
+    classes = list(ELEMENT_CLASSES)
+    detections = []
+    provenance = []
+    for e in annotation.elements:
+        r_drop = rng.random()
+        jit = rng.normal(0.0, 1.0, size=4)
+        r_mis = rng.random()
+        mis_pick = int(rng.integers(len(classes) - 1))
+        r_score = rng.random()
+        text_seed = int(rng.integers(2**31 - 1))
+
+        if r_drop < noise.drop_prob:
+            provenance.append((e, None))
+            continue
+
+        x, y, w, h = e.bbox
+        sigma = noise.sigma_for(e.cls)
+        if sigma > 0:
+            x1 = x + sigma * jit[0]
+            y1 = y + sigma * jit[1]
+            x2 = x + w + sigma * jit[2]
+            y2 = y + h + sigma * jit[3]
+            bbox = (x1, y1, max(x2 - x1, 0.25), max(y2 - y1, 0.25))
+        else:
+            bbox = e.bbox
+
+        cls = e.cls
+        if r_mis < noise.misclass_prob:
+            others = [c for c in classes if c != e.cls]
+            cls = others[mis_pick]
+
+        text = e.text
+        if text is not None:
+            text = _oracle_corrupt_text(text, noise, text_seed)
+
+        score = 1.0 if zero else 0.5 + 0.5 * r_score
+        det = Detection(cls=cls, bbox=bbox, score=score, text=text, color=e.color)
+        detections.append(det)
+        provenance.append((e, det))
+    return DetectionSet(detections, style=annotation.style), provenance
+
+
+NOISES = [ZERO_NOISE, PAPER_LIKE, HEAVY]
+NOISE_IDS = ["zero", "paper_like", "heavy"]
+# "" has nothing to corrupt; the second text is every confusable character;
+# "347" is numeric with no confusable digit (the sign/digit damage inserts
+# "-"); "2019" has confusable digits (one is picked with rng.integers)
+EDGE_TEXTS = ["", "".join(CHAR_CONFUSION), "347", "2019", "-0.5e+3", "A"]
+SIGN_DIGIT_ONLY = NoiseModel(ocr_sign_digit_prob=1.0)
+
+
+def _det_key(d):
+    if d is None:
+        return None
+    return (d.cls, tuple(float(v) for v in d.bbox), d.score, d.text, d.color)
+
+
+def _assert_perturb_matches_oracle(ann, noise):
+    got, got_prov = perturb_with_provenance(ann, noise)
+    want, want_prov = _oracle_perturb_with_provenance(ann, noise)
+    assert [_det_key(d) for d in got.detections] == [_det_key(d) for d in want.detections]
+    assert got.style == want.style
+    assert [_det_key(d) for _, d in got_prov] == [_det_key(d) for _, d in want_prov]
+    assert all(g is w is e for (g, _), (w, _), e in zip(got_prov, want_prov, ann.elements))
+
+
+@pytest.mark.parametrize("noise", NOISES, ids=NOISE_IDS)
+def test_perturb_equals_oracle_on_rendered_plots(corpus, noise):
+    for seed in range(20):
+        _, ann = render(make_plot_spec(sample_plot_data(corpus, seed), seed))
+        _assert_perturb_matches_oracle(ann, noise.with_seed(noise.seed + seed))
+
+
+def test_perturb_equals_oracle_on_edge_texts():
+    _, _, template = rendered(make_data([[3.0, 7.0]]), "vbar")
+    elements = [VisualElement("xtick_label", (10.0 * k, 5.0, 8.0, 4.0), text=text)
+                for k, text in enumerate(EDGE_TEXTS)]
+    elements.append(VisualElement("widget", (1.0, 2.0, 3.0, 0.0)))  # a class no sigma names
+    ann = replace(template, elements=elements)
+    for noise in [*NOISES, SIGN_DIGIT_ONLY]:
+        for seed in range(30):
+            _assert_perturb_matches_oracle(ann, noise.with_seed(seed))
+
+
+@pytest.mark.parametrize("noise", [*NOISES, SIGN_DIGIT_ONLY, NoiseModel(ocr_char_sub_prob=1.0)],
+                         ids=[*NOISE_IDS, "sign_digit_only", "substitute_all"])
+def test_corrupt_text_equals_oracle_on_edge_texts(noise):
+    for text in EDGE_TEXTS:
+        for seed in range(300):
+            assert corrupt_text(text, noise, seed) == _oracle_corrupt_text(text, noise, seed)
+
+
+def test_corrupt_text_edge_texts_reach_every_branch():
+    assert {corrupt_text("347", SIGN_DIGIT_ONLY, seed) for seed in range(40)} == {"-347"}
+    damaged = {corrupt_text("2019", SIGN_DIGIT_ONLY, seed) for seed in range(40)}
+    assert damaged == {"-2019", "Z019", "2O19", "20I9", "201q"}
+    all_confusable = "".join(CHAR_CONFUSION)
+    assert corrupt_text(all_confusable, NoiseModel(ocr_char_sub_prob=1.0), 3) == \
+        "".join(CHAR_CONFUSION.values())
 
 
 # -- ocr accuracy ------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Property tests for the library contract on arbitrary detection sets:
-extraction never raises and does not depend on detection order, and the
-answering functions raise only AnswerUnavailable or UnparseableQuestion.
+extraction never raises, never fills a cell with a non-finite value and does
+not depend on detection order, and the answering functions raise only
+AnswerUnavailable or UnparseableQuestion.
 
 Two generators feed them. One builds sets from scratch: coordinates snap to
 a coarse grid so that coincident ticks, shared baselines and duplicate
@@ -8,7 +9,11 @@ marks come up often, and any class may be empty. The other damages clean
 rendered plots (drops, duplicates, retexts or recolours a few elements),
 which keeps enough structure for value questions to get past extraction. Texts
 and colours come from small pools with duplicates, empty and None texts,
-and colours off the palette."""
+and colours off the palette. A third generator, with its own tests, gives
+clean plots value ticks that read 1e308 and -1e308 in turn: finite texts
+whose interpolated values overflow."""
+
+import math
 
 from hypothesis import given, settings, strategies as st
 
@@ -97,6 +102,33 @@ def damaged_plots(draw):
 detection_sets = st.one_of(scratch_sets(), damaged_plots())
 
 
+def _value_ticks(plot: DetectionSet) -> list[int]:
+    """Indices of a plot's value-axis tick labels, in pixel order."""
+    axis = read(plot).val_axis
+    ticks = [k for k, det in enumerate(plot.detections) if det.cls == f"{axis}tick_label"]
+    return sorted(ticks, key=lambda k: plot.detections[k].center[0 if axis == "x" else 1])
+
+
+VALUE_TICKS = [_value_ticks(plot) for plot in CLEAN_PLOTS]
+
+
+@st.composite
+def overflowing_plots(draw):
+    """A clean plot whose value ticks (all of them, or one adjacent pair)
+    read 1e308 and -1e308 in turn, so every value between two of them
+    overflows to a non-finite number."""
+    n = draw(st.integers(0, len(CLEAN_PLOTS) - 1))
+    plot, ticks = CLEAN_PLOTS[n], VALUE_TICKS[n]
+    if not draw(st.booleans()):
+        k = draw(st.integers(0, len(ticks) - 2))
+        ticks = ticks[k:k + 2]
+    dets = list(plot.detections)
+    for i, k in enumerate(ticks):
+        det = dets[k]
+        dets[k] = Detection(det.cls, det.bbox, det.score, "-1e308" if i % 2 else "1e308", det.color)
+    return DetectionSet(dets, style=plot.style)
+
+
 @st.composite
 def questions(draw, d: DetectionSet):
     """A question from any template; text slots mostly name texts the plot has."""
@@ -108,17 +140,14 @@ def questions(draw, d: DetectionSet):
     return template.fill(bindings)
 
 
-@PROPERTY_SETTINGS
-@given(d=detection_sets, data=st.data())
-def test_extraction_never_raises_and_ignores_order(d, data):
+def _assert_extraction_is_finite_and_ignores_order(d, data):
     table = extract_table(d)
+    assert all(v is None or math.isfinite(v) for row in table.cells for v in row), table.cells
     shuffled = data.draw(st.permutations(d.detections))
     assert extract_table(DetectionSet(shuffled, style=d.style)).to_json() == table.to_json()
 
 
-@PROPERTY_SETTINGS
-@given(d=detection_sets, data=st.data())
-def test_answering_raises_only_documented_errors(d, data):
+def _assert_answering_raises_only_documented_errors(d, data):
     reading = read(d)
     for q in data.draw(st.lists(questions(d), min_size=1, max_size=8)):
         for fn in (answer_hybrid, answer_pipeline_only, answer_structural):
@@ -126,3 +155,22 @@ def test_answering_raises_only_documented_errors(d, data):
                 fn(q, reading)
             except (AnswerUnavailable, UnparseableQuestion):
                 pass
+
+
+@PROPERTY_SETTINGS
+@given(d=detection_sets, data=st.data())
+def test_extraction_never_raises_and_ignores_order(d, data):
+    _assert_extraction_is_finite_and_ignores_order(d, data)
+
+
+@PROPERTY_SETTINGS
+@given(d=detection_sets, data=st.data())
+def test_answering_raises_only_documented_errors(d, data):
+    _assert_answering_raises_only_documented_errors(d, data)
+
+
+@PROPERTY_SETTINGS
+@given(d=overflowing_plots(), data=st.data())
+def test_overflowing_value_ticks_keep_the_contract(d, data):
+    _assert_extraction_is_finite_and_ignores_order(d, data)
+    _assert_answering_raises_only_documented_errors(d, data)

@@ -5,7 +5,7 @@ from plotquest import tableqa
 from plotquest.answers import Answer
 from plotquest.corpus import sample_plot_data
 from plotquest.qgen import (
-    ANSWER_TYPE_WEIGHTS, applicable_templates, gold_answer, instantiate,
+    ANSWER_TYPE_WEIGHTS, CATEGORY_WEIGHTS, _cdf, _draw, applicable_templates, gold_answer, instantiate,
     instantiate_all, paraphrase,
 )
 from plotquest.templates import Template, TemplateError, default_templates, ordinal
@@ -194,3 +194,22 @@ def test_threshold_questions_are_nondegenerate(corpus):
 def test_ordinal_formatting():
     assert [ordinal(k) for k in (1, 2, 3, 4, 11, 12, 13, 21, 22, 23, 101)] == [
         "1st", "2nd", "3rd", "4th", "11th", "12th", "13th", "21st", "22nd", "23rd", "101st"]
+
+
+def test_draw_equals_generator_choice():
+    # the same uniform and the same index as rng.choice(p=...), draw for draw,
+    # over 10^5 draws that cycle through weight lists as instantiate does
+    weight_lists = [
+        list(CATEGORY_WEIGHTS.values()),
+        list(ANSWER_TYPE_WEIGHTS["reasoning"].values()),
+        list(ANSWER_TYPE_WEIGHTS["structural"].values()),  # one weight is zero
+        [0.3, 0.7],
+        [1.0],
+    ]
+    cdfs = [_cdf(w) for w in weight_lists]
+    ps = [np.array(w, dtype=float) / np.sum(w) for w in weight_lists]  # as instantiate normalized
+    ours, theirs = np.random.default_rng(11), np.random.default_rng(11)
+    for k in range(100_000):
+        n = k % len(weight_lists)
+        assert _draw(cdfs[n], ours) == int(theirs.choice(len(ps[n]), p=ps[n]))
+    assert ours.random() == theirs.random()  # both streams at the same place
