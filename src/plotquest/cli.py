@@ -12,7 +12,10 @@ Dataset layout under --out:
     questions.jsonl        one question instance per line (with plot_id)
     manifest.json          config echo, split assignment, file hashes
 
-Exit codes: 0 success, 1 usage error, 2 data error.
+Exit codes: 0 success, 1 usage error, 2 data error. Two rules hold at the
+file boundary of every command, each with one line on stderr: an input file
+that cannot be read or decoded exits 2 naming the file (``_read``), and an
+output path that cannot be written exits 1 naming the path (``_write``).
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import __version__
 from .answers import Answer, AnswerUnavailable, UnparseableQuestion
@@ -46,6 +48,11 @@ class DataError(ValueError):
     pass
 
 
+# What a decoder raises on content it cannot decode; UnicodeDecodeError and
+# json.JSONDecodeError are ValueErrors.
+_DECODE_ERRORS = (ValueError, KeyError, TypeError, AttributeError)
+
+
 def stable_seed(master: int, *parts) -> int:
     """FNV-style stable derivation of per-plot seeds from the master seed."""
     h = 2166136261
@@ -55,68 +62,48 @@ def stable_seed(master: int, *parts) -> int:
     return h
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    corpus: str | None
-    n_plots: int
-    seed: int
-    split_ratios: tuple[float, float, float]
-    out_dir: str
-    questions_per_plot: int = DEFAULT_QUESTIONS_PER_PLOT
-
-    def validate(self) -> None:
-        if self.n_plots < 1:
-            raise UsageError("--n-plots must be >= 1")
-        if self.questions_per_plot < 1:
-            raise UsageError("--questions-per-plot must be >= 1")
-
-
-def _load_noise(spec: str) -> NoiseModel:
-    if os.path.exists(spec):
-        try:
-            with open(spec, encoding="utf-8") as f:
-                return NoiseModel.from_json(json.load(f))
-        except (OSError, ValueError, KeyError) as e:
-            raise DataError(f"bad noise model file {spec}: {e}")
+def _read(path: str, what: str, decode):
+    """Open ``path`` once and return ``decode`` of the binary file. A file
+    that cannot be opened or read, or that does not decode, is a data error
+    naming ``what`` and the path; a DataError from ``decode`` passes through."""
     try:
-        return get_preset(spec)
-    except KeyError as e:
-        raise UsageError(str(e))
-
-
-def _read_json(path: str, what: str):
-    """Parse a JSON file; a missing or unreadable file, or malformed
-    content, is a data error."""
-    try:
-        with open(path, encoding="utf-8") as f:
-            return json.load(f)
+        with open(path, "rb") as f:
+            return decode(f)
+    except DataError:
+        raise
     except OSError as e:  # missing file, a directory, no permission
         raise DataError(f"cannot read {what} {path}: {e}")
-    except ValueError as e:  # JSONDecodeError, and undecodable bytes
-        raise DataError(f"malformed {what} {path}: {e}")
+    except _DECODE_ERRORS as e:
+        raise DataError(f"malformed {what} {path}: {e!r}")
 
 
 def _read_jsonl(path: str, what: str, decode) -> list:
-    """``decode`` each non-blank line's JSON object; a line that does not
-    parse or decode is a data error naming the path and line number."""
-    out = []
+    """``decode`` each non-blank line's JSON object, one line at a time; a
+    line that does not parse or decode is a data error naming the path and
+    line number."""
+    def lines(f) -> list:
+        out = []
+        for lineno, line in enumerate(f, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                out.append(decode(json.loads(line)))
+            except _DECODE_ERRORS as e:
+                raise DataError(f"malformed {what} at {path}:{lineno}: {e!r}")
+        return out
+
+    return _read(path, f"{what} file", lines)
+
+
+def _write(path: str, chunks) -> None:
+    """Write the byte strings ``chunks`` to ``path`` one by one; a path that
+    cannot be written is a usage error."""
     try:
-        with open(path, "rb") as f:  # bytes: a bad encoding fails in json.loads, on its line
-            for lineno, line in enumerate(f, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    out.append(decode(json.loads(line)))
-                except (ValueError, KeyError, TypeError, AttributeError) as e:
-                    raise DataError(f"malformed {what} at {path}:{lineno}: {e!r}")
-    except OSError as e:
-        raise DataError(f"cannot read {what} file {path}: {e}")
-    return out
-
-
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+        with open(path, "wb") as f:
+            f.writelines(chunks)
+    except OSError as e:  # a directory, a missing parent, no permission
+        raise UsageError(f"cannot write --out {path}: {e.strerror}")
 
 
 def _make_out_dir(path: str) -> None:
@@ -126,47 +113,44 @@ def _make_out_dir(path: str) -> None:
         raise UsageError(f"cannot use --out {path} as a directory: {e.strerror}")
 
 
-def _write_out_file(path: str, text: str) -> None:
+def _load_noise(spec: str) -> NoiseModel:
+    if os.path.exists(spec):
+        return _read(spec, "noise model", lambda f: NoiseModel.from_json(json.load(f)))
     try:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(text)
-    except OSError as e:  # a directory, a missing parent, no permission
-        raise UsageError(f"cannot write --out {path}: {e.strerror}")
-
-
-def _write(path: str, data: bytes, hashes: dict[str, str], root: str) -> None:
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    with open(path, "wb") as f:
-        f.write(data)
-    hashes[os.path.relpath(path, root)] = _sha256(data)
+        return get_preset(spec)
+    except KeyError as e:
+        raise UsageError(str(e))
 
 
 # ---------------------------------------------------------------------------
 # generate
 
-def cmd_generate(config: RunConfig) -> int:
-    config.validate()
-    corpus = load_corpus(config.corpus) if config.corpus else default_corpus()
+def cmd_generate(corpus_path: str | None, n_plots: int, seed: int,
+                 split_ratios: tuple[float, float, float], questions_per_plot: int, out: str) -> int:
+    corpus = load_corpus(corpus_path) if corpus_path else default_corpus()
     if not corpus:
         raise DataError("corpus is empty")
-    out = config.out_dir
-    _make_out_dir(out)
+    for sub in ("plots", "annotations", "tables"):
+        _make_out_dir(os.path.join(out, sub))
 
     hashes: dict[str, str] = {}
+
+    def put(name: str, data: bytes) -> None:
+        hashes[name] = hashlib.sha256(data).hexdigest()
+        _write(os.path.join(out, name), [data])
+
     question_lines: list[str] = []
     n_questions = 0
-    for i in range(config.n_plots):
-        data = sample_plot_data(corpus, stable_seed(config.seed, "data", i))
-        spec = make_plot_spec(data, stable_seed(config.seed, "style", i))
+    for i in range(n_plots):
+        data = sample_plot_data(corpus, stable_seed(seed, "data", i))
+        spec = make_plot_spec(data, stable_seed(seed, "style", i))
         svg, annotation = render(spec)
-        _write(os.path.join(out, "plots", f"{i:04d}.svg"), svg, hashes, out)
-        _write(os.path.join(out, "annotations", f"{i:04d}.json"),
-               annotation.dumps().encode(), hashes, out)
-        _write(os.path.join(out, "tables", f"{i:04d}.csv"),
-               annotation.gold_table.to_csv().encode(), hashes, out)
+        put(f"plots/{i:04d}.svg", svg)
+        put(f"annotations/{i:04d}.json", annotation.dumps().encode())
+        put(f"tables/{i:04d}.csv", annotation.gold_table.to_csv().encode())
         questions = instantiate(
-            data, spec, stable_seed(config.seed, "questions", i),
-            n_questions=config.questions_per_plot,
+            data, spec, stable_seed(seed, "questions", i),
+            n_questions=questions_per_plot,
         )
         for q in questions:
             rec = q.to_json()
@@ -174,53 +158,46 @@ def cmd_generate(config: RunConfig) -> int:
             question_lines.append(json.dumps(rec))
         n_questions += len(questions)
 
-    _write(os.path.join(out, "questions.jsonl"),
-           ("\n".join(question_lines) + "\n").encode(), hashes, out)
+    put("questions.jsonl", ("\n".join(question_lines) + "\n").encode())
 
-    ids = list(range(config.n_plots))
-    train, valid, test = split(ids, SplitSpec(config.split_ratios, seed=config.seed))
+    ids = list(range(n_plots))
+    train, valid, test = split(ids, SplitSpec(split_ratios, seed=seed))
     manifest = {
         "version": __version__,
         "config": {
-            "corpus": config.corpus,
-            "n_plots": config.n_plots,
-            "seed": config.seed,
-            "split": list(config.split_ratios),
-            "questions_per_plot": config.questions_per_plot,
+            "corpus": corpus_path,
+            "n_plots": n_plots,
+            "seed": seed,
+            "split": list(split_ratios),
+            "questions_per_plot": questions_per_plot,
         },
         "splits": {"train": train, "valid": valid, "test": test},
         "n_questions": n_questions,
         "files": dict(sorted(hashes.items())),
     }
-    with open(os.path.join(out, "manifest.json"), "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=1, sort_keys=True)
-    print(f"wrote {config.n_plots} plots, {n_questions} questions to {out}")
+    _write(os.path.join(out, "manifest.json"), [json.dumps(manifest, indent=1, sort_keys=True).encode()])
+    print(f"wrote {n_plots} plots, {n_questions} questions to {out}")
     return 0
 
 
 # ---------------------------------------------------------------------------
 # run
 
+def _question_record(obj: dict) -> tuple[QuestionInstance, int]:
+    pid = obj["plot_id"]
+    if type(pid) is not int:
+        raise ValueError(f"plot_id {pid!r} is not an integer")
+    return QuestionInstance.from_json(obj), pid
+
+
 def _load_dataset(dataset_dir: str) -> tuple[dict, list[tuple[QuestionInstance, int]]]:
     manifest_path = os.path.join(dataset_dir, "manifest.json")
-    manifest = _read_json(manifest_path, "manifest")
+    manifest = _read(manifest_path, "manifest", json.load)
     if not isinstance(manifest, dict) or not isinstance(manifest.get("splits"), dict):
         raise DataError(f"manifest {manifest_path} has no split assignment")
     questions_path = os.path.join(dataset_dir, "questions.jsonl")
-    questions = _read_jsonl(questions_path, "question",
-                            lambda obj: (QuestionInstance.from_json(obj), int(obj["plot_id"])))
+    questions = _read_jsonl(questions_path, "question", _question_record)
     return manifest, questions
-
-
-def _load_annotation(dataset_dir: str, plot_id: int) -> PlotAnnotation:
-    path = os.path.join(dataset_dir, "annotations", f"{plot_id:04d}.json")
-    try:
-        with open(path, encoding="utf-8") as f:
-            return PlotAnnotation.loads(f.read())
-    except OSError as e:  # missing file, a directory, no permission
-        raise DataError(f"cannot read annotation {path}: {e}")
-    except (ValueError, KeyError, TypeError) as e:  # undecodable bytes too
-        raise DataError(f"malformed annotation {path}: {e!r}")
 
 
 def cmd_run(dataset_dir: str, noise_spec: str, out_dir: str, run_split: str = "test") -> int:
@@ -251,7 +228,8 @@ def cmd_run(dataset_dir: str, noise_spec: str, out_dir: str, run_split: str = "t
     predictions = []
     answers = {}
     for pid in plot_ids:
-        annotation = _load_annotation(dataset_dir, pid)
+        annotation = _read(os.path.join(dataset_dir, "annotations", f"{pid:04d}.json"), "annotation",
+                           lambda f: PlotAnnotation.loads(f.read()))
         det, provenance = perturb_with_provenance(
             annotation, noise.with_seed(stable_seed(noise.seed, "plot", pid)))
         ap_pool.add(det, annotation)
@@ -281,9 +259,7 @@ def cmd_run(dataset_dir: str, noise_spec: str, out_dir: str, run_split: str = "t
     from .detsim import ocr_accuracy as _ocr_acc
     ocr_total = _ocr_acc(ocr_pairs_pred, ocr_pairs_gold)["total"] if ocr_pairs_gold else None
 
-    with open(os.path.join(out_dir, "predictions.jsonl"), "w", encoding="utf-8") as f:
-        for rec in predictions:
-            f.write(json.dumps(rec) + "\n")
+    _write(os.path.join(out_dir, "predictions.jsonl"), (f"{json.dumps(rec)}\n".encode() for rec in predictions))
 
     report = evaluate(
         [q for pid in plot_ids for q in by_plot[pid]],
@@ -292,31 +268,30 @@ def cmd_run(dataset_dir: str, noise_spec: str, out_dir: str, run_split: str = "t
         ocr_accuracy=ocr_total,
         mean_table_f1=sum(f1s) / len(f1s),
     )
-    with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as f:
-        f.write(report.dumps())
-    with open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8") as f:
-        f.write(report.render_text())
-    print(report.render_text())
+    text_out = report.render_text()
+    _write(os.path.join(out_dir, "report.json"), [report.dumps().encode()])
+    _write(os.path.join(out_dir, "report.txt"), [text_out.encode()])
+    print(text_out)
     return 0
 
 
 # ---------------------------------------------------------------------------
 # extract / evaluate / report
 
-def cmd_extract(input_path: str, out_path: str | None) -> int:
-    obj = _read_json(input_path, "input")
+def _plot_source(f) -> PlotAnnotation | DetectionSet:
+    obj = json.load(f)
     if not isinstance(obj, dict) or not ("elements" in obj or "detections" in obj):
-        raise DataError("input is neither an annotation nor a detection set")
-    try:
-        source = PlotAnnotation.from_json(obj) if "elements" in obj else DetectionSet.from_json(obj)
-    except (ValueError, KeyError, TypeError) as e:
-        raise DataError(f"malformed input {input_path}: {e!r}")
-    reading = read(source)
+        raise ValueError("neither an annotation nor a detection set")
+    return PlotAnnotation.from_json(obj) if "elements" in obj else DetectionSet.from_json(obj)
+
+
+def cmd_extract(input_path: str, out_path: str | None) -> int:
+    reading = read(_read(input_path, "input", _plot_source))
     if not reading.detections.detections:
         print("warning: empty detection set", file=sys.stderr)
     csv_text = extract_table(reading).to_csv()
     if out_path:
-        _write_out_file(out_path, csv_text)
+        _write(out_path, [csv_text.encode()])
     else:
         sys.stdout.write(csv_text)
     return 0
@@ -330,23 +305,18 @@ def _prediction_record(obj: dict) -> tuple[QuestionInstance, Answer | None]:
 def cmd_evaluate(predictions_path: str, out_path: str | None) -> int:
     records = _read_jsonl(predictions_path, "prediction", _prediction_record)
     if not records:
-        raise DataError("empty predictions file")
+        raise DataError(f"empty predictions file {predictions_path}")
     lookup = {id(q): p for q, p in records}
     report = evaluate([q for q, _ in records], lambda q: lookup[id(q)])
     text_out = report.render_text()
     if out_path:
-        _write_out_file(out_path, report.dumps())
+        _write(out_path, [report.dumps().encode()])
     print(text_out)
     return 0
 
 
 def cmd_report(report_path: str) -> int:
-    obj = _read_json(report_path, "report")
-    try:
-        text_out = EvalReport.from_json(obj).render_text()
-    except (KeyError, TypeError, ValueError, AttributeError) as e:
-        raise DataError(f"malformed report {report_path}: {e!r}")
-    print(text_out)
+    print(_read(report_path, "report", lambda f: EvalReport.from_json(json.load(f)).render_text()))
     return 0
 
 
@@ -358,18 +328,25 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _at_least_one(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
 def _split_ratios(text: str) -> tuple[float, float, float]:
     parts = text.split(",")
     if len(parts) != 3:
-        raise UsageError(f"--split needs 3 comma-separated ratios, got {text!r}")
+        raise argparse.ArgumentTypeError(f"needs 3 comma-separated ratios, got {text!r}")
     try:
         ratios = tuple(float(p) for p in parts)
-    except ValueError:
-        raise UsageError(f"--split ratios are not numbers: {text!r}")
-    try:
         SplitSpec(ratios)
-    except ValueError as e:
-        raise UsageError(str(e))
+    except ValueError as e:  # a ratio that is not a number, negative ratios, a sum other than 1
+        raise argparse.ArgumentTypeError(str(e))
     return ratios
 
 
@@ -379,10 +356,10 @@ def build_parser() -> _Parser:
 
     g = sub.add_parser("generate", help="synthesize a dataset")
     g.add_argument("--corpus", default=None, help="indicator corpus file (default: bundled)")
-    g.add_argument("--n-plots", type=int, required=True)
+    g.add_argument("--n-plots", type=_at_least_one, required=True)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--split", type=_split_ratios, default=(0.70, 0.15, 0.15))
-    g.add_argument("--questions-per-plot", type=int, default=DEFAULT_QUESTIONS_PER_PLOT)
+    g.add_argument("--questions-per-plot", type=_at_least_one, default=DEFAULT_QUESTIONS_PER_PLOT)
     g.add_argument("--out", required=True)
 
     r = sub.add_parser("run", help="run the noisy pipeline over a dataset split")
@@ -409,15 +386,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command == "generate":
-            config = RunConfig(
-                corpus=args.corpus,
-                n_plots=args.n_plots,
-                seed=args.seed,
-                split_ratios=args.split,
-                out_dir=args.out,
-                questions_per_plot=args.questions_per_plot,
-            )
-            return cmd_generate(config)
+            return cmd_generate(args.corpus, args.n_plots, args.seed, args.split,
+                                args.questions_per_plot, args.out)
         if args.command == "run":
             return cmd_run(args.dataset, args.noise, args.out, args.run_split)
         if args.command == "extract":

@@ -50,6 +50,8 @@ class IndicatorVariable:
         lo, hi = self.value_range
         if not self.name:
             raise ValueError("indicator name is empty")
+        if not self.unit_phrase:
+            raise ValueError("unit_phrase is empty")
         if self.value_kind not in VALUE_KINDS:
             raise ValueError(f"bad value_kind {self.value_kind!r}")
         if not (0 <= lo <= hi <= GLOBAL_VALUE_CAP):

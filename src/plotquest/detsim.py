@@ -35,6 +35,7 @@ import numpy as np
 
 from .plotgen import (
     ELEMENT_CLASSES, PlotAnnotation, StyleParams, VisualElement, check_bbox, check_text_and_color,
+    element_class,
 )
 
 BBox = tuple[float, float, float, float]
@@ -179,7 +180,7 @@ class Detection:
     @staticmethod
     def from_json(obj: dict) -> "Detection":
         return Detection(
-            cls=obj["class"],
+            cls=element_class(obj),
             bbox=tuple(map(float, obj["bbox"])),
             score=float(obj["score"]),
             text=obj.get("text"),

@@ -68,6 +68,8 @@ class StyleParams:
     canvas: tuple[float, float] = DEFAULT_CANVAS
 
     def validate(self) -> None:
+        if not isinstance(self.grid, bool):
+            raise ValueError(f"grid {self.grid!r} is not a boolean")
         if self.tick_notation not in TICK_NOTATIONS:
             raise ValueError(f"bad tick_notation {self.tick_notation!r}")
         if self.line_style not in LINE_STYLES:
@@ -96,7 +98,7 @@ class StyleParams:
 
     @staticmethod
     def from_json(obj: dict) -> "StyleParams":
-        return StyleParams(
+        style = StyleParams(
             grid=obj["grid"],
             font_size=obj["font_size"],
             tick_notation=obj["tick_notation"],
@@ -106,6 +108,8 @@ class StyleParams:
             series_colors=tuple(obj["series_colors"]),
             canvas=tuple(obj["canvas"]),
         )
+        style.validate()
+        return style
 
 
 @dataclass(frozen=True)
@@ -135,6 +139,15 @@ def check_text_and_color(text, color) -> None:
         raise ValueError(f"text {text!r} is not a string")
     if color is not None and (isinstance(color, bool) or not isinstance(color, int)):
         raise ValueError(f"color {color!r} is not an integer colour id")
+
+
+def element_class(obj: dict) -> str:
+    """The "class" of a decoded element or detection, which must be one of
+    ELEMENT_CLASSES."""
+    cls = obj["class"]
+    if cls not in ELEMENT_CLASSES:
+        raise ValueError(f"unknown element class {cls!r}")
+    return cls
 
 
 @dataclass(frozen=True)
@@ -170,7 +183,7 @@ class VisualElement:
     @staticmethod
     def from_json(obj: dict) -> "VisualElement":
         return VisualElement(
-            cls=obj["class"],
+            cls=element_class(obj),
             bbox=tuple(map(float, obj["bbox"])),
             text=obj.get("text"),
             color=obj.get("color"),
@@ -210,7 +223,7 @@ class PlotAnnotation:
         return json.dumps(self.to_json(), indent=1)
 
     @staticmethod
-    def loads(text: str) -> "PlotAnnotation":
+    def loads(text: str | bytes) -> "PlotAnnotation":
         return PlotAnnotation.from_json(json.loads(text))
 
 

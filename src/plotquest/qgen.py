@@ -29,7 +29,7 @@ from .answers import Answer, number, text, yes_no
 from .corpus import ENTITY_POOLS, PlotData, pluralize
 from .plotgen import PlotSpec, plot_title, screen_axis_labels, value_axis
 from .templates import (
-    Template, default_templates, ordinal, parse_ordinal,
+    ANSWER_TYPES, CATEGORIES, Template, default_templates, ordinal, parse_ordinal,
 )
 
 DEFAULT_QUESTIONS_PER_PLOT = 12
@@ -71,12 +71,25 @@ class QuestionInstance:
 
     @staticmethod
     def from_json(obj: dict) -> "QuestionInstance":
+        """Inverse of to_json; raises ValueError on a field of the wrong type
+        or a category or answer type outside the grammar's."""
+        tid, text, bindings = obj["template_id"], obj["text"], obj["bindings"]
+        if isinstance(tid, bool) or not isinstance(tid, int):
+            raise ValueError(f"template_id {tid!r} is not an integer")
+        if not isinstance(text, str):
+            raise ValueError(f"text {text!r} is not a string")
+        if obj["category"] not in CATEGORIES:
+            raise ValueError(f"unknown category {obj['category']!r}")
+        if obj["answer_type"] not in ANSWER_TYPES:
+            raise ValueError(f"unknown answer_type {obj['answer_type']!r}")
+        if not isinstance(bindings, dict) or not all(isinstance(v, str) for v in bindings.values()):
+            raise ValueError(f"bindings {bindings!r} do not map slot names to strings")
         return QuestionInstance(
-            template_id=obj["template_id"],
+            template_id=tid,
             category=obj["category"],
             answer_type=obj["answer_type"],
-            text=obj["text"],
-            bindings=dict(obj["bindings"]),
+            text=text,
+            bindings=dict(bindings),
             gold_answer=Answer.from_json(obj["gold_answer"]),
         )
 

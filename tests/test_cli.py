@@ -149,7 +149,15 @@ GOOD_PREDICTION = {
     json.dumps({k: v for k, v in GOOD_PREDICTION.items() if k != "gold_answer"}).encode(),
     b"[1, 2]",
     b'{"text": "\xff"}',
-], ids=["malformed-json", "unknown-answer-kind", "missing-key", "not-an-object", "not-utf8"])
+    json.dumps({**GOOD_PREDICTION, "text": 5}).encode(),
+    json.dumps({**GOOD_PREDICTION, "template_id": "4"}).encode(),
+    json.dumps({**GOOD_PREDICTION, "template_id": True}).encode(),
+    json.dumps({**GOOD_PREDICTION, "category": "visual"}).encode(),
+    json.dumps({**GOOD_PREDICTION, "answer_type": "free"}).encode(),
+    json.dumps({**GOOD_PREDICTION, "bindings": {"i": 1}}).encode(),
+], ids=["malformed-json", "unknown-answer-kind", "missing-key", "not-an-object", "not-utf8",
+        "int-text", "str-template-id", "bool-template-id", "unknown-category", "unknown-answer-type",
+        "int-binding"])
 def test_evaluate_bad_line_is_data_error(tmp_path, capsys, line):
     path = tmp_path / "predictions.jsonl"
     path.write_bytes(json.dumps(GOOD_PREDICTION).encode() + b"\n" + line + b"\n")
@@ -292,6 +300,22 @@ def _manifest_dir(ds):
     (ds / "manifest.json").mkdir()
 
 
+def _edit_annotations(edit):
+    def damage(ds):
+        for path in (ds / "annotations").iterdir():
+            ann = json.loads(path.read_text())
+            edit(ann)
+            path.write_text(json.dumps(ann))
+    return damage
+
+
+def _set_question(field, value):
+    def damage(ds):
+        records = [json.loads(line) for line in (ds / "questions.jsonl").read_text().splitlines()]
+        (ds / "questions.jsonl").write_text("".join(json.dumps({**r, field: value}) + "\n" for r in records))
+    return damage
+
+
 def _annotation_not_utf8(ds):
     pid = json.loads((ds / "manifest.json").read_text())["splits"]["test"][0]
     (ds / "annotations" / f"{pid:04d}.json").write_bytes(b'{"elements": "\xff"}')
@@ -305,8 +329,17 @@ def _annotation_not_utf8(ds):
     (["run", "--dataset", "{ds}"], _annotation_not_utf8),
     (["run", "--dataset", "{ds}"], lambda ds: _set_test_split(ds, 3)),
     (["run", "--dataset", "{ds}"], lambda ds: _set_test_split(ds, [[0, 1]])),
+    (["run", "--dataset", "{ds}"], _edit_annotations(lambda ann: ann["style"].update(legend_position=5))),
+    (["run", "--dataset", "{ds}"], _edit_annotations(lambda ann: ann["style"].update(grid="no"))),
+    (["extract", "--input", "{ds}/annotations/0000.json"],
+     _edit_annotations(lambda ann: ann["style"].update(legend_position=5))),
+    (["run", "--dataset", "{ds}"], _edit_annotations(lambda ann: ann["elements"][0].update({"class": []}))),
+    (["run", "--dataset", "{ds}"], _set_question("text", 5)),
+    (["run", "--dataset", "{ds}"], _set_question("category", "visual")),
+    (["run", "--dataset", "{ds}"], _set_question("plot_id", float("inf"))),
 ], ids=["extract-dir", "evaluate-dir", "report-dir", "manifest-dir", "annotation-not-utf8",
-        "split-int", "split-of-lists"])
+        "split-int", "split-of-lists", "int-legend-position", "str-grid", "extract-int-legend-position",
+        "list-element-class", "int-question-text", "unknown-question-category", "infinite-plot-id"])
 def test_damaged_input_is_one_line_data_error(dataset, tmp_path, capsys, argv, damage):
     ds = _copy_dataset(dataset, tmp_path)
     if damage:
@@ -360,22 +393,32 @@ def test_run_reads_each_plot_once_and_parses_each_question_once(dataset, tmp_pat
     assert calls["match"] == len(records)
 
 
-@pytest.mark.parametrize("argv,out_is", [
-    (["generate", "--n-plots", "2"], "file"),
-    (["run", "--dataset", "{ds}"], "file"),
-    (["extract", "--input", "{ds}/annotations/0000.json"], "dir"),
-    (["evaluate", "--predictions", "{predictions}"], "dir"),
-], ids=["generate-out-file", "run-out-file", "extract-out-dir", "evaluate-out-dir"])
-def test_unusable_out_path_is_one_line_usage_error(dataset, tmp_path, capsys, argv, out_is):
+@pytest.mark.parametrize("argv,entry,kind", [
+    (["generate", "--n-plots", "2"], "", "file"),
+    (["run", "--dataset", "{ds}"], "", "file"),
+    (["extract", "--input", "{ds}/annotations/0000.json"], "", "dir"),
+    (["evaluate", "--predictions", "{predictions}"], "", "dir"),
+    (["generate", "--n-plots", "2"], "plots", "file"),
+    (["generate", "--n-plots", "2"], "manifest.json", "dir"),
+    (["run", "--dataset", "{ds}"], "predictions.jsonl", "dir"),
+    (["run", "--dataset", "{ds}"], "report.json", "dir"),
+    (["run", "--dataset", "{ds}"], "report.txt", "dir"),
+], ids=["generate-out-file", "run-out-file", "extract-out-dir", "evaluate-out-dir",
+        "generate-plots-file", "generate-manifest-dir", "run-predictions-dir", "run-report-json-dir",
+        "run-report-txt-dir"])
+def test_unusable_out_path_is_one_line_usage_error(dataset, tmp_path, capsys, argv, entry, kind):
+    # ``entry`` is the --out path itself ("") or an entry of the wrong kind inside it
     predictions = tmp_path / "predictions.jsonl"
     predictions.write_text(json.dumps(GOOD_PREDICTION) + "\n")
     out = tmp_path / "out"
-    if out_is == "file":
-        out.write_text("kept")
+    target = out / entry
+    target.parent.mkdir(exist_ok=True)
+    if kind == "file":
+        target.write_text("kept")
     else:
-        out.mkdir()
+        target.mkdir()
     argv = [arg.format(ds=dataset, predictions=predictions) for arg in argv]
     assert main(argv + ["--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and err.count("\n") == 1, err
-    assert out.read_text() == "kept" if out_is == "file" else not os.listdir(out)
+    assert target.read_text() == "kept" if kind == "file" else not os.listdir(target)

@@ -12,14 +12,13 @@ import time
 import numpy as np
 
 import plotquest as pq
-from plotquest.cli import stable_seed
+from plotquest.cli import MAP_THRESHOLDS, TABLE_F1_REL_TOL, stable_seed
 from plotquest.detsim import APPool, NoiseModel, perturb
 from plotquest.sie import extract_table, table_f1
 
 def measure(noise: NoiseModel, n_plots: int = 200, seed0: int = 0):
     corpus = pq.default_corpus()
-    thresholds = (0.5, 0.75, 0.9)
-    pool = APPool(thresholds)
+    pool = APPool(MAP_THRESHOLDS)
     f1s = []
     for i in range(n_plots):
         data = pq.sample_plot_data(corpus, stable_seed(seed0, "data", i))
@@ -27,8 +26,8 @@ def measure(noise: NoiseModel, n_plots: int = 200, seed0: int = 0):
         _, ann = pq.render(spec)
         det = perturb(ann, noise.with_seed(stable_seed(noise.seed, "plot", i)))
         pool.add(det, ann)
-        f1s.append(table_f1(extract_table(det), ann.gold_table, 0.02)[2])
-    out = {f"mAP@{thr}": m for thr, (_, m) in zip(thresholds, pool.result())}
+        f1s.append(table_f1(extract_table(det), ann.gold_table, TABLE_F1_REL_TOL)[2])
+    out = {f"mAP@{thr}": m for thr, (_, m) in zip(MAP_THRESHOLDS, pool.result())}
     out["meanF1"] = float(np.mean(f1s))
     return out
 
