@@ -190,24 +190,23 @@ def _question_record(obj: dict) -> tuple[QuestionInstance, int]:
     return QuestionInstance.from_json(obj), pid
 
 
-def _load_dataset(dataset_dir: str) -> tuple[dict, list[tuple[QuestionInstance, int]]]:
+def _load_dataset(dataset_dir: str, run_split: str) -> tuple[set[int], list[tuple[QuestionInstance, int]]]:
+    """The plot ids of ``run_split`` and every question record."""
     manifest_path = os.path.join(dataset_dir, "manifest.json")
     manifest = _read(manifest_path, "manifest", json.load)
     if not isinstance(manifest, dict) or not isinstance(manifest.get("splits"), dict):
         raise DataError(f"manifest {manifest_path} has no split assignment")
-    questions_path = os.path.join(dataset_dir, "questions.jsonl")
-    questions = _read_jsonl(questions_path, "question", _question_record)
-    return manifest, questions
-
-
-def cmd_run(dataset_dir: str, noise_spec: str, out_dir: str, run_split: str = "test") -> int:
-    manifest, questions = _load_dataset(dataset_dir)
     if run_split not in manifest["splits"]:
-        raise UsageError(f"unknown split {run_split!r}")
+        raise DataError(f"manifest {manifest_path} has no split {run_split!r}")
     members = manifest["splits"][run_split]
     if not isinstance(members, list) or not all(type(pid) is int for pid in members):
         raise DataError(f"manifest split {run_split!r} is not a list of plot ids")
-    wanted = set(members)
+    questions_path = os.path.join(dataset_dir, "questions.jsonl")
+    return set(members), _read_jsonl(questions_path, "question", _question_record)
+
+
+def cmd_run(dataset_dir: str, noise_spec: str, out_dir: str, run_split: str = "test") -> int:
+    wanted, questions = _load_dataset(dataset_dir, run_split)
     noise = _load_noise(noise_spec)
     _make_out_dir(out_dir)
 
@@ -394,9 +393,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_extract(args.input, args.out)
         if args.command == "evaluate":
             return cmd_evaluate(args.predictions, args.out)
-        if args.command == "report":
-            return cmd_report(args.report)
-        raise UsageError(f"unknown command {args.command!r}")
+        return cmd_report(args.report)  # argparse admits no other command
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1

@@ -210,21 +210,24 @@ class DetectionSet:
     def dumps(self) -> str:
         return json.dumps(self.to_json(), indent=1)
 
-    @staticmethod
-    def loads(text: str) -> "DetectionSet":
-        return DetectionSet.from_json(json.loads(text))
-
 
 # ---------------------------------------------------------------------------
 # geometry
 
 def iou_matrix(a: Sequence[BBox], b: Sequence[BBox]) -> np.ndarray:
     """Intersection over union of every (x, y, w, h) box in ``a`` against
-    every box in ``b``, as an len(a) x len(b) float64 matrix."""
+    every box in ``b``, as an len(a) x len(b) float64 matrix of values in
+    [0, 1]; no edge, area or union overflows for finite boxes."""
     A = np.asarray(a, dtype=np.float64).reshape(-1, 4)
     B = np.asarray(b, dtype=np.float64).reshape(-1, 4)
     if (A[:, 2:] < 0).any() or (B[:, 2:] < 0).any():
         raise ValueError("box extents must be non-negative")
+    big = max(np.abs(A).max(initial=0.0), np.abs(B).max(initial=0.0))
+    if big > 2.0 ** 500:
+        # IOU does not change with scale: bring every number below 1 by a
+        # power of two; boxes of ordinary size are never rescaled
+        k = -np.frexp(big)[1]
+        A, B = np.ldexp(A, k), np.ldexp(B, k)
     ax, ay, aw, ah = (c[:, None] for c in A.T)
     bx, by, bw, bh = B.T
     ix = np.maximum(0.0, np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx))
@@ -233,10 +236,10 @@ def iou_matrix(a: Sequence[BBox], b: Sequence[BBox]) -> np.ndarray:
     union = aw * ah + bw * bh - inter
     degenerate = union <= 0.0
     if not degenerate.any():
-        return inter / union
+        return np.minimum(inter / union, 1.0)  # edge rounding can put inter a few ulps above union
     # two degenerate boxes; identical ones still count as a perfect match
     same = (A[:, None, :] == B[None, :, :]).all(axis=2)
-    return np.where(degenerate, same.astype(np.float64), inter / np.where(degenerate, 1.0, union))
+    return np.where(degenerate, same.astype(np.float64), np.minimum(inter / np.where(degenerate, 1.0, union), 1.0))
 
 
 def iou(a: BBox, b: BBox) -> float:

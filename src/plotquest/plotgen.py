@@ -56,6 +56,10 @@ class LayoutError(ValueError):
     """Canvas too small to place all textual elements without overlap."""
 
 
+def _positive_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) and v > 0
+
+
 @dataclass(frozen=True)
 class StyleParams:
     grid: bool
@@ -70,6 +74,10 @@ class StyleParams:
     def validate(self) -> None:
         if not isinstance(self.grid, bool):
             raise ValueError(f"grid {self.grid!r} is not a boolean")
+        if not _positive_number(self.font_size):
+            raise ValueError(f"font_size {self.font_size!r} is not a finite positive number")
+        if len(self.canvas) != 2 or not all(map(_positive_number, self.canvas)):
+            raise ValueError(f"canvas {self.canvas!r} is not two finite positive numbers")
         if self.tick_notation not in TICK_NOTATIONS:
             raise ValueError(f"bad tick_notation {self.tick_notation!r}")
         if self.line_style not in LINE_STYLES:
@@ -212,6 +220,8 @@ class PlotAnnotation:
 
     @staticmethod
     def from_json(obj: dict) -> "PlotAnnotation":
+        if obj["plot_type"] not in PLOT_TYPES:
+            raise ValueError(f"bad plot_type {obj['plot_type']!r}")
         return PlotAnnotation(
             elements=[VisualElement.from_json(e) for e in obj["elements"]],
             style=StyleParams.from_json(obj["style"]),

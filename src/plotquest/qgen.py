@@ -1,6 +1,13 @@
 """Question instantiation over a plot: applicability, binding sampling,
 surface realization and gold answers for all 74 templates.
 
+Which templates apply to a plot follows from their slots. A template with
+k legend slots (``{legend_label}`` ... ``{legend_label4}``) needs at least
+k series, one per slot. A template with no legend slot that names the
+value phrase (``{y_label}``) or the title reads the plot's lone series, so
+it needs exactly one. A few templates also need a plot type (bars, lines,
+value ticks on the Y axis); ``_applicable`` keeps those id sets.
+
 Gold answers are computed directly in value space from the PlotData (plus
 style metadata for structural questions), independently of the extraction
 pipeline that will later answer the same questions from detections. Table
@@ -121,6 +128,11 @@ class _Ctx:
     def series_values(self, legend: str) -> np.ndarray:
         return self.V[self.legends.index(legend)]
 
+    def named_series(self, b: dict[str, str]) -> np.ndarray:
+        """The series a question reads: its legend label's, or the lone
+        series of a plot whose question names no legend label."""
+        return self.series_values(b["legend_label"]) if "legend_label" in b else self.V[0]
+
     def cat_index(self, tick: str) -> int:
         return self.cats.index(tick)
 
@@ -149,8 +161,8 @@ def is_monotonic_nondecreasing(values) -> bool:
 # ---------------------------------------------------------------------------
 # applicability
 
-def _applicable(tid: int, ctx: _Ctx) -> bool:
-    p, ns = ctx.ptype, ctx.n_series
+def _applicable(t: Template, ctx: _Ctx) -> bool:
+    tid, p = t.id, ctx.ptype
     if tid in (9, 10, 11, 16, 32):
         return ctx.is_bar
     if tid in (12, 13, 19, 20, 23):
@@ -161,23 +173,18 @@ def _applicable(tid: int, ctx: _Ctx) -> bool:
         return p in ("line", "dotline")
     if tid in (26, 27):
         return p != "hbar"  # value ticks must sit on the Y axis
-    if tid in (33, 35, 38, 39, 40, 41, 46, 47, 48, 49, 56, 57, 58, 59, 63, 64, 65, 66, 67):
-        return ns == 1
-    if tid in (36, 37, 52, 54, 55, 68):
-        return ns >= 2
-    if tid == 72:
-        return ns >= 3
-    if tid == 73:
-        return ns >= 2
-    if tid == 74:
-        return ns >= 4
-    return True
+    if t.legend_slots:
+        return ctx.n_series >= len(t.legend_slots)
+    return ctx.n_series == 1 or not ("y_label" in t.slots or "title" in t.slots)
+
+
+def _templates_for(ctx: _Ctx) -> list[Template]:
+    return [t for t in default_templates() if _applicable(t, ctx)]
 
 
 def applicable_templates(data: PlotData, spec: PlotSpec) -> list[Template]:
     """Templates that can be instantiated on this plot."""
-    ctx = _Ctx(data, spec)
-    return [t for t in default_templates() if _applicable(t.id, ctx)]
+    return _templates_for(_Ctx(data, spec))
 
 
 # ---------------------------------------------------------------------------
@@ -234,11 +241,6 @@ def _pick_two_cats(ctx: _Ctx, rng, ordered: bool = False) -> tuple[int, int]:
     return i, j
 
 
-def _pick_series(ctx: _Ctx, rng, k: int = 1) -> list[int]:
-    idx = rng.choice(ctx.n_series, size=k, replace=False)
-    return [int(i) for i in idx]
-
-
 def _legend_pool(ctx: _Ctx) -> list[str]:
     if ctx.data.x_label == "Year":
         return list(ENTITY_POOLS[ctx.data.indicator.plural_entity_phrase])
@@ -280,19 +282,10 @@ def sample_bindings(template: Template, ctx: _Ctx, rng: np.random.Generator) -> 
             b["legend_label"] = absent[int(rng.integers(len(absent)))]
         else:
             b["legend_label"] = ctx.legends[int(rng.integers(ctx.n_series))]
-    elif "legend_label4" in slots:
-        s = _pick_series(ctx, rng, 4)
-        b["legend_label"], b["legend_label2"] = ctx.legends[s[0]], ctx.legends[s[1]]
-        b["legend_label3"], b["legend_label4"] = ctx.legends[s[2]], ctx.legends[s[3]]
-    elif "legend_label3" in slots:
-        s = _pick_series(ctx, rng, 3)
-        b["legend_label"], b["legend_label2"] = ctx.legends[s[0]], ctx.legends[s[1]]
-        b["legend_label3"] = ctx.legends[s[2]]
-    elif "legend_label2" in slots:
-        s = _pick_series(ctx, rng, 2)
-        b["legend_label"], b["legend_label2"] = ctx.legends[s[0]], ctx.legends[s[1]]
-    elif "legend_label" in slots:
-        b["legend_label"] = ctx.legends[_pick_series(ctx, rng, 1)[0]]
+    elif template.legend_slots:
+        series = rng.choice(ctx.n_series, size=len(template.legend_slots), replace=False)
+        for name, s in zip(template.legend_slots, series):
+            b[name] = ctx.legends[int(s)]
 
     if tid == 65:
         i = int(rng.integers(ctx.n_cats - 1))
@@ -315,8 +308,7 @@ def sample_bindings(template: Template, ctx: _Ctx, rng: np.random.Generator) -> 
         b["x_tick"] = ctx.cats[_pick_cat(ctx, rng)]
 
     if "n" in slots:
-        series = ctx.series_values(b["legend_label"]) if "legend_label" in b else ctx.V[0]
-        b["n"] = _threshold_string(np.asarray(series), rng, ctx.eps)
+        b["n"] = _threshold_string(ctx.named_series(b), rng, ctx.eps)
 
     _check_degenerate(tid, b, ctx)
     return b
@@ -325,18 +317,16 @@ def sample_bindings(template: Template, ctx: _Ctx, rng: np.random.Generator) -> 
 def _check_degenerate(tid: int, b: dict[str, str], ctx: _Ctx) -> None:
     eps = ctx.eps
     if tid in (25, 35):
-        vals = ctx.series_values(b["legend_label"]) if tid == 25 else ctx.V[0]
-        _guard_margins(np.diff(vals), eps)
+        _guard_margins(np.diff(ctx.named_series(b)), eps)
     elif tid in (36, 37):
         d = ctx.series_values(b["legend_label"]) - ctx.series_values(b["legend_label2"])
         _guard_margins(d, eps)
     elif tid in (40, 41, 44, 45):
-        vals = ctx.series_values(b["legend_label"]) if tid in (44, 45) else ctx.V[0]
-        s = np.sort(vals)
+        s = np.sort(ctx.named_series(b))
         edge = (s[-1] - s[-2]) if tid in (40, 44) else (s[1] - s[0])
         _guard_margins([edge], eps)
     elif tid in (59, 62):
-        vals = ctx.series_values(b["legend_label"]) if tid == 62 else ctx.V[0]
+        vals = ctx.named_series(b)
         i, j = ctx.cat_index(b["x_tick"]), ctx.cat_index(b["x_tick2"])
         _guard_margins([vals[i] - vals[j]], eps)
     elif tid == 63:
@@ -344,12 +334,12 @@ def _check_degenerate(tid: int, b: dict[str, str], ctx: _Ctx) -> None:
         i, j = ctx.cat_index(b["x_tick"]), ctx.cat_index(b["x_tick2"])
         _guard_margins([(v[i] - v[j]) - (v.max() - v.min())], eps)
     elif tid in (65, 73):
-        vals = ctx.series_values(b["legend_label"]) if tid == 73 else ctx.V[0]
-        other = ctx.series_values(b["legend_label2"]) if tid == 73 else ctx.V[0]
+        vals = ctx.named_series(b)
+        other = ctx.series_values(b["legend_label2"]) if tid == 73 else vals
         i, j = ctx.cat_index(b["x_tick"]), ctx.cat_index(b["x_tick2"])
         _guard_margins([(vals[i] + vals[j]) - other.max()], eps, allow_exact_ties=False)
     elif tid in (67, 71):
-        vals = ctx.series_values(b["legend_label"]) if tid == 71 else ctx.V[0]
+        vals = ctx.named_series(b)
         _guard_margins(vals - vals.mean(), eps, allow_exact_ties=False)
     elif tid == 68:
         i, j = ctx.cat_index(b["x_tick"]), ctx.cat_index(b["x_tick2"])
@@ -581,9 +571,8 @@ def instantiate(
     # templates 1-8 apply to every plot, so there is always a bucket, and
     # every weight of a non-empty bucket is positive
     buckets: dict[tuple[str, str], list[Template]] = {}
-    for t in default_templates():
-        if _applicable(t.id, ctx):
-            buckets.setdefault((t.category, t.answer_type), []).append(t)
+    for t in _templates_for(ctx):
+        buckets.setdefault((t.category, t.answer_type), []).append(t)
 
     categories = sorted({c for c, _ in buckets})
     cat_cdf = _cdf([CATEGORY_WEIGHTS[c] for c in categories])
@@ -617,9 +606,7 @@ def instantiate_all(data: PlotData, spec: PlotSpec, seed: int) -> list[QuestionI
     rng = np.random.default_rng(seed)
     ctx = _Ctx(data, spec)
     out = []
-    for template in default_templates():
-        if not _applicable(template.id, ctx):
-            continue
+    for template in _templates_for(ctx):
         for _ in range(8):
             try:
                 bindings = sample_bindings(template, ctx, rng)

@@ -7,6 +7,10 @@ comparison primitives, which the executor evaluates directly on the
 value) pairs, a cell reference looks a row up by its header. A table whose
 rows cannot be told apart by header answers nothing (``_check_rows``).
 
+A question reads the column named by its legend label, or, when it names
+no legend label, the one named by its value phrase (``y_label``) or title:
+``build_logical_form`` computes that name once for every template.
+
 Questions about plot structure (legend placement, bar ordering, axis
 titles...) have no table semantics; they parse fine but execute to
 AnswerUnavailable, which is how the pipeline-only configuration fails on
@@ -51,100 +55,78 @@ def _num_binding(bindings: dict[str, str], key: str) -> LF:
 def build_logical_form(template: Template, bindings: dict[str, str]) -> LF:
     """Expression tree for one parsed question.
 
+    A question reads the column its legend label names, or, when it names
+    no legend label, the one its value phrase (``y_label``) or title names;
+    on a plot without a legend that is the lone column (``_resolve_col``).
+    Further legend labels (``legend_label2`` ...) name further columns.
     Templates that resolve against plot geometry rather than the table get
     the ("visual", id) sentinel; executing it reports AnswerUnavailable.
     """
     b = bindings
     tid = template.id
-    y = ("col", b["y_label"]) if "y_label" in b else None
-    l1 = ("col", b["legend_label"]) if "legend_label" in b else None
+    name = b.get("legend_label", b.get("y_label", b.get("title")))
+    col = ("col", name)
 
-    if tid == 25:
-        return ("monotonic_increasing", l1)
+    def cell(tick: str, column: str | None = name) -> LF:
+        return ("cell", b[tick], column)
+
+    if tid in (25, 35):
+        return ("monotonic_increasing", col)
     if tid == 29:
         return ("has_col", b["legend_label"])
     if tid == 32:
         return ("count_where", ("row_sizes",), "!=", ("ncols",))
-    if tid == 33:
-        return ("cell", b["x_tick"], b["y_label"])
-    if tid == 34:
-        return ("cell", b["x_tick"], b["legend_label"])
-    if tid == 35:
-        return ("monotonic_increasing", y)
+    if tid in (33, 34):
+        return cell("x_tick")
     if tid == 36:
-        return ("strictly_dominates", l1, ("col", b["legend_label2"]))
+        return ("strictly_dominates", col, ("col", b["legend_label2"]))
     if tid == 37:
-        return ("strictly_dominates", ("col", b["legend_label2"]), l1)
-    if tid in (38, 39):
-        return ("max" if tid == 38 else "min", y)
-    if tid in (40, 41):
-        return ("argmax" if tid == 40 else "argmin", y)
-    if tid in (42, 43):
-        return ("max" if tid == 42 else "min", l1)
-    if tid in (44, 45):
-        return ("argmax" if tid == 44 else "argmin", l1)
-    if tid == 46:
-        return ("sum", ("col", b["title"]))
-    if tid == 47:
-        return ("diff", ("cell", b["x_tick"], b["y_label"]), ("cell", b["x_tick2"], b["y_label"]))
-    if tid == 48:
-        return ("mean", y)
+        return ("strictly_dominates", ("col", b["legend_label2"]), col)
+    if tid in (38, 39, 42, 43):
+        return ("max" if tid in (38, 42) else "min", col)
+    if tid in (40, 41, 44, 45):
+        return ("argmax" if tid in (40, 44) else "argmin", col)
+    if tid in (46, 50):
+        return ("sum", col)
+    if tid in (47, 51):
+        return ("diff", cell("x_tick"), cell("x_tick2"))
+    if tid in (48, 53):
+        return ("mean", col)
     if tid == 49:
-        return ("median", y)
-    if tid == 50:
-        return ("sum", l1)
-    if tid == 51:
-        return ("diff", ("cell", b["x_tick"], b["legend_label"]), ("cell", b["x_tick2"], b["legend_label"]))
+        return ("median", col)
     if tid == 52:
-        return ("diff", ("cell", b["x_tick"], b["legend_label"]), ("cell", b["x_tick2"], b["legend_label2"]))
-    if tid == 53:
-        return ("mean", l1)
+        return ("diff", cell("x_tick"), cell("x_tick2", b["legend_label2"]))
     if tid in (54, 55):
-        return ("diff", ("cell", b["x_tick"], b["legend_label"]), ("cell", b["x_tick"], b["legend_label2"]))
-    if tid == 56:
-        return ("count_where", y, ">", _num_binding(b, "n"))
+        return ("diff", cell("x_tick"), cell("x_tick", b["legend_label2"]))
+    if tid in (56, 60):
+        return ("count_where", col, ">", _num_binding(b, "n"))
     if tid == 57:
-        return ("majority_gt", ("span", y, b["x_tick"], b["x_tick2"], b["incl"]), _num_binding(b, "n"))
-    if tid == 58:
-        return ("ratio", ("cell", b["x_tick"], b["y_label"]), ("cell", b["x_tick2"], b["y_label"]))
-    if tid == 59:
-        return ("cmp", "<", ("cell", b["x_tick"], b["y_label"]), ("cell", b["x_tick2"], b["y_label"]))
-    if tid == 60:
-        return ("count_where", l1, ">", _num_binding(b, "n"))
-    if tid == 61:
-        return ("ratio", ("cell", b["x_tick"], b["legend_label"]), ("cell", b["x_tick2"], b["legend_label"]))
-    if tid == 62:
-        return ("cmp", "<", ("cell", b["x_tick"], b["legend_label"]), ("cell", b["x_tick2"], b["legend_label"]))
+        return ("majority_gt", ("span", col, b["x_tick"], b["x_tick2"], b["incl"]), _num_binding(b, "n"))
+    if tid in (58, 61):
+        return ("ratio", cell("x_tick"), cell("x_tick2"))
+    if tid in (59, 62):
+        return ("cmp", "<", cell("x_tick"), cell("x_tick2"))
     if tid == 63:
-        d = ("diff", ("cell", b["x_tick"], b["y_label"]), ("cell", b["x_tick2"], b["y_label"]))
-        return ("cmp", ">", d, ("diff", ("max", y), ("min", y)))
-    if tid == 64:
-        return ("diff", ("nth_from", y, 1, "largest"), ("nth_from", y, 2, "largest"))
+        return ("cmp", ">", ("diff", cell("x_tick"), cell("x_tick2")), ("diff", ("max", col), ("min", col)))
+    if tid in (64, 69):
+        return ("diff", ("nth_from", col, 1, "largest"), ("nth_from", col, 2, "largest"))
     if tid == 65:
-        s = ("add", ("cell", b["x_tick"], b["y_label"]), ("cell", b["x_tick2"], b["y_label"]))
-        return ("cmp", ">", s, ("max", y))
-    if tid == 66:
-        return ("diff", ("max", y), ("min", y))
-    if tid == 67:
-        return ("count_where", y, ">", ("mean", y))
+        return ("cmp", ">", ("add", cell("x_tick"), cell("x_tick2")), ("max", col))
+    if tid in (66, 70):
+        return ("diff", ("max", col), ("min", col))
+    if tid in (67, 71):
+        return ("count_where", col, ">", ("mean", col))
     if tid == 68:
-        d1 = ("diff", ("cell", b["x_tick"], b["legend_label"]), ("cell", b["x_tick2"], b["legend_label"]))
-        d2 = ("diff", ("cell", b["x_tick"], b["legend_label2"]), ("cell", b["x_tick2"], b["legend_label2"]))
-        return ("cmp", ">", d1, d2)
-    if tid == 69:
-        return ("diff", ("nth_from", l1, 1, "largest"), ("nth_from", l1, 2, "largest"))
-    if tid == 70:
-        return ("diff", ("max", l1), ("min", l1))
-    if tid == 71:
-        return ("count_where", l1, ">", ("mean", l1))
+        l2 = b["legend_label2"]
+        d2 = ("diff", cell("x_tick", l2), cell("x_tick2", l2))
+        return ("cmp", ">", ("diff", cell("x_tick"), cell("x_tick2")), d2)
     if tid == 72:
-        s = ("pointwise_sum", l1, ("col", b["legend_label2"]))
+        s = ("pointwise_sum", col, ("col", b["legend_label2"]))
         return ("strictly_dominates", s, ("col", b["legend_label3"]))
     if tid == 73:
-        s = ("add", ("cell", b["x_tick"], b["legend_label"]), ("cell", b["x_tick2"], b["legend_label"]))
-        return ("cmp", ">", s, ("max", ("col", b["legend_label2"])))
+        return ("cmp", ">", ("add", cell("x_tick"), cell("x_tick2")), ("max", ("col", b["legend_label2"])))
     if tid == 74:
-        s1 = ("pointwise_sum", l1, ("col", b["legend_label2"]))
+        s1 = ("pointwise_sum", col, ("col", b["legend_label2"]))
         s2 = ("pointwise_sum", ("col", b["legend_label3"]), ("col", b["legend_label4"]))
         return ("strictly_dominates", s1, s2)
     return ("visual", tid)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 
 CATEGORIES = ("structural", "data_retrieval", "reasoning")
@@ -44,14 +45,16 @@ class Template:
     answer_type: str
     surface_pattern: str
 
-    @property
-    def slots(self) -> list[str]:
+    @cached_property
+    def slots(self) -> tuple[str, ...]:
         """Slot names in order of first appearance."""
-        seen: list[str] = []
-        for m in _SLOT_RE.finditer(self.surface_pattern):
-            if m.group(1) not in seen:
-                seen.append(m.group(1))
-        return seen
+        return tuple(dict.fromkeys(m.group(1) for m in _SLOT_RE.finditer(self.surface_pattern)))
+
+    @cached_property
+    def legend_slots(self) -> tuple[str, ...]:
+        """The slots that each name one series (``legend_label``,
+        ``legend_label2``, ...), in order of first appearance."""
+        return tuple(s for s in self.slots if s.startswith("legend_label"))
 
     @property
     def literal_size(self) -> int:

@@ -1,6 +1,9 @@
+import hashlib
 import json
 import os
+import warnings
 
+import numpy as np
 import pytest
 
 from plotquest.cli import main
@@ -27,7 +30,6 @@ def test_generate_layout(dataset):
 
 
 def test_generate_reproducible(dataset, tmp_path):
-    import hashlib
     out2 = tmp_path / "ds2"
     assert main(["generate", "--n-plots", "10", "--seed", "5", "--out", str(out2)]) == 0
     for name in ("manifest.json", "questions.jsonl"):
@@ -38,6 +40,37 @@ def test_generate_reproducible(dataset, tmp_path):
         a = open(os.path.join(dataset, "plots", f"{i:04d}.svg"), "rb").read()
         b = open(out2 / "plots" / f"{i:04d}.svg", "rb").read()
         assert a == b
+
+
+# sha256 of the ``dataset`` fixture's manifest.json, which lists the hash of
+# every generated file, and of predictions.jsonl from a paper_like run of its
+# train split; measured with numpy 2.4.6
+MANIFEST_SHA256 = "cc2c3ffc1697fe11c441aae07fbd19071d71686ba185285435140598ea6b277b"
+PREDICTIONS_SHA256 = "017a73489660e337ae3dc812c71acc50809298afb1ac9c22cbc5eef39e616913"
+
+
+def test_outputs_match_the_pinned_behaviour(dataset, tmp_path):
+    out = tmp_path / "run"
+    assert main(["run", "--dataset", dataset, "--noise", "paper_like", "--run-split", "train",
+                 "--out", str(out)]) == 0
+    got = (hashlib.sha256(open(os.path.join(dataset, "manifest.json"), "rb").read()).hexdigest(),
+           hashlib.sha256((out / "predictions.jsonl").read_bytes()).hexdigest())
+    assert got == (MANIFEST_SHA256, PREDICTIONS_SHA256), (
+        f"generate or run output changed (numpy {np.__version__}): a refactor must keep the bytes; "
+        "a deliberate behaviour change updates these constants and says so in CHANGES.md")
+
+
+def test_run_on_a_1e308_box_scores_it_without_overflow(dataset, tmp_path):
+    # a finite box near 1e308 used to overflow inside the IOU, with numpy
+    # RuntimeWarnings, and score NaN, which matches nothing
+    ds = _copy_dataset(dataset, tmp_path)
+    _edit_annotations(lambda ann: ann["elements"][0].update(bbox=[0, 0, 1e308, 1e308]))(ds)
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--dataset", str(ds), "--noise", "zero", "--run-split", "train",
+                     "--out", str(out)]) == 0
+    assert all(v == 1.0 for v in json.loads((out / "report.json").read_text())["map"].values())
 
 
 def test_generate_rejects_zero_plots(tmp_path):
@@ -316,6 +349,12 @@ def _set_question(field, value):
     return damage
 
 
+def _drop_test_split(ds):
+    manifest = json.loads((ds / "manifest.json").read_text())
+    del manifest["splits"]["test"]
+    (ds / "manifest.json").write_text(json.dumps(manifest))
+
+
 def _annotation_not_utf8(ds):
     pid = json.loads((ds / "manifest.json").read_text())["splits"]["test"][0]
     (ds / "annotations" / f"{pid:04d}.json").write_bytes(b'{"elements": "\xff"}')
@@ -329,8 +368,17 @@ def _annotation_not_utf8(ds):
     (["run", "--dataset", "{ds}"], _annotation_not_utf8),
     (["run", "--dataset", "{ds}"], lambda ds: _set_test_split(ds, 3)),
     (["run", "--dataset", "{ds}"], lambda ds: _set_test_split(ds, [[0, 1]])),
+    (["run", "--dataset", "{ds}"], _drop_test_split),
     (["run", "--dataset", "{ds}"], _edit_annotations(lambda ann: ann["style"].update(legend_position=5))),
     (["run", "--dataset", "{ds}"], _edit_annotations(lambda ann: ann["style"].update(grid="no"))),
+    (["run", "--dataset", "{ds}"], _edit_annotations(lambda ann: ann["style"].update(font_size="big"))),
+    (["run", "--dataset", "{ds}"], _edit_annotations(lambda ann: ann["style"].update(canvas="ab"))),
+    (["run", "--dataset", "{ds}"], _edit_annotations(lambda ann: ann.update(plot_type="pie"))),
+    (["extract", "--input", "{ds}/annotations/0000.json"],
+     _edit_annotations(lambda ann: ann["style"].update(font_size="big"))),
+    (["extract", "--input", "{ds}/annotations/0000.json"],
+     _edit_annotations(lambda ann: ann["style"].update(canvas="ab"))),
+    (["extract", "--input", "{ds}/annotations/0000.json"], _edit_annotations(lambda ann: ann.update(plot_type="pie"))),
     (["extract", "--input", "{ds}/annotations/0000.json"],
      _edit_annotations(lambda ann: ann["style"].update(legend_position=5))),
     (["run", "--dataset", "{ds}"], _edit_annotations(lambda ann: ann["elements"][0].update({"class": []}))),
@@ -338,7 +386,9 @@ def _annotation_not_utf8(ds):
     (["run", "--dataset", "{ds}"], _set_question("category", "visual")),
     (["run", "--dataset", "{ds}"], _set_question("plot_id", float("inf"))),
 ], ids=["extract-dir", "evaluate-dir", "report-dir", "manifest-dir", "annotation-not-utf8",
-        "split-int", "split-of-lists", "int-legend-position", "str-grid", "extract-int-legend-position",
+        "split-int", "split-of-lists", "split-missing", "int-legend-position", "str-grid",
+        "str-font-size", "str-canvas", "pie-plot-type", "extract-str-font-size", "extract-str-canvas",
+        "extract-pie-plot-type", "extract-int-legend-position",
         "list-element-class", "int-question-text", "unknown-question-category", "infinite-plot-id"])
 def test_damaged_input_is_one_line_data_error(dataset, tmp_path, capsys, argv, damage):
     ds = _copy_dataset(dataset, tmp_path)

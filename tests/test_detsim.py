@@ -1,7 +1,10 @@
+import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plotquest.corpus import sample_plot_data
 from plotquest.detsim import (
@@ -45,6 +48,24 @@ def test_iou_symmetric():
 def test_iou_rejects_negative_extent():
     with pytest.raises(ValueError):
         iou((0, 0, -1, 5), (0, 0, 1, 1))
+
+
+_FLOAT_MAX = sys.float_info.max
+# every box check_bbox accepts: four finite numbers, width and height >= 0
+_finite_boxes = st.tuples(
+    st.floats(-_FLOAT_MAX, _FLOAT_MAX), st.floats(-_FLOAT_MAX, _FLOAT_MAX),
+    st.floats(0.0, _FLOAT_MAX), st.floats(0.0, _FLOAT_MAX),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(a=st.lists(_finite_boxes, min_size=1, max_size=4), b=st.lists(_finite_boxes, max_size=3))
+def test_iou_of_finite_boxes_is_in_unit_interval_without_warnings(a, b):
+    # finite boxes near 1e308 used to overflow to a NaN IOU with RuntimeWarnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = iou_matrix(a, a + b)
+    assert ((m >= 0.0) & (m <= 1.0)).all(), m  # a NaN fails both
 
 
 # -- perturb -----------------------------------------------------------------

@@ -55,6 +55,20 @@ def test_single_series_excludes_multi_legend_templates():
     assert all(q.template_id not in (36, 37, 52, 54, 55, 68, 72, 74) for q in qs)
 
 
+def test_series_need_of_every_template():
+    # the series counts each template needs, listed by id: the rule derived
+    # from the legend slots must give exactly these
+    exactly_one = (33, 35, 38, 39, 40, 41, 46, 47, 48, 49, 56, 57, 58, 59, 63, 64, 65, 66, 67)
+    at_least = {36: 2, 37: 2, 52: 2, 54: 2, 55: 2, 68: 2, 73: 2, 72: 3, 74: 4}
+    for n_series in range(1, 5):
+        data = make_data([[1.0 + s + k for k in range(4)] for s in range(n_series)])
+        for ptype in ("vbar", "hbar", "line", "dotline"):
+            ids = {t.id for t in applicable_templates(data, make_spec(data, ptype))}
+            for tid in set(range(25, 75)) - {26, 27, 32}:  # 26, 27, 32 need a plot type only
+                need = n_series == 1 if tid in exactly_one else n_series >= at_least.get(tid, 1)
+                assert (tid in ids) == need, (tid, n_series, ptype)
+
+
 def test_median_template_odd_length(templates):
     data = make_data([[2.0, 5.0, 9.0]], indicator=make_indicator(lo=1, hi=10))
     spec = make_spec(data, "vbar")

@@ -9,7 +9,7 @@ import pytest
 
 from plotquest.answers import Answer, AnswerUnavailable, UnparseableQuestion
 from plotquest.table import SemiStructuredTable
-from plotquest.tableqa import execute, parse, to_sexpr
+from plotquest.tableqa import build_logical_form, execute, parse, to_sexpr
 
 
 # -- table addressing --------------------------------------------------------
@@ -53,6 +53,36 @@ def test_parse_structural_is_visual():
     parsed = parse("How many legend labels are there?")
     assert parsed.template_id == 4
     assert parsed.logical_form[0] == "visual"
+
+
+def _lookups(lf):
+    """The column argument of every col and cell node in ``lf``."""
+    if lf[0] == "col":
+        yield lf[1]
+    elif lf[0] == "cell":
+        yield lf[2]
+    for item in lf[1:]:
+        if isinstance(item, tuple):
+            yield from _lookups(item)
+
+
+def test_every_table_template_reads_the_column_it_names(templates):
+    # each column a table form reads is one of its legend-label bindings, or,
+    # with none bound, its value phrase or title; with one column the lookup
+    # falls back to it whatever its name, so answer-level tests cannot see this
+    read_any = 0
+    for t in templates:
+        bindings = {s: {"n": "2.5", "incl": "inclusive", "i": "1st", "j": "1st"}.get(s, f"<{s}>")
+                    for s in t.slots}
+        lf = build_logical_form(t, bindings)
+        if lf[0] == "visual":
+            continue
+        named = ({bindings[s] for s in t.legend_slots}
+                 or {bindings[s] for s in ("y_label", "title") if s in bindings})
+        for name in _lookups(lf):
+            assert name in named, (t.id, to_sexpr(lf))
+            read_any += 1
+    assert read_any == 75
 
 
 # -- execution -----------------------------------------------------------------
