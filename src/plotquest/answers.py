@@ -7,6 +7,10 @@ An Answer is one of three kinds:
 - text:    a label, tick string, position word, etc.
 - number:  a finite float (counts included)
 
+``parse_number`` is the one rule that turns text into a number: value
+tick labels, question thresholds and predictions scored against a numeric
+gold all go through it.
+
 Rendering of numbers follows the convention used throughout the toolkit:
 integers print bare, other reals print with up to 2 decimal places, and
 magnitudes >= 1e5 print in scientific E-notation ("2.000e+5"). The float
@@ -32,6 +36,15 @@ class UnparseableQuestion(Exception):
     """The question text matches none of the shipped templates."""
 
 
+def parse_number(text: str) -> float | None:
+    """Text to a finite float; None when it does not parse or is not finite."""
+    try:
+        v = float(text)
+    except (TypeError, ValueError):
+        return None
+    return v if math.isfinite(v) else None
+
+
 def format_scientific(value: float) -> str:
     """Format like the scientific-E tick notation: 200000 -> '2.000e+5'."""
     if value == 0:
@@ -55,6 +68,9 @@ def format_number(value: float) -> str:
     return f"{round(value, 2):g}"
 
 
+_VALUE_TYPES = {"boolean": (bool,), "text": (str,), "number": (int, float)}  # exact: a bool is no number
+
+
 @dataclass(frozen=True)
 class Answer:
     kind: str  # "boolean" | "text" | "number"
@@ -63,6 +79,8 @@ class Answer:
     def __post_init__(self):
         if self.kind not in ("boolean", "text", "number"):
             raise ValueError(f"bad answer kind: {self.kind}")
+        if type(self.value) not in _VALUE_TYPES[self.kind]:
+            raise TypeError(f"{self.kind} answer value {self.value!r} is a {type(self.value).__name__}")
         if self.kind == "number" and not math.isfinite(float(self.value)):
             raise ValueError("numeric answers must be finite")
 

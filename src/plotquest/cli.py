@@ -49,8 +49,9 @@ class DataError(ValueError):
 
 
 # What a decoder raises on content it cannot decode; UnicodeDecodeError and
-# json.JSONDecodeError are ValueErrors.
-_DECODE_ERRORS = (ValueError, KeyError, TypeError, AttributeError)
+# json.JSONDecodeError are ValueErrors, and an integer too large for a float
+# (JSON integers have no bound) raises OverflowError when it is converted.
+_DECODE_ERRORS = (ValueError, KeyError, TypeError, AttributeError, OverflowError)
 
 
 def stable_seed(master: int, *parts) -> int:

@@ -20,23 +20,11 @@ from typing import Callable
 
 import numpy as np
 
-from .answers import Answer, AnswerUnavailable, UnparseableQuestion
+from .answers import Answer, AnswerUnavailable, UnparseableQuestion, parse_number
 from .qgen import QuestionInstance
 from .templates import ANSWER_TYPES, CATEGORIES
 
 REL_TOL = 0.05  # closed ball: |pred - gold| <= 0.05 |gold|
-
-
-def _as_float(value) -> float | None:
-    if isinstance(value, bool):
-        return None
-    if isinstance(value, (int, float)):
-        return float(value) if math.isfinite(float(value)) else None
-    try:
-        v = float(str(value).strip())
-    except (TypeError, ValueError):
-        return None
-    return v if math.isfinite(v) else None
 
 
 def _norm(s: str) -> str:
@@ -49,7 +37,7 @@ def score_answer(pred: Answer | None, gold: Answer) -> bool:
         return False
     if gold.kind == "number":
         gv = float(gold.value)
-        pv = _as_float(pred.value)
+        pv = None if pred.kind == "boolean" else parse_number(str(pred.value))
         if pv is not None:
             if gv == 0.0:
                 return pv == 0.0

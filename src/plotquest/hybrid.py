@@ -7,12 +7,14 @@ table, yes/no questions over values included).
 Both branches answer from one ``sie.PlotReading`` per plot, so a plot's
 detections are associated once however many questions it has. The
 classification branch answers from the reading's geometry: element counts,
-positions, style metadata, tick/legend texts and, for the zero-value and
-line-crossing questions, the per-series value rows. The pipeline branch is
-``tableqa.execute`` on the reading's table.
+positions, style metadata, tick/legend/axis-label texts and, for the
+zero-value and line-crossing questions, the per-series value rows. The
+pipeline branch is ``tableqa.execute`` on the reading's table.
 
-Each question is parsed once; its route is a pure function of the parse.
-Unparseable questions raise ``UnparseableQuestion``.
+Each question is parsed once, and ``route`` alone decides its branch from
+the parse. The two ablation arms are the hybrid gated to one branch: a
+question routed to the other branch is AnswerUnavailable there, before the
+plot is read. Unparseable questions raise ``UnparseableQuestion``.
 """
 
 from __future__ import annotations
@@ -24,13 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tableqa
-from .answers import Answer, AnswerUnavailable, UnparseableQuestion, number, text, yes_no
+from .answers import Answer, AnswerUnavailable, number, text, yes_no
 from .detsim import Detection, DetectionSet
 from .plotgen import PlotAnnotation
 from .qgen import count_line_crossings
-from .sie import (
-    NO_CATEGORY_TICKS, TOO_FEW_VALUE_TICKS, PlotReading, _canonical, _stacked_horizontally, read,
-)
+from .sie import NO_CATEGORY_TICKS, TOO_FEW_VALUE_TICKS, PlotReading, _stacked_horizontally, read
 from .tableqa import ParsedQuestion, parse as parse_question
 from .templates import parse_ordinal
 
@@ -43,34 +43,18 @@ _SCI_RE = re.compile(r"-?\d\.\d{3}e[+-]\d+")
 @dataclass(frozen=True)
 class Route:
     branch: str
-    reason: str
 
 
 def route(question: str | ParsedQuestion) -> Route:
-    """Branch decision from a question's parse (parsed here when given text):
-    a question goes to the classification branch iff its logical form is
-    visual; every other form executes on the table."""
-    parsed = question
-    if isinstance(question, str):
-        try:
-            parsed = parse_question(question)
-        except UnparseableQuestion:
-            return Route(PIPELINE_BRANCH, "unparseable: pipeline is the safe default")
-    template = parsed.template
-    if parsed.logical_form[0] == "visual":
-        return Route(CLASSIFICATION_BRANCH, f"visual template {template.id}")
-    return Route(PIPELINE_BRANCH, f"{template.answer_type} {template.category} template {template.id}")
+    """The branch that answers a question (parsed here when given text): the
+    classification branch iff its logical form is visual, else the table.
+    Text outside the grammar raises UnparseableQuestion."""
+    parsed = parse_question(question) if isinstance(question, str) else question
+    return Route(CLASSIFICATION_BRANCH if parsed.logical_form[0] == "visual" else PIPELINE_BRANCH)
 
 
 # ---------------------------------------------------------------------------
 # lookups on a reading for the classification branch
-
-def _one_text(rd: PlotReading, cls: str) -> str:
-    for det in _canonical(rd.detections.by_class(cls)):
-        if det.text:
-            return det.text
-    raise AnswerUnavailable(f"no {cls} detected")
-
 
 def _group_counts(rd: PlotReading) -> list[int]:
     counts = [0] * len(rd.cat_refs)
@@ -81,13 +65,6 @@ def _group_counts(rd: PlotReading) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # classification-branch answering
-
-def _ordered_cat_indices(reading: PlotReading, direction: str) -> list[int]:
-    # cat_refs are sorted by pixel position: ascending x (left->right) for
-    # vertical plots, ascending y (top->bottom) for horizontal ones
-    idx = list(range(len(reading.cat_refs)))
-    return idx if direction in ("left", "top") else idx[::-1]
-
 
 def _style_or_unavailable(reading: PlotReading):
     if reading.style is None:
@@ -140,13 +117,13 @@ def _structural(tid: int, b: dict[str, str], rd: PlotReading) -> Answer:
         if tid == 10:
             return yes_no(all(c == len(rd.legend_texts) for c in counts))
         return yes_no(len(set(counts)) == 1)
+    # cat_refs run left to right (vertical plots) or top to bottom
+    # (horizontal ones); an ordinal from the right or bottom counts from the end
     if tid in (12, 13, 14, 15):
         i = parse_ordinal(b["i"])
-        direction = {12: "left", 13: "right", 14: "top", 15: "bottom"}[tid]
-        order = _ordered_cat_indices(rd, direction)
-        if i < 1 or i > len(order):
+        if i < 1 or i > len(rd.cat_refs):
             raise AnswerUnavailable(f"no {b['i']} tick")
-        return number(_group_counts(rd)[order[i - 1]])
+        return number(_group_counts(rd)[-i if tid in (13, 15) else i - 1])
     if tid == 16:
         if not rd.bars:
             raise AnswerUnavailable("no bars detected")
@@ -174,11 +151,9 @@ def _structural(tid: int, b: dict[str, str], rd: PlotReading) -> Answer:
         votes: dict[str, int] = {}
         for bars in groups.values():
             ordered = sorted(bars, key=axis)
-            if tid in (20, 22):
-                ordered = ordered[::-1]
             if i < 1 or i > len(ordered):
                 continue
-            label = color_to_label.get(ordered[i - 1].color)
+            label = color_to_label.get(ordered[-i if tid in (20, 22) else i - 1].color)
             if label:
                 votes[label] = votes.get(label, 0) + 1
         if not votes:
@@ -186,10 +161,9 @@ def _structural(tid: int, b: dict[str, str], rd: PlotReading) -> Answer:
         return text(max(sorted(votes), key=lambda k: votes[k]))
     if tid in (23, 24):
         j = parse_ordinal(b["j"])
-        order = _ordered_cat_indices(rd, "left" if tid == 23 else "top")
-        if j < 1 or j > len(order):
+        if j < 1 or j > len(rd.cat_refs):
             raise AnswerUnavailable(f"no {b['j']} group")
-        return text(rd.cat_refs[order[j - 1]].text)
+        return text(rd.cat_refs[j - 1].text)
     if tid == 26:
         if len(rd.val_ticks) < 2:
             raise AnswerUnavailable(TOO_FEW_VALUE_TICKS)
@@ -203,26 +177,29 @@ def _structural(tid: int, b: dict[str, str], rd: PlotReading) -> Answer:
             raise AnswerUnavailable("no value ticks detected")
         hits = sum(1 for t in rd.val_tick_texts if _SCI_RE.fullmatch(t))
         return yes_no(hits > len(rd.val_tick_texts) / 2.0)
-    if tid == 28:
-        return text(_one_text(rd, "title"))
-    if tid == 30:
-        return text(_one_text(rd, "xaxis_label"))
-    if tid == 31:
-        return text(_one_text(rd, "yaxis_label"))
-    raise AnswerUnavailable(f"template {tid} is not a classification-branch question")
+    if tid in (28, 30, 31):
+        cls = {28: "title", 30: "xaxis_label", 31: "yaxis_label"}[tid]
+        label = rd.label_text(cls)
+        if not label:
+            raise AnswerUnavailable(f"no {cls} detected")
+        return text(label)
+    raise ValueError(f"template {tid} routes to the classification branch but has no geometry answer")
 
 
 # ---------------------------------------------------------------------------
 # composition
 
 def _answer(question: str, d: DetectionSet | PlotAnnotation | PlotReading, branch: str | None) -> Answer:
-    """Parse once, then answer on ``branch`` (None: the question's route).
-    Raises only AnswerUnavailable or UnparseableQuestion."""
+    """Parse once and route; a question routed away from ``branch`` (None:
+    either) is AnswerUnavailable before the plot is read. Raises only
+    AnswerUnavailable or UnparseableQuestion."""
     parsed = parse_question(question)
+    routed = route(parsed).branch
+    if branch not in (None, routed):
+        raise AnswerUnavailable(
+            f"template {parsed.template_id} is not a {branch.replace('_', '-')} question")
     rd = d if isinstance(d, PlotReading) else read(d)
-    if branch is None:
-        branch = route(parsed).branch
-    if branch == CLASSIFICATION_BRANCH:
+    if routed == CLASSIFICATION_BRANCH:
         return _structural(parsed.template_id, parsed.bindings, rd)
     return tableqa.execute(parsed.logical_form, rd.table())
 
@@ -234,12 +211,13 @@ def answer_hybrid(question: str, d: DetectionSet | PlotAnnotation | PlotReading)
 
 
 def answer_pipeline_only(question: str, d: DetectionSet | PlotAnnotation | PlotReading) -> Answer:
-    """Everything through table extraction + QA (ablation arm)."""
+    """The hybrid gated to the table branch (ablation arm): a question with a
+    visual logical form is AnswerUnavailable here."""
     return _answer(question, d, PIPELINE_BRANCH)
 
 
 def answer_structural(question: str, d: DetectionSet | PlotAnnotation | PlotReading) -> Answer:
-    """Everything through the classification branch, from visual elements
-    only (ablation arm). Only templates with a visual logical form have a
-    geometry answer; every other question is AnswerUnavailable here."""
+    """The hybrid gated to the classification branch (ablation arm): only
+    templates with a visual logical form have a geometry answer; every other
+    question is AnswerUnavailable here."""
     return _answer(question, d, CLASSIFICATION_BRANCH)

@@ -6,14 +6,16 @@ ticks (``cat_refs``, ``val_ticks``), the legend map, the orientation, and
 one ``MarkAssignment`` per data mark (its cell and value, or the reason it
 was left out). Everything downstream reads from it: ``extract_table(d)`` is
 ``read(d).table()``, and both answering branches in ``hybrid`` share one
-reading for all of a plot's questions.
+reading for all of a plot's questions. ``PlotReading.label_text`` is the one
+rule for a title or axis label: the table's row label and no-legend column
+header, and the answers to the title and axis-label questions, come from it.
 
 The association mirrors how a human reads a chart: legend labels pair with
 the nearest preview swatch, tick labels give named positions on each axis,
 every bar (or line vertex) is assigned to the closest category tick and to
 the legend entry whose color it carries, and the value is linearly
 interpolated from the bar's value-edge pixel between the two bracketing
-numeric ticks.
+numeric ticks. Tick text is read as a number by ``answers.parse_number``.
 
 Legend labels pair with previews by minimal Euclidean centroid distance
 (ties broken in reading order). Marks pair with category ticks by centroid
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .answers import AnswerUnavailable
+from .answers import AnswerUnavailable, parse_number
 from .detsim import Detection, DetectionSet
 from .plotgen import PlotAnnotation
 from .table import SemiStructuredTable
@@ -50,15 +52,6 @@ class _TickRef:
 
 def _canonical(dets: list[Detection]) -> list[Detection]:
     return sorted(dets, key=lambda d: (d.cls, d.bbox, d.text or "", -1 if d.color is None else d.color))
-
-
-def parse_tick_value(text: str) -> float | None:
-    """Numeric tick text to float; None when the text does not parse."""
-    try:
-        v = float(text)
-    except (TypeError, ValueError):
-        return None
-    return v if math.isfinite(v) else None
 
 
 # ---------------------------------------------------------------------------
@@ -178,12 +171,6 @@ class MarkAssignment:
     reason: str | None = None
 
 
-def _axis_label_text(d: DetectionSet, axis: str) -> str:
-    cls = "xaxis_label" if axis == "x" else "yaxis_label"
-    labels = _canonical(d.by_class(cls))
-    return labels[0].text or "" if labels and labels[0].text else ""
-
-
 def _infer_orientation(bars: list[Detection]) -> str:
     """Bars share a baseline: bottoms align for vertical, lefts for horizontal."""
     if len(bars) < 2:
@@ -215,7 +202,7 @@ class PlotReading:
         self.cat_refs = _tick_refs(d, self.cat_axis)
         val_refs = _tick_refs(d, self.val_axis)
         self.val_tick_texts = [r.text for r in val_refs]
-        parsed = ((parse_tick_value(r.text), r.pos) for r in val_refs)
+        parsed = ((parse_number(r.text), r.pos) for r in val_refs)
         self.val_ticks = _value_anchors((v, pos) for v, pos in parsed if v is not None)
         self.legend_map = associate_legend(d)  # text -> color, reading order
         self._color_to_col = {c: k for k, c in enumerate(self.legend_map.values())}
@@ -230,6 +217,11 @@ class PlotReading:
     @property
     def legend_texts(self) -> list[str]:
         return list(self.legend_map.keys())
+
+    def label_text(self, cls: str) -> str:
+        """The text of the first ``cls`` detection, in canonical order, that
+        has one ("" when none does): the title or an axis label."""
+        return next((det.text for det in _canonical(self.detections.by_class(cls)) if det.text), "")
 
     def nearest_cat(self, det: Detection) -> int:
         """Index of the category tick nearest a mark along the category axis."""
@@ -266,8 +258,7 @@ class PlotReading:
             if self.legend_map:
                 col_headers = self.legend_texts  # insertion follows reading order
             else:
-                fallback = _axis_label_text(self.detections, self.val_axis)
-                col_headers = [fallback if fallback else "value"]
+                col_headers = [self.label_text(f"{self.val_axis}axis_label") or "value"]
             cells: list[list[float | None]] = [[None] * len(col_headers) for _ in self.cat_refs]
             for a in self.assignments:
                 if a.reason is None and cells[a.row][a.col] is None:
@@ -276,7 +267,7 @@ class PlotReading:
                 row_headers=[r.text for r in self.cat_refs],
                 col_headers=col_headers,
                 cells=cells,
-                row_label=_axis_label_text(self.detections, self.cat_axis),
+                row_label=self.label_text(f"{self.cat_axis}axis_label"),
             )
         return self._table
 

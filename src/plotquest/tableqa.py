@@ -12,9 +12,10 @@ no legend label, the one named by its value phrase (``y_label``) or title:
 ``build_logical_form`` computes that name once for every template.
 
 Questions about plot structure (legend placement, bar ordering, axis
-titles...) have no table semantics; they parse fine but execute to
-AnswerUnavailable, which is how the pipeline-only configuration fails on
-them. Out-of-grammar text raises UnparseableQuestion instead.
+titles...) have no table semantics; they parse to the ("visual", id) form,
+which ``hybrid.route`` sends to the classification branch (executed here,
+it is AnswerUnavailable like any form the executor does not know).
+Out-of-grammar text raises UnparseableQuestion.
 
 Missing cells simply never contribute: a column expression yields only the
 rows that have values, and direct cell references to holes give
@@ -26,10 +27,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .answers import Answer, AnswerUnavailable, UnparseableQuestion, number, text, yes_no
+from .answers import Answer, AnswerUnavailable, UnparseableQuestion, number, parse_number, text, yes_no
 from .table import SemiStructuredTable
 from .templates import Template, default_matcher
-from .sie import parse_tick_value
 
 LF = tuple  # ("op", arg, ...) expression trees
 
@@ -46,7 +46,7 @@ class ParsedQuestion:
 
 
 def _num_binding(bindings: dict[str, str], key: str) -> LF:
-    v = parse_tick_value(bindings[key])
+    v = parse_number(bindings[key])
     if v is None:
         raise UnparseableQuestion(f"threshold {bindings[key]!r} is not numeric")
     return ("num", v)
@@ -60,7 +60,8 @@ def build_logical_form(template: Template, bindings: dict[str, str]) -> LF:
     on a plot without a legend that is the lone column (``_resolve_col``).
     Further legend labels (``legend_label2`` ...) name further columns.
     Templates that resolve against plot geometry rather than the table get
-    the ("visual", id) sentinel; executing it reports AnswerUnavailable.
+    the ("visual", id) sentinel, which routes them to the classification
+    branch.
     """
     b = bindings
     tid = template.id
@@ -272,8 +273,6 @@ def execute(lf: LF, t: SemiStructuredTable) -> Answer:
     """Evaluate a logical form against the table."""
     _check_rows(t)
     op = lf[0]
-    if op == "visual":
-        raise AnswerUnavailable(f"template {lf[1]} resolves against plot geometry, not the table")
     if op in ("argmax", "argmin"):
         items = _eval_list(lf[1], t)
         if not items:

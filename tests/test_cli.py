@@ -188,9 +188,15 @@ GOOD_PREDICTION = {
     json.dumps({**GOOD_PREDICTION, "category": "visual"}).encode(),
     json.dumps({**GOOD_PREDICTION, "answer_type": "free"}).encode(),
     json.dumps({**GOOD_PREDICTION, "bindings": {"i": 1}}).encode(),
+    json.dumps({**GOOD_PREDICTION, "prediction": {"kind": "boolean", "value": "no"}}).encode(),
+    json.dumps({**GOOD_PREDICTION, "prediction": {"kind": "text", "value": 2}}).encode(),
+    json.dumps({**GOOD_PREDICTION, "prediction": {"kind": "number", "value": True}}).encode(),
+    json.dumps({**GOOD_PREDICTION, "prediction": {"kind": "number", "value": "2"}}).encode(),
+    json.dumps({**GOOD_PREDICTION, "prediction": {"kind": "number", "value": 10**400}}).encode(),
 ], ids=["malformed-json", "unknown-answer-kind", "missing-key", "not-an-object", "not-utf8",
         "int-text", "str-template-id", "bool-template-id", "unknown-category", "unknown-answer-type",
-        "int-binding"])
+        "int-binding", "str-boolean-value", "int-text-value", "bool-number-value", "str-number-value",
+        "huge-int-number-value"])
 def test_evaluate_bad_line_is_data_error(tmp_path, capsys, line):
     path = tmp_path / "predictions.jsonl"
     path.write_bytes(json.dumps(GOOD_PREDICTION).encode() + b"\n" + line + b"\n")
@@ -355,6 +361,10 @@ def _drop_test_split(ds):
     (ds / "manifest.json").write_text(json.dumps(manifest))
 
 
+def _huge_int_noise(ds):
+    (ds / "noise.json").write_text(json.dumps({"drop_prob": 10**400}))
+
+
 def _annotation_not_utf8(ds):
     pid = json.loads((ds / "manifest.json").read_text())["splits"]["test"][0]
     (ds / "annotations" / f"{pid:04d}.json").write_bytes(b'{"elements": "\xff"}')
@@ -385,11 +395,16 @@ def _annotation_not_utf8(ds):
     (["run", "--dataset", "{ds}"], _set_question("text", 5)),
     (["run", "--dataset", "{ds}"], _set_question("category", "visual")),
     (["run", "--dataset", "{ds}"], _set_question("plot_id", float("inf"))),
+    (["run", "--dataset", "{ds}", "--noise", "{ds}/noise.json"], _huge_int_noise),
+    (["extract", "--input", "{ds}/annotations/0000.json"],
+     _edit_annotations(lambda ann: ann["elements"][0].update(bbox=[10**400, 0, 1, 1]))),
+    (["run", "--dataset", "{ds}"], _set_question("gold_answer", {"kind": "number", "value": 10**400})),
 ], ids=["extract-dir", "evaluate-dir", "report-dir", "manifest-dir", "annotation-not-utf8",
         "split-int", "split-of-lists", "split-missing", "int-legend-position", "str-grid",
         "str-font-size", "str-canvas", "pie-plot-type", "extract-str-font-size", "extract-str-canvas",
         "extract-pie-plot-type", "extract-int-legend-position",
-        "list-element-class", "int-question-text", "unknown-question-category", "infinite-plot-id"])
+        "list-element-class", "int-question-text", "unknown-question-category", "infinite-plot-id",
+        "huge-int-noise", "extract-huge-int-bbox", "huge-int-gold-value"])
 def test_damaged_input_is_one_line_data_error(dataset, tmp_path, capsys, argv, damage):
     ds = _copy_dataset(dataset, tmp_path)
     if damage:

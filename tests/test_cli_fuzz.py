@@ -27,7 +27,7 @@ from plotquest.detsim import PAPER_LIKE, perturb
 from plotquest.plotgen import PlotAnnotation
 
 
-VALUES = [None, True, False, 0, -1, 5, 1.5, 1e308, float("nan"), float("inf"),
+VALUES = [None, True, False, 0, -1, 5, 1.5, 1e308, 10**400, float("nan"), float("inf"),
           "", "x", "no", "bottom-left", [], [1, 2], ["a"], {}, {"a": 1}]
 CORPUS_FIELDS = ["", "x", "-1", "1e308", "nan", "5", "integer", "float", "{x}", "in", "a | b"]
 STYLE_FIELDS = ["grid", "font_size", "tick_notation", "line_style", "marker", "legend_position",

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from plotquest.answers import AnswerUnavailable
+from plotquest.answers import AnswerUnavailable, UnparseableQuestion
 from plotquest.corpus import sample_plot_data
 from plotquest.detsim import PAPER_LIKE, ZERO_NOISE, Detection, DetectionSet, perturb
 from plotquest.hybrid import (
-    CLASSIFICATION_BRANCH, PIPELINE_BRANCH, answer_hybrid, answer_structural,
-    route,
+    CLASSIFICATION_BRANCH, PIPELINE_BRANCH, answer_hybrid, answer_pipeline_only,
+    answer_structural, route,
 )
 from plotquest.plotgen import make_plot_spec, render
 from plotquest.qgen import instantiate_all
@@ -21,7 +21,8 @@ def test_route_fixtures():
     assert route("What is the ratio of the price of diesel in Lebanon in 2010 to that in 2014?"
                  ).branch == PIPELINE_BRANCH
     assert route("Does the graph contain grids?").branch == CLASSIFICATION_BRANCH
-    assert route("this is not a question the grammar knows").branch == PIPELINE_BRANCH
+    with pytest.raises(UnparseableQuestion):
+        route("this is not a question the grammar knows")
 
 
 def test_route_partitions_every_template(corpus, templates):
@@ -45,6 +46,9 @@ def test_route_partitions_every_template(corpus, templates):
             if not visual:
                 with pytest.raises(AnswerUnavailable, match="not a classification-branch question"):
                     answer_structural(q.text, reading)
+            else:
+                with pytest.raises(AnswerUnavailable, match="not a pipeline-branch question"):
+                    answer_pipeline_only(q.text, reading)
     assert seen == {t.id for t in templates}
 
 
@@ -53,6 +57,43 @@ def test_structural_bars_on_second_tick_from_top():
     _, _, ann = rendered(data, "hbar")
     got = answer_structural("How many bars are there on the 2nd tick from the top?", ann)
     assert got.value == 2
+
+
+def _without_last_bar(ann, horizontal):
+    """Clean detections minus the bar farthest right (vertical plots) or
+    lowest (horizontal ones), so the far-end group is one bar short."""
+    det = clean_detections(ann)
+    bars = [x for x in det.detections if x.cls == "bar"]
+    last = max(bars, key=lambda b: b.center[1] if horizontal else b.center[0])
+    return DetectionSet([x for x in det.detections if x is not last], style=det.style)
+
+
+@pytest.mark.parametrize("plot_type,near,far", [("vbar", "left", "right"), ("hbar", "top", "bottom")])
+def test_ordinals_from_the_far_end_count_from_the_last_group(plot_type, near, far):
+    data = make_data([[3, 4, 5], [6, 7, 8]], legends=["Indoor", "Outdoor"])
+    _, _, ann = rendered(data, plot_type)
+    rd = read(_without_last_bar(ann, plot_type == "hbar"))
+    count = lambda n, end: answer_structural(f"How many bars are there on the {n} tick from the {end}?", rd).value
+    assert [count("1st", far), count("2nd", far), count("3rd", far)] == [1, 2, 2]
+    assert [count("1st", near), count("3rd", near)] == [2, 1]
+    with pytest.raises(AnswerUnavailable, match="no 4th tick"):
+        count("4th", far)
+    # the group one bar short has no 2nd bar from either end, so it casts no vote
+    bar = lambda n, end: answer_structural(f"What does the {n} bar from the {end} in each group represent?", rd).value
+    assert bar("2nd", far) == bar("1st", near)
+    assert bar("2nd", near) == bar("1st", far)
+    assert bar("1st", near) != bar("1st", far)
+
+
+def test_row_label_is_the_x_axis_answer_when_the_first_label_has_no_text():
+    # a misclassified mark read as an axis label, sorted first and without text
+    data = make_data([[3, 4], [5, 6]], x_label="Year")
+    _, _, ann = rendered(data, "vbar")
+    det = clean_detections(ann)
+    blank = Detection("xaxis_label", (0.0, 0.0, 1.0, 1.0), 1.0)
+    rd = read(DetectionSet([blank, *det.detections], style=det.style))
+    answer = answer_hybrid("What is the label or title of the X-axis?", rd)
+    assert rd.table().row_label == answer.value == "Year"
 
 
 def test_structural_legend_stacking_horizontal():

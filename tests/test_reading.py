@@ -8,7 +8,7 @@ import random
 import numpy as np
 import pytest
 
-from plotquest.answers import AnswerUnavailable
+from plotquest.answers import AnswerUnavailable, parse_number as parse_tick_value
 from plotquest.corpus import sample_plot_data
 from plotquest.detsim import PAPER_LIKE, ZERO_NOISE, Detection, DetectionSet, NoiseModel, perturb
 from plotquest.hybrid import answer_hybrid
@@ -16,8 +16,7 @@ from plotquest.plotgen import make_plot_spec, render
 from plotquest.qgen import instantiate_all
 from plotquest.sie import (
     NO_CATEGORY_TICKS, TOO_FEW_VALUE_TICKS, UNASSIGNED_COLOR,
-    _canonical, _infer_orientation, _interp, _tick_refs, associate_legend,
-    parse_tick_value, read,
+    _canonical, _infer_orientation, _interp, _tick_refs, associate_legend, read,
 )
 
 HEAVY = NoiseModel(box_jitter_sigma=6.0, drop_prob=0.35, misclass_prob=0.2,

@@ -3,12 +3,13 @@ import random
 import numpy as np
 import pytest
 
+from plotquest.answers import parse_number
 from plotquest.corpus import sample_plot_data
 from plotquest.detsim import ZERO_NOISE, Detection, DetectionSet, perturb
 from plotquest.palette import PALETTE
 from plotquest.plotgen import make_plot_spec, render
 from plotquest.sie import (
-    TOO_FEW_VALUE_TICKS, UNASSIGNED_COLOR, associate_legend, extract_table, parse_tick_value, read,
+    TOO_FEW_VALUE_TICKS, UNASSIGNED_COLOR, associate_legend, extract_table, read,
     table_f1,
 )
 from plotquest.table import SemiStructuredTable
@@ -107,9 +108,9 @@ def test_associate_ticks_needs_two():
 
 
 def test_scientific_tick_text_parses():
-    assert parse_tick_value("2.000e+5") == 200000.0
-    assert parse_tick_value("200B") is None
-    assert parse_tick_value("-2009") == -2009.0
+    assert parse_number("2.000e+5") == 200000.0
+    assert parse_number("200B") is None
+    assert parse_number("-2009") == -2009.0
 
 
 # -- bar association ----------------------------------------------------------
