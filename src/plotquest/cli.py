@@ -228,10 +228,13 @@ def cmd_run(dataset_dir: str, noise_spec: str, out_dir: str, run_split: str = "t
     predictions = []
     answers = {}
     for pid in plot_ids:
-        annotation = _read(os.path.join(dataset_dir, "annotations", f"{pid:04d}.json"), "annotation",
-                           lambda f: PlotAnnotation.loads(f.read()))
-        det, provenance = perturb_with_provenance(
-            annotation, noise.with_seed(stable_seed(noise.seed, "plot", pid)))
+        annotation_path = os.path.join(dataset_dir, "annotations", f"{pid:04d}.json")
+        annotation = _read(annotation_path, "annotation", lambda f: PlotAnnotation.loads(f.read()))
+        try:
+            det, provenance = perturb_with_provenance(
+                annotation, noise.with_seed(stable_seed(noise.seed, "plot", pid)))
+        except ValueError as e:  # finite box edges or sigmas whose noisy box overflows
+            raise DataError(f"cannot perturb annotation {annotation_path} under noise {noise_spec}: {e}")
         ap_pool.add(det, annotation)
         reading = read(det)
         f1s.append(table_f1(extract_table(reading), annotation.gold_table, TABLE_F1_REL_TOL)[2])

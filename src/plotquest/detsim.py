@@ -17,10 +17,13 @@ matrix of all the plot's detections against all its gold elements, masked
 to same-class pairs and matched at all thresholds from that matrix, with
 only the compact match records pooled across plots (APPool).
 
-The random stream is part of the behaviour: perturbation draws a fixed six
-values per element from one generator per plot, and text corruption draws
-from one generator per string; any change to those draws or their order
-changes every noisy output.
+The random stream is part of the behaviour. Perturbation draws everything
+from one generator per plot: first one block per per-element quantity
+(drop, box jitter, misclass, misclass pick, score), each with one value per
+element (four for the jitter), then the OCR noise of every text element in
+element order. No block's size depends on whether an effect fires, so each
+noise component sees the same draws whatever the others do; any change to
+those draws or their order changes every noisy output.
 """
 
 from __future__ import annotations
@@ -256,7 +259,11 @@ def _is_numericish(s: str) -> bool:
 
 def corrupt_text(s: str, noise: NoiseModel, seed: int) -> str:
     """Apply the OCR error model to one string, deterministically per seed."""
-    rng = np.random.default_rng(seed)
+    return _corrupt(s, noise, np.random.default_rng(seed))
+
+
+def _corrupt(s: str, noise: NoiseModel, rng: np.random.Generator) -> str:
+    """The OCR error model applied to ``s``, drawing from ``rng``."""
     out = list(s)
 
     # character substitution: per-position, length preserving; one uniform
@@ -294,9 +301,12 @@ def corrupt_text(s: str, noise: NoiseModel, seed: int) -> str:
 def perturb(annotation: PlotAnnotation, noise: NoiseModel) -> DetectionSet:
     """Simulate the detection + OCR stages on a ground-truth annotation.
 
-    Deterministic for a fixed (annotation, noise): each element consumes a
-    fixed number of random draws whether or not the corresponding effect
-    fires, so outputs never depend on evaluation order.
+    Deterministic for a fixed (annotation, noise). The plot's generator
+    gives, in order, one block each of drop uniforms, (n, 4) jitter
+    normals, misclass uniforms, misclass picks and score uniforms for the
+    n elements, then the OCR noise of every text element in element order,
+    dropped ones included. So no component's draws depend on whether
+    another fires, and outputs never depend on evaluation order.
     """
     return perturb_with_provenance(annotation, noise)[0]
 
@@ -309,19 +319,21 @@ def perturb_with_provenance(
     rng = np.random.default_rng(noise.seed)
     zero = noise.is_zero()
     classes = list(ELEMENT_CLASSES)
+    elements = annotation.elements
+    n = len(elements)
+    r_drop = rng.random(n).tolist()
+    jitter = rng.standard_normal((n, 4)).tolist()
+    r_mis = rng.random(n).tolist()
+    mis_pick = rng.integers(len(classes) - 1, size=n).tolist()
+    r_score = rng.random(n).tolist()
+    texts = [e.text if e.text is None else _corrupt(e.text, noise, rng) for e in elements]
+
     sigmas: dict[str, float] = {}  # per class, looked up once per call
     detections: list[Detection] = []
     provenance: list[tuple[VisualElement, Detection | None]] = []
-    for e in annotation.elements:
-        # six draws per element, whatever fires
-        r_drop = rng.random()
-        jit = rng.normal(0.0, 1.0, size=4).tolist()
-        r_mis = rng.random()
-        mis_pick = int(rng.integers(len(classes) - 1))
-        r_score = rng.random()
-        text_seed = int(rng.integers(2**31 - 1))
-
-        if r_drop < noise.drop_prob:
+    for e, drop_u, jit, mis_u, pick, score_u, text in zip(
+            elements, r_drop, jitter, r_mis, mis_pick, r_score, texts):
+        if drop_u < noise.drop_prob:
             provenance.append((e, None))
             continue
 
@@ -339,10 +351,9 @@ def perturb_with_provenance(
             bbox = e.bbox
 
         cls = e.cls
-        if r_mis < noise.misclass_prob:
-            cls = [c for c in classes if c != e.cls][mis_pick]
-        text = e.text if e.text is None else corrupt_text(e.text, noise, text_seed)
-        score = 1.0 if zero else 0.5 + 0.5 * r_score
+        if mis_u < noise.misclass_prob:
+            cls = [c for c in classes if c != e.cls][pick]
+        score = 1.0 if zero else 0.5 + 0.5 * score_u
         det = Detection(cls=cls, bbox=bbox, score=score, text=text, color=e.color)
         detections.append(det)
         provenance.append((e, det))

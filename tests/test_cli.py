@@ -46,7 +46,7 @@ def test_generate_reproducible(dataset, tmp_path):
 # every generated file, and of predictions.jsonl from a paper_like run of its
 # train split; measured with numpy 2.4.6
 MANIFEST_SHA256 = "cc2c3ffc1697fe11c441aae07fbd19071d71686ba185285435140598ea6b277b"
-PREDICTIONS_SHA256 = "017a73489660e337ae3dc812c71acc50809298afb1ac9c22cbc5eef39e616913"
+PREDICTIONS_SHA256 = "f971a1746b84b7df48f80ea8645fe27a58835fd5be0a6257d45adabce4a0d177"
 
 
 def test_outputs_match_the_pinned_behaviour(dataset, tmp_path):
@@ -361,8 +361,10 @@ def _drop_test_split(ds):
     (ds / "manifest.json").write_text(json.dumps(manifest))
 
 
-def _huge_int_noise(ds):
-    (ds / "noise.json").write_text(json.dumps({"drop_prob": 10**400}))
+def _noise_file(model):
+    def damage(ds):
+        (ds / "noise.json").write_text(json.dumps(model))
+    return damage
 
 
 def _annotation_not_utf8(ds):
@@ -395,16 +397,21 @@ def _annotation_not_utf8(ds):
     (["run", "--dataset", "{ds}"], _set_question("text", 5)),
     (["run", "--dataset", "{ds}"], _set_question("category", "visual")),
     (["run", "--dataset", "{ds}"], _set_question("plot_id", float("inf"))),
-    (["run", "--dataset", "{ds}", "--noise", "{ds}/noise.json"], _huge_int_noise),
+    (["run", "--dataset", "{ds}", "--noise", "{ds}/noise.json"], _noise_file({"drop_prob": 10**400})),
     (["extract", "--input", "{ds}/annotations/0000.json"],
      _edit_annotations(lambda ann: ann["elements"][0].update(bbox=[10**400, 0, 1, 1]))),
     (["run", "--dataset", "{ds}"], _set_question("gold_answer", {"kind": "number", "value": 10**400})),
+    # finite numbers whose jittered box edges overflow inside perturb
+    (["run", "--dataset", "{ds}", "--noise", "paper_like"],
+     _edit_annotations(lambda ann: ann["elements"][0].update(bbox=[1e308, 0, 1e308, 1]))),
+    (["run", "--dataset", "{ds}", "--noise", "{ds}/noise.json"], _noise_file({"box_jitter_sigma": 1e308})),
 ], ids=["extract-dir", "evaluate-dir", "report-dir", "manifest-dir", "annotation-not-utf8",
         "split-int", "split-of-lists", "split-missing", "int-legend-position", "str-grid",
         "str-font-size", "str-canvas", "pie-plot-type", "extract-str-font-size", "extract-str-canvas",
         "extract-pie-plot-type", "extract-int-legend-position",
         "list-element-class", "int-question-text", "unknown-question-category", "infinite-plot-id",
-        "huge-int-noise", "extract-huge-int-bbox", "huge-int-gold-value"])
+        "huge-int-noise", "extract-huge-int-bbox", "huge-int-gold-value", "overflowing-jittered-bbox",
+        "overflowing-sigma-noise"])
 def test_damaged_input_is_one_line_data_error(dataset, tmp_path, capsys, argv, damage):
     ds = _copy_dataset(dataset, tmp_path)
     if damage:
