@@ -9,7 +9,9 @@ An Answer is one of three kinds:
 
 ``parse_number`` is the one rule that turns text into a number: value
 tick labels, question thresholds and predictions scored against a numeric
-gold all go through it.
+gold all go through it. ``within_rel_tol`` is the one rule for "close
+enough" to a gold number; the answer metric and table F1 call it with
+their own tolerances.
 
 Rendering of numbers follows the convention used throughout the toolkit:
 integers print bare, other reals print with up to 2 decimal places, and
@@ -43,6 +45,14 @@ def parse_number(text: str) -> float | None:
     except (TypeError, ValueError):
         return None
     return v if math.isfinite(v) else None
+
+
+def within_rel_tol(pred: float, gold: float, rel_tol: float) -> bool:
+    """|pred - gold| <= rel_tol * |gold|, a closed ball; a gold of exactly 0
+    demands an exact 0."""
+    if gold == 0.0:
+        return pred == 0.0
+    return abs(pred - gold) <= rel_tol * abs(gold)
 
 
 def format_scientific(value: float) -> str:

@@ -246,6 +246,16 @@ def _sample_values(rng: np.random.Generator, ind: IndicatorVariable, n: int) -> 
     return vals
 
 
+def legend_pool(indicator: IndicatorVariable, x_label: str) -> list[str]:
+    """The names a plot's legend labels are drawn from: the indicator's
+    entities when the categories are years, else the years 1960-2016, so a
+    legend never names the same kind of thing as the X axis. Returns a fresh
+    list the caller may keep or change."""
+    if x_label == "Year":
+        return list(ENTITY_POOLS[indicator.plural_entity_phrase])
+    return [str(y) for y in range(1960, 2017)]
+
+
 def sample_plot_data(corpus: list[IndicatorVariable], seed: int) -> PlotData:
     """Draw one PlotData deterministically from (corpus, seed)."""
     if not corpus:
@@ -262,16 +272,15 @@ def sample_plot_data(corpus: list[IndicatorVariable], seed: int) -> PlotData:
         start = int(rng.integers(1960, 2017 - n_cats))
         x_categories = tuple(str(start + i) for i in range(n_cats))
         x_label = "Year"
-        legend_pool = pool
     else:
         n_cats = int(rng.integers(2, min(8, len(pool)) + 1))
         idx = rng.choice(len(pool), size=n_cats, replace=False)
         x_categories = tuple(pool[i] for i in sorted(idx))
         x_label = singularize(ind.plural_entity_phrase).capitalize()
-        legend_pool = [str(y) for y in range(1960, 2017)]
 
-    legend_idx = rng.choice(len(legend_pool), size=n_series, replace=False)
-    legends = tuple(legend_pool[i] for i in sorted(legend_idx))
+    names = legend_pool(ind, x_label)
+    legend_idx = rng.choice(len(names), size=n_series, replace=False)
+    legends = tuple(names[i] for i in sorted(legend_idx))
 
     series = tuple(
         (name, tuple(_sample_values(rng, ind, n_cats))) for name in legends

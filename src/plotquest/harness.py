@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .answers import Answer, AnswerUnavailable, UnparseableQuestion, parse_number
+from .answers import Answer, AnswerUnavailable, UnparseableQuestion, parse_number, within_rel_tol
 from .qgen import QuestionInstance
 from .templates import ANSWER_TYPES, CATEGORIES
 
@@ -39,9 +39,7 @@ def score_answer(pred: Answer | None, gold: Answer) -> bool:
         gv = float(gold.value)
         pv = None if pred.kind == "boolean" else parse_number(str(pred.value))
         if pv is not None:
-            if gv == 0.0:
-                return pv == 0.0
-            return abs(pv - gv) <= REL_TOL * abs(gv)
+            return within_rel_tol(pv, gv, REL_TOL)
         return _norm(pred.rendered()) == _norm(gold.rendered())
     if gold.kind == "boolean":
         if pred.kind == "boolean":

@@ -12,7 +12,10 @@ Gold answers are computed directly in value space from the PlotData (plus
 style metadata for structural questions), independently of the extraction
 pipeline that will later answer the same questions from detections. Table
 templates must agree with the tableqa executor on the gold table; that
-equality is a tested invariant, not an implementation shortcut.
+equality is a tested invariant, not an implementation shortcut. Every table
+template reads the series ``_Ctx.named_series`` picks (the one its legend
+label names, or the plot's lone series) or series named by its legend
+slots; only templates 1 and 17 read all series.
 
 Two sampling rules keep generated questions well-posed:
 
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .answers import Answer, number, text, yes_no
-from .corpus import ENTITY_POOLS, PlotData, pluralize
+from .corpus import PlotData, legend_pool, pluralize
 from .plotgen import PlotSpec, plot_title, screen_axis_labels, value_axis
 from .templates import (
     ANSWER_TYPES, CATEGORIES, Template, default_templates, ordinal, parse_ordinal,
@@ -122,7 +125,7 @@ class _Ctx:
         self.x_plural = pluralize(self.x_singular)
         self.figure_type = "bar" if self.is_bar else spec.plot_type
         self.title = plot_title(data)
-        _axis_max, self.tick_step, self.ticks = value_axis(data)
+        self.tick_step = value_axis(data)[1]
         self.eps = _EPS_REL * max(1.0, float(self.V.max()))
 
     def series_values(self, legend: str) -> np.ndarray:
@@ -241,12 +244,6 @@ def _pick_two_cats(ctx: _Ctx, rng, ordered: bool = False) -> tuple[int, int]:
     return i, j
 
 
-def _legend_pool(ctx: _Ctx) -> list[str]:
-    if ctx.data.x_label == "Year":
-        return list(ENTITY_POOLS[ctx.data.indicator.plural_entity_phrase])
-    return [str(y) for y in range(1960, 2017)]
-
-
 def sample_bindings(template: Template, ctx: _Ctx, rng: np.random.Generator) -> dict[str, str]:
     """Draw one binding set for an applicable template.
 
@@ -276,7 +273,7 @@ def sample_bindings(template: Template, ctx: _Ctx, rng: np.random.Generator) -> 
         b["j"] = ordinal(int(rng.integers(1, ctx.n_cats + 1)))
 
     if tid == 29:
-        pool = _legend_pool(ctx)
+        pool = legend_pool(ctx.data.indicator, ctx.data.x_label)
         absent = [c for c in pool if c not in ctx.legends]
         if absent and rng.random() < 0.5:
             b["legend_label"] = absent[int(rng.integers(len(absent)))]
@@ -330,7 +327,7 @@ def _check_degenerate(tid: int, b: dict[str, str], ctx: _Ctx) -> None:
         i, j = ctx.cat_index(b["x_tick"]), ctx.cat_index(b["x_tick2"])
         _guard_margins([vals[i] - vals[j]], eps)
     elif tid == 63:
-        v = ctx.V[0]
+        v = ctx.named_series(b)
         i, j = ctx.cat_index(b["x_tick"]), ctx.cat_index(b["x_tick2"])
         _guard_margins([(v[i] - v[j]) - (v.max() - v.min())], eps)
     elif tid in (65, 73):
@@ -402,8 +399,6 @@ def _gold(tid: int, b: dict[str, str], ctx: _Ctx) -> Answer:
         return text(ctx.legends[idx])
     if tid in (23, 24):
         return text(ctx.cats[parse_ordinal(b["j"]) - 1])
-    if tid == 25:
-        return yes_no(is_monotonic_nondecreasing(ctx.series_values(b["legend_label"])))
     if tid == 26:
         return number(ctx.tick_step)
     if tid == 27:
@@ -418,94 +413,19 @@ def _gold(tid: int, b: dict[str, str], ctx: _Ctx) -> Answer:
         return text(screen_axis_labels(ctx.data, ctx.ptype)[1])
     if tid == 32:
         return number(0)
-    if tid == 33:
-        return number(V[0][ctx.cat_index(b["x_tick"])])
-    if tid == 34:
-        return number(ctx.series_values(b["legend_label"])[ctx.cat_index(b["x_tick"])])
-    if tid == 35:
-        return yes_no(is_monotonic_nondecreasing(V[0]))
     if tid in (36, 37):
         v1 = ctx.series_values(b["legend_label"])
         v2 = ctx.series_values(b["legend_label2"])
         return yes_no(bool((v1 > v2).all() if tid == 36 else (v1 < v2).all()))
-    if tid in (38, 39):
-        return number(V[0].max() if tid == 38 else V[0].min())
-    if tid in (40, 41):
-        idx = int(np.argmax(V[0]) if tid == 40 else np.argmin(V[0]))
-        return text(ctx.cats[idx])
-    if tid in (42, 43):
-        vals = ctx.series_values(b["legend_label"])
-        return number(vals.max() if tid == 42 else vals.min())
-    if tid in (44, 45):
-        vals = ctx.series_values(b["legend_label"])
-        idx = int(np.argmax(vals) if tid == 44 else np.argmin(vals))
-        return text(ctx.cats[idx])
-    if tid == 46:
-        return number(float(V[0].sum()))
-    if tid == 47:
-        v = V[0]
-        return number(v[ctx.cat_index(b["x_tick"])] - v[ctx.cat_index(b["x_tick2"])])
-    if tid == 48:
-        return number(float(V[0].sum()) / ctx.n_cats)
-    if tid == 49:
-        return number(float(np.median(V[0])))
-    if tid == 50:
-        return number(float(ctx.series_values(b["legend_label"]).sum()))
-    if tid == 51:
-        vals = ctx.series_values(b["legend_label"])
-        return number(vals[ctx.cat_index(b["x_tick"])] - vals[ctx.cat_index(b["x_tick2"])])
     if tid == 52:
         va = ctx.series_values(b["legend_label"])[ctx.cat_index(b["x_tick"])]
         vb = ctx.series_values(b["legend_label2"])[ctx.cat_index(b["x_tick2"])]
         return number(va - vb)
-    if tid == 53:
-        vals = ctx.series_values(b["legend_label"])
-        return number(float(vals.sum()) / ctx.n_cats)
     if tid in (54, 55):
         i = ctx.cat_index(b["x_tick"])
         va = ctx.series_values(b["legend_label"])[i]
         vb = ctx.series_values(b["legend_label2"])[i]
         return number(va - vb)
-    if tid in (56, 60):
-        vals = ctx.series_values(b["legend_label"]) if tid == 60 else V[0]
-        n = float(b["n"])
-        return number(int((vals > n).sum()))
-    if tid == 57:
-        v = V[0]
-        i, j = sorted((ctx.cat_index(b["x_tick"]), ctx.cat_index(b["x_tick2"])))
-        if b["incl"] == "exclusive":
-            i, j = i + 1, j - 1
-        window = v[i:j + 1]
-        n = float(b["n"])
-        return yes_no(bool((window > n).sum() > len(window) / 2.0))
-    if tid in (58, 61):
-        vals = ctx.series_values(b["legend_label"]) if tid == 61 else V[0]
-        num_v = vals[ctx.cat_index(b["x_tick"])]
-        den_v = vals[ctx.cat_index(b["x_tick2"])]
-        if den_v == 0:
-            raise Degenerate("ratio with zero denominator")
-        return number(num_v / den_v)
-    if tid in (59, 62):
-        vals = ctx.series_values(b["legend_label"]) if tid == 62 else V[0]
-        return yes_no(bool(vals[ctx.cat_index(b["x_tick"])] < vals[ctx.cat_index(b["x_tick2"])]))
-    if tid == 63:
-        v = V[0]
-        d = v[ctx.cat_index(b["x_tick"])] - v[ctx.cat_index(b["x_tick2"])]
-        return yes_no(bool(d > v.max() - v.min()))
-    if tid in (64, 69):
-        vals = ctx.series_values(b["legend_label"]) if tid == 69 else V[0]
-        s = np.sort(vals)[::-1]
-        return number(float(s[0] - s[1]))
-    if tid == 65:
-        v = V[0]
-        s = v[ctx.cat_index(b["x_tick"])] + v[ctx.cat_index(b["x_tick2"])]
-        return yes_no(bool(s > v.max()))
-    if tid in (66, 70):
-        vals = ctx.series_values(b["legend_label"]) if tid == 70 else V[0]
-        return number(float(vals.max() - vals.min()))
-    if tid in (67, 71):
-        vals = ctx.series_values(b["legend_label"]) if tid == 71 else V[0]
-        return number(int((vals > vals.mean()).sum()))
     if tid == 68:
         i, j = ctx.cat_index(b["x_tick"]), ctx.cat_index(b["x_tick2"])
         v1, v2 = ctx.series_values(b["legend_label"]), ctx.series_values(b["legend_label2"])
@@ -521,6 +441,57 @@ def _gold(tid: int, b: dict[str, str], ctx: _Ctx) -> Answer:
         s1 = ctx.series_values(b["legend_label"]) + ctx.series_values(b["legend_label2"])
         s2 = ctx.series_values(b["legend_label3"]) + ctx.series_values(b["legend_label4"])
         return yes_no(bool((s1 > s2).all()))
+
+    # the rest read one series: the lone one, or the one a legend label names
+    vals = ctx.named_series(b)
+    if tid in (25, 35):
+        return yes_no(is_monotonic_nondecreasing(vals))
+    if tid in (33, 34):
+        return number(vals[ctx.cat_index(b["x_tick"])])
+    if tid in (38, 39, 42, 43):
+        return number(vals.max() if tid in (38, 42) else vals.min())
+    if tid in (40, 41, 44, 45):
+        idx = int(np.argmax(vals) if tid in (40, 44) else np.argmin(vals))
+        return text(ctx.cats[idx])
+    if tid in (46, 50):
+        return number(float(vals.sum()))
+    if tid in (47, 51):
+        return number(vals[ctx.cat_index(b["x_tick"])] - vals[ctx.cat_index(b["x_tick2"])])
+    if tid in (48, 53):
+        return number(float(vals.sum()) / ctx.n_cats)
+    if tid == 49:
+        return number(float(np.median(vals)))
+    if tid in (56, 60):
+        n = float(b["n"])
+        return number(int((vals > n).sum()))
+    if tid == 57:
+        i, j = sorted((ctx.cat_index(b["x_tick"]), ctx.cat_index(b["x_tick2"])))
+        if b["incl"] == "exclusive":
+            i, j = i + 1, j - 1
+        window = vals[i:j + 1]
+        n = float(b["n"])
+        return yes_no(bool((window > n).sum() > len(window) / 2.0))
+    if tid in (58, 61):
+        num_v = vals[ctx.cat_index(b["x_tick"])]
+        den_v = vals[ctx.cat_index(b["x_tick2"])]
+        if den_v == 0:
+            raise Degenerate("ratio with zero denominator")
+        return number(num_v / den_v)
+    if tid in (59, 62):
+        return yes_no(bool(vals[ctx.cat_index(b["x_tick"])] < vals[ctx.cat_index(b["x_tick2"])]))
+    if tid == 63:
+        d = vals[ctx.cat_index(b["x_tick"])] - vals[ctx.cat_index(b["x_tick2"])]
+        return yes_no(bool(d > vals.max() - vals.min()))
+    if tid in (64, 69):
+        s = np.sort(vals)[::-1]
+        return number(float(s[0] - s[1]))
+    if tid == 65:
+        s = vals[ctx.cat_index(b["x_tick"])] + vals[ctx.cat_index(b["x_tick2"])]
+        return yes_no(bool(s > vals.max()))
+    if tid in (66, 70):
+        return number(float(vals.max() - vals.min()))
+    if tid in (67, 71):
+        return number(int((vals > vals.mean()).sum()))
     raise ValueError(f"no gold semantics for template {tid}")
 
 
@@ -551,6 +522,17 @@ def _draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
     """One index drawn from ``cdf``: the same single uniform and the same
     index as ``rng.choice(len(cdf), p=...)``, without re-validating ``p``."""
     return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+def _question(template: Template, ctx: _Ctx, rng: np.random.Generator) -> QuestionInstance:
+    """One question of ``template``: sampled bindings, their gold answer and
+    the filled text. Raises Degenerate when the draw lands on a knife edge."""
+    bindings = sample_bindings(template, ctx, rng)
+    gold = _gold(template.id, bindings, ctx)
+    return QuestionInstance(
+        template.id, template.category, template.answer_type,
+        template.fill(bindings), bindings, gold,
+    )
 
 
 def instantiate(
@@ -587,17 +569,14 @@ def instantiate(
         cat = categories[_draw(cat_cdf, rng)]
         atype = atypes[cat][_draw(atype_cdf[cat], rng)]
         pool = buckets[(cat, atype)]
-        template = pool[int(rng.integers(len(pool)))]
         try:
-            bindings = sample_bindings(template, ctx, rng)
-            gold = _gold(template.id, bindings, ctx)
+            q = _question(pool[int(rng.integers(len(pool)))], ctx, rng)
         except Degenerate:
             continue
-        text_q = template.fill(bindings)
-        if text_q in seen:
+        if q.text in seen:
             continue
-        seen.add(text_q)
-        out.append(QuestionInstance(template.id, cat, atype, text_q, bindings, gold))
+        seen.add(q.text)
+        out.append(q)
     return out
 
 
@@ -609,13 +588,8 @@ def instantiate_all(data: PlotData, spec: PlotSpec, seed: int) -> list[QuestionI
     for template in _templates_for(ctx):
         for _ in range(8):
             try:
-                bindings = sample_bindings(template, ctx, rng)
-                gold = _gold(template.id, bindings, ctx)
+                out.append(_question(template, ctx, rng))
             except Degenerate:
                 continue
-            out.append(QuestionInstance(
-                template.id, template.category, template.answer_type,
-                template.fill(bindings), bindings, gold,
-            ))
             break
     return out

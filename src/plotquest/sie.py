@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .answers import AnswerUnavailable, parse_number
+from .answers import AnswerUnavailable, parse_number, within_rel_tol
 from .detsim import Detection, DetectionSet
 from .plotgen import PlotAnnotation
 from .table import SemiStructuredTable
@@ -333,14 +333,7 @@ def table_f1(
     gold_tuples = {(t.row, t.col): t.value for t in gold.tuples()}
     matched = 0
     for key, pv in pred_tuples.items():
-        if key not in gold_tuples:
-            continue
-        gv = gold_tuples[key]
-        if gv == 0.0:
-            ok = pv == 0.0
-        else:
-            ok = abs(pv - gv) <= rel_tol * abs(gv)
-        if ok:
+        if key in gold_tuples and within_rel_tol(pv, gold_tuples[key], rel_tol):
             matched += 1
     n_pred, n_gold = len(pred_tuples), len(gold_tuples)
     precision = matched / n_pred if n_pred else (1.0 if n_gold == 0 else 0.0)

@@ -42,7 +42,6 @@ class ParsedQuestion:
     template_id: int
     bindings: dict[str, str]
     logical_form: LF
-    template: Template  # the matched template; routing reads it
 
 
 def _num_binding(bindings: dict[str, str], key: str) -> LF:
@@ -139,7 +138,7 @@ def parse(question: str) -> ParsedQuestion:
     if m is None:
         raise UnparseableQuestion(question)
     template, bindings = m
-    return ParsedQuestion(template.id, bindings, build_logical_form(template, bindings), template)
+    return ParsedQuestion(template.id, bindings, build_logical_form(template, bindings))
 
 
 # ---------------------------------------------------------------------------
@@ -277,11 +276,9 @@ def execute(lf: LF, t: SemiStructuredTable) -> Answer:
         items = _eval_list(lf[1], t)
         if not items:
             raise AnswerUnavailable(f"{op} over an empty column")
+        # first occurrence wins on ties: max and min keep the first
         best = max(items, key=lambda it: it[1]) if op == "argmax" else min(items, key=lambda it: it[1])
-        # first occurrence wins on ties
-        for label, v in items:
-            if v == best[1]:
-                return text(label)
+        return text(best[0])
     if op == "has_col":
         return yes_no(lf[1] in t.col_headers)
     if op == "monotonic_increasing":

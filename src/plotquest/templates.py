@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from importlib import resources
 
 CATEGORIES = ("structural", "data_retrieval", "reasoning")
@@ -129,22 +129,14 @@ class TemplateMatcher:
         return None
 
 
-_DEFAULT: list[Template] | None = None
-_DEFAULT_MATCHER: TemplateMatcher | None = None
-
-
+@cache
 def default_templates() -> list[Template]:
-    global _DEFAULT
-    if _DEFAULT is None:
-        _DEFAULT = load_templates()
-    return _DEFAULT
+    return load_templates()
 
 
+@cache
 def default_matcher() -> TemplateMatcher:
-    global _DEFAULT_MATCHER
-    if _DEFAULT_MATCHER is None:
-        _DEFAULT_MATCHER = TemplateMatcher(default_templates())
-    return _DEFAULT_MATCHER
+    return TemplateMatcher(default_templates())
 
 
 def ordinal(k: int) -> str:

@@ -1,9 +1,14 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from plotquest import tableqa
 from plotquest.answers import Answer
+from plotquest.cli import stable_seed
 from plotquest.corpus import sample_plot_data
+from plotquest.plotgen import make_plot_spec
 from plotquest.qgen import (
     ANSWER_TYPE_WEIGHTS, CATEGORY_WEIGHTS, _cdf, _draw, applicable_templates, gold_answer, instantiate,
     instantiate_all, paraphrase,
@@ -203,6 +208,28 @@ def test_threshold_questions_are_nondegenerate(corpus):
             V = data.values_matrix()
             row = V[list(data.legend_labels).index(legend)] if legend in data.legend_labels else V[0]
             assert all(v != n for v in row)
+
+
+# sha256 of the questions that instantiate_all and instantiate(n_questions=48)
+# draw on 40 sampled plots, one to_json line each; measured with numpy 2.4.6
+ALL_TEMPLATES_SHA256 = "40bc7c6618d3dfd0e60549169a72be663580ce12dd2151dd62d92d1c99062c9f"
+
+
+def test_generator_output_is_pinned_over_all_templates(corpus):
+    # every template id occurs, so a last-bit change in any gold branch, or
+    # a shifted random draw, changes the hash
+    lines, ids = [], set()
+    for i in range(40):
+        data = sample_plot_data(corpus, stable_seed(3, "data", i))
+        spec = make_plot_spec(data, stable_seed(3, "style", i))
+        seed = stable_seed(3, "q", i)
+        for q in instantiate_all(data, spec, seed) + instantiate(data, spec, seed, n_questions=48):
+            lines.append(json.dumps(q.to_json(), sort_keys=True))
+            ids.add(q.template_id)
+    assert ids == set(range(1, 75))
+    got = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert got == ALL_TEMPLATES_SHA256, (
+        f"generated questions changed (numpy {np.__version__}): a refactor must keep the bytes")
 
 
 def test_ordinal_formatting():
