@@ -27,7 +27,7 @@ import numpy as np
 
 from . import tableqa
 from .answers import Answer, AnswerUnavailable, number, text, yes_no
-from .detsim import Detection, DetectionSet
+from .detsim import DetectionSet
 from .plotgen import PlotAnnotation
 from .qgen import count_line_crossings
 from .sie import NO_CATEGORY_TICKS, TOO_FEW_VALUE_TICKS, PlotReading, _stacked_horizontally, read
@@ -51,16 +51,6 @@ def route(question: str | ParsedQuestion) -> Route:
     Text outside the grammar raises UnparseableQuestion."""
     parsed = parse_question(question) if isinstance(question, str) else question
     return Route(CLASSIFICATION_BRANCH if parsed.logical_form[0] == "visual" else PIPELINE_BRANCH)
-
-
-# ---------------------------------------------------------------------------
-# lookups on a reading for the classification branch
-
-def _group_counts(rd: PlotReading) -> list[int]:
-    counts = [0] * len(rd.cat_refs)
-    for bar in rd.bars:
-        counts[rd.nearest_cat(bar)] += 1
-    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +101,7 @@ def _structural(tid: int, b: dict[str, str], rd: PlotReading) -> Answer:
             raise AnswerUnavailable("no bars detected")
         return number(len(rd.cat_refs))
     if tid in (10, 11):
-        counts = _group_counts(rd)
+        counts = [len(g) for g in rd.bar_groups()]
         if not counts:
             raise AnswerUnavailable(NO_CATEGORY_TICKS)
         if tid == 10:
@@ -123,7 +113,7 @@ def _structural(tid: int, b: dict[str, str], rd: PlotReading) -> Answer:
         i = parse_ordinal(b["i"])
         if i < 1 or i > len(rd.cat_refs):
             raise AnswerUnavailable(f"no {b['i']} tick")
-        return number(_group_counts(rd)[-i if tid in (13, 15) else i - 1])
+        return number(len(rd.bar_groups()[-i if tid in (13, 15) else i - 1]))
     if tid == 16:
         if not rd.bars:
             raise AnswerUnavailable("no bars detected")
@@ -142,18 +132,11 @@ def _structural(tid: int, b: dict[str, str], rd: PlotReading) -> Answer:
         i = parse_ordinal(b["i"])
         if not rd.bars or not rd.cat_refs:
             raise AnswerUnavailable("no bars detected")
-        groups: dict[int, list[Detection]] = {}
-        for bar in rd.bars:
-            groups.setdefault(rd.nearest_cat(bar), []).append(bar)
-        # within-group order along the category axis
-        axis = (lambda det: det.center[1]) if rd.horizontal else (lambda det: det.center[0])
-        color_to_label = {c: t for t, c in rd.legend_map.items()}
         votes: dict[str, int] = {}
-        for bars in groups.values():
-            ordered = sorted(bars, key=axis)
-            if i < 1 or i > len(ordered):
+        for group in rd.bar_groups():
+            if i < 1 or i > len(group):
                 continue
-            label = color_to_label.get(ordered[-i if tid in (20, 22) else i - 1].color)
+            label = rd.legend_label_of(group[-i if tid in (20, 22) else i - 1].color)
             if label:
                 votes[label] = votes.get(label, 0) + 1
         if not votes:

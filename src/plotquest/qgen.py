@@ -17,16 +17,19 @@ template reads the series ``_Ctx.named_series`` picks (the one its legend
 label names, or the plot's lone series) or series named by its legend
 slots; only templates 1 and 17 read all series.
 
-Two sampling rules keep generated questions well-posed:
+Two rules keep generated questions well-posed:
 
 - numeric thresholds ("greater than N units") are placed at the midpoint
   of a value gap near a round quantile, so no data point sits on the
   boundary;
-- bindings whose answer would hinge on a float coincidence (a value equal
-  to the column mean, two differences closer than 1e-9 of the data scale)
-  are rejected and resampled. Without this, a comparison could flip on the
-  last bit between the raw values and their pixel-roundtripped twins, and
-  "exact at zero noise" would be unfalsifiable.
+- a yes/no or count answer that compares two quantities is the sign of
+  their difference, the margin, and the gold branch that computes it
+  passes it through ``_Ctx.margin``. A margin within 1e-9 of the data
+  scale, but not exactly 0, raises Degenerate, and the sampler draws
+  again; the families 65/73, 67/71, 68, 72 and 74 refuse an exact 0 as
+  well. Without this, a comparison could flip on the last bit between the
+  raw values and their pixel-roundtripped twins, and "exact at zero
+  noise" would be unfalsifiable.
 """
 
 from __future__ import annotations
@@ -139,6 +142,15 @@ class _Ctx:
     def cat_index(self, tick: str) -> int:
         return self.cats.index(tick)
 
+    def margin(self, m, allow_ties: bool = True):
+        """A comparison's margin (scalar or array), returned unchanged unless
+        one sits on a knife edge: within ``eps`` of 0 but nonzero, or exactly
+        0 where ties are refused. Raises Degenerate then."""
+        a = np.abs(m)
+        if np.any((a < self.eps) & ((a > 0.0) | (not allow_ties))):
+            raise Degenerate("comparison margin below float-safety threshold")
+        return m
+
 
 def count_line_crossings(V: np.ndarray) -> int:
     """Crossing points between distinct series polylines on a shared x grid.
@@ -155,10 +167,6 @@ def count_line_crossings(V: np.ndarray) -> int:
                 if d[i] * d[i + 1] < 0:
                     crossings += 1
     return crossings
-
-
-def is_monotonic_nondecreasing(values) -> bool:
-    return all(b >= a for a, b in zip(values, values[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -192,13 +200,6 @@ def applicable_templates(data: PlotData, spec: PlotSpec) -> list[Template]:
 
 # ---------------------------------------------------------------------------
 # binding samplers
-
-def _guard_margins(diffs, eps: float, allow_exact_ties: bool = True) -> None:
-    for d in np.atleast_1d(np.asarray(diffs, dtype=float)):
-        a = abs(float(d))
-        if a < eps and (a > 0.0 or not allow_exact_ties):
-            raise Degenerate("comparison margin below float-safety threshold")
-
 
 def _threshold_string(values: np.ndarray, rng: np.random.Generator, eps: float) -> str:
     """A round threshold strictly between two data values (or above all)."""
@@ -247,8 +248,8 @@ def _pick_two_cats(ctx: _Ctx, rng, ordered: bool = False) -> tuple[int, int]:
 def sample_bindings(template: Template, ctx: _Ctx, rng: np.random.Generator) -> dict[str, str]:
     """Draw one binding set for an applicable template.
 
-    Raises Degenerate when the draw lands on a knife-edge answer; callers
-    resample or move on.
+    Raises Degenerate only when no round threshold fits between the data
+    values; knife-edge comparisons are caught by the gold answer.
     """
     tid = template.id
     b: dict[str, str] = {}
@@ -307,56 +308,18 @@ def sample_bindings(template: Template, ctx: _Ctx, rng: np.random.Generator) -> 
     if "n" in slots:
         b["n"] = _threshold_string(ctx.named_series(b), rng, ctx.eps)
 
-    _check_degenerate(tid, b, ctx)
     return b
-
-
-def _check_degenerate(tid: int, b: dict[str, str], ctx: _Ctx) -> None:
-    eps = ctx.eps
-    if tid in (25, 35):
-        _guard_margins(np.diff(ctx.named_series(b)), eps)
-    elif tid in (36, 37):
-        d = ctx.series_values(b["legend_label"]) - ctx.series_values(b["legend_label2"])
-        _guard_margins(d, eps)
-    elif tid in (40, 41, 44, 45):
-        s = np.sort(ctx.named_series(b))
-        edge = (s[-1] - s[-2]) if tid in (40, 44) else (s[1] - s[0])
-        _guard_margins([edge], eps)
-    elif tid in (59, 62):
-        vals = ctx.named_series(b)
-        i, j = ctx.cat_index(b["x_tick"]), ctx.cat_index(b["x_tick2"])
-        _guard_margins([vals[i] - vals[j]], eps)
-    elif tid == 63:
-        v = ctx.named_series(b)
-        i, j = ctx.cat_index(b["x_tick"]), ctx.cat_index(b["x_tick2"])
-        _guard_margins([(v[i] - v[j]) - (v.max() - v.min())], eps)
-    elif tid in (65, 73):
-        vals = ctx.named_series(b)
-        other = ctx.series_values(b["legend_label2"]) if tid == 73 else vals
-        i, j = ctx.cat_index(b["x_tick"]), ctx.cat_index(b["x_tick2"])
-        _guard_margins([(vals[i] + vals[j]) - other.max()], eps, allow_exact_ties=False)
-    elif tid in (67, 71):
-        vals = ctx.named_series(b)
-        _guard_margins(vals - vals.mean(), eps, allow_exact_ties=False)
-    elif tid == 68:
-        i, j = ctx.cat_index(b["x_tick"]), ctx.cat_index(b["x_tick2"])
-        v1 = ctx.series_values(b["legend_label"])
-        v2 = ctx.series_values(b["legend_label2"])
-        _guard_margins([(v1[i] - v1[j]) - (v2[i] - v2[j])], eps, allow_exact_ties=False)
-    elif tid == 72:
-        s = ctx.series_values(b["legend_label"]) + ctx.series_values(b["legend_label2"])
-        _guard_margins(s - ctx.series_values(b["legend_label3"]), eps, allow_exact_ties=False)
-    elif tid == 74:
-        s1 = ctx.series_values(b["legend_label"]) + ctx.series_values(b["legend_label2"])
-        s2 = ctx.series_values(b["legend_label3"]) + ctx.series_values(b["legend_label4"])
-        _guard_margins(s1 - s2, eps, allow_exact_ties=False)
 
 
 # ---------------------------------------------------------------------------
 # gold answers
 
 def gold_answer(template: Template, bindings: dict[str, str], data: PlotData, spec: PlotSpec) -> Answer:
-    """Ground-truth answer for an applicable template under given bindings."""
+    """Ground-truth answer for an applicable template under given bindings.
+
+    Raises Degenerate when the bindings put a comparison on a knife edge
+    (see ``_Ctx.margin``); the generator never emits such bindings.
+    """
     ctx = _Ctx(data, spec)
     return _gold(template.id, bindings, ctx)
 
@@ -414,9 +377,8 @@ def _gold(tid: int, b: dict[str, str], ctx: _Ctx) -> Answer:
     if tid == 32:
         return number(0)
     if tid in (36, 37):
-        v1 = ctx.series_values(b["legend_label"])
-        v2 = ctx.series_values(b["legend_label2"])
-        return yes_no(bool((v1 > v2).all() if tid == 36 else (v1 < v2).all()))
+        d = ctx.margin(ctx.series_values(b["legend_label"]) - ctx.series_values(b["legend_label2"]))
+        return yes_no(bool((d > 0).all() if tid == 36 else (d < 0).all()))
     if tid == 52:
         va = ctx.series_values(b["legend_label"])[ctx.cat_index(b["x_tick"])]
         vb = ctx.series_values(b["legend_label2"])[ctx.cat_index(b["x_tick2"])]
@@ -429,30 +391,29 @@ def _gold(tid: int, b: dict[str, str], ctx: _Ctx) -> Answer:
     if tid == 68:
         i, j = ctx.cat_index(b["x_tick"]), ctx.cat_index(b["x_tick2"])
         v1, v2 = ctx.series_values(b["legend_label"]), ctx.series_values(b["legend_label2"])
-        return yes_no(bool((v1[i] - v1[j]) > (v2[i] - v2[j])))
+        return yes_no(bool(ctx.margin((v1[i] - v1[j]) - (v2[i] - v2[j]), allow_ties=False) > 0))
     if tid == 72:
         s = ctx.series_values(b["legend_label"]) + ctx.series_values(b["legend_label2"])
-        return yes_no(bool((s > ctx.series_values(b["legend_label3"])).all()))
-    if tid == 73:
-        vals = ctx.series_values(b["legend_label"])
-        s = vals[ctx.cat_index(b["x_tick"])] + vals[ctx.cat_index(b["x_tick2"])]
-        return yes_no(bool(s > ctx.series_values(b["legend_label2"]).max()))
+        d = ctx.margin(s - ctx.series_values(b["legend_label3"]), allow_ties=False)
+        return yes_no(bool((d > 0).all()))
     if tid == 74:
         s1 = ctx.series_values(b["legend_label"]) + ctx.series_values(b["legend_label2"])
         s2 = ctx.series_values(b["legend_label3"]) + ctx.series_values(b["legend_label4"])
-        return yes_no(bool((s1 > s2).all()))
+        return yes_no(bool((ctx.margin(s1 - s2, allow_ties=False) > 0).all()))
 
-    # the rest read one series: the lone one, or the one a legend label names
+    # the rest read one series, the lone one or the one a legend label names
+    # (73 also reads the maximum of a second)
     vals = ctx.named_series(b)
     if tid in (25, 35):
-        return yes_no(is_monotonic_nondecreasing(vals))
+        return yes_no(bool((ctx.margin(np.diff(vals)) >= 0).all()))
     if tid in (33, 34):
         return number(vals[ctx.cat_index(b["x_tick"])])
     if tid in (38, 39, 42, 43):
         return number(vals.max() if tid in (38, 42) else vals.min())
     if tid in (40, 41, 44, 45):
-        idx = int(np.argmax(vals) if tid in (40, 44) else np.argmin(vals))
-        return text(ctx.cats[idx])
+        s, top = np.sort(vals), tid in (40, 44)
+        ctx.margin(s[-1] - s[-2] if top else s[1] - s[0])  # the runner-up must not tie within eps
+        return text(ctx.cats[int(np.argmax(vals) if top else np.argmin(vals))])
     if tid in (46, 50):
         return number(float(vals.sum()))
     if tid in (47, 51):
@@ -478,20 +439,22 @@ def _gold(tid: int, b: dict[str, str], ctx: _Ctx) -> Answer:
             raise Degenerate("ratio with zero denominator")
         return number(num_v / den_v)
     if tid in (59, 62):
-        return yes_no(bool(vals[ctx.cat_index(b["x_tick"])] < vals[ctx.cat_index(b["x_tick2"])]))
+        d = ctx.margin(vals[ctx.cat_index(b["x_tick"])] - vals[ctx.cat_index(b["x_tick2"])])
+        return yes_no(bool(d < 0))
     if tid == 63:
         d = vals[ctx.cat_index(b["x_tick"])] - vals[ctx.cat_index(b["x_tick2"])]
-        return yes_no(bool(d > vals.max() - vals.min()))
+        return yes_no(bool(ctx.margin(d - (vals.max() - vals.min())) > 0))
     if tid in (64, 69):
         s = np.sort(vals)[::-1]
         return number(float(s[0] - s[1]))
-    if tid == 65:
+    if tid in (65, 73):
+        other = ctx.series_values(b["legend_label2"]) if tid == 73 else vals
         s = vals[ctx.cat_index(b["x_tick"])] + vals[ctx.cat_index(b["x_tick2"])]
-        return yes_no(bool(s > vals.max()))
+        return yes_no(bool(ctx.margin(s - other.max(), allow_ties=False) > 0))
     if tid in (66, 70):
         return number(float(vals.max() - vals.min()))
     if tid in (67, 71):
-        return number(int((vals > vals.mean()).sum()))
+        return number(int((ctx.margin(vals - vals.mean(), allow_ties=False) > 0).sum()))
     raise ValueError(f"no gold semantics for template {tid}")
 
 

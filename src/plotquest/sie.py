@@ -5,10 +5,11 @@ and returns a ``PlotReading``: the canonical marks, the category and value
 ticks (``cat_refs``, ``val_ticks``), the legend map, the orientation, and
 one ``MarkAssignment`` per data mark (its cell and value, or the reason it
 was left out). Everything downstream reads from it: ``extract_table(d)`` is
-``read(d).table()``, and both answering branches in ``hybrid`` share one
-reading for all of a plot's questions. ``PlotReading.label_text`` is the one
-rule for a title or axis label: the table's row label and no-legend column
-header, and the answers to the title and axis-label questions, come from it.
+``read(d).table()``, the bar questions read ``bar_groups()``, and both
+answering branches in ``hybrid`` share one reading for all of a plot's
+questions. ``PlotReading.label_text`` is the one rule for a title or axis
+label: the table's row label and no-legend column header, and the answers
+to the title and axis-label questions, come from it.
 
 The association mirrors how a human reads a chart: legend labels pair with
 the nearest preview swatch, tick labels give named positions on each axis,
@@ -47,7 +48,6 @@ from .table import SemiStructuredTable
 class _TickRef:
     text: str
     pos: float  # label center projected onto the axis
-    center: tuple[float, float]
 
 
 def _canonical(dets: list[Detection]) -> list[Detection]:
@@ -113,7 +113,7 @@ def _tick_refs(d: DetectionSet, axis: str) -> list[_TickRef]:
         if det.text is None:
             continue
         cx, cy = det.center
-        refs.append(_TickRef(det.text, cx if axis == "x" else cy, (cx, cy)))
+        refs.append(_TickRef(det.text, cx if axis == "x" else cy))
     refs.sort(key=lambda r: r.pos)
     return refs
 
@@ -183,8 +183,8 @@ def _infer_orientation(bars: list[Detection]) -> str:
 class PlotReading:
     """Everything geometric association learns from one detection set.
 
-    Built once per plot by ``read``; the table and the per-series value
-    rows are derived from it on first use and kept.
+    Built once per plot by ``read``; the table, the per-series value rows
+    and the bar groups are derived from it on first use and kept.
     """
 
     def __init__(self, d: DetectionSet):
@@ -195,8 +195,7 @@ class PlotReading:
         # majority vote between mark families: a lone misclassified element
         # must not displace the real data marks
         self.bars_are_data = len(self.bars) >= len(self.points)
-        self.orientation = _infer_orientation(self.bars) if self.bars_are_data else "vertical"
-        self.horizontal = self.orientation == "horizontal"
+        self.horizontal = self.bars_are_data and _infer_orientation(self.bars) == "horizontal"
         self.cat_axis = "y" if self.horizontal else "x"
         self.val_axis = "x" if self.horizontal else "y"
         self.cat_refs = _tick_refs(d, self.cat_axis)
@@ -209,6 +208,7 @@ class PlotReading:
         self.assignments = [self._assign(mark) for mark in self.data_marks]  # parallel to data_marks
         self._table: SemiStructuredTable | None = None
         self._series: tuple[list[str], np.ndarray] | None = None
+        self._bar_groups: list[list[Detection]] | None = None
 
     @property
     def data_marks(self) -> list[Detection]:
@@ -223,11 +223,18 @@ class PlotReading:
         has one ("" when none does): the title or an axis label."""
         return next((det.text for det in _canonical(self.detections.by_class(cls)) if det.text), "")
 
-    def nearest_cat(self, det: Detection) -> int:
+    def legend_label_of(self, color: int | None) -> str | None:
+        """The legend text whose preview carries ``color``, or None."""
+        col = self._color_to_col.get(color)
+        return None if col is None else self.legend_texts[col]
+
+    def _cat_pos(self, det: Detection) -> float:
+        """A mark's centre projected onto the category axis."""
+        return det.center[1] if self.horizontal else det.center[0]
+
+    def _nearest_cat(self, det: Detection) -> int:
         """Index of the category tick nearest a mark along the category axis."""
-        if not self.cat_refs:
-            raise AnswerUnavailable(NO_CATEGORY_TICKS)
-        c_axis = det.center[1] if self.horizontal else det.center[0]
+        c_axis = self._cat_pos(det)
         return min(range(len(self.cat_refs)), key=lambda k: abs(self.cat_refs[k].pos - c_axis))
 
     def _assign(self, mark: Detection) -> MarkAssignment:
@@ -250,7 +257,7 @@ class PlotReading:
         value = float(_interp(p, self.val_ticks))
         if not math.isfinite(value):  # finite ticks far apart can overflow
             return MarkAssignment(None, None, None, NON_FINITE_VALUE)
-        return MarkAssignment(self.nearest_cat(mark), col, value)
+        return MarkAssignment(self._nearest_cat(mark), col, value)
 
     def table(self) -> SemiStructuredTable:
         """The extracted table; the first mark assigned to a cell wins."""
@@ -291,6 +298,20 @@ class PlotReading:
                         V[j][i] = v
             self._series = (names, V)
         return self._series
+
+    def bar_groups(self) -> list[list[Detection]]:
+        """The bars under each category tick, parallel to ``cat_refs``: every
+        bar joins its nearest tick, and each group runs along the category
+        axis. Unavailable when there are bars but no category ticks."""
+        if self._bar_groups is None:
+            if self.bars and not self.cat_refs:
+                raise AnswerUnavailable(NO_CATEGORY_TICKS)
+            groups: list[list[Detection]] = [[] for _ in self.cat_refs]
+            for bar in self.bars:
+                groups[self._nearest_cat(bar)].append(bar)
+            self._bar_groups = [sorted(g, key=self._cat_pos) for g in groups]
+        return self._bar_groups
+
 
 
 def read(d: DetectionSet | PlotAnnotation) -> PlotReading:

@@ -2,9 +2,15 @@ import numpy as np
 import pytest
 
 from plotquest.corpus import IndicatorVariable, PlotData, default_corpus
-from plotquest.detsim import ZERO_NOISE, perturb
+from plotquest.detsim import ZERO_NOISE, NoiseModel, perturb
 from plotquest.plotgen import PlotSpec, StyleParams, make_plot_spec, render
 from plotquest.templates import default_templates
+
+# far past paper-like noise: a third of the elements dropped, a fifth
+# misclassified, 40% of the texts corrupted
+HEAVY = NoiseModel(box_jitter_sigma=6.0, drop_prob=0.35, misclass_prob=0.2,
+                   ocr_char_sub_prob=0.4, ocr_truncate_prob=0.4,
+                   ocr_sign_digit_prob=0.4, seed=5)
 
 
 @pytest.fixture(scope="session")

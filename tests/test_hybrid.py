@@ -1,7 +1,11 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from plotquest.answers import AnswerUnavailable, UnparseableQuestion
+from plotquest.cli import stable_seed
 from plotquest.corpus import sample_plot_data
 from plotquest.detsim import PAPER_LIKE, ZERO_NOISE, Detection, DetectionSet, perturb
 from plotquest.hybrid import (
@@ -13,7 +17,7 @@ from plotquest.qgen import instantiate_all
 from plotquest.sie import NON_FINITE_VALUE, read
 from plotquest.tableqa import parse
 
-from conftest import clean_detections, make_data, make_spec, rendered
+from conftest import HEAVY, clean_detections, make_data, make_spec, rendered
 
 
 def test_route_fixtures():
@@ -158,15 +162,11 @@ def test_hybrid_zero_noise_equals_gold(corpus):
 
 
 def test_hybrid_never_panics_under_heavy_noise(corpus):
-    from plotquest.detsim import NoiseModel
-    brutal = NoiseModel(box_jitter_sigma=6.0, drop_prob=0.35, misclass_prob=0.2,
-                        ocr_char_sub_prob=0.4, ocr_truncate_prob=0.4,
-                        ocr_sign_digit_prob=0.4, seed=5)
     for seed in range(8):
         data = sample_plot_data(corpus, seed)
         spec = make_plot_spec(data, seed)
         _, ann = render(spec)
-        det = perturb(ann, brutal.with_seed(seed))
+        det = perturb(ann, HEAVY.with_seed(seed))
         for q in instantiate_all(data, spec, seed):
             try:
                 answer_hybrid(q.text, det)
@@ -229,3 +229,35 @@ def test_overflowing_value_ticks_answer_nothing():
               "What is the difference between two consecutive major ticks on the Y-axis?"):
         with pytest.raises(AnswerUnavailable):
             answer_hybrid(q, reading)
+
+
+# sha256 of the hybrid's answers to every instantiate_all question on the 40
+# plots of test_qgen's generator pin, each read once under paper-like and
+# under heavy noise; measured with numpy 2.4.6
+HYBRID_ANSWERS_SHA256 = "6234f789b5e4724f3082e6f10dba04d0a32fa86243223e26c38f0d5d256296c3"
+
+
+def test_hybrid_answers_are_pinned_under_noise(corpus):
+    # noisy readings exercise the grouping, ordering and colour lookups that
+    # zero noise never strains, so a refactor of sie or hybrid that moves
+    # any answer or failure changes the hash
+    lines, ids = [], set()
+    for i in range(40):
+        data = sample_plot_data(corpus, stable_seed(3, "data", i))
+        spec = make_plot_spec(data, stable_seed(3, "style", i))
+        _, ann = render(spec)
+        questions = instantiate_all(data, spec, stable_seed(3, "q", i))
+        for noise in (PAPER_LIKE, HEAVY):
+            rd = read(perturb(ann, noise.with_seed(stable_seed(3, "noise", i))))
+            for q in questions:
+                try:
+                    got = answer_hybrid(q.text, rd).to_json()
+                except (AnswerUnavailable, UnparseableQuestion) as e:
+                    got = type(e).__name__
+                else:
+                    ids.add(q.template_id)
+                lines.append(json.dumps([q.template_id, q.text, got], sort_keys=True))
+    assert len(lines) == 3592 and ids == set(range(1, 75))
+    got = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert got == HYBRID_ANSWERS_SHA256, (
+        f"hybrid answers changed (numpy {np.__version__}): a refactor must keep them")

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from plotquest.cli import stable_seed
 from plotquest.corpus import sample_plot_data
 from plotquest.plotgen import make_plot_spec
 from plotquest.qgen import (
-    ANSWER_TYPE_WEIGHTS, CATEGORY_WEIGHTS, _cdf, _draw, applicable_templates, gold_answer, instantiate,
-    instantiate_all, paraphrase,
+    ANSWER_TYPE_WEIGHTS, CATEGORY_WEIGHTS, Degenerate, _cdf, _draw, applicable_templates, gold_answer,
+    instantiate, instantiate_all, paraphrase,
 )
 from plotquest.templates import Template, TemplateError, default_templates, ordinal
 
@@ -161,22 +162,29 @@ def test_answer_type_consistency(corpus):
 
 def test_table_templates_agree_with_executor(corpus):
     # gold answers for every template with a table logical form equal
-    # executing that form on the gold table
+    # executing that form on the gold table: exactly for yes/no and text
+    # answers, to the last bits of a float sum for numbers. Every question
+    # the generator pin draws is checked, so rare binding modes (57's
+    # exclusive window) are too.
     from plotquest.plotgen import render
-    from plotquest.harness import score_answer
     checked = 0
-    for seed in range(30):
-        data = sample_plot_data(corpus, seed)
-        spec = make_spec(data, ("vbar", "hbar", "line", "dotline")[seed % 4])
+    for i in range(40):
+        data = sample_plot_data(corpus, stable_seed(3, "data", i))
+        spec = make_plot_spec(data, stable_seed(3, "style", i))
+        seed = stable_seed(3, "q", i)
         _, ann = render(spec)
-        for q in instantiate_all(data, spec, seed):
+        for q in instantiate_all(data, spec, seed) + instantiate(data, spec, seed, n_questions=48):
             parsed = tableqa.parse(q.text)
             if parsed.logical_form[0] == "visual":
                 continue
-            got = tableqa.execute(parsed.logical_form, ann.gold_table)
-            assert score_answer(got, q.gold_answer), (q.text, got, q.gold_answer)
+            got, gold = tableqa.execute(parsed.logical_form, ann.gold_table), q.gold_answer
+            assert got.kind == gold.kind, (q.text, got, gold)
+            if gold.kind == "number":
+                assert math.isclose(got.value, gold.value, rel_tol=1e-12), (q.text, got, gold)
+            else:
+                assert got.value == gold.value, (q.text, got, gold)
             checked += 1
-    assert checked > 400
+    assert checked > 2500
 
 
 def test_instantiate_deterministic(corpus):
@@ -208,6 +216,64 @@ def test_threshold_questions_are_nondegenerate(corpus):
             V = data.values_matrix()
             row = V[list(data.legend_labels).index(legend)] if legend in data.legend_labels else V[0]
             assert all(v != n for v in row)
+
+
+KNIFE = 1e-12  # a nonzero margin far inside the guard's 1e-9 relative band
+
+# every guarded family: a plot on which each binding's margin is a nonzero
+# knife edge, a plot on which each binding's margin is exactly 0, and the
+# answers at that exact tie, or None where the family refuses exact ties
+KNIFE_EDGE_CASES = [
+    ((25, 35), [[10, 10 + KNIFE, 12]], [[10, 10, 12]], {25: True, 35: True}),
+    ((36, 37), [[10, 20], [10 + KNIFE, 5]], [[10, 20], [10, 5]], {36: False, 37: False}),
+    ((40, 41, 44, 45), [[5, 12, 12 + KNIFE, 5 + KNIFE]], [[5, 12, 12, 5]],
+     {40: "2001", 44: "2001", 41: "2000", 45: "2000"}),  # the first of the tied ticks
+    ((59, 62), [[10, 10 + KNIFE]], [[10, 10]], {59: False, 62: False}),
+    ((65,), [[KNIFE, 10]], [[0, 10]], None),
+    ((73,), [[KNIFE, 10], [KNIFE, 10]], [[0, 10], [0, 10]], None),
+    ((67, 71), [[9, 10 + KNIFE, 11]], [[9, 10, 11]], None),
+    ((68,), [[10, 20], [10, 20 + KNIFE]], [[10, 20], [10, 20]], None),
+    ((72,), [[KNIFE, 10], [10, KNIFE], [10, 10]], [[0, 10], [10, 0], [10, 10]], None),
+    ((74,), [[10 + KNIFE, 1], [10, 2], [10, 3], [10, 4]], [[10, 1], [10, 2], [10, 3], [10, 4]], None),
+]
+
+# one binding that lands on the knife edge of every plot above
+KNIFE_BINDINGS = {"legend_label": "Brazil", "legend_label2": "Iceland", "legend_label3": "Thailand",
+                  "legend_label4": "Lebanon", "x_tick": "2000", "x_tick2": "2001"}
+
+
+def _family_questions(values, tids, seeds=range(5)):
+    data = make_data(values)
+    spec = make_spec(data, "vbar")
+    return data, spec, [q for seed in seeds for q in instantiate_all(data, spec, seed) if q.template_id in tids]
+
+
+@pytest.mark.parametrize("tids,knife,tie,tie_answers", KNIFE_EDGE_CASES,
+                         ids=["/".join(map(str, c[0])) for c in KNIFE_EDGE_CASES])
+def test_knife_edge_comparisons_are_never_generated(templates, tids, knife, tie, tie_answers):
+    data, spec, qs = _family_questions(knife, tids)
+    assert set(tids) <= {t.id for t in applicable_templates(data, spec)}
+    assert qs == []
+    _, _, tied = _family_questions(tie, tids)
+    if tie_answers is None:
+        assert tied == []
+    else:
+        assert {q.template_id for q in tied} == set(tids)
+        assert all(q.gold_answer.value == tie_answers[q.template_id] for q in tied)
+    for tid in tids:
+        t = by_id(templates, tid)
+        with pytest.raises(Degenerate):
+            gold_answer(t, {k: v for k, v in KNIFE_BINDINGS.items() if k in t.slots}, data, spec)
+
+
+def test_range_comparison_keeps_the_exact_tie_and_drops_the_knife_edge(templates):
+    # template 63 on two values KNIFE apart: the drop from the larger to the
+    # smaller equals the range exactly (an allowed tie, answered No), while
+    # the reverse pair misses it by -2 * KNIFE
+    data, spec, qs = _family_questions([[10, 10 + KNIFE]], (63,))
+    assert qs and all(q.bindings["x_tick"] == "2001" and q.gold_answer.value is False for q in qs)
+    with pytest.raises(Degenerate):
+        gold_answer(by_id(templates, 63), {"x_tick": "2000", "x_tick2": "2001"}, data, spec)
 
 
 # sha256 of the questions that instantiate_all and instantiate(n_questions=48)

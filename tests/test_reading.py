@@ -10,7 +10,7 @@ import pytest
 
 from plotquest.answers import AnswerUnavailable, parse_number as parse_tick_value
 from plotquest.corpus import sample_plot_data
-from plotquest.detsim import PAPER_LIKE, ZERO_NOISE, Detection, DetectionSet, NoiseModel, perturb
+from plotquest.detsim import PAPER_LIKE, ZERO_NOISE, Detection, DetectionSet, perturb
 from plotquest.hybrid import answer_hybrid
 from plotquest.plotgen import make_plot_spec, render
 from plotquest.qgen import instantiate_all
@@ -19,9 +19,7 @@ from plotquest.sie import (
     _canonical, _infer_orientation, _interp, _tick_refs, associate_legend, read,
 )
 
-HEAVY = NoiseModel(box_jitter_sigma=6.0, drop_prob=0.35, misclass_prob=0.2,
-                   ocr_char_sub_prob=0.4, ocr_truncate_prob=0.4,
-                   ocr_sign_digit_prob=0.4, seed=5)
+from conftest import HEAVY
 
 
 def brute_series_rows(d: DetectionSet) -> tuple[list[str], np.ndarray]:

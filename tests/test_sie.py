@@ -204,7 +204,7 @@ def test_interpolate_horizontal_uses_right_edge():
         Detection("bar", (100.0, 50, 100.0, 20), 1.0, color=0),
         Detection("bar", (100.0, 150, 150.0, 20), 1.0, color=0),
     ]))
-    assert reading.orientation == "horizontal"
+    assert reading.horizontal
     assert reading.table().cells == [[pytest.approx(5.0)], [pytest.approx(7.5)]]
 
 
