@@ -130,7 +130,7 @@ def _structural(tid: int, b: dict[str, str], rd: PlotReading) -> Answer:
         return yes_no(len(colors) == len(rd.legend_texts))
     if tid in (19, 20, 21, 22):
         i = parse_ordinal(b["i"])
-        if not rd.bars or not rd.cat_refs:
+        if not rd.bars:
             raise AnswerUnavailable("no bars detected")
         votes: dict[str, int] = {}
         for group in rd.bar_groups():

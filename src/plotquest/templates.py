@@ -8,9 +8,11 @@ bindings by construction. Slots are typed: ordinals and thresholds match
 tight sub-regexes, text slots match lazily, and repeated slot names
 compile to backreferences so both mentions must agree.
 
-Template order during parsing is most-literal-first, which resolves the
-few cases where a short pattern would otherwise swallow a longer one's
-surface text.
+Parsing tries only the templates a question's literal prefix admits: an
+index keyed by the text before each pattern's first slot picks the
+candidates, and most-literal-first priority orders them, which resolves
+the few cases where a short pattern would otherwise swallow a longer
+one's surface text.
 """
 
 from __future__ import annotations
@@ -59,6 +61,12 @@ class Template:
     @property
     def literal_size(self) -> int:
         return len(_SLOT_RE.sub("", self.surface_pattern))
+
+    @property
+    def literal_prefix(self) -> str:
+        """The pattern text before the first slot (all of it when there is
+        no slot); every text the pattern matches starts with it."""
+        return _SLOT_RE.split(self.surface_pattern, 1)[0]
 
     def compile(self) -> re.Pattern:
         out = []
@@ -115,17 +123,29 @@ def load_templates() -> list[Template]:
 
 
 class TemplateMatcher:
-    """Matches question texts back to (template, bindings)."""
+    """Matches question texts back to (template, bindings).
+
+    The prefix index picks the candidates and priority orders them. Each
+    distinct literal prefix P, the empty one always among them, maps to
+    every template whose prefix P starts with, most-literal-first. A text
+    is looked up under the longest prefix it starts with: every prefix it
+    starts with is a prefix of that one, so the candidates are exactly the
+    templates that could match it, in priority order."""
 
     def __init__(self, templates: list[Template]):
         ordered = sorted(templates, key=lambda t: (-t.literal_size, t.id))
-        self._compiled = [(t, t.compile()) for t in ordered]
+        compiled = [(t, t.compile()) for t in ordered]
+        prefixes = sorted({""} | {t.literal_prefix for t in ordered}, key=lambda p: (-len(p), p))
+        self._candidates = {p: [(t, rx) for t, rx in compiled if p.startswith(t.literal_prefix)]
+                            for p in prefixes}
+        # alternation takes the first alternative that matches: the longest
+        self._prefix_rx = re.compile("|".join(map(re.escape, prefixes)))
 
     def match(self, text: str) -> tuple[Template, dict[str, str]] | None:
-        for template, rx in self._compiled:
+        for template, rx in self._candidates[self._prefix_rx.match(text).group()]:
             m = rx.fullmatch(text)
             if m:
-                return template, {k: v for k, v in m.groupdict().items() if v is not None}
+                return template, m.groupdict()
         return None
 
 

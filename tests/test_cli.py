@@ -313,6 +313,32 @@ def test_run_malformed_question_line_is_data_error(dataset, tmp_path, capsys):
     assert "malformed question" in capsys.readouterr().err
 
 
+def test_run_answers_out_of_grammar_questions_as_unparseable(dataset, tmp_path):
+    # one text starts with no template's literal prefix, the other with a
+    # real one ("What is the ") but matches no template
+    from plotquest.templates import default_matcher, default_templates
+    out_of_grammar = ["Why is the sky blue?", "What is the airspeed of an unladen swallow?"]
+    prefixes = [t.literal_prefix for t in default_templates()]
+    assert [any(t.startswith(p) for p in prefixes) for t in out_of_grammar] == [False, True]
+    assert all(default_matcher().match(t) is None for t in out_of_grammar)
+    ds = _copy_dataset(dataset, tmp_path)
+    records = [json.loads(line) for line in (ds / "questions.jsonl").read_text().splitlines()]
+    pid = json.loads((ds / "manifest.json").read_text())["splits"]["train"][0]
+    record = next(r for r in records if r["plot_id"] == pid)
+    with open(ds / "questions.jsonl", "a") as f:
+        for t in out_of_grammar:
+            f.write(json.dumps({**record, "text": t}) + "\n")
+    argv = ["run", "--noise", "paper_like", "--run-split", "train"]
+    assert main([*argv, "--dataset", dataset, "--out", str(tmp_path / "before")]) == 0
+    assert main([*argv, "--dataset", str(ds), "--out", str(tmp_path / "after")]) == 0
+    before = [json.loads(line) for line in open(tmp_path / "before" / "predictions.jsonl")]
+    after = [json.loads(line) for line in open(tmp_path / "after" / "predictions.jsonl")]
+    added = [r for r in after if r["text"] in out_of_grammar]
+    assert [r["text"] for r in added] == out_of_grammar
+    assert all(r["prediction"] == {"error": "UnparseableQuestion"} and not r["correct"] for r in added)
+    assert [r for r in after if r["text"] not in out_of_grammar] == before
+
+
 def test_run_malformed_annotation_is_data_error(dataset, tmp_path, capsys):
     ds = _copy_dataset(dataset, tmp_path)
     with open(ds / "manifest.json") as f:

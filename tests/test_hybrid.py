@@ -131,6 +131,24 @@ def test_structural_missing_elements_unavailable():
         answer_structural("How many legend labels are there?", det)
 
 
+def test_bar_order_without_category_ticks_says_so():
+    # bars and a legend but no tick labels: the bars are there, their groups are not
+    det = DetectionSet([
+        Detection("bar", (100, 200, 30, 200), 1.0, color=0),
+        Detection("bar", (130, 250, 30, 150), 1.0, color=1),
+        Detection("legend_preview", (400, 20, 10, 10), 1.0, color=0),
+        Detection("legend_label", (415, 20, 40, 10), 1.0, text="Brazil"),
+        Detection("legend_preview", (400, 40, 10, 10), 1.0, color=1),
+        Detection("legend_label", (415, 40, 40, 10), 1.0, text="Iceland"),
+    ])
+    for end in ("left", "right", "top", "bottom"):
+        with pytest.raises(AnswerUnavailable, match="no category ticks detected"):
+            answer_structural(f"What does the 1st bar from the {end} in each group represent?", det)
+    with pytest.raises(AnswerUnavailable, match="no bars detected"):
+        answer_structural("What does the 1st bar from the left in each group represent?",
+                          DetectionSet([d for d in det.detections if d.cls != "bar"]))
+
+
 def test_structural_works_on_detections_and_annotations(corpus):
     data = sample_plot_data(corpus, 3)
     _, ann = render(make_plot_spec(data, 3))
