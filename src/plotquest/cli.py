@@ -16,6 +16,13 @@ Exit codes: 0 success, 1 usage error, 2 data error. Two rules hold at the
 file boundary of every command, each with one line on stderr: an input file
 that cannot be read or decoded exits 2 naming the file (``_read``), and an
 output path that cannot be written exits 1 naming the path (``_write``).
+
+Per plot, ``generate`` appends its question lines to questions.jsonl and
+``run`` its predictions to predictions.jsonl, each answer scored once into a
+``harness.Tally``. ``run`` checks every question line before any output and
+accepts them in any order, so it keeps the run split's questions by plot:
+memory linear in the run split. A ``run`` that exits 2 mid-pass may leave a
+partial predictions.jsonl, but never a report.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from . import __version__
 from .answers import Answer, AnswerUnavailable, UnparseableQuestion
 from .corpus import CorpusError, default_corpus, load_corpus, sample_plot_data
 from .detsim import APPool, DetectionSet, NoiseModel, get_preset, perturb_with_provenance
-from .harness import EvalReport, SplitSpec, evaluate, score_answer, split
+from .harness import EvalReport, SplitSpec, Tally, evaluate, score_answer, split
 from .hybrid import answer_hybrid
 from .plotgen import LayoutError, PlotAnnotation, make_plot_spec, render
 from .qgen import DEFAULT_QUESTIONS_PER_PLOT, QuestionInstance, instantiate
@@ -79,9 +86,9 @@ def _read(path: str, what: str, decode):
 
 
 def _read_jsonl(path: str, what: str, decode) -> list:
-    """``decode`` each non-blank line's JSON object, one line at a time; a
-    line that does not parse or decode is a data error naming the path and
-    line number."""
+    """``decode`` each non-blank line's JSON object, one line at a time, and
+    keep what is not None; a line that does not parse or decode is a data
+    error naming the path and line number."""
     def lines(f) -> list:
         out = []
         for lineno, line in enumerate(f, start=1):
@@ -89,9 +96,11 @@ def _read_jsonl(path: str, what: str, decode) -> list:
             if not line:
                 continue
             try:
-                out.append(decode(json.loads(line)))
+                record = decode(json.loads(line))
             except _DECODE_ERRORS as e:
                 raise DataError(f"malformed {what} at {path}:{lineno}: {e!r}")
+            if record is not None:
+                out.append(record)
         return out
 
     return _read(path, f"{what} file", lines)
@@ -140,26 +149,27 @@ def cmd_generate(corpus_path: str | None, n_plots: int, seed: int,
         hashes[name] = hashlib.sha256(data).hexdigest()
         _write(os.path.join(out, name), [data])
 
-    question_lines: list[str] = []
+    questions_hash = hashlib.sha256()
     n_questions = 0
-    for i in range(n_plots):
-        data = sample_plot_data(corpus, stable_seed(seed, "data", i))
-        spec = make_plot_spec(data, stable_seed(seed, "style", i))
-        svg, annotation = render(spec)
-        put(f"plots/{i:04d}.svg", svg)
-        put(f"annotations/{i:04d}.json", annotation.dumps().encode())
-        put(f"tables/{i:04d}.csv", annotation.gold_table.to_csv().encode())
-        questions = instantiate(
-            data, spec, stable_seed(seed, "questions", i),
-            n_questions=questions_per_plot,
-        )
-        for q in questions:
-            rec = q.to_json()
-            rec["plot_id"] = i
-            question_lines.append(json.dumps(rec))
-        n_questions += len(questions)
 
-    put("questions.jsonl", ("\n".join(question_lines) + "\n").encode())
+    def question_lines():
+        nonlocal n_questions
+        for i in range(n_plots):
+            data = sample_plot_data(corpus, stable_seed(seed, "data", i))
+            spec = make_plot_spec(data, stable_seed(seed, "style", i))
+            svg, annotation = render(spec)
+            put(f"plots/{i:04d}.svg", svg)
+            put(f"annotations/{i:04d}.json", annotation.dumps().encode())
+            put(f"tables/{i:04d}.csv", annotation.gold_table.to_csv().encode())
+            questions = instantiate(data, spec, stable_seed(seed, "questions", i), n_questions=questions_per_plot)
+            for q in questions:
+                line = f"{json.dumps({**q.to_json(), 'plot_id': i})}\n".encode()
+                questions_hash.update(line)
+                yield line
+            n_questions += len(questions)
+
+    _write(os.path.join(out, "questions.jsonl"), question_lines())
+    hashes["questions.jsonl"] = questions_hash.hexdigest()
 
     ids = list(range(n_plots))
     train, valid, test = split(ids, SplitSpec(split_ratios, seed=seed))
@@ -174,9 +184,10 @@ def cmd_generate(corpus_path: str | None, n_plots: int, seed: int,
         },
         "splits": {"train": train, "valid": valid, "test": test},
         "n_questions": n_questions,
-        "files": dict(sorted(hashes.items())),
+        "files": hashes,  # sort_keys orders it
     }
-    _write(os.path.join(out, "manifest.json"), [json.dumps(manifest, indent=1, sort_keys=True).encode()])
+    encoder = json.JSONEncoder(indent=1, sort_keys=True)  # json.dumps's bytes, written as encoded
+    _write(os.path.join(out, "manifest.json"), (chunk.encode() for chunk in encoder.iterencode(manifest)))
     print(f"wrote {n_plots} plots, {n_questions} questions to {out}")
     return 0
 
@@ -184,15 +195,10 @@ def cmd_generate(corpus_path: str | None, n_plots: int, seed: int,
 # ---------------------------------------------------------------------------
 # run
 
-def _question_record(obj: dict) -> tuple[QuestionInstance, int]:
-    pid = obj["plot_id"]
-    if type(pid) is not int:
-        raise ValueError(f"plot_id {pid!r} is not an integer")
-    return QuestionInstance.from_json(obj), pid
-
-
-def _load_dataset(dataset_dir: str, run_split: str) -> tuple[set[int], list[tuple[QuestionInstance, int]]]:
-    """The plot ids of ``run_split`` and every question record."""
+def _load_dataset(dataset_dir: str, run_split: str) -> dict[int, list[QuestionInstance]]:
+    """The questions of ``run_split``'s plots, grouped by plot id in file
+    order. Every question line is decoded and checked, in the split or not;
+    only the split's questions are kept."""
     manifest_path = os.path.join(dataset_dir, "manifest.json")
     manifest = _read(manifest_path, "manifest", json.load)
     if not isinstance(manifest, dict) or not isinstance(manifest.get("splits"), dict):
@@ -202,75 +208,73 @@ def _load_dataset(dataset_dir: str, run_split: str) -> tuple[set[int], list[tupl
     members = manifest["splits"][run_split]
     if not isinstance(members, list) or not all(type(pid) is int for pid in members):
         raise DataError(f"manifest split {run_split!r} is not a list of plot ids")
-    questions_path = os.path.join(dataset_dir, "questions.jsonl")
-    return set(members), _read_jsonl(questions_path, "question", _question_record)
+    wanted = set(members)
+
+    def run_question(obj: dict) -> tuple[int, QuestionInstance] | None:
+        pid = obj["plot_id"]
+        if type(pid) is not int:
+            raise ValueError(f"plot_id {pid!r} is not an integer")
+        q = QuestionInstance.from_json(obj)
+        return (pid, q) if pid in wanted else None
+
+    by_plot: dict[int, list[QuestionInstance]] = {}
+    for pid, q in _read_jsonl(os.path.join(dataset_dir, "questions.jsonl"), "question", run_question):
+        by_plot.setdefault(pid, []).append(q)
+    return by_plot
 
 
 def cmd_run(dataset_dir: str, noise_spec: str, out_dir: str, run_split: str = "test") -> int:
-    wanted, questions = _load_dataset(dataset_dir, run_split)
+    by_plot = _load_dataset(dataset_dir, run_split)
     noise = _load_noise(noise_spec)
     _make_out_dir(out_dir)
-
-    by_plot: dict[int, list[QuestionInstance]] = {}
-    for q, pid in questions:
-        if pid in wanted:
-            by_plot.setdefault(pid, []).append(q)
     if not by_plot:
         raise DataError(f"no questions in split {run_split!r}")
 
-    # Per plot: perturb, add the detections to the AP pool, read once, score
-    # the table, answer the plot's questions from that one reading, then let
-    # the plot go: the pool keeps only its match records.
-    plot_ids = sorted(by_plot)
     ap_pool = APPool(MAP_THRESHOLDS)
     f1s = []
     ocr_pairs_pred, ocr_pairs_gold = [], []
-    predictions = []
-    answers = {}
-    for pid in plot_ids:
-        annotation_path = os.path.join(dataset_dir, "annotations", f"{pid:04d}.json")
-        annotation = _read(annotation_path, "annotation", lambda f: PlotAnnotation.loads(f.read()))
-        try:
-            det, provenance = perturb_with_provenance(
-                annotation, noise.with_seed(stable_seed(noise.seed, "plot", pid)))
-        except ValueError as e:  # finite box edges or sigmas whose noisy box overflows
-            raise DataError(f"cannot perturb annotation {annotation_path} under noise {noise_spec}: {e}")
-        ap_pool.add(det, annotation)
-        reading = read(det)
-        f1s.append(table_f1(extract_table(reading), annotation.gold_table, TABLE_F1_REL_TOL)[2])
-        for gold_el, d in provenance:
-            if gold_el.text is None or d is None:
-                continue
-            ocr_pairs_gold.append((gold_el.cls, gold_el.text))
-            ocr_pairs_pred.append((gold_el.cls, d.text or ""))
-        for q in by_plot[pid]:
+    tally = Tally()
+
+    # Per plot: perturb, add the detections to the AP pool, read once, score
+    # the table, answer and score its questions from that one reading, yield
+    # their lines, then let the plot go: the pool keeps only its match records.
+    def prediction_lines():
+        for pid in sorted(by_plot):
+            annotation_path = os.path.join(dataset_dir, "annotations", f"{pid:04d}.json")
+            annotation = _read(annotation_path, "annotation", lambda f: PlotAnnotation.loads(f.read()))
             try:
-                pred = answer_hybrid(q.text, reading)
-                pred_json = pred.to_json()
-            except (AnswerUnavailable, UnparseableQuestion) as e:
-                pred, pred_json = None, {"error": type(e).__name__}
-            answers[id(q)] = pred
-            rec = q.to_json()
-            rec["plot_id"] = pid
-            rec["prediction"] = pred_json
-            rec["correct"] = score_answer(pred, q.gold_answer)
-            predictions.append(rec)
-        del reading
+                det, provenance = perturb_with_provenance(
+                    annotation, noise.with_seed(stable_seed(noise.seed, "plot", pid)))
+            except ValueError as e:  # finite box edges or sigmas whose noisy box overflows
+                raise DataError(f"cannot perturb annotation {annotation_path} under noise {noise_spec}: {e}")
+            ap_pool.add(det, annotation)
+            reading = read(det)
+            f1s.append(table_f1(extract_table(reading), annotation.gold_table, TABLE_F1_REL_TOL)[2])
+            for gold_el, d in provenance:
+                if gold_el.text is None or d is None:
+                    continue
+                ocr_pairs_gold.append((gold_el.cls, gold_el.text))
+                ocr_pairs_pred.append((gold_el.cls, d.text or ""))
+            for q in by_plot.pop(pid):
+                try:
+                    pred = answer_hybrid(q.text, reading)
+                    pred_json = pred.to_json()
+                except (AnswerUnavailable, UnparseableQuestion) as e:
+                    pred, pred_json = None, {"error": type(e).__name__}
+                ok = score_answer(pred, q.gold_answer)
+                tally.add(q, ok)
+                rec = {**q.to_json(), "plot_id": pid, "prediction": pred_json, "correct": ok}
+                yield f"{json.dumps(rec)}\n".encode()
+            del reading
+
+    _write(os.path.join(out_dir, "predictions.jsonl"), prediction_lines())
 
     map_scores = {str(thr): m for thr, (_, m) in zip(MAP_THRESHOLDS, ap_pool.result())}
 
     from .detsim import ocr_accuracy as _ocr_acc
     ocr_total = _ocr_acc(ocr_pairs_pred, ocr_pairs_gold)["total"] if ocr_pairs_gold else None
 
-    _write(os.path.join(out_dir, "predictions.jsonl"), (f"{json.dumps(rec)}\n".encode() for rec in predictions))
-
-    report = evaluate(
-        [q for pid in plot_ids for q in by_plot[pid]],
-        lambda q: answers[id(q)],
-        map_scores=map_scores,
-        ocr_accuracy=ocr_total,
-        mean_table_f1=sum(f1s) / len(f1s),
-    )
+    report = tally.report(map_scores, ocr_total, sum(f1s) / len(f1s))
     text_out = report.render_text()
     _write(os.path.join(out_dir, "report.json"), [report.dumps().encode()])
     _write(os.path.join(out_dir, "report.txt"), [text_out.encode()])

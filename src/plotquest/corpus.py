@@ -31,7 +31,6 @@ _FORBIDDEN_PREFIXES = (
     "sum of ", "total ", "average ", "median ", "maximum ", "minimum ",
     "difference ", "ratio ",
 )
-_FORBIDDEN_ENTITY = (" and ", " in ", " to ", "|", ",")
 
 
 class CorpusError(ValueError):

@@ -8,13 +8,16 @@ to string comparison, so OCR junk like "100-" scores false against 98.
 
 Reports break accuracy down over the 3x3 question-category x answer-type
 grid; the structural x open-vocabulary cell is structurally empty and
-reported as NA.
+reported as NA. ``Tally`` is the one tabulation, fed each question's score
+as it is made: ``plotquest run`` feeds it without keeping the questions,
+and ``evaluate`` answers, scores and feeds it.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
@@ -147,6 +150,30 @@ class EvalReport:
         return json.dumps(self.to_json(), indent=1)
 
 
+class Tally:
+    """Hits and totals per category x answer type, fed one scored question
+    at a time; ``report`` tabulates them into the 3x3 grid."""
+
+    def __init__(self):
+        self.hits: Counter[tuple[str, str]] = Counter()
+        self.totals: Counter[tuple[str, str]] = Counter()
+
+    def add(self, q: QuestionInstance, ok: bool) -> None:
+        key = (q.category, q.answer_type)
+        self.totals[key] += 1
+        self.hits[key] += ok
+
+    def report(self, map_scores: dict[str, float] | None, ocr_accuracy: float | None,
+               mean_table_f1: float | None) -> EvalReport:
+        if not self.totals:
+            raise ValueError("no questions to evaluate")
+        counts = {c: {at: self.totals[(c, at)] for at in ANSWER_TYPES} for c in CATEGORIES}
+        accuracy_by = {c: {at: self.hits[(c, at)] / n if n and (c, at) != ("structural", "open_vocab") else None
+                           for at, n in row.items()} for c, row in counts.items()}
+        overall = sum(self.hits.values()) / sum(self.totals.values())
+        return EvalReport(overall, accuracy_by, counts, map_scores, ocr_accuracy, mean_table_f1)
+
+
 def evaluate(
     questions: list[QuestionInstance],
     system: Callable[[QuestionInstance], Answer],
@@ -157,40 +184,13 @@ def evaluate(
     """Run the system over gold questions and tabulate the 3x3 grid.
 
     System exceptions of the AnswerUnavailable / UnparseableQuestion kind
-    score as incorrect; anything else propagates.
+    score as incorrect; anything else propagates; no questions is a ValueError.
     """
-    if not questions:
-        raise ValueError("no questions to evaluate")
-    hits: dict[tuple[str, str], int] = {}
-    totals: dict[tuple[str, str], int] = {}
+    tally = Tally()
     for q in questions:
         try:
             pred = system(q)
         except (AnswerUnavailable, UnparseableQuestion):
             pred = None
-        ok = score_answer(pred, q.gold_answer)
-        key = (q.category, q.answer_type)
-        totals[key] = totals.get(key, 0) + 1
-        hits[key] = hits.get(key, 0) + (1 if ok else 0)
-
-    accuracy_by: dict[str, dict[str, float | None]] = {}
-    counts: dict[str, dict[str, int]] = {}
-    for c in CATEGORIES:
-        accuracy_by[c] = {}
-        counts[c] = {}
-        for at in ANSWER_TYPES:
-            n = totals.get((c, at), 0)
-            counts[c][at] = n
-            if n == 0 or (c == "structural" and at == "open_vocab"):
-                accuracy_by[c][at] = None
-            else:
-                accuracy_by[c][at] = hits[(c, at)] / n
-    overall = sum(hits.values()) / sum(totals.values())
-    return EvalReport(
-        overall_accuracy=overall,
-        accuracy_by=accuracy_by,
-        counts=counts,
-        map_scores=map_scores,
-        ocr_accuracy=ocr_accuracy,
-        mean_table_f1=mean_table_f1,
-    )
+        tally.add(q, score_answer(pred, q.gold_answer))
+    return tally.report(map_scores, ocr_accuracy, mean_table_f1)

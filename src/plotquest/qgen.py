@@ -487,15 +487,19 @@ def _draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
-def _question(template: Template, ctx: _Ctx, rng: np.random.Generator) -> QuestionInstance:
-    """One question of ``template``: sampled bindings, their gold answer and
-    the filled text. Raises Degenerate when the draw lands on a knife edge."""
-    bindings = sample_bindings(template, ctx, rng)
-    gold = _gold(template.id, bindings, ctx)
-    return QuestionInstance(
-        template.id, template.category, template.answer_type,
-        template.fill(bindings), bindings, gold,
-    )
+def _question(template: Template, ctx: _Ctx, rng: np.random.Generator, seen=()) -> QuestionInstance | None:
+    """One question of ``template``, or None when the draw lands on a knife
+    edge or fills a text in ``seen``. A duplicate skips ``_gold``, which
+    draws nothing from ``rng``, so skipping it leaves the stream as it was."""
+    try:
+        bindings = sample_bindings(template, ctx, rng)
+        filled = template.fill(bindings)
+        if filled in seen:
+            return None
+        return QuestionInstance(template.id, template.category, template.answer_type,
+                                filled, bindings, _gold(template.id, bindings, ctx))
+    except Degenerate:
+        return None
 
 
 def instantiate(
@@ -532,14 +536,10 @@ def instantiate(
         cat = categories[_draw(cat_cdf, rng)]
         atype = atypes[cat][_draw(atype_cdf[cat], rng)]
         pool = buckets[(cat, atype)]
-        try:
-            q = _question(pool[int(rng.integers(len(pool)))], ctx, rng)
-        except Degenerate:
-            continue
-        if q.text in seen:
-            continue
-        seen.add(q.text)
-        out.append(q)
+        q = _question(pool[int(rng.integers(len(pool)))], ctx, rng, seen)
+        if q is not None:
+            seen.add(q.text)
+            out.append(q)
     return out
 
 
@@ -550,9 +550,8 @@ def instantiate_all(data: PlotData, spec: PlotSpec, seed: int) -> list[QuestionI
     out = []
     for template in _templates_for(ctx):
         for _ in range(8):
-            try:
-                out.append(_question(template, ctx, rng))
-            except Degenerate:
-                continue
-            break
+            q = _question(template, ctx, rng)
+            if q is not None:
+                out.append(q)
+                break
     return out

@@ -147,9 +147,6 @@ def parse(question: str) -> ParsedQuestion:
 _CMP = {
     ">": lambda a, b: a > b,
     "<": lambda a, b: a < b,
-    ">=": lambda a, b: a >= b,
-    "<=": lambda a, b: a <= b,
-    "=": lambda a, b: a == b,
     "!=": lambda a, b: a != b,
 }
 

@@ -43,10 +43,11 @@ def test_generate_reproducible(dataset, tmp_path):
 
 
 # sha256 of the ``dataset`` fixture's manifest.json, which lists the hash of
-# every generated file, and of predictions.jsonl from a paper_like run of its
-# train split; measured with numpy 2.4.6
+# every generated file, and of predictions.jsonl and report.json from a
+# paper_like run of its train split; measured with numpy 2.4.6
 MANIFEST_SHA256 = "cc2c3ffc1697fe11c441aae07fbd19071d71686ba185285435140598ea6b277b"
 PREDICTIONS_SHA256 = "f971a1746b84b7df48f80ea8645fe27a58835fd5be0a6257d45adabce4a0d177"
+REPORT_SHA256 = "1281f703cab250cd35c4653c453bdd6188de1ceef48552f8505cc7803bc665d1"
 
 
 def test_outputs_match_the_pinned_behaviour(dataset, tmp_path):
@@ -54,8 +55,9 @@ def test_outputs_match_the_pinned_behaviour(dataset, tmp_path):
     assert main(["run", "--dataset", dataset, "--noise", "paper_like", "--run-split", "train",
                  "--out", str(out)]) == 0
     got = (hashlib.sha256(open(os.path.join(dataset, "manifest.json"), "rb").read()).hexdigest(),
-           hashlib.sha256((out / "predictions.jsonl").read_bytes()).hexdigest())
-    assert got == (MANIFEST_SHA256, PREDICTIONS_SHA256), (
+           hashlib.sha256((out / "predictions.jsonl").read_bytes()).hexdigest(),
+           hashlib.sha256((out / "report.json").read_bytes()).hexdigest())
+    assert got == (MANIFEST_SHA256, PREDICTIONS_SHA256, REPORT_SHA256), (
         f"generate or run output changed (numpy {np.__version__}): a refactor must keep the bytes; "
         "a deliberate behaviour change updates these constants and says so in CHANGES.md")
 
@@ -167,6 +169,22 @@ def test_evaluate_and_report_commands(dataset, tmp_path):
     with open(tmp_path / "rescored.json") as f:
         assert json.load(f)["overall_accuracy"] == 1.0
     assert main(["report", "--report", str(run_out / "report.json")]) == 0
+
+
+def test_evaluate_rescores_a_noisy_run_to_its_report(dataset, tmp_path):
+    # run scores each answer as it goes, evaluate re-scores the written
+    # predictions: under noise, where answers are wrong and unavailable too,
+    # the two must tabulate the same grid
+    run_out = tmp_path / "run"
+    assert main(["run", "--dataset", dataset, "--noise", "paper_like", "--run-split", "train",
+                 "--out", str(run_out)]) == 0
+    assert main(["evaluate", "--predictions", str(run_out / "predictions.jsonl"),
+                 "--out", str(tmp_path / "rescored.json")]) == 0
+    ran = json.loads((run_out / "report.json").read_text())
+    rescored = json.loads((tmp_path / "rescored.json").read_text())
+    assert 0 < ran["overall_accuracy"] < 1
+    for key in ("overall_accuracy", "accuracy_by", "counts"):
+        assert rescored[key] == ran[key], key
 
 
 GOOD_PREDICTION = {
@@ -311,6 +329,7 @@ def test_run_malformed_question_line_is_data_error(dataset, tmp_path, capsys):
         f.write('{"plot_id": 0, "text": \n')
     assert main(["run", "--dataset", str(ds), "--out", str(tmp_path / "o")]) == 2
     assert "malformed question" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()  # the last line is checked before any output
 
 
 def test_run_answers_out_of_grammar_questions_as_unparseable(dataset, tmp_path):
@@ -448,6 +467,9 @@ def test_damaged_input_is_one_line_data_error(dataset, tmp_path, capsys, argv, d
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    # predictions stream, so a pass that fails midway may leave some; a
+    # report comes only from a complete pass
+    assert not (tmp_path / "o" / "report.json").exists()
 
 
 @pytest.mark.parametrize("model", [
@@ -468,10 +490,10 @@ def test_run_bad_noise_model_is_data_error(dataset, tmp_path, model):
 
 
 def test_run_reads_each_plot_once_and_parses_each_question_once(dataset, tmp_path, monkeypatch):
-    from plotquest import cli
+    from plotquest import cli, harness
     from plotquest.templates import TemplateMatcher
-    calls = {"extract_table": 0, "match": 0}
-    extract_table, match = cli.extract_table, TemplateMatcher.match
+    calls = {"extract_table": 0, "match": 0, "score_answer": 0}
+    extract_table, match, score_answer = cli.extract_table, TemplateMatcher.match, harness.score_answer
 
     def counting_extract(*args, **kwargs):
         calls["extract_table"] += 1
@@ -481,14 +503,21 @@ def test_run_reads_each_plot_once_and_parses_each_question_once(dataset, tmp_pat
         calls["match"] += 1
         return match(self, *args, **kwargs)
 
+    def counting_score(*args, **kwargs):
+        calls["score_answer"] += 1
+        return score_answer(*args, **kwargs)
+
     monkeypatch.setattr(cli, "extract_table", counting_extract)
     monkeypatch.setattr(TemplateMatcher, "match", counting_match)
+    for module in (cli, harness):  # one count, whichever module scores
+        monkeypatch.setattr(module, "score_answer", counting_score)
     out = tmp_path / "run"
     assert main(["run", "--dataset", dataset, "--noise", "paper_like", "--run-split", "train",
                  "--out", str(out)]) == 0
     records = [json.loads(line) for line in open(out / "predictions.jsonl")]
     assert calls["extract_table"] == len({r["plot_id"] for r in records})
     assert calls["match"] == len(records)
+    assert calls["score_answer"] == len(records)
 
 
 @pytest.mark.parametrize("argv,entry,kind", [
