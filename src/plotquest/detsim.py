@@ -32,7 +32,7 @@ import json
 import math
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -49,11 +49,15 @@ CHAR_CONFUSION = {
     "l": "I", "z": "2", "u": "v", "n": "m", "m": "n",
     "0": "O", "1": "I", "2": "Z", "5": "S", "6": "G", "8": "B", "9": "q",
 }
-DIGIT_CONFUSION = {"0": "O", "1": "I", "2": "Z", "5": "S", "6": "G", "8": "B", "9": "q"}
+DIGIT_CONFUSION = {c: t for c, t in CHAR_CONFUSION.items() if c.isdigit()}
 
 
 @dataclass(frozen=True)
 class NoiseModel:
+    """The noise knobs and the seed of their draws. The field declarations
+    are the one list of knobs: validation, ``is_zero`` and both JSON
+    directions read ``fields``. A ``*_prob`` field is a probability."""
+
     box_jitter_sigma: float = 0.0  # px, Gaussian per box edge
     drop_prob: float = 0.0
     misclass_prob: float = 0.0
@@ -64,11 +68,10 @@ class NoiseModel:
     class_sigma: dict = field(default_factory=dict)  # per-class jitter override
 
     def __post_init__(self):
-        for name in ("drop_prob", "misclass_prob", "ocr_char_sub_prob",
-                     "ocr_truncate_prob", "ocr_sign_digit_prob"):
-            p = getattr(self, name)
-            if not (0.0 <= p <= 1.0):
-                raise ValueError(f"{name}={p} outside [0, 1]")
+        for f in fields(self):
+            p = getattr(self, f.name)
+            if f.name.endswith("_prob") and not (0.0 <= p <= 1.0):
+                raise ValueError(f"{f.name}={p} outside [0, 1]")
         if self.box_jitter_sigma < 0:
             raise ValueError("box_jitter_sigma must be >= 0")
         for cls, sigma in self.class_sigma.items():
@@ -79,27 +82,19 @@ class NoiseModel:
         return float(self.class_sigma.get(cls, self.box_jitter_sigma))
 
     def is_zero(self) -> bool:
-        return (
-            self.box_jitter_sigma == 0 and not any(self.class_sigma.values())
-            and self.drop_prob == 0 and self.misclass_prob == 0
-            and self.ocr_char_sub_prob == 0 and self.ocr_truncate_prob == 0
-            and self.ocr_sign_digit_prob == 0
-        )
+        """No knob but the seed is set (a class sigma of 0 sets none)."""
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.name != "seed" and any(v.values() if isinstance(v, dict) else (v,)):
+                return False
+        return True
 
     def with_seed(self, seed: int) -> "NoiseModel":
         return replace(self, seed=seed)
 
     def to_json(self) -> dict:
-        return {
-            "box_jitter_sigma": self.box_jitter_sigma,
-            "drop_prob": self.drop_prob,
-            "misclass_prob": self.misclass_prob,
-            "ocr_char_sub_prob": self.ocr_char_sub_prob,
-            "ocr_truncate_prob": self.ocr_truncate_prob,
-            "ocr_sign_digit_prob": self.ocr_sign_digit_prob,
-            "seed": self.seed,
-            "class_sigma": dict(self.class_sigma),
-        }
+        """Every field, in declaration order."""
+        return asdict(self)
 
     @staticmethod
     def from_json(obj: dict) -> "NoiseModel":

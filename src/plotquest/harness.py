@@ -174,14 +174,9 @@ class Tally:
         return EvalReport(overall, accuracy_by, counts, map_scores, ocr_accuracy, mean_table_f1)
 
 
-def evaluate(
-    questions: list[QuestionInstance],
-    system: Callable[[QuestionInstance], Answer],
-    map_scores: dict[str, float] | None = None,
-    ocr_accuracy: float | None = None,
-    mean_table_f1: float | None = None,
-) -> EvalReport:
-    """Run the system over gold questions and tabulate the 3x3 grid.
+def evaluate(questions: list[QuestionInstance], system: Callable[[QuestionInstance], Answer]) -> EvalReport:
+    """Run the system over gold questions and tabulate the 3x3 grid, with no
+    perception scores (``Tally.report`` takes those).
 
     System exceptions of the AnswerUnavailable / UnparseableQuestion kind
     score as incorrect; anything else propagates; no questions is a ValueError.
@@ -193,4 +188,4 @@ def evaluate(
         except (AnswerUnavailable, UnparseableQuestion):
             pred = None
         tally.add(q, score_answer(pred, q.gold_answer))
-    return tally.report(map_scores, ocr_accuracy, mean_table_f1)
+    return tally.report(None, None, None)

@@ -181,7 +181,7 @@ def _answer(question: str, d: DetectionSet | PlotAnnotation | PlotReading, branc
     if branch not in (None, routed):
         raise AnswerUnavailable(
             f"template {parsed.template_id} is not a {branch.replace('_', '-')} question")
-    rd = d if isinstance(d, PlotReading) else read(d)
+    rd = read(d)
     if routed == CLASSIFICATION_BRANCH:
         return _structural(parsed.template_id, parsed.bindings, rd)
     return tableqa.execute(parsed.logical_form, rd.table())

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .answers import AnswerUnavailable, parse_number, within_rel_tol
-from .detsim import Detection, DetectionSet
+from .detsim import ZERO_NOISE, Detection, DetectionSet, perturb
 from .plotgen import PlotAnnotation
 from .table import SemiStructuredTable
 
@@ -313,15 +313,12 @@ class PlotReading:
         return self._bar_groups
 
 
-
-def read(d: DetectionSet | PlotAnnotation) -> PlotReading:
-    """Associate a detection set (or an exact annotation) once; never raises."""
-    if isinstance(d, PlotAnnotation):
-        d = DetectionSet(
-            [Detection(cls=e.cls, bbox=e.bbox, score=1.0, text=e.text, color=e.color) for e in d.elements],
-            style=d.style,
-        )
-    return PlotReading(d)
+def read(d: DetectionSet | PlotAnnotation | PlotReading) -> PlotReading:
+    """Associate a detection set once; never raises. An annotation is read
+    as its zero-noise detections, and a reading passes through unchanged."""
+    if isinstance(d, PlotReading):
+        return d
+    return PlotReading(perturb(d, ZERO_NOISE) if isinstance(d, PlotAnnotation) else d)
 
 
 def extract_table(d: DetectionSet | PlotAnnotation | PlotReading) -> SemiStructuredTable:
@@ -330,7 +327,7 @@ def extract_table(d: DetectionSet | PlotAnnotation | PlotReading) -> SemiStructu
     Always returns a table; association failures leave empty cells and
     unreadable axes simply produce no values.
     """
-    return (d if isinstance(d, PlotReading) else read(d)).table()
+    return read(d).table()
 
 
 # ---------------------------------------------------------------------------

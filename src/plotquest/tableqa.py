@@ -13,8 +13,9 @@ no legend label, the one named by its value phrase (``y_label``) or title:
 
 Questions about plot structure (legend placement, bar ordering, axis
 titles...) have no table semantics; they parse to the ("visual", id) form,
-which ``hybrid.route`` sends to the classification branch (executed here,
-it is AnswerUnavailable like any form the executor does not know).
+which ``hybrid.route`` sends to the classification branch. The executor
+knows every other form ``build_logical_form`` builds, so executing a visual
+form, or any op it does not know, is a programming error: ValueError.
 Out-of-grammar text raises UnparseableQuestion.
 
 Missing cells simply never contribute: a column expression yields only the
@@ -152,12 +153,10 @@ _CMP = {
 
 
 def _check_rows(t: SemiStructuredTable) -> None:
-    """Rows are addressed by header text, so a repeated row header, or a
-    row label that is also a column header, leaves the table unanswerable."""
+    """Rows are addressed by header text, so a repeated row header leaves
+    the table unanswerable."""
     if len(set(t.row_headers)) != len(t.row_headers):
         raise AnswerUnavailable("duplicate row headers make rows ambiguous")
-    if t.row_label and t.row_label in t.col_headers:
-        raise AnswerUnavailable(f"row label {t.row_label!r} collides with a column")
 
 
 def _resolve_col(t: SemiStructuredTable, name: str) -> int:
@@ -202,7 +201,7 @@ def _eval_list(lf: LF, t: SemiStructuredTable) -> list[tuple[str, float]]:
         if [l for l, _ in xs] != [l for l, _ in ys]:
             raise AnswerUnavailable("pointwise sum over misaligned columns")
         return [(l, vx + vy) for (l, vx), (_, vy) in zip(xs, ys)]
-    raise AnswerUnavailable(f"not a list expression: {op}")
+    raise ValueError(f"not a list expression: {op}")
 
 
 def _eval_scalar(lf: LF, t: SemiStructuredTable) -> float:
@@ -262,11 +261,12 @@ def _scalar(lf: LF, t: SemiStructuredTable) -> float:
         threshold = _eval_scalar(lf[3], t)
         cmp = _CMP[lf[2]]
         return float(sum(1 for _, v in _eval_list(lf[1], t) if cmp(v, threshold)))
-    raise AnswerUnavailable(f"not a scalar expression: {op}")
+    raise ValueError(f"not a scalar expression: {op}")
 
 
 def execute(lf: LF, t: SemiStructuredTable) -> Answer:
-    """Evaluate a logical form against the table."""
+    """Evaluate a logical form against the table: AnswerUnavailable when the
+    table cannot answer it, ValueError for an op the executor does not know."""
     _check_rows(t)
     op = lf[0]
     if op in ("argmax", "argmin"):

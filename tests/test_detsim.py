@@ -1,6 +1,6 @@
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -602,6 +602,23 @@ def test_presets():
 def test_noise_model_json_roundtrip():
     nm = PAPER_LIKE.with_seed(9)
     assert NoiseModel.from_json(nm.to_json()) == nm
+
+
+def test_every_noise_knob_counts_and_round_trips():
+    # is_zero, validation and JSON read the field list, so no knob is left out
+    names = [f.name for f in fields(NoiseModel)]
+    assert list(NoiseModel().to_json()) == names
+    for name in names:
+        if name == "seed":
+            continue
+        nm = NoiseModel(**{name: {"bar": 1.0} if name == "class_sigma" else 0.5})
+        assert not nm.is_zero(), name
+        assert list(nm.to_json()) == names
+        assert NoiseModel.from_json(nm.to_json()) == nm
+        if name.endswith("_prob"):
+            with pytest.raises(ValueError, match=name):
+                NoiseModel(**{name: 1.5})
+    assert NoiseModel(seed=3, class_sigma={"bar": 0.0}).is_zero()
 
 
 def test_noise_model_validates_probabilities():

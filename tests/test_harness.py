@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from plotquest.answers import Answer, AnswerUnavailable, number, text, yes_no
-from plotquest.harness import EvalReport, SplitSpec, evaluate, score_answer, split
+from plotquest.harness import EvalReport, SplitSpec, Tally, evaluate, score_answer, split
 from plotquest.qgen import QuestionInstance
 
 
@@ -194,8 +194,10 @@ def test_evaluate_rejects_empty():
 
 
 def test_report_json_roundtrip():
-    rep = evaluate(_grid_questions(), lambda q: q.gold_answer,
-                   map_scores={"0.5": 0.96}, ocr_accuracy=0.97, mean_table_f1=0.68)
+    tally = Tally()
+    for q in _grid_questions():
+        tally.add(q, True)
+    rep = tally.report(map_scores={"0.5": 0.96}, ocr_accuracy=0.97, mean_table_f1=0.68)
     again = EvalReport.from_json(rep.to_json())
     assert again.overall_accuracy == rep.overall_accuracy
     assert again.map_scores == {"0.5": 0.96}

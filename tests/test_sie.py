@@ -235,6 +235,17 @@ def test_zero_noise_roundtrip_all_types(corpus):
             assert f1 == 1.0, (seed, ptype)
 
 
+def test_read_takes_every_input_one_way(corpus):
+    # an annotation reads as its zero-noise detections; a reading passes through
+    for seed in range(5):
+        _, ann = render(make_spec(sample_plot_data(corpus, seed), "vbar"))
+        reading = read(ann)
+        assert read(reading) is reading
+        assert reading.detections.detections == perturb(ann, ZERO_NOISE).detections
+        assert reading.style == ann.style
+        assert extract_table(reading).to_csv() == extract_table(ann).to_csv()
+
+
 def test_dropped_point_leaves_one_empty_cell():
     data = make_data([[3.0, 5.0, 4.0], [2.0, 6.0, 1.0]])
     _, _, ann = rendered(data, "dotline")

@@ -21,12 +21,20 @@ def test_duplicate_row_headers_unavailable():
             execute(lf, t)
 
 
-def test_row_label_colliding_with_column_unavailable():
+def test_row_label_colliding_with_column_answers():
+    # the executor addresses rows by header and never reads the row label,
+    # so a row label that is also a column header takes nothing away
     t = SemiStructuredTable(["a", "b"], ["Year", "x"], [[1.0, 2.0], [3.0, 4.0]], row_label="Year")
-    with pytest.raises(AnswerUnavailable, match="collides"):
-        execute(("max", ("col", "x")), t)
-    unlabeled = SemiStructuredTable(["a", "b"], ["x"], [[1.0], [3.0]])  # no row label
-    assert execute(("max", ("col", "x")), unlabeled).value == 3.0
+    assert execute(("max", ("col", "x")), t).value == 4.0
+
+
+def test_unknown_op_is_a_programming_error():
+    # the branch gate keeps visual forms away from the executor
+    t = SemiStructuredTable(["a"], ["x"], [[1.0]])
+    with pytest.raises(ValueError, match="not a scalar expression: visual"):
+        execute(("visual", 4), t)
+    with pytest.raises(ValueError, match="not a list expression: visual"):
+        execute(("max", ("visual", 4)), t)
 
 
 # -- parsing -------------------------------------------------------------------
