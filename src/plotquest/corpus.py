@@ -6,11 +6,16 @@ kind``). A bundled default corpus covers integer, float and percentage
 indicators whose ranges jointly span the full 0..3.5e15 envelope.
 
 Because every generated question must re-parse under the closed template
-grammar, indicator phrases obey a few hygiene rules that ``load_corpus``
-enforces: no " in " or " per " inside a unit phrase, and no phrase starting
-with a grammar keyword such as "average" or "sum of". Entity names used
-for ticks and legends likewise avoid " and ", " in " and " to ", which the
-grammar uses as separators.
+grammar, indicator phrases obey a few hygiene rules that an
+``IndicatorVariable`` enforces when it is built: no braces, no " in " or
+" per " inside a unit phrase, and no phrase starting with a grammar keyword
+such as "average" or "sum of". Entity names used for ticks and legends
+likewise avoid " and ", " in " and " to ", which the grammar uses as
+separators.
+
+Both records check their fields in their constructors and raise ValueError,
+so an ``IndicatorVariable`` or ``PlotData`` that exists is valid;
+``load_corpus`` turns the error into a CorpusError naming the line.
 """
 
 from __future__ import annotations
@@ -45,12 +50,17 @@ class IndicatorVariable:
     value_range: tuple[float, float]
     value_kind: str  # "integer" | "float" | "percentage"
 
-    def validate(self) -> None:
+    def __post_init__(self):
         lo, hi = self.value_range
         if not self.name:
             raise ValueError("indicator name is empty")
         if not self.unit_phrase:
             raise ValueError("unit_phrase is empty")
+        for phrase in (self.name, self.unit_phrase):
+            if "{" in phrase or "}" in phrase:  # the question templates' slot markers
+                raise ValueError(f"{phrase!r}: '{{' and '}}' are not allowed")
+        if self.plural_entity_phrase not in ENTITY_POOLS:
+            raise ValueError(f"unknown entity pool {self.plural_entity_phrase!r}")
         if self.value_kind not in VALUE_KINDS:
             raise ValueError(f"bad value_kind {self.value_kind!r}")
         if not (0 <= lo <= hi <= GLOBAL_VALUE_CAP):
@@ -89,8 +99,7 @@ class PlotData:
         """Series-major value matrix, shape (n_series, n_categories)."""
         return np.array([vals for _, vals in self.series], dtype=float)
 
-    def validate(self) -> None:
-        self.indicator.validate()
+    def __post_init__(self):
         if not (2 <= self.n_categories <= 12):
             raise ValueError(f"{self.n_categories} x-categories; expected 2..12")
         if not (1 <= self.n_series <= 4):
@@ -164,9 +173,6 @@ def pluralize(singular: str) -> str:
 # corpus file handling
 
 def _parse_line(line: str, lineno: int) -> IndicatorVariable:
-    if "{" in line or "}" in line:
-        # braces are the question templates' slot markers
-        raise CorpusError(f"line {lineno}: '{{' and '}}' are not allowed in a corpus line")
     parts = [p.strip() for p in line.split("|")]
     if len(parts) != 6:
         raise CorpusError(f"line {lineno}: expected 6 '|'-separated fields, got {len(parts)}")
@@ -175,14 +181,10 @@ def _parse_line(line: str, lineno: int) -> IndicatorVariable:
         lo, hi = float(lo_s), float(hi_s)
     except ValueError:
         raise CorpusError(f"line {lineno}: min/max are not numbers: {lo_s!r}, {hi_s!r}")
-    ind = IndicatorVariable(name, unit_phrase, plural_entity, (lo, hi), kind)
     try:
-        ind.validate()
+        return IndicatorVariable(name, unit_phrase, plural_entity, (lo, hi), kind)
     except ValueError as e:
         raise CorpusError(f"line {lineno}: {e}")
-    if plural_entity not in ENTITY_POOLS:
-        raise CorpusError(f"line {lineno}: unknown entity pool {plural_entity!r}")
-    return ind
 
 
 def _parse_corpus(text: str) -> list[IndicatorVariable]:
@@ -284,12 +286,10 @@ def sample_plot_data(corpus: list[IndicatorVariable], seed: int) -> PlotData:
     series = tuple(
         (name, tuple(_sample_values(rng, ind, n_cats))) for name in legends
     )
-    data = PlotData(
+    return PlotData(
         indicator=ind,
         x_label=x_label,
         y_label=ind.unit_phrase,
         x_categories=x_categories,
         series=series,
     )
-    data.validate()
-    return data

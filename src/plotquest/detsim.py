@@ -36,10 +36,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .plotgen import (
-    ELEMENT_CLASSES, PlotAnnotation, StyleParams, VisualElement, check_bbox, check_text_and_color,
-    element_class,
-)
+from .plotgen import ELEMENT_CLASSES, PlotAnnotation, StyleParams, VisualElement, check_element
 
 BBox = tuple[float, float, float, float]
 
@@ -56,7 +53,10 @@ DIGIT_CONFUSION = {c: t for c, t in CHAR_CONFUSION.items() if c.isdigit()}
 class NoiseModel:
     """The noise knobs and the seed of their draws. The field declarations
     are the one list of knobs: validation, ``is_zero`` and both JSON
-    directions read ``fields``. A ``*_prob`` field is a probability."""
+    directions read ``fields``. Every knob is a finite number: a ``*_prob``
+    field is a probability, a sigma is >= 0, and ``class_sigma`` maps
+    element classes to sigmas. The seed is an integer. A model that breaks
+    any of this raises ValueError when it is built."""
 
     box_jitter_sigma: float = 0.0  # px, Gaussian per box edge
     drop_prob: float = 0.0
@@ -68,15 +68,19 @@ class NoiseModel:
     class_sigma: dict = field(default_factory=dict)  # per-class jitter override
 
     def __post_init__(self):
-        for f in fields(self):
-            p = getattr(self, f.name)
-            if f.name.endswith("_prob") and not (0.0 <= p <= 1.0):
-                raise ValueError(f"{f.name}={p} outside [0, 1]")
-        if self.box_jitter_sigma < 0:
-            raise ValueError("box_jitter_sigma must be >= 0")
-        for cls, sigma in self.class_sigma.items():
-            if sigma < 0:
-                raise ValueError(f"class_sigma[{cls!r}]={sigma} must be >= 0")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise ValueError(f"seed={self.seed!r} is not an integer")
+        if not isinstance(self.class_sigma, dict) or not set(self.class_sigma) <= set(ELEMENT_CLASSES):
+            raise ValueError(f"class_sigma must map element classes to sigmas, got {self.class_sigma!r}")
+        numbers = [(f.name, getattr(self, f.name)) for f in fields(self) if f.name not in ("seed", "class_sigma")]
+        numbers += [(f"class_sigma[{c!r}]", v) for c, v in self.class_sigma.items()]
+        for name, v in numbers:
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+                raise ValueError(f"{name}={v!r} is not a finite number")
+            if name.endswith("_prob") and not (0.0 <= v <= 1.0):
+                raise ValueError(f"{name}={v} outside [0, 1]")
+            if v < 0:
+                raise ValueError(f"{name}={v} must be >= 0")
 
     def sigma_for(self, cls: str) -> float:
         return float(self.class_sigma.get(cls, self.box_jitter_sigma))
@@ -99,26 +103,16 @@ class NoiseModel:
     @staticmethod
     def from_json(obj: dict) -> "NoiseModel":
         """Strict inverse of to_json: every key is optional and none unknown
-        (a misspelt key would otherwise mean, silently, no such noise).
-        Raises ValueError on an unknown key or class, a value that is not a
-        finite number, a negative sigma or a probability outside [0, 1]."""
+        (a misspelt key would otherwise mean, silently, no such noise). The
+        values are checked as in the constructor; raises ValueError on
+        anything that is not an object or on an unknown key."""
         if not isinstance(obj, dict):
             raise ValueError("noise model must be a JSON object")
         names = [f.name for f in fields(NoiseModel)]
         unknown = sorted(set(obj) - set(names))
         if unknown:
             raise ValueError(f"unknown noise model keys {unknown}; known: {names}")
-        seed = obj.get("seed", 0)
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise ValueError(f"seed={seed!r} is not an integer")
-        class_sigma = obj.get("class_sigma", {})
-        if not isinstance(class_sigma, dict) or not set(class_sigma) <= set(ELEMENT_CLASSES):
-            raise ValueError(f"class_sigma must map element classes to sigmas, got {class_sigma!r}")
-        numbers = {k: v for k, v in obj.items() if k not in ("seed", "class_sigma")}
-        for name, v in [*numbers.items(), *class_sigma.items()]:
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-                raise ValueError(f"{name}={v!r} is not a finite number")
-        return NoiseModel(**numbers, seed=seed, class_sigma=dict(class_sigma))
+        return NoiseModel(**obj)
 
 
 ZERO_NOISE = NoiseModel()
@@ -159,8 +153,7 @@ class Detection:
     def __post_init__(self):
         if not (0.0 < self.score <= 1.0):
             raise ValueError(f"detection score {self.score} outside (0, 1]")
-        check_bbox(self.bbox)
-        check_text_and_color(self.text, self.color)
+        check_element(self.cls, self.bbox, self.text, self.color)
 
     @property
     def center(self) -> tuple[float, float]:
@@ -178,7 +171,7 @@ class Detection:
     @staticmethod
     def from_json(obj: dict) -> "Detection":
         return Detection(
-            cls=element_class(obj),
+            cls=obj["class"],
             bbox=tuple(map(float, obj["bbox"])),
             score=float(obj["score"]),
             text=obj.get("text"),

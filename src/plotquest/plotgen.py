@@ -43,6 +43,7 @@ ELEMENT_CLASSES = (
     "title", "bar", "line", "dotline", "xaxis_label", "yaxis_label",
     "xtick_label", "ytick_label", "legend_label", "legend_preview",
 )
+_ELEMENT_CLASS_SET = frozenset(ELEMENT_CLASSES)
 TEXTUAL_CLASSES = ("title", "xaxis_label", "yaxis_label", "xtick_label", "ytick_label", "legend_label")
 MARK_CLASSES = ("bar", "line", "dotline", "legend_preview")
 
@@ -71,7 +72,7 @@ class StyleParams:
     series_colors: tuple[int, ...]
     canvas: tuple[float, float] = DEFAULT_CANVAS
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not isinstance(self.grid, bool):
             raise ValueError(f"grid {self.grid!r} is not a boolean")
         if not _positive_number(self.font_size):
@@ -106,7 +107,7 @@ class StyleParams:
 
     @staticmethod
     def from_json(obj: dict) -> "StyleParams":
-        style = StyleParams(
+        return StyleParams(
             grid=obj["grid"],
             font_size=obj["font_size"],
             tick_notation=obj["tick_notation"],
@@ -116,8 +117,6 @@ class StyleParams:
             series_colors=tuple(obj["series_colors"]),
             canvas=tuple(obj["canvas"]),
         )
-        style.validate()
-        return style
 
 
 @dataclass(frozen=True)
@@ -131,31 +130,22 @@ class PlotSpec:
             raise ValueError(f"bad plot_type {self.plot_type!r}")
 
 
-def check_bbox(bbox: tuple[float, ...]) -> None:
-    """Reject a box that is not four finite numbers with non-negative size."""
+def check_element(cls, bbox, text, color) -> None:
+    """The field check of an annotated element or a detection: a class of
+    ELEMENT_CLASSES, a box of four finite numbers with non-negative size, a
+    string text and an integer colour id (None stands for either being
+    absent)."""
+    if not isinstance(cls, str) or cls not in _ELEMENT_CLASS_SET:  # a decoded list is unhashable
+        raise ValueError(f"unknown element class {cls!r}")
     if (len(bbox) != 4
             or not (math.isfinite(bbox[0]) and math.isfinite(bbox[1])
                     and math.isfinite(bbox[2]) and math.isfinite(bbox[3]))
             or bbox[2] < 0 or bbox[3] < 0):
         raise ValueError(f"bbox {bbox} is not (x, y, w, h) with finite values and w, h >= 0")
-
-
-def check_text_and_color(text, color) -> None:
-    """Reject a text that is not a string and a colour id that is not an
-    integer (None stands for either being absent)."""
     if text is not None and not isinstance(text, str):
         raise ValueError(f"text {text!r} is not a string")
     if color is not None and (isinstance(color, bool) or not isinstance(color, int)):
         raise ValueError(f"color {color!r} is not an integer colour id")
-
-
-def element_class(obj: dict) -> str:
-    """The "class" of a decoded element or detection, which must be one of
-    ELEMENT_CLASSES."""
-    cls = obj["class"]
-    if cls not in ELEMENT_CLASSES:
-        raise ValueError(f"unknown element class {cls!r}")
-    return cls
 
 
 @dataclass(frozen=True)
@@ -168,8 +158,7 @@ class VisualElement:
     x_index: int | None = None
 
     def __post_init__(self):
-        check_bbox(self.bbox)
-        check_text_and_color(self.text, self.color)
+        check_element(self.cls, self.bbox, self.text, self.color)
 
     @property
     def center(self) -> tuple[float, float]:
@@ -191,7 +180,7 @@ class VisualElement:
     @staticmethod
     def from_json(obj: dict) -> "VisualElement":
         return VisualElement(
-            cls=element_class(obj),
+            cls=obj["class"],
             bbox=tuple(map(float, obj["bbox"])),
             text=obj.get("text"),
             color=obj.get("color"),
@@ -207,6 +196,10 @@ class PlotAnnotation:
     plot_type: str
     gold_table: SemiStructuredTable
 
+    def __post_init__(self):
+        if self.plot_type not in PLOT_TYPES:
+            raise ValueError(f"bad plot_type {self.plot_type!r}")
+
     def by_class(self, cls: str) -> list[VisualElement]:
         return [e for e in self.elements if e.cls == cls]
 
@@ -220,8 +213,6 @@ class PlotAnnotation:
 
     @staticmethod
     def from_json(obj: dict) -> "PlotAnnotation":
-        if obj["plot_type"] not in PLOT_TYPES:
-            raise ValueError(f"bad plot_type {obj['plot_type']!r}")
         return PlotAnnotation(
             elements=[VisualElement.from_json(e) for e in obj["elements"]],
             style=StyleParams.from_json(obj["style"]),
@@ -253,7 +244,6 @@ def make_plot_spec(data: PlotData, seed: int) -> PlotSpec:
         legend_position=LEGEND_POSITIONS[int(rng.integers(5))],
         series_colors=tuple(int(c) for c in rng.choice(N_COLORS, size=data.n_series, replace=False)),
     )
-    style.validate()
     return PlotSpec(data=data, plot_type=plot_type, style=style)
 
 
@@ -399,8 +389,6 @@ class _Svg:
 def render(spec: PlotSpec) -> tuple[bytes, PlotAnnotation]:
     """Render the plot; returns the SVG document and its annotation."""
     data, style, ptype = spec.data, spec.style, spec.plot_type
-    data.validate()
-    style.validate()
     W, H = style.canvas
     fs = style.font_size
     th = _text_h(fs)
@@ -618,9 +606,6 @@ def validate_annotation(annotation: PlotAnnotation) -> list[str]:
     W, H = annotation.style.canvas
     counts = {cls: 0 for cls in ELEMENT_CLASSES}
     for e in annotation.elements:
-        if e.cls not in ELEMENT_CLASSES:
-            out.append(f"unknown element class {e.cls!r}")
-            continue
         counts[e.cls] += 1
         x, y, w, h = e.bbox
         if w <= 0 or h <= 0:

@@ -72,6 +72,18 @@ class QuestionInstance:
     bindings: dict[str, str]
     gold_answer: Answer
 
+    def __post_init__(self):
+        if isinstance(self.template_id, bool) or not isinstance(self.template_id, int):
+            raise ValueError(f"template_id {self.template_id!r} is not an integer")
+        if not isinstance(self.text, str):
+            raise ValueError(f"text {self.text!r} is not a string")
+        if self.category not in CATEGORIES:
+            raise ValueError(f"unknown category {self.category!r}")
+        if self.answer_type not in ANSWER_TYPES:
+            raise ValueError(f"unknown answer_type {self.answer_type!r}")
+        if not isinstance(self.bindings, dict) or not all(isinstance(v, str) for v in self.bindings.values()):
+            raise ValueError(f"bindings {self.bindings!r} do not map slot names to strings")
+
     def to_json(self) -> dict:
         return {
             "template_id": self.template_id,
@@ -84,25 +96,13 @@ class QuestionInstance:
 
     @staticmethod
     def from_json(obj: dict) -> "QuestionInstance":
-        """Inverse of to_json; raises ValueError on a field of the wrong type
-        or a category or answer type outside the grammar's."""
-        tid, text, bindings = obj["template_id"], obj["text"], obj["bindings"]
-        if isinstance(tid, bool) or not isinstance(tid, int):
-            raise ValueError(f"template_id {tid!r} is not an integer")
-        if not isinstance(text, str):
-            raise ValueError(f"text {text!r} is not a string")
-        if obj["category"] not in CATEGORIES:
-            raise ValueError(f"unknown category {obj['category']!r}")
-        if obj["answer_type"] not in ANSWER_TYPES:
-            raise ValueError(f"unknown answer_type {obj['answer_type']!r}")
-        if not isinstance(bindings, dict) or not all(isinstance(v, str) for v in bindings.values()):
-            raise ValueError(f"bindings {bindings!r} do not map slot names to strings")
+        """Inverse of to_json; the fields are checked as in the constructor."""
         return QuestionInstance(
-            template_id=tid,
+            template_id=obj["template_id"],
             category=obj["category"],
             answer_type=obj["answer_type"],
-            text=text,
-            bindings=dict(bindings),
+            text=obj["text"],
+            bindings=obj["bindings"],
             gold_answer=Answer.from_json(obj["gold_answer"]),
         )
 
@@ -112,8 +112,6 @@ class QuestionInstance:
 
 class _Ctx:
     def __init__(self, data: PlotData, spec: PlotSpec):
-        if spec.data is not data:
-            data.validate()
         self.data = data
         self.spec = spec
         self.V = data.values_matrix()

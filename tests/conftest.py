@@ -47,7 +47,6 @@ def make_data(values, legends=None, cats=None, x_label="Year", indicator=None):
         x_categories=tuple(cats),
         series=tuple((leg, tuple(float(v) for v in row)) for leg, row in zip(legends, V)),
     )
-    data.validate()
     return data
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -60,7 +62,7 @@ def test_default_corpus_is_broad():
     assert max(c.value_range[1] for c in corpus) == 3.5e15
     assert min(c.value_range[0] for c in corpus) < 1.0
     for c in corpus:
-        c.validate()
+        dataclasses.replace(c)
         assert c.plural_entity_phrase in ENTITY_POOLS
 
 
@@ -90,7 +92,7 @@ def test_sample_bounds_over_many_seeds(corpus):
 
 def test_sample_invariants_hold(corpus):
     for seed in range(300):
-        sample_plot_data(corpus, seed).validate()
+        dataclasses.replace(sample_plot_data(corpus, seed))
 
 
 def test_percentage_values_within_0_100(corpus):

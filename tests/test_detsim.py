@@ -51,7 +51,7 @@ def test_iou_rejects_negative_extent():
 
 
 _FLOAT_MAX = sys.float_info.max
-# every box check_bbox accepts: four finite numbers, width and height >= 0
+# every box check_element accepts: four finite numbers, width and height >= 0
 _finite_boxes = st.tuples(
     st.floats(-_FLOAT_MAX, _FLOAT_MAX), st.floats(-_FLOAT_MAX, _FLOAT_MAX),
     st.floats(0.0, _FLOAT_MAX), st.floats(0.0, _FLOAT_MAX),

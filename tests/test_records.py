@@ -1,0 +1,47 @@
+"""Every record checks its fields in its constructor: a record built in
+code with a bad field raises ValueError at once, the same as one decoded
+from JSON, so no caller has to remember a separate check."""
+
+import pytest
+
+from plotquest.answers import number
+from plotquest.corpus import IndicatorVariable, PlotData
+from plotquest.detsim import Detection, NoiseModel
+from plotquest.plotgen import PlotAnnotation, StyleParams, VisualElement
+from plotquest.qgen import QuestionInstance
+from plotquest.table import SemiStructuredTable
+
+from conftest import make_indicator, make_style
+
+_INDICATOR = dict(name="Test Indicator", unit_phrase="price of diesel", plural_entity_phrase="countries",
+                  value_range=(0.1, 10.0), value_kind="float")
+_DATA = dict(indicator=make_indicator(), x_label="Year", y_label="price of diesel",
+             x_categories=("2000", "2001"), series=(("Brazil", (1.0, 2.0)),))
+_STYLE = dict(grid=True, font_size=12.0, tick_notation="standard", line_style="solid", marker="circle",
+              legend_position="top-right", series_colors=(0,))
+_ANNOTATION = dict(elements=[], style=make_style(1), plot_type="vbar",
+                   gold_table=SemiStructuredTable(["2000"], ["Brazil"], [[1.0]]))
+_QUESTION = dict(template_id=1, category="reasoning", answer_type="open_vocab",
+                 text="What is the average price of diesel?", bindings={}, gold_answer=number(1.0))
+
+# record type, the fields of a valid record, and the one field that spoils it
+CASES = {
+    "element-class": (VisualElement, dict(cls="bar", bbox=(0.0, 0.0, 1.0, 1.0)), dict(cls="Bar")),
+    "detection-class": (Detection, dict(cls="bar", bbox=(0.0, 0.0, 1.0, 1.0), score=1.0), dict(cls="Bar")),
+    "annotation-plot-type": (PlotAnnotation, _ANNOTATION, dict(plot_type="pie")),
+    "style-grid": (StyleParams, _STYLE, dict(grid="no")),
+    "data-one-category": (PlotData, _DATA, dict(x_categories=("2000",), series=(("Brazil", (1.0,)),))),
+    "indicator-value-kind": (IndicatorVariable, _INDICATOR, dict(value_kind="dollars")),
+    "question-category": (QuestionInstance, _QUESTION, dict(category="visual")),
+    # perturb would read a NaN sigma as no jitter while is_zero() is false
+    "noise-nan-sigma": (NoiseModel, dict(box_jitter_sigma=1.0), dict(box_jitter_sigma=float("nan"))),
+    "noise-inf-class-sigma": (NoiseModel, dict(class_sigma={"bar": 1.0}), dict(class_sigma={"bar": float("inf")})),
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_record_rejects_a_bad_field_at_construction(case):
+    record, good, bad = CASES[case]
+    record(**good)
+    with pytest.raises(ValueError):
+        record(**{**good, **bad})
