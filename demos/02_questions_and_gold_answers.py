@@ -2,9 +2,10 @@
 Template questions with gold answers
 ====================================
 
-Instantiate the 74-template question grammar over one plot. Every question
-carries its category, answer type, slot bindings and a gold answer computed
-directly from the data. The same grammar parses questions back, so
+Instantiate the 74-template question grammar over one plot, given by its
+PlotSpec alone. Every question carries its category, answer type, slot
+bindings and a gold answer computed directly from the plot's data
+(``spec.data``). The same grammar parses questions back, so
 generation and parsing can never drift apart.
 """
 
@@ -15,7 +16,7 @@ corpus = pq.default_corpus()
 data = pq.sample_plot_data(corpus, seed=11)
 spec = pq.make_plot_spec(data, seed=2)
 
-questions = pq.instantiate(data, spec, seed=5, n_questions=10)
+questions = pq.instantiate(spec, seed=5, n_questions=10)
 for q in questions:
     print(f"[{q.category}/{q.answer_type}] {q.text}")
     print(f"    gold: {q.gold_answer.rendered()}")

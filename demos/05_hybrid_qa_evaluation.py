@@ -27,7 +27,7 @@ for i in range(80):
     spec = pq.make_plot_spec(data, stable_seed(1, "style", i))
     _, ann = pq.render(spec)
     det = pq.perturb(ann, pq.PAPER_LIKE.with_seed(stable_seed(1, "noise", i)))
-    for q in pq.instantiate(data, spec, stable_seed(1, "q", i)):
+    for q in pq.instantiate(spec, stable_seed(1, "q", i)):
         questions.append(q)
         det_of[id(q)] = det
 

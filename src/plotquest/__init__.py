@@ -12,7 +12,7 @@ The pieces compose left to right:
 
 corpus samples realistic data series; plotgen renders them to SVG with
 exact element annotations; qgen instantiates the 74-template question
-grammar with gold answers; detsim perturbs annotations into noisy
+grammar over a plot's spec, with gold answers; detsim perturbs annotations into noisy
 detections and scores them (AP/mAP, OCR accuracy); sie reconstructs the
 table geometrically and scores it (tuple F1); tableqa answers questions
 by executing logical forms on that table; hybrid sends questions with a

@@ -137,6 +137,10 @@ def _load_noise(spec: str) -> NoiseModel:
 
 def cmd_generate(corpus_path: str | None, n_plots: int, seed: int,
                  split_ratios: tuple[float, float, float], questions_per_plot: int, out: str) -> int:
+    try:
+        split_spec = SplitSpec(split_ratios, seed=seed)
+    except ValueError as e:  # a seed the split cannot use; checked before any output
+        raise UsageError(str(e))
     corpus = load_corpus(corpus_path) if corpus_path else default_corpus()
     if not corpus:
         raise DataError("corpus is empty")
@@ -161,7 +165,7 @@ def cmd_generate(corpus_path: str | None, n_plots: int, seed: int,
             put(f"plots/{i:04d}.svg", svg)
             put(f"annotations/{i:04d}.json", annotation.dumps().encode())
             put(f"tables/{i:04d}.csv", annotation.gold_table.to_csv().encode())
-            questions = instantiate(data, spec, stable_seed(seed, "questions", i), n_questions=questions_per_plot)
+            questions = instantiate(spec, stable_seed(seed, "questions", i), n_questions=questions_per_plot)
             for q in questions:
                 line = f"{json.dumps({**q.to_json(), 'plot_id': i})}\n".encode()
                 questions_hash.update(line)
@@ -172,7 +176,7 @@ def cmd_generate(corpus_path: str | None, n_plots: int, seed: int,
     hashes["questions.jsonl"] = questions_hash.hexdigest()
 
     ids = list(range(n_plots))
-    train, valid, test = split(ids, SplitSpec(split_ratios, seed=seed))
+    train, valid, test = split(ids, split_spec)
     manifest = {
         "version": __version__,
         "config": {

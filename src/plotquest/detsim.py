@@ -29,14 +29,13 @@ those draws or their order changes every noisy output.
 from __future__ import annotations
 
 import json
-import math
 from array import array
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .plotgen import ELEMENT_CLASSES, PlotAnnotation, StyleParams, VisualElement, check_element
+from .plotgen import ELEMENT_CLASSES, PlotAnnotation, StyleParams, VisualElement, check_element, finite_number
 
 BBox = tuple[float, float, float, float]
 
@@ -75,7 +74,7 @@ class NoiseModel:
         numbers = [(f.name, getattr(self, f.name)) for f in fields(self) if f.name not in ("seed", "class_sigma")]
         numbers += [(f"class_sigma[{c!r}]", v) for c, v in self.class_sigma.items()]
         for name, v in numbers:
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+            if not finite_number(v):
                 raise ValueError(f"{name}={v!r} is not a finite number")
             if name.endswith("_prob") and not (0.0 <= v <= 1.0):
                 raise ValueError(f"{name}={v} outside [0, 1]")

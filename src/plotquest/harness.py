@@ -60,6 +60,8 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ValueError(f"split seed {self.seed!r} is not a non-negative integer")
         if any(r < 0 for r in self.ratios):
             raise ValueError("split ratios must be non-negative")
         if abs(sum(self.ratios) - 1.0) > 1e-9:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,8 @@ ELEMENT_CLASSES = (
 _ELEMENT_CLASS_SET = frozenset(ELEMENT_CLASSES)
 TEXTUAL_CLASSES = ("title", "xaxis_label", "yaxis_label", "xtick_label", "ytick_label", "legend_label")
 MARK_CLASSES = ("bar", "line", "dotline", "legend_preview")
+# the element class of a plot type's data marks
+PLOT_TYPE_MARK_CLASS = {"vbar": "bar", "hbar": "bar", "line": "line", "dotline": "dotline"}
 
 DEFAULT_CANVAS = (800.0, 600.0)
 
@@ -57,8 +60,14 @@ class LayoutError(ValueError):
     """Canvas too small to place all textual elements without overlap."""
 
 
+def finite_number(v) -> bool:
+    """An int or float, not a bool, within the float range: NaN, the
+    infinities and an int too large for a float are not."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
 def _positive_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) and v > 0
+    return finite_number(v) and v > 0
 
 
 @dataclass(frozen=True)
@@ -128,6 +137,8 @@ class PlotSpec:
     def __post_init__(self):
         if self.plot_type not in PLOT_TYPES:
             raise ValueError(f"bad plot_type {self.plot_type!r}")
+        if len(self.style.series_colors) != self.data.n_series:
+            raise ValueError(f"{len(self.style.series_colors)} series colors for {self.data.n_series} series")
 
 
 def check_element(cls, bbox, text, color) -> None:
@@ -250,37 +261,30 @@ def make_plot_spec(data: PlotData, seed: int) -> PlotSpec:
 # ---------------------------------------------------------------------------
 # value axis
 
+# (largest leading digits of the data max, tick step mantissa, step exponent
+# offset from the max's power of ten, number of steps); the first row that
+# admits the max's leading digits gives its axis
+_NICE_STEPS = (
+    (1.0, 2, -1, 5),  # 0 to 1 by .2
+    (2.0, 5, -1, 4),  # 0 to 2 by .5
+    (2.5, 5, -1, 5),  # 0 to 2.5 by .5
+    (5.0, 1, 0, 5),  # 0 to 5 by 1
+    (math.inf, 2, 0, 5),  # 0 to 10 by 2
+)
+
+
 def value_axis(data: PlotData) -> tuple[float, float, list[float]]:
     """(axis max, tick step, tick values) for the value axis.
 
     Tick values are built from integer mantissas ("6e-1") so their decimal
-    representations stay short and re-parse to the identical float.
+    representations stay short and re-parse to the identical float. A max
+    of 0 or below takes the axis 0 to 1.
     """
-    vmax = float(np.max(data.values_matrix())) if data.n_series else 1.0
-    if vmax <= 0:
-        mant, exp, steps = 1, 0, 5
-    else:
-        exp = math.floor(math.log10(vmax))
-        frac = vmax / 10.0**exp
-        if frac <= 1.0:
-            mant, steps = 1, 5  # step .2
-        elif frac <= 2.0:
-            mant, steps = 2, 4  # step .5
-        elif frac <= 2.5:
-            mant, steps = 25, 5  # step .5, mantissa scaled by 10
-        elif frac <= 5.0:
-            mant, steps = 5, 5  # step 1
-        else:
-            mant, exp, steps = 1, exp + 1, 5
-    if mant == 25:
-        step_m, step_e = 5, exp - 1
-    elif mant == 1:
-        step_m, step_e = 2, exp - 1
-    elif mant == 2:
-        step_m, step_e = 5, exp - 1
-    else:  # mant == 5
-        step_m, step_e = 1, exp
-    ticks = [float(f"{i * step_m}e{step_e}") for i in range(steps + 1)]
+    vmax = float(np.max(data.values_matrix()))
+    exp = math.floor(math.log10(vmax)) if vmax > 0 else 0
+    frac = vmax / 10.0**exp
+    step_m, step_off, steps = next(row[1:] for row in _NICE_STEPS if frac <= row[0])
+    ticks = [float(f"{i * step_m}e{exp + step_off}") for i in range(steps + 1)]
     return ticks[-1], ticks[1], ticks
 
 
@@ -292,8 +296,12 @@ def format_tick(value: float, notation: str) -> str:
     return str(value)
 
 
+def _capitalised_value_phrase(data: PlotData) -> str:
+    return data.y_label[0].upper() + data.y_label[1:]
+
+
 def plot_title(data: PlotData) -> str:
-    head = data.y_label[0].upper() + data.y_label[1:]
+    head = _capitalised_value_phrase(data)
     if data.n_series == 1:
         return f"{head} in {data.series[0][0]}"
     return f"{head} by {data.x_label.lower()}"
@@ -301,7 +309,7 @@ def plot_title(data: PlotData) -> str:
 
 def screen_axis_labels(data: PlotData, plot_type: str) -> tuple[str, str]:
     """Texts of the x-axis and y-axis labels as they appear on screen."""
-    value_text = data.y_label[0].upper() + data.y_label[1:]
+    value_text = _capitalised_value_phrase(data)
     if plot_type == "hbar":
         return value_text, data.x_label
     return data.x_label, value_text
@@ -393,9 +401,14 @@ def render(spec: PlotSpec) -> tuple[bytes, PlotAnnotation]:
     fs = style.font_size
     th = _text_h(fs)
     horizontal = ptype == "hbar"
+    mark_cls = PLOT_TYPE_MARK_CLASS[ptype]
 
     axis_max, _step, ticks = value_axis(data)
-    tick_texts = [format_tick(t, style.tick_notation) for t in ticks]
+    # the value ticks sit left of the y axis and the category ticks under
+    # the x axis, the other way round for hbar
+    value_side, category_side = ("x", "y") if horizontal else ("y", "x")
+    tick_texts = {value_side: [format_tick(t, style.tick_notation) for t in ticks],
+                  category_side: list(data.x_categories)}
     title = plot_title(data)
     x_axis_text, y_axis_text = screen_axis_labels(data, ptype)
     legends = data.legend_labels
@@ -407,20 +420,9 @@ def render(spec: PlotSpec) -> tuple[bytes, PlotAnnotation]:
     entry_ws = [_PREVIEW_W + 5.0 + _text_w(s, fs) for s in legends]
     legend_row_h = max(_PREVIEW_H, th)
 
-    # category tick texts sit under the x axis for vertical plots, left of
-    # the y axis for hbar
-    if horizontal:
-        ytick_texts = list(data.x_categories)
-        xtick_texts = tick_texts
-    else:
-        ytick_texts = tick_texts
-        xtick_texts = list(data.x_categories)
-
-    max_ytick_w = max(_text_w(s, fs) for s in ytick_texts)
-    max_xtick_w = max(_text_w(s, fs) for s in xtick_texts)
-    left = 8.0 + th + 6.0 + max_ytick_w + 8.0
+    left = 8.0 + th + 6.0 + max(_text_w(s, fs) for s in tick_texts["y"]) + 8.0
     # the outermost bottom tick label is centered on the axis end for hbar
-    right = max(16.0, max_xtick_w / 2.0 + 6.0) if horizontal else 16.0
+    right = max(16.0, max(_text_w(s, fs) for s in tick_texts["x"]) / 2.0 + 6.0) if horizontal else 16.0
     top = 8.0 + title_h + 10.0
     bottom = 8.0 + th + 6.0 + th + 8.0
     if legend_at_bottom:
@@ -473,30 +475,23 @@ def render(spec: PlotSpec) -> tuple[bytes, PlotAnnotation]:
     add_text("xaxis_label", area_x + area_w / 2.0, xlab_cy, x_axis_text, fs)
     add_text("yaxis_label", 8.0 + th / 2.0, area_y + area_h / 2.0, y_axis_text, fs, rotate=True)
 
-    # tick labels
-    if horizontal:
-        for t, s in zip(ticks, tick_texts):
-            p = vpix(t)
-            svg.line(p, area_b, p, area_b + 4.0)
-            add_text("xtick_label", p, area_b + 8.0 + th / 2.0, s, fs)
-        for i, cat in enumerate(data.x_categories):
-            cy = cat_center(i)
-            svg.line(area_x - 4.0, cy, area_x, cy)
-            add_text("ytick_label", area_x - 8.0 - _text_w(cat, fs) / 2.0, cy, cat, fs)
-    else:
-        for t, s in zip(ticks, tick_texts):
-            p = vpix(t)
-            svg.line(area_x - 4.0, p, area_x, p)
-            add_text("ytick_label", area_x - 8.0 - _text_w(s, fs) / 2.0, p, s, fs)
-        for i, cat in enumerate(data.x_categories):
-            cx = cat_center(i)
-            svg.line(cx, area_b, cx, area_b + 4.0)
-            add_text("xtick_label", cx, area_b + 8.0 + th / 2.0, cat, fs)
+    def place_ticks(side: str, positions) -> None:
+        # a tick mark and its label at each position along the x or y axis
+        for p, s in zip(positions, tick_texts[side]):
+            if side == "x":
+                svg.line(p, area_b, p, area_b + 4.0)
+                add_text("xtick_label", p, area_b + 8.0 + th / 2.0, s, fs)
+            else:
+                svg.line(area_x - 4.0, p, area_x, p)
+                add_text("ytick_label", area_x - 8.0 - _text_w(s, fs) / 2.0, p, s, fs)
+
+    place_ticks(value_side, [vpix(t) for t in ticks])
+    place_ticks(category_side, [cat_center(i) for i in range(data.n_categories)])
 
     # data marks
     values = data.values_matrix()
     n_series, n_cats = data.n_series, data.n_categories
-    if ptype in ("vbar", "hbar"):
+    if mark_cls == "bar":
         slot = (area_h if horizontal else area_w) / n_cats
         usable = 0.7 * slot
         bw = usable / (n_series + 0.1 * (n_series - 1))
@@ -514,7 +509,6 @@ def render(spec: PlotSpec) -> tuple[bytes, PlotAnnotation]:
                 elements.append(VisualElement("bar", bbox, color=color, series_index=s, x_index=i))
                 svg.rect(*bbox, fill=color_hex(color))
     else:
-        cls = "line" if ptype == "line" else "dotline"
         dash = _DASHES[style.line_style]
         for s in range(n_series):
             color = style.series_colors[s]
@@ -522,8 +516,8 @@ def render(spec: PlotSpec) -> tuple[bytes, PlotAnnotation]:
             svg.polyline(pts, color_hex(color), dash=dash)
             for i, (px, py) in enumerate(pts):
                 bbox = (px - _MARKER_SIZE / 2.0, py - _MARKER_SIZE / 2.0, _MARKER_SIZE, _MARKER_SIZE)
-                elements.append(VisualElement(cls, bbox, color=color, series_index=s, x_index=i))
-                if ptype == "dotline":
+                elements.append(VisualElement(mark_cls, bbox, color=color, series_index=s, x_index=i))
+                if mark_cls == "dotline":
                     svg.marker(px, py, style.marker, color_hex(color))
 
     # legend
@@ -537,7 +531,7 @@ def render(spec: PlotSpec) -> tuple[bytes, PlotAnnotation]:
             x0 = area_r - total
         cy = H - 8.0 - legend_row_h / 2.0
         for s, name in enumerate(legends):
-            _legend_entry(svg, elements, style, name, s, x0, cy, fs, ptype)
+            _legend_entry(svg, elements, style, name, s, x0, cy, fs, mark_cls)
             x0 += entry_ws[s] + 14.0
     else:
         max_entry = max(entry_ws)
@@ -548,7 +542,7 @@ def render(spec: PlotSpec) -> tuple[bytes, PlotAnnotation]:
         else:  # center-right
             y0 = area_y + area_h / 2.0 - step_y * (len(legends) - 1) / 2.0
         for s, name in enumerate(legends):
-            _legend_entry(svg, elements, style, name, s, x0, y0 + s * step_y, fs, ptype)
+            _legend_entry(svg, elements, style, name, s, x0, y0 + s * step_y, fs, mark_cls)
 
     gold = SemiStructuredTable(
         row_headers=list(data.x_categories),
@@ -562,15 +556,15 @@ def render(spec: PlotSpec) -> tuple[bytes, PlotAnnotation]:
     return svg.tobytes(), annotation
 
 
-def _legend_entry(svg, elements, style, name, series_idx, x0, cy, fs, ptype) -> None:
+def _legend_entry(svg, elements, style, name, series_idx, x0, cy, fs, mark_cls) -> None:
     color = style.series_colors[series_idx]
     pbox = (x0, cy - _PREVIEW_H / 2.0, _PREVIEW_W, _PREVIEW_H)
-    if ptype in ("vbar", "hbar"):
+    if mark_cls == "bar":
         svg.rect(*pbox, fill=color_hex(color))
     else:
         svg.line(x0, cy, x0 + _PREVIEW_W, cy, stroke=color_hex(color), width=2.0,
                  dash=_DASHES[style.line_style])
-        if ptype == "dotline":
+        if mark_cls == "dotline":
             svg.marker(x0 + _PREVIEW_W / 2.0, cy, style.marker, color_hex(color))
     elements.append(VisualElement("legend_preview", pbox, color=color, series_index=series_idx))
     lw = _text_w(name, fs)
@@ -627,11 +621,7 @@ def validate_annotation(annotation: PlotAnnotation) -> list[str]:
         out.append(f"{counts['legend_label']} legend labels for {n_series} series")
     if counts["legend_preview"] != counts["legend_label"]:
         out.append("legend preview count != legend label count")
-    if annotation.plot_type in ("vbar", "hbar"):
-        if counts["bar"] != n_series * n_cats:
-            out.append(f"{counts['bar']} bars for {n_series} series x {n_cats} categories")
-    else:
-        cls = "line" if annotation.plot_type == "line" else "dotline"
-        if counts[cls] != n_series * n_cats:
-            out.append(f"{counts[cls]} {cls} points for {n_series} series x {n_cats} categories")
+    mark_cls = PLOT_TYPE_MARK_CLASS[annotation.plot_type]
+    if counts[mark_cls] != n_series * n_cats:
+        out.append(f"{counts[mark_cls]} {mark_cls} marks for {n_series} series x {n_cats} categories")
     return out

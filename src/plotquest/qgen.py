@@ -8,7 +8,11 @@ value phrase (``{y_label}``) or the title reads the plot's lone series, so
 it needs exactly one. A few templates also need a plot type (bars, lines,
 value ticks on the Y axis); ``_applicable`` keeps those id sets.
 
-Gold answers are computed directly in value space from the PlotData (plus
+Every entry point takes the plot's ``PlotSpec`` alone: the data the plot
+shows is ``spec.data``, so the questions, their gold answers and the
+rendered plot describe one plot.
+
+Gold answers are computed directly in value space from ``spec.data`` (plus
 style metadata for structural questions), independently of the extraction
 pipeline that will later answer the same questions from detections. Table
 templates must agree with the tableqa executor on the gold table; that
@@ -39,8 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .answers import Answer, number, text, yes_no
-from .corpus import PlotData, legend_pool, pluralize
-from .plotgen import PlotSpec, plot_title, screen_axis_labels, value_axis
+from .corpus import legend_pool, pluralize
+from .plotgen import PLOT_TYPE_MARK_CLASS, PlotSpec, plot_title, screen_axis_labels, value_axis
 from .templates import (
     ANSWER_TYPES, CATEGORIES, Template, default_templates, ordinal, parse_ordinal,
 )
@@ -111,20 +115,20 @@ class QuestionInstance:
 # plot context
 
 class _Ctx:
-    def __init__(self, data: PlotData, spec: PlotSpec):
-        self.data = data
+    def __init__(self, spec: PlotSpec):
+        data = self.data = spec.data
         self.spec = spec
         self.V = data.values_matrix()
         self.n_series = data.n_series
         self.n_cats = data.n_categories
         self.ptype = spec.plot_type
-        self.is_bar = spec.plot_type in ("vbar", "hbar")
+        self.figure_type = PLOT_TYPE_MARK_CLASS[spec.plot_type]
+        self.is_bar = self.figure_type == "bar"
         self.legends = list(data.legend_labels)
         self.cats = list(data.x_categories)
         self.y = data.y_label
         self.x_singular = data.x_label.lower()
         self.x_plural = pluralize(self.x_singular)
-        self.figure_type = "bar" if self.is_bar else spec.plot_type
         self.title = plot_title(data)
         self.tick_step = value_axis(data)[1]
         self.eps = _EPS_REL * max(1.0, float(self.V.max()))
@@ -179,7 +183,7 @@ def _applicable(t: Template, ctx: _Ctx) -> bool:
     if tid in (14, 15, 21, 22, 24):
         return p == "hbar"
     if tid in (17, 18):
-        return p in ("line", "dotline")
+        return not ctx.is_bar
     if tid in (26, 27):
         return p != "hbar"  # value ticks must sit on the Y axis
     if t.legend_slots:
@@ -191,9 +195,9 @@ def _templates_for(ctx: _Ctx) -> list[Template]:
     return [t for t in default_templates() if _applicable(t, ctx)]
 
 
-def applicable_templates(data: PlotData, spec: PlotSpec) -> list[Template]:
-    """Templates that can be instantiated on this plot."""
-    return _templates_for(_Ctx(data, spec))
+def applicable_templates(spec: PlotSpec) -> list[Template]:
+    """Templates that can be instantiated on the plot of ``spec``."""
+    return _templates_for(_Ctx(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -312,13 +316,14 @@ def sample_bindings(template: Template, ctx: _Ctx, rng: np.random.Generator) -> 
 # ---------------------------------------------------------------------------
 # gold answers
 
-def gold_answer(template: Template, bindings: dict[str, str], data: PlotData, spec: PlotSpec) -> Answer:
-    """Ground-truth answer for an applicable template under given bindings.
+def gold_answer(template: Template, bindings: dict[str, str], spec: PlotSpec) -> Answer:
+    """Ground-truth answer for an applicable template under given bindings,
+    on the plot of ``spec``.
 
     Raises Degenerate when the bindings put a comparison on a knife edge
     (see ``_Ctx.margin``); the generator never emits such bindings.
     """
-    ctx = _Ctx(data, spec)
+    ctx = _Ctx(spec)
     return _gold(template.id, bindings, ctx)
 
 
@@ -500,20 +505,15 @@ def _question(template: Template, ctx: _Ctx, rng: np.random.Generator, seen=()) 
         return None
 
 
-def instantiate(
-    data: PlotData,
-    spec: PlotSpec,
-    seed: int,
-    n_questions: int = DEFAULT_QUESTIONS_PER_PLOT,
-) -> list[QuestionInstance]:
-    """Sample questions for one plot.
+def instantiate(spec: PlotSpec, seed: int, n_questions: int = DEFAULT_QUESTIONS_PER_PLOT) -> list[QuestionInstance]:
+    """Sample questions for the plot of ``spec``.
 
     Categories are drawn from the (renormalized) category weights, answer
     types from the per-category distribution grid, templates uniformly
     within the bucket. Duplicate surface texts are rejected.
     """
     rng = np.random.default_rng(seed)
-    ctx = _Ctx(data, spec)
+    ctx = _Ctx(spec)
 
     # templates 1-8 apply to every plot, so there is always a bucket, and
     # every weight of a non-empty bucket is positive
@@ -541,10 +541,11 @@ def instantiate(
     return out
 
 
-def instantiate_all(data: PlotData, spec: PlotSpec, seed: int) -> list[QuestionInstance]:
-    """One instance of every applicable template (skipping degenerate draws)."""
+def instantiate_all(spec: PlotSpec, seed: int) -> list[QuestionInstance]:
+    """One instance of every template applicable to the plot of ``spec``
+    (skipping degenerate draws)."""
     rng = np.random.default_rng(seed)
-    ctx = _Ctx(data, spec)
+    ctx = _Ctx(spec)
     out = []
     for template in _templates_for(ctx):
         for _ in range(8):

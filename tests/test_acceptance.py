@@ -49,7 +49,7 @@ def _generated_plots():
         data = pq.sample_plot_data(corpus, stable_seed(SEED, "data", i))
         spec = pq.make_plot_spec(data, stable_seed(SEED, "style", i))
         _, ann = pq.render(spec)
-        questions = instantiate(data, spec, stable_seed(SEED, "q", i))
+        questions = instantiate(spec, stable_seed(SEED, "q", i))
         plots.append((data, spec, ann, questions))
     elapsed = time.time() - t0
     _cache["plots"] = plots
@@ -116,7 +116,7 @@ def test_criterion_parser_roundtrip():
     while min(counts.values()) < 20:
         data = pq.sample_plot_data(corpus, stable_seed(SEED, "rt", seed))
         spec = pq.make_plot_spec(data, stable_seed(SEED, "rts", seed))
-        for q in instantiate_all(data, spec, seed):
+        for q in instantiate_all(spec, seed):
             parsed = parse(q.text)
             assert (parsed.template_id, parsed.bindings) == (q.template_id, q.bindings), q.text
             counts[q.template_id] += 1
@@ -234,7 +234,7 @@ def test_criterion_question_distribution():
     while total < 100_000:
         data = pq.sample_plot_data(corpus, stable_seed(SEED, "dist", i))
         spec = pq.make_plot_spec(data, stable_seed(SEED, "dists", i))
-        for q in instantiate(data, spec, stable_seed(SEED, "distq", i), n_questions=25):
+        for q in instantiate(spec, stable_seed(SEED, "distq", i), n_questions=25):
             counts[(q.category, q.answer_type)] = counts.get((q.category, q.answer_type), 0) + 1
             total += 1
         i += 1

@@ -84,6 +84,15 @@ def test_generate_bad_split_is_usage_error(tmp_path):
                  "--out", str(tmp_path / "x")]) == 1
 
 
+def test_generate_negative_seed_is_usage_error_that_writes_nothing(tmp_path, capsys):
+    # the split seeds numpy's generator, which takes no negative seed
+    out = tmp_path / "o"
+    assert main(["generate", "--n-plots", "2", "--seed", "-1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_run_zero_noise_is_perfect(dataset, tmp_path):
     out = tmp_path / "run0"
     assert main(["run", "--dataset", dataset, "--noise", "zero", "--out", str(out)]) == 0

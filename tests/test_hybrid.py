@@ -38,7 +38,7 @@ def test_route_partitions_every_template(corpus, templates):
         data = sample_plot_data(corpus, seed)
         spec = make_spec(data, ("vbar", "hbar", "line", "dotline")[seed % 4])
         reading = read(render(spec)[1])
-        for q in instantiate_all(data, spec, seed):
+        for q in instantiate_all(spec, seed):
             seen.add(q.template_id)
             r1, r2 = route(q.text), route(q.text)
             assert r1 == r2 == route(parse(q.text))
@@ -174,7 +174,7 @@ def test_hybrid_zero_noise_equals_gold(corpus):
         spec = make_plot_spec(data, seed)
         _, ann = render(spec)
         det = clean_detections(ann)
-        for q in instantiate_all(data, spec, seed):
+        for q in instantiate_all(spec, seed):
             got = answer_hybrid(q.text, det)
             assert score_answer(got, q.gold_answer), (seed, q.text, got, q.gold_answer)
 
@@ -185,7 +185,7 @@ def test_hybrid_never_panics_under_heavy_noise(corpus):
         spec = make_plot_spec(data, seed)
         _, ann = render(spec)
         det = perturb(ann, HEAVY.with_seed(seed))
-        for q in instantiate_all(data, spec, seed):
+        for q in instantiate_all(spec, seed):
             try:
                 answer_hybrid(q.text, det)
             except AnswerUnavailable:
@@ -202,7 +202,7 @@ def test_hybrid_strictly_dominates_single_branches_at_zero_noise(corpus):
         spec = make_plot_spec(data, seed)
         _, ann = render(spec)
         det = clean_detections(ann)
-        for q in instantiate_all(data, spec, seed):
+        for q in instantiate_all(spec, seed):
             questions.append(q)
             dets[id(q)] = det
 
@@ -264,7 +264,7 @@ def test_hybrid_answers_are_pinned_under_noise(corpus):
         data = sample_plot_data(corpus, stable_seed(3, "data", i))
         spec = make_plot_spec(data, stable_seed(3, "style", i))
         _, ann = render(spec)
-        questions = instantiate_all(data, spec, stable_seed(3, "q", i))
+        questions = instantiate_all(spec, stable_seed(3, "q", i))
         for noise in (PAPER_LIKE, HEAVY):
             rd = read(perturb(ann, noise.with_seed(stable_seed(3, "noise", i))))
             for q in questions:

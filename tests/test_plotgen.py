@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,50 @@ def test_value_axis_nice_maximum():
         # tick labels re-parse to the exact tick value
         for t in ticks:
             assert float(format_tick(t, "standard")) == t
+
+
+def _up(v):
+    return math.nextafter(v, math.inf)
+
+
+# data max -> value-axis ticks, at every boundary of the nice-number rule
+# (leading digits exactly 1, 2, 2.5 and 5, and the next float above each)
+# over exponents from 1e-3 to the corpus cap of 3.5e15
+VALUE_AXIS_PINS = [
+    (0.0, [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]),
+    (1e-3, [0.0, 2e-4, 4e-4, 6e-4, 8e-4, 1e-3]),
+    (_up(1e-3), [0.0, 5e-4, 1e-3, 1.5e-3, 2e-3]),
+    (2e-3, [0.0, 5e-4, 1e-3, 1.5e-3, 2e-3]),
+    (_up(2e-3), [0.0, 5e-4, 1e-3, 1.5e-3, 2e-3, 2.5e-3]),
+    (2.5e-3, [0.0, 5e-4, 1e-3, 1.5e-3, 2e-3, 2.5e-3]),
+    (_up(2.5e-3), [0.0, 1e-3, 2e-3, 3e-3, 4e-3, 5e-3]),
+    (5e-3, [0.0, 1e-3, 2e-3, 3e-3, 4e-3, 5e-3]),
+    (_up(5e-3), [0.0, 2e-3, 4e-3, 6e-3, 8e-3, 1e-2]),
+    (1.0, [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]),
+    (_up(1.0), [0.0, 0.5, 1.0, 1.5, 2.0]),
+    (2.0, [0.0, 0.5, 1.0, 1.5, 2.0]),
+    (_up(2.0), [0.0, 0.5, 1.0, 1.5, 2.0, 2.5]),
+    (10.0, [0.0, 2.0, 4.0, 6.0, 8.0, 10.0]),
+    (25.0, [0.0, 5.0, 10.0, 15.0, 20.0, 25.0]),
+    (_up(25.0), [0.0, 10.0, 20.0, 30.0, 40.0, 50.0]),
+    (500.0, [0.0, 100.0, 200.0, 300.0, 400.0, 500.0]),
+    (_up(500.0), [0.0, 200.0, 400.0, 600.0, 800.0, 1000.0]),
+    (2e6, [0.0, 5e5, 1e6, 1.5e6, 2e6]),
+    (_up(2e6), [0.0, 5e5, 1e6, 1.5e6, 2e6, 2.5e6]),
+    (2.5e9, [0.0, 5e8, 1e9, 1.5e9, 2e9, 2.5e9]),
+    (_up(2.5e9), [0.0, 1e9, 2e9, 3e9, 4e9, 5e9]),
+    (5e12, [0.0, 1e12, 2e12, 3e12, 4e12, 5e12]),
+    (_up(5e12), [0.0, 2e12, 4e12, 6e12, 8e12, 1e13]),
+    (1e15, [0.0, 2e14, 4e14, 6e14, 8e14, 1e15]),
+    (_up(1e15), [0.0, 5e14, 1e15, 1.5e15, 2e15]),
+    (3.5e15, [0.0, 1e15, 2e15, 3e15, 4e15, 5e15]),
+]
+
+
+@pytest.mark.parametrize("vmax, ticks", VALUE_AXIS_PINS)
+def test_value_axis_at_each_nice_number_boundary(vmax, ticks):
+    data = make_data([[vmax, vmax / 2]], indicator=make_indicator(lo=0.0, hi=3.5e15))
+    assert value_axis(data) == (ticks[-1], ticks[1], ticks)
 
 
 def test_validate_annotation_clean_render(corpus):

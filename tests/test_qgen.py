@@ -47,17 +47,17 @@ def test_reference_cell_lookup_question(templates):
                 "x_singular": "year", "x_tick": "2008"}
     text = t34.fill(bindings)
     assert text == "What is the price of diesel in Lebanon in the year 2008?"
-    gold = gold_answer(t34, bindings, data, spec)
+    gold = gold_answer(t34, bindings, spec)
     assert gold.value == 0.7  # that cell of the gold table
 
 
 def test_single_series_excludes_multi_legend_templates():
     data = make_data([[1, 2, 3]])
     spec = make_spec(data, "vbar")
-    ids = {t.id for t in applicable_templates(data, spec)}
+    ids = {t.id for t in applicable_templates(spec)}
     for tid in (36, 37, 52, 54, 55, 68, 72, 74):  # need >= 2 distinct legends
         assert tid not in ids
-    qs = instantiate(data, spec, seed=1, n_questions=30)
+    qs = instantiate(spec, seed=1, n_questions=30)
     assert all(q.template_id not in (36, 37, 52, 54, 55, 68, 72, 74) for q in qs)
 
 
@@ -69,7 +69,7 @@ def test_series_need_of_every_template():
     for n_series in range(1, 5):
         data = make_data([[1.0 + s + k for k in range(4)] for s in range(n_series)])
         for ptype in ("vbar", "hbar", "line", "dotline"):
-            ids = {t.id for t in applicable_templates(data, make_spec(data, ptype))}
+            ids = {t.id for t in applicable_templates(make_spec(data, ptype))}
             for tid in set(range(25, 75)) - {26, 27, 32}:  # 26, 27, 32 need a plot type only
                 need = n_series == 1 if tid in exactly_one else n_series >= at_least.get(tid, 1)
                 assert (tid in ids) == need, (tid, n_series, ptype)
@@ -79,7 +79,7 @@ def test_median_template_odd_length(templates):
     data = make_data([[2.0, 5.0, 9.0]], indicator=make_indicator(lo=1, hi=10))
     spec = make_spec(data, "vbar")
     t49 = by_id(templates, 49)
-    gold = gold_answer(t49, {"y_label": data.y_label}, data, spec)
+    gold = gold_answer(t49, {"y_label": data.y_label}, spec)
     assert gold.value == 5.0
 
 
@@ -87,12 +87,12 @@ def test_tick_step_answer_renders_scientific(templates):
     # axis max 5e5 -> step 1e5; large magnitudes render in E-notation
     data = make_data([[350000.0, 410000.0]], indicator=make_indicator(lo=1000, hi=5e5))
     spec = make_spec(data, "vbar")
-    gold = gold_answer(by_id(templates, 26), {}, data, spec)
+    gold = gold_answer(by_id(templates, 26), {}, spec)
     assert gold.value == pytest.approx(1e5)
     assert gold.rendered() == "1.000e+5"
     # data max 9.5e5 -> axis max 1e6 with consecutive ticks 2e5 apart
     data2 = make_data([[880000.0, 950000.0]], indicator=make_indicator(lo=1000, hi=1e6))
-    gold2 = gold_answer(by_id(templates, 26), {}, data2, make_spec(data2, "line"))
+    gold2 = gold_answer(by_id(templates, 26), {}, make_spec(data2, "line"))
     assert gold2.value == pytest.approx(2e5)
     assert gold2.rendered() == "2.000e+5"
 
@@ -100,7 +100,7 @@ def test_tick_step_answer_renders_scientific(templates):
 def test_bars_per_tick_on_two_series_hbar(templates):
     data = make_data([[3, 4], [5, 6]], legends=["Indoor", "Outdoor"])
     spec = make_spec(data, "hbar")
-    gold = gold_answer(by_id(templates, 14), {"i": "2nd"}, data, spec)
+    gold = gold_answer(by_id(templates, 14), {"i": "2nd"}, spec)
     assert gold.value == 2
 
 
@@ -115,7 +115,7 @@ def test_average_answer_against_brute_force(templates):
     spec = make_spec(data, "vbar")
     gold = gold_answer(by_id(templates, 53),
                        {"y_label": data.y_label, "legend_label": "Hispanic",
-                        "x_singular": "school"}, data, spec)
+                        "x_singular": "school"}, spec)
     assert gold.value == pytest.approx(oracle)
     assert gold.rendered() == "51.67"
 
@@ -142,7 +142,7 @@ def test_instances_parse_back(corpus):
     for seed in range(25):
         data = sample_plot_data(corpus, seed)
         spec = make_spec(data, ("vbar", "hbar", "line", "dotline")[seed % 4])
-        for q in instantiate_all(data, spec, seed):
+        for q in instantiate_all(spec, seed):
             parsed = tableqa.parse(q.text)
             assert (parsed.template_id, parsed.bindings) == (q.template_id, q.bindings)
 
@@ -151,7 +151,7 @@ def test_answer_type_consistency(corpus):
     for seed in range(25):
         data = sample_plot_data(corpus, seed)
         spec = make_spec(data, ("vbar", "hbar", "line", "dotline")[seed % 4])
-        for q in instantiate_all(data, spec, seed):
+        for q in instantiate_all(spec, seed):
             if q.answer_type == "yes_no":
                 assert q.gold_answer.kind == "boolean"
             else:
@@ -173,7 +173,7 @@ def test_table_templates_agree_with_executor(corpus):
         spec = make_plot_spec(data, stable_seed(3, "style", i))
         seed = stable_seed(3, "q", i)
         _, ann = render(spec)
-        for q in instantiate_all(data, spec, seed) + instantiate(data, spec, seed, n_questions=48):
+        for q in instantiate_all(spec, seed) + instantiate(spec, seed, n_questions=48):
             parsed = tableqa.parse(q.text)
             if parsed.logical_form[0] == "visual":
                 continue
@@ -190,15 +190,15 @@ def test_table_templates_agree_with_executor(corpus):
 def test_instantiate_deterministic(corpus):
     data = sample_plot_data(corpus, 8)
     spec = make_spec(data, "line")
-    a = instantiate(data, spec, seed=99)
-    b = instantiate(data, spec, seed=99)
+    a = instantiate(spec, seed=99)
+    b = instantiate(spec, seed=99)
     assert [q.to_json() for q in a] == [q.to_json() for q in b]
 
 
 def test_instantiate_unique_texts(corpus):
     data = sample_plot_data(corpus, 8)
     spec = make_spec(data, "vbar")
-    qs = instantiate(data, spec, seed=5, n_questions=25)
+    qs = instantiate(spec, seed=5, n_questions=25)
     texts = [q.text for q in qs]
     assert len(set(texts)) == len(texts)
 
@@ -208,7 +208,7 @@ def test_threshold_questions_are_nondegenerate(corpus):
     for seed in range(40):
         data = sample_plot_data(corpus, seed)
         spec = make_spec(data, "vbar")
-        for q in instantiate_all(data, spec, seed):
+        for q in instantiate_all(spec, seed):
             if "n" not in q.bindings:
                 continue
             n = float(q.bindings["n"])
@@ -245,14 +245,14 @@ KNIFE_BINDINGS = {"legend_label": "Brazil", "legend_label2": "Iceland", "legend_
 def _family_questions(values, tids, seeds=range(5)):
     data = make_data(values)
     spec = make_spec(data, "vbar")
-    return data, spec, [q for seed in seeds for q in instantiate_all(data, spec, seed) if q.template_id in tids]
+    return data, spec, [q for seed in seeds for q in instantiate_all(spec, seed) if q.template_id in tids]
 
 
 @pytest.mark.parametrize("tids,knife,tie,tie_answers", KNIFE_EDGE_CASES,
                          ids=["/".join(map(str, c[0])) for c in KNIFE_EDGE_CASES])
 def test_knife_edge_comparisons_are_never_generated(templates, tids, knife, tie, tie_answers):
     data, spec, qs = _family_questions(knife, tids)
-    assert set(tids) <= {t.id for t in applicable_templates(data, spec)}
+    assert set(tids) <= {t.id for t in applicable_templates(spec)}
     assert qs == []
     _, _, tied = _family_questions(tie, tids)
     if tie_answers is None:
@@ -263,7 +263,7 @@ def test_knife_edge_comparisons_are_never_generated(templates, tids, knife, tie,
     for tid in tids:
         t = by_id(templates, tid)
         with pytest.raises(Degenerate):
-            gold_answer(t, {k: v for k, v in KNIFE_BINDINGS.items() if k in t.slots}, data, spec)
+            gold_answer(t, {k: v for k, v in KNIFE_BINDINGS.items() if k in t.slots}, spec)
 
 
 def test_range_comparison_keeps_the_exact_tie_and_drops_the_knife_edge(templates):
@@ -273,7 +273,7 @@ def test_range_comparison_keeps_the_exact_tie_and_drops_the_knife_edge(templates
     data, spec, qs = _family_questions([[10, 10 + KNIFE]], (63,))
     assert qs and all(q.bindings["x_tick"] == "2001" and q.gold_answer.value is False for q in qs)
     with pytest.raises(Degenerate):
-        gold_answer(by_id(templates, 63), {"x_tick": "2000", "x_tick2": "2001"}, data, spec)
+        gold_answer(by_id(templates, 63), {"x_tick": "2000", "x_tick2": "2001"}, spec)
 
 
 # sha256 of the questions that instantiate_all and instantiate(n_questions=48)
@@ -289,7 +289,7 @@ def test_generator_output_is_pinned_over_all_templates(corpus):
         data = sample_plot_data(corpus, stable_seed(3, "data", i))
         spec = make_plot_spec(data, stable_seed(3, "style", i))
         seed = stable_seed(3, "q", i)
-        for q in instantiate_all(data, spec, seed) + instantiate(data, spec, seed, n_questions=48):
+        for q in instantiate_all(spec, seed) + instantiate(spec, seed, n_questions=48):
             lines.append(json.dumps(q.to_json(), sort_keys=True))
             ids.add(q.template_id)
     assert ids == set(range(1, 75))

@@ -157,5 +157,5 @@ def test_shared_reading_answers_like_fresh_calls(corpus, noise):
         _, ann = render(spec)
         det = perturb(ann, noise.with_seed(seed))
         reading = read(det)
-        for q in instantiate_all(data, spec, seed):
+        for q in instantiate_all(spec, seed):
             assert result(reading, q.text) == result(det, q.text), (seed, q.text)

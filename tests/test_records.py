@@ -7,11 +7,11 @@ import pytest
 from plotquest.answers import number
 from plotquest.corpus import IndicatorVariable, PlotData
 from plotquest.detsim import Detection, NoiseModel
-from plotquest.plotgen import PlotAnnotation, StyleParams, VisualElement
+from plotquest.plotgen import PlotAnnotation, PlotSpec, StyleParams, VisualElement
 from plotquest.qgen import QuestionInstance
 from plotquest.table import SemiStructuredTable
 
-from conftest import make_indicator, make_style
+from conftest import make_data, make_indicator, make_style
 
 _INDICATOR = dict(name="Test Indicator", unit_phrase="price of diesel", plural_entity_phrase="countries",
                   value_range=(0.1, 10.0), value_kind="float")
@@ -30,12 +30,19 @@ CASES = {
     "detection-class": (Detection, dict(cls="bar", bbox=(0.0, 0.0, 1.0, 1.0), score=1.0), dict(cls="Bar")),
     "annotation-plot-type": (PlotAnnotation, _ANNOTATION, dict(plot_type="pie")),
     "style-grid": (StyleParams, _STYLE, dict(grid="no")),
+    # an int beyond the float range is not a finite number
+    "style-huge-int-font-size": (StyleParams, _STYLE, dict(font_size=10**400)),
+    # render would index past the colours of a spec with fewer than its series
+    "spec-color-count": (PlotSpec, dict(data=make_data([[1, 2], [3, 4], [5, 6]]), plot_type="vbar",
+                                        style=make_style(3)), dict(style=make_style(1))),
     "data-one-category": (PlotData, _DATA, dict(x_categories=("2000",), series=(("Brazil", (1.0,)),))),
     "indicator-value-kind": (IndicatorVariable, _INDICATOR, dict(value_kind="dollars")),
     "question-category": (QuestionInstance, _QUESTION, dict(category="visual")),
     # perturb would read a NaN sigma as no jitter while is_zero() is false
     "noise-nan-sigma": (NoiseModel, dict(box_jitter_sigma=1.0), dict(box_jitter_sigma=float("nan"))),
     "noise-inf-class-sigma": (NoiseModel, dict(class_sigma={"bar": 1.0}), dict(class_sigma={"bar": float("inf")})),
+    "noise-huge-int-sigma": (NoiseModel, dict(box_jitter_sigma=1.0), dict(box_jitter_sigma=10**400)),
+    "noise-huge-int-prob": (NoiseModel, dict(drop_prob=0.5), dict(drop_prob=10**400)),
 }
 
 

@@ -43,7 +43,7 @@ def pinned_questions(corpus):
         data = sample_plot_data(corpus, stable_seed(3, "data", i))
         spec = make_plot_spec(data, stable_seed(3, "style", i))
         seed = stable_seed(3, "q", i)
-        texts += [q.text for q in instantiate_all(data, spec, seed) + instantiate(data, spec, seed, n_questions=48)]
+        texts += [q.text for q in instantiate_all(spec, seed) + instantiate(spec, seed, n_questions=48)]
     return texts
 
 
