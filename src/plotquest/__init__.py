@@ -39,7 +39,7 @@ from .plotgen import (
 )
 from .qgen import QuestionInstance, gold_answer, instantiate, instantiate_all, paraphrase
 from .sie import PlotReading, associate_legend, extract_table, read, table_f1
-from .table import ExtractionTuple, SemiStructuredTable
+from .table import SemiStructuredTable
 from .tableqa import ParsedQuestion, execute, parse, to_sexpr
 from .templates import Template, default_templates, load_templates
 
@@ -54,7 +54,7 @@ __all__ = [
     "make_plot_spec", "render", "validate_annotation",
     "QuestionInstance", "gold_answer", "instantiate", "instantiate_all", "paraphrase",
     "PlotReading", "associate_legend", "extract_table", "read", "table_f1",
-    "ExtractionTuple", "SemiStructuredTable",
+    "SemiStructuredTable",
     "ParsedQuestion", "execute", "parse", "to_sexpr",
     "Template", "default_templates", "load_templates",
 ]

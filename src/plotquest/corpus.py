@@ -4,6 +4,8 @@ The corpus is a flat, human-editable text file of indicator variables
 (one per line: ``name | unit_phrase | plural_entity_phrase | min | max |
 kind``). A bundled default corpus covers integer, float and percentage
 indicators whose ranges jointly span the full 0..3.5e15 envelope.
+``data_rows`` is the one reader of this ``|``-separated format, which the
+question templates' file shares.
 
 Because every generated question must re-parse under the closed template
 grammar, indicator phrases obey a few hygiene rules that an
@@ -21,6 +23,7 @@ so an ``IndicatorVariable`` or ``PlotData`` that exists is valid;
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from importlib import resources
 
@@ -79,9 +82,13 @@ class IndicatorVariable:
 class PlotData:
     indicator: IndicatorVariable
     x_label: str  # singular, capitalized ("Year", "Country")
-    y_label: str  # the indicator's unit phrase
     x_categories: tuple[str, ...]
     series: tuple[tuple[str, tuple[float, ...]], ...]  # (legend label, values)
+
+    @property
+    def y_label(self) -> str:
+        """The value phrase: the indicator's unit phrase."""
+        return self.indicator.unit_phrase
 
     @property
     def n_categories(self) -> int:
@@ -172,10 +179,21 @@ def pluralize(singular: str) -> str:
 # ---------------------------------------------------------------------------
 # corpus file handling
 
-def _parse_line(line: str, lineno: int) -> IndicatorVariable:
-    parts = [p.strip() for p in line.split("|")]
-    if len(parts) != 6:
-        raise CorpusError(f"line {lineno}: expected 6 '|'-separated fields, got {len(parts)}")
+def data_rows(text: str, n_fields: int, error: type[Exception]) -> Iterator[tuple[int, list[str]]]:
+    """(line number, stripped fields) of each ``|``-separated line of a
+    data file, skipping blank lines and ``#`` comments. A line with other
+    than ``n_fields`` fields raises ``error`` naming the line."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = [p.strip() for p in line.split("|")]
+        if len(parts) != n_fields:
+            raise error(f"line {lineno}: expected {n_fields} '|'-separated fields, got {len(parts)}")
+        yield lineno, parts
+
+
+def _parse_line(lineno: int, parts: list[str]) -> IndicatorVariable:
     name, unit_phrase, plural_entity, lo_s, hi_s, kind = parts
     try:
         lo, hi = float(lo_s), float(hi_s)
@@ -188,13 +206,7 @@ def _parse_line(line: str, lineno: int) -> IndicatorVariable:
 
 
 def _parse_corpus(text: str) -> list[IndicatorVariable]:
-    out = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        out.append(_parse_line(line, lineno))
-    return out
+    return [_parse_line(lineno, parts) for lineno, parts in data_rows(text, 6, CorpusError)]
 
 
 def load_corpus(path: str) -> list[IndicatorVariable]:
@@ -289,7 +301,6 @@ def sample_plot_data(corpus: list[IndicatorVariable], seed: int) -> PlotData:
     return PlotData(
         indicator=ind,
         x_label=x_label,
-        y_label=ind.unit_phrase,
         x_categories=x_categories,
         series=series,
     )

@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .plotgen import ELEMENT_CLASSES, PlotAnnotation, StyleParams, VisualElement, check_element, finite_number
+from .plotgen import ELEMENT_CLASSES, ElementRecord, PlotAnnotation, StyleParams, VisualElement, finite_number
 
 BBox = tuple[float, float, float, float]
 
@@ -142,7 +142,7 @@ def get_preset(name: str) -> NoiseModel:
 
 
 @dataclass(frozen=True)
-class Detection:
+class Detection(ElementRecord):
     cls: str
     bbox: BBox
     score: float
@@ -152,30 +152,7 @@ class Detection:
     def __post_init__(self):
         if not (0.0 < self.score <= 1.0):
             raise ValueError(f"detection score {self.score} outside (0, 1]")
-        check_element(self.cls, self.bbox, self.text, self.color)
-
-    @property
-    def center(self) -> tuple[float, float]:
-        x, y, w, h = self.bbox
-        return (x + w / 2.0, y + h / 2.0)
-
-    def to_json(self) -> dict:
-        rec: dict = {"class": self.cls, "bbox": list(self.bbox), "score": self.score}
-        if self.text is not None:
-            rec["text"] = self.text
-        if self.color is not None:
-            rec["color"] = self.color
-        return rec
-
-    @staticmethod
-    def from_json(obj: dict) -> "Detection":
-        return Detection(
-            cls=obj["class"],
-            bbox=tuple(map(float, obj["bbox"])),
-            score=float(obj["score"]),
-            text=obj.get("text"),
-            color=obj.get("color"),
-        )
+        super().__post_init__()
 
 
 @dataclass

@@ -25,7 +25,8 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
+from functools import cache
 
 import numpy as np
 
@@ -70,6 +71,11 @@ def _positive_number(v) -> bool:
     return finite_number(v) and v > 0
 
 
+def _check_color_id(color) -> None:
+    if isinstance(color, bool) or not isinstance(color, int):
+        raise ValueError(f"color {color!r} is not an integer colour id")
+
+
 @dataclass(frozen=True)
 class StyleParams:
     grid: bool
@@ -99,33 +105,23 @@ class StyleParams:
         if len(set(self.series_colors)) != len(self.series_colors):
             raise ValueError("series colors must be pairwise distinct")
         for c in self.series_colors:
+            _check_color_id(c)
             if not (0 <= c < N_COLORS):
                 raise ValueError(f"color id {c} outside palette")
 
     def to_json(self) -> dict:
-        return {
-            "grid": self.grid,
-            "font_size": self.font_size,
-            "tick_notation": self.tick_notation,
-            "line_style": self.line_style,
-            "marker": self.marker,
-            "legend_position": self.legend_position,
-            "series_colors": list(self.series_colors),
-            "canvas": list(self.canvas),
-        }
+        """Every field in declaration order, a tuple as a list."""
+        rec = {}
+        for f in fields(self):
+            v = getattr(self, f.name)
+            rec[f.name] = list(v) if isinstance(v, tuple) else v
+        return rec
 
     @staticmethod
     def from_json(obj: dict) -> "StyleParams":
-        return StyleParams(
-            grid=obj["grid"],
-            font_size=obj["font_size"],
-            tick_notation=obj["tick_notation"],
-            line_style=obj["line_style"],
-            marker=obj["marker"],
-            legend_position=obj["legend_position"],
-            series_colors=tuple(obj["series_colors"]),
-            canvas=tuple(obj["canvas"]),
-        )
+        """Inverse of to_json: every field is required and other keys are ignored."""
+        rec = {f.name: obj[f.name] for f in fields(StyleParams)}
+        return StyleParams(**{k: tuple(v) if isinstance(v, list) else v for k, v in rec.items()})
 
 
 @dataclass(frozen=True)
@@ -148,25 +144,34 @@ def check_element(cls, bbox, text, color) -> None:
     absent)."""
     if not isinstance(cls, str) or cls not in _ELEMENT_CLASS_SET:  # a decoded list is unhashable
         raise ValueError(f"unknown element class {cls!r}")
-    if (len(bbox) != 4
-            or not (math.isfinite(bbox[0]) and math.isfinite(bbox[1])
-                    and math.isfinite(bbox[2]) and math.isfinite(bbox[3]))
-            or bbox[2] < 0 or bbox[3] < 0):
+    try:
+        finite = (len(bbox) == 4 and math.isfinite(bbox[0]) and math.isfinite(bbox[1])
+                  and math.isfinite(bbox[2]) and math.isfinite(bbox[3]))
+    except OverflowError:  # an int too large for a float
+        finite = False
+    if not finite or bbox[2] < 0 or bbox[3] < 0:
         raise ValueError(f"bbox {bbox} is not (x, y, w, h) with finite values and w, h >= 0")
     if text is not None and not isinstance(text, str):
         raise ValueError(f"text {text!r} is not a string")
-    if color is not None and (isinstance(color, bool) or not isinstance(color, int)):
-        raise ValueError(f"color {color!r} is not an integer colour id")
+    if color is not None:
+        _check_color_id(color)
 
 
-@dataclass(frozen=True)
-class VisualElement:
-    cls: str  # one of ELEMENT_CLASSES ("class" in JSON)
-    bbox: tuple[float, float, float, float]  # x, y, w, h
-    text: str | None = None
-    color: int | None = None
-    series_index: int | None = None
-    x_index: int | None = None
+@cache
+def _fields_after_bbox(record: type) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The names of the fields an element record declares after its box, in
+    declaration order: the required ones, which have no default and so come
+    first, then the optional ones."""
+    later = fields(record)[2:]
+    required = tuple(f.name for f in later if f.default is MISSING)
+    return required, tuple(f.name for f in later[len(required):])
+
+
+class ElementRecord:
+    """The check, center and JSON of an annotated element or a detection: a
+    dataclass declaring ``cls``, ``bbox``, then fields among which are
+    ``text`` and ``color``. JSON holds ``"class"``, ``"bbox"`` and each later
+    field in declaration order, leaving out a field that is None."""
 
     def __post_init__(self):
         check_element(self.cls, self.bbox, self.text, self.color)
@@ -178,26 +183,31 @@ class VisualElement:
 
     def to_json(self) -> dict:
         rec: dict = {"class": self.cls, "bbox": list(self.bbox)}
-        if self.text is not None:
-            rec["text"] = self.text
-        if self.color is not None:
-            rec["color"] = self.color
-        if self.series_index is not None:
-            rec["series_index"] = self.series_index
-        if self.x_index is not None:
-            rec["x_index"] = self.x_index
+        required, optional = _fields_after_bbox(type(self))
+        for name in required + optional:
+            v = getattr(self, name)
+            if v is not None:
+                rec[name] = v
         return rec
 
-    @staticmethod
-    def from_json(obj: dict) -> "VisualElement":
-        return VisualElement(
-            cls=obj["class"],
-            bbox=tuple(map(float, obj["bbox"])),
-            text=obj.get("text"),
-            color=obj.get("color"),
-            series_index=obj.get("series_index"),
-            x_index=obj.get("x_index"),
-        )
+    @classmethod
+    def from_json(cls, obj: dict):
+        """Inverse of to_json: the box becomes floats, a required field (a
+        detection's score) is a number, the other keys are optional and
+        unknown keys are ignored."""
+        required, optional = _fields_after_bbox(cls)
+        return cls(obj["class"], tuple(map(float, obj["bbox"])),
+                   *map(float, map(obj.__getitem__, required)), *map(obj.get, optional))
+
+
+@dataclass(frozen=True)
+class VisualElement(ElementRecord):
+    cls: str  # one of ELEMENT_CLASSES ("class" in JSON)
+    bbox: tuple[float, float, float, float]  # x, y, w, h
+    text: str | None = None
+    color: int | None = None
+    series_index: int | None = None
+    x_index: int | None = None
 
 
 @dataclass

@@ -38,7 +38,8 @@ Two rules keep generated questions well-posed:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -89,26 +90,24 @@ class QuestionInstance:
             raise ValueError(f"bindings {self.bindings!r} do not map slot names to strings")
 
     def to_json(self) -> dict:
-        return {
-            "template_id": self.template_id,
-            "category": self.category,
-            "answer_type": self.answer_type,
-            "text": self.text,
-            "bindings": dict(self.bindings),
-            "gold_answer": self.gold_answer.to_json(),
-        }
+        """Every field in declaration order, the bindings copied and the gold
+        answer as Answer JSON."""
+        rec = dict(zip(_QUESTION_FIELDS, _question_attrs(self)))
+        rec["bindings"] = dict(self.bindings)
+        rec["gold_answer"] = self.gold_answer.to_json()
+        return rec
 
     @staticmethod
     def from_json(obj: dict) -> "QuestionInstance":
-        """Inverse of to_json; the fields are checked as in the constructor."""
-        return QuestionInstance(
-            template_id=obj["template_id"],
-            category=obj["category"],
-            answer_type=obj["answer_type"],
-            text=obj["text"],
-            bindings=obj["bindings"],
-            gold_answer=Answer.from_json(obj["gold_answer"]),
-        )
+        """Inverse of to_json; the fields are checked as in the constructor.
+        Keys that are not fields, such as the ``plot_id`` of a
+        questions.jsonl line, are ignored."""
+        *values, gold_answer = _question_values(obj)  # gold_answer is declared last
+        return QuestionInstance(*values, Answer.from_json(gold_answer))
+
+
+_QUESTION_FIELDS = tuple(f.name for f in fields(QuestionInstance))
+_question_attrs, _question_values = attrgetter(*_QUESTION_FIELDS), itemgetter(*_QUESTION_FIELDS)
 
 
 # ---------------------------------------------------------------------------

@@ -333,6 +333,13 @@ def extract_table(d: DetectionSet | PlotAnnotation | PlotReading) -> SemiStructu
 # ---------------------------------------------------------------------------
 # extraction quality
 
+def _filled_cells(table: SemiStructuredTable) -> dict[tuple[str, str], float]:
+    """{(row, col): value} of the non-empty cells; a later cell under the same headers wins."""
+    return {(rh, ch): float(v)
+            for rh, row in zip(table.row_headers, table.cells)
+            for ch, v in zip(table.col_headers, row) if v is not None}
+
+
 def table_f1(
     pred: SemiStructuredTable,
     gold: SemiStructuredTable,
@@ -347,8 +354,7 @@ def table_f1(
     """
     if rel_tol < 0:
         raise ValueError("rel_tol must be >= 0")
-    pred_tuples = {(t.row, t.col): t.value for t in pred.tuples()}
-    gold_tuples = {(t.row, t.col): t.value for t in gold.tuples()}
+    pred_tuples, gold_tuples = _filled_cells(pred), _filled_cells(gold)
     matched = 0
     for key, pv in pred_tuples.items():
         if key in gold_tuples and within_rel_tol(pv, gold_tuples[key], rel_tol):

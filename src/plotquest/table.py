@@ -14,13 +14,6 @@ import io
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
-class ExtractionTuple:
-    row: str
-    col: str
-    value: float
-
-
 @dataclass
 class SemiStructuredTable:
     row_headers: list[str]
@@ -45,15 +38,6 @@ class SemiStructuredTable:
 
     def cell(self, row: str, col: str) -> float | None:
         return self.cells[self.row_headers.index(row)][self.col_headers.index(col)]
-
-    def tuples(self) -> list[ExtractionTuple]:
-        """All non-empty cells as (row header, column header, value) triples."""
-        out = []
-        for rh, row in zip(self.row_headers, self.cells):
-            for ch, v in zip(self.col_headers, row):
-                if v is not None:
-                    out.append(ExtractionTuple(rh, ch, float(v)))
-        return out
 
     # -- serialization ------------------------------------------------------
 

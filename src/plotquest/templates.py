@@ -2,7 +2,8 @@
 pattern-matching machinery.
 
 Templates live in ``data/templates.txt`` (id | category | answer_type |
-pattern) so the generator and the parser work from one grammar source; a
+pattern, read by ``corpus.data_rows``, the one reader of the ``|``-separated
+data files) so the generator and the parser work from one grammar source; a
 question filled from a pattern re-parses to the same template id and
 bindings by construction. Slots are typed: ordinals and thresholds match
 tight sub-regexes, text slots match lazily, and repeated slot names
@@ -21,6 +22,8 @@ import re
 from dataclasses import dataclass
 from functools import cache, cached_property
 from importlib import resources
+
+from .corpus import data_rows
 
 CATEGORIES = ("structural", "data_retrieval", "reasoning")
 ANSWER_TYPES = ("yes_no", "fixed_vocab", "open_vocab")
@@ -103,14 +106,7 @@ def load_templates() -> list[Template]:
     """Load the bundled 74-template grammar."""
     text = resources.files("plotquest.data").joinpath("templates.txt").read_text("utf-8")
     out = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = [p.strip() for p in line.split("|")]
-        if len(parts) != 4:
-            raise TemplateError(f"line {lineno}: expected 4 fields, got {len(parts)}")
-        tid_s, category, answer_type, pattern = parts
+    for lineno, (tid_s, category, answer_type, pattern) in data_rows(text, 4, TemplateError):
         if category not in CATEGORIES:
             raise TemplateError(f"line {lineno}: bad category {category!r}")
         if answer_type not in ANSWER_TYPES:

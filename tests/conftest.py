@@ -43,7 +43,6 @@ def make_data(values, legends=None, cats=None, x_label="Year", indicator=None):
     data = PlotData(
         indicator=indicator,
         x_label=x_label,
-        y_label=indicator.unit_phrase,
         x_categories=tuple(cats),
         series=tuple((leg, tuple(float(v) for v in row)) for leg, row in zip(legends, V)),
     )

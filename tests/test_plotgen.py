@@ -1,15 +1,19 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from plotquest.answers import number
 from plotquest.corpus import sample_plot_data
+from plotquest.detsim import PAPER_LIKE, Detection, DetectionSet, perturb
 from plotquest.plotgen import (
-    LEGEND_POSITIONS, PLOT_TYPES, LayoutError, PlotAnnotation, make_plot_spec,
+    LEGEND_POSITIONS, PLOT_TYPES, LayoutError, PlotAnnotation, VisualElement, make_plot_spec,
     render, validate_annotation, value_axis, format_tick,
 )
+from plotquest.qgen import QuestionInstance, instantiate
 
-from conftest import make_data, make_indicator, make_spec, rendered
+from conftest import make_data, make_indicator, make_spec, make_style, rendered
 
 
 def test_make_plot_spec_deterministic(corpus):
@@ -234,8 +238,48 @@ def test_gold_table_matches_data(corpus):
             assert t.cells[i][s] == V[s][i]
 
 
+# each record's JSON with its key order: the bytes of every annotation,
+# detection set and questions.jsonl line follow from these
+_RECORD_JSON = [
+    (VisualElement("bar", (1.0, 2.5, 3.0, 4.0), "a", 3, 1, 2),
+     '{"class": "bar", "bbox": [1.0, 2.5, 3.0, 4.0], "text": "a", "color": 3, "series_index": 1, "x_index": 2}'),
+    (VisualElement("title", (0.5, 0.0, 10.0, 2.0)), '{"class": "title", "bbox": [0.5, 0.0, 10.0, 2.0]}'),
+    (Detection("legend_label", (1.0, 2.0, 3.0, 4.0), 0.5, "Brazil", 2),
+     '{"class": "legend_label", "bbox": [1.0, 2.0, 3.0, 4.0], "score": 0.5, "text": "Brazil", "color": 2}'),
+    (Detection("bar", (1.0, 2.0, 3.0, 4.0), 1.0), '{"class": "bar", "bbox": [1.0, 2.0, 3.0, 4.0], "score": 1.0}'),
+    (make_style(2), '{"grid": true, "font_size": 12.0, "tick_notation": "standard", "line_style": "solid", '
+                    '"marker": "circle", "legend_position": "top-right", "series_colors": [0, 1], '
+                    '"canvas": [800.0, 600.0]}'),
+    (QuestionInstance(33, "data_retrieval", "open_vocab", "What is the price of diesel in 2001?",
+                      {"y_label": "price of diesel", "x_tick": "2001"}, number(1.5)),
+     '{"template_id": 33, "category": "data_retrieval", "answer_type": "open_vocab", '
+     '"text": "What is the price of diesel in 2001?", "bindings": {"y_label": "price of diesel", "x_tick": "2001"}, '
+     '"gold_answer": {"kind": "number", "value": 1.5, "rendered": "1.5"}}'),
+]
+
+
 def test_annotation_json_roundtrip(corpus):
     data = sample_plot_data(corpus, 21)
     _, ann = render(make_plot_spec(data, 4))
     again = PlotAnnotation.loads(ann.dumps())
     assert again.to_json() == ann.to_json()
+
+    # every annotation, detection set and question of a small dataset
+    # re-encodes to the same bytes after decoding
+    for i in range(12):
+        spec = make_plot_spec(sample_plot_data(corpus, 100 + i), 200 + i)
+        text = render(spec)[1].dumps()
+        ann = PlotAnnotation.loads(text)
+        assert ann.dumps() == text
+        dets = perturb(ann, PAPER_LIKE.with_seed(i)).dumps()
+        assert DetectionSet.from_json(json.loads(dets)).dumps() == dets
+        for q in instantiate(spec, 300 + i):
+            line = json.dumps(q.to_json())
+            assert json.dumps(QuestionInstance.from_json(json.loads(line)).to_json()) == line
+            # a questions.jsonl or predictions.jsonl line carries more keys
+            extra = {"plot_id": i, "prediction": {"kind": "text", "value": "x"}, "correct": False}
+            assert QuestionInstance.from_json({**q.to_json(), **extra}) == q
+
+    for record, expected in _RECORD_JSON:
+        assert json.dumps(record.to_json()) == expected
+        assert json.dumps(type(record).from_json(json.loads(expected)).to_json()) == expected

@@ -15,7 +15,7 @@ from conftest import make_data, make_indicator, make_style
 
 _INDICATOR = dict(name="Test Indicator", unit_phrase="price of diesel", plural_entity_phrase="countries",
                   value_range=(0.1, 10.0), value_kind="float")
-_DATA = dict(indicator=make_indicator(), x_label="Year", y_label="price of diesel",
+_DATA = dict(indicator=make_indicator(), x_label="Year",
              x_categories=("2000", "2001"), series=(("Brazil", (1.0, 2.0)),))
 _STYLE = dict(grid=True, font_size=12.0, tick_notation="standard", line_style="solid", marker="circle",
               legend_position="top-right", series_colors=(0,))
@@ -28,10 +28,17 @@ _QUESTION = dict(template_id=1, category="reasoning", answer_type="open_vocab",
 CASES = {
     "element-class": (VisualElement, dict(cls="bar", bbox=(0.0, 0.0, 1.0, 1.0)), dict(cls="Bar")),
     "detection-class": (Detection, dict(cls="bar", bbox=(0.0, 0.0, 1.0, 1.0), score=1.0), dict(cls="Bar")),
+    "element-huge-int-bbox": (VisualElement, dict(cls="bar", bbox=(0.0, 0.0, 1.0, 1.0)),
+                              dict(bbox=(10**400, 0.0, 1.0, 1.0))),
+    "detection-huge-int-bbox": (Detection, dict(cls="bar", bbox=(0.0, 0.0, 1.0, 1.0), score=1.0),
+                                dict(bbox=(0.0, 0.0, 1.0, 10**400))),
     "annotation-plot-type": (PlotAnnotation, _ANNOTATION, dict(plot_type="pie")),
     "style-grid": (StyleParams, _STYLE, dict(grid="no")),
     # an int beyond the float range is not a finite number
     "style-huge-int-font-size": (StyleParams, _STYLE, dict(font_size=10**400)),
+    # render would reject the colour only when it builds the marks
+    "style-float-color": (StyleParams, _STYLE, dict(series_colors=(0.0,))),
+    "style-bool-color": (StyleParams, _STYLE, dict(series_colors=(True,))),
     # render would index past the colours of a spec with fewer than its series
     "spec-color-count": (PlotSpec, dict(data=make_data([[1, 2], [3, 4], [5, 6]]), plot_type="vbar",
                                         style=make_style(3)), dict(style=make_style(1))),

@@ -310,7 +310,7 @@ def test_extraction_permutation_invariant(corpus):
 def test_empty_detections_give_empty_table():
     table = extract_table(DetectionSet([]))
     assert table.row_headers == []
-    assert table.tuples() == []
+    assert all(v is None for row in table.cells for v in row)
 
 
 # -- tuple F1 ------------------------------------------------------------------
