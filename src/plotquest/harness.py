@@ -38,16 +38,10 @@ def score_answer(pred: Answer | None, gold: Answer) -> bool:
     """True iff the prediction counts as correct under the 5% metric."""
     if pred is None:
         return False
-    if gold.kind == "number":
-        gv = float(gold.value)
-        pv = None if pred.kind == "boolean" else parse_number(str(pred.value))
+    if gold.kind == "number" and pred.kind != "boolean":
+        pv = parse_number(str(pred.value))
         if pv is not None:
-            return within_rel_tol(pv, gv, REL_TOL)
-        return _norm(pred.rendered()) == _norm(gold.rendered())
-    if gold.kind == "boolean":
-        if pred.kind == "boolean":
-            return bool(pred.value) == bool(gold.value)
-        return _norm(pred.rendered()) == _norm(gold.rendered())
+            return within_rel_tol(pv, float(gold.value), REL_TOL)
     return _norm(pred.rendered()) == _norm(gold.rendered())
 
 

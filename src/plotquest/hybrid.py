@@ -8,8 +8,9 @@ Both branches answer from one ``sie.PlotReading`` per plot, so a plot's
 detections are associated once however many questions it has. The
 classification branch answers from the reading's geometry: element counts,
 positions, style metadata, tick/legend/axis-label texts and, for the
-zero-value and line-crossing questions, the per-series value rows. The
-pipeline branch is ``tableqa.execute`` on the reading's table.
+zero-value and line-crossing questions, the per-series value rows. One
+detection guard (``_found``) and one ordinal guard (``_nth``) say why it
+gives up. The pipeline branch is ``tableqa.execute`` on the reading's table.
 
 Each question is parsed once, and ``route`` alone decides its branch from
 the parse. The two ablation arms are the hybrid gated to one branch: a
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,22 +64,38 @@ def _style_or_unavailable(reading: PlotReading):
     return reading.style
 
 
+def _found(found, reason: str):
+    """What the reading found; AnswerUnavailable(reason) when it is empty."""
+    if not found:
+        raise AnswerUnavailable(reason)
+    return found
+
+
+def _pick(items: list, i: int, from_end: bool):
+    """The i-th item (from 1), counted from the end when ``from_end``, or None."""
+    return items[-i if from_end else i - 1] if 1 <= i <= len(items) else None
+
+
+def _nth(items: list, ordinal: str, from_end: bool, what: str):
+    """The item an ordinal binding names; AnswerUnavailable when there is none."""
+    item = _pick(items, parse_ordinal(ordinal), from_end)
+    if item is None:
+        raise AnswerUnavailable(f"no {ordinal} {what}")
+    return item
+
+
 def _structural(tid: int, b: dict[str, str], rd: PlotReading) -> Answer:
+    if tid in (9, 16, 19, 20, 21, 22):  # questions about the bars themselves
+        _found(rd.bars, "no bars detected")
     if tid == 1:
         _, V = rd.series_rows()
-        vals = V[~np.isnan(V)]
-        if vals.size == 0:
-            raise AnswerUnavailable("no data values readable")
-        return yes_no(bool((vals == 0.0).any()))
+        return yes_no(0.0 in _found(V[~np.isnan(V)].tolist(), "no data values readable"))
     if tid == 2:
         return yes_no(_style_or_unavailable(rd).grid)
     if tid == 3:
         return text(_style_or_unavailable(rd).legend_position)
     if tid == 4:
-        n = len(rd.detections.by_class("legend_label"))
-        if n == 0:
-            raise AnswerUnavailable("no legend detected")
-        return number(n)
+        return number(len(_found(rd.detections.by_class("legend_label"), "no legend detected")))
     if tid == 5:
         labels = rd.detections.by_class("legend_label")
         if len(labels) >= 2:
@@ -85,38 +103,26 @@ def _structural(tid: int, b: dict[str, str], rd: PlotReading) -> Answer:
         pos = _style_or_unavailable(rd).legend_position
         return text("horizontal" if pos.startswith("bottom") else "vertical")
     if tid == 6:
-        if not rd.cat_refs:
-            raise AnswerUnavailable(NO_CATEGORY_TICKS)
-        return number(len(rd.cat_refs))
+        return number(len(_found(rd.cat_refs, NO_CATEGORY_TICKS)))
     if tid in (7, 8):
         ft = b["figure_type"]
-        dets = rd.bars if ft == "bar" else [p for p in rd.points if p.cls == ft]
-        if not dets:
-            raise AnswerUnavailable(f"no {ft} elements detected")
+        dets = _found(rd.bars if ft == "bar" else [p for p in rd.points if p.cls == ft],
+                      f"no {ft} elements detected")
         if tid == 8 or ft != "bar":
             return number(len({det.color for det in dets if det.color is not None}))
         return number(len(dets))
     if tid == 9:
-        if not rd.bars:
-            raise AnswerUnavailable("no bars detected")
         return number(len(rd.cat_refs))
     if tid in (10, 11):
-        counts = [len(g) for g in rd.bar_groups()]
-        if not counts:
-            raise AnswerUnavailable(NO_CATEGORY_TICKS)
+        counts = [len(g) for g in _found(rd.bar_groups(), NO_CATEGORY_TICKS)]
         if tid == 10:
             return yes_no(all(c == len(rd.legend_texts) for c in counts))
         return yes_no(len(set(counts)) == 1)
     # cat_refs run left to right (vertical plots) or top to bottom
     # (horizontal ones); an ordinal from the right or bottom counts from the end
     if tid in (12, 13, 14, 15):
-        i = parse_ordinal(b["i"])
-        if i < 1 or i > len(rd.cat_refs):
-            raise AnswerUnavailable(f"no {b['i']} tick")
-        return number(len(rd.bar_groups()[-i if tid in (13, 15) else i - 1]))
+        return number(len(_nth(rd.bar_groups(), b["i"], tid in (13, 15), "tick")))
     if tid == 16:
-        if not rd.bars:
-            raise AnswerUnavailable("no bars detected")
         return yes_no(rd.horizontal)
     if tid == 17:
         _, V = rd.series_rows()
@@ -124,48 +130,30 @@ def _structural(tid: int, b: dict[str, str], rd: PlotReading) -> Answer:
             raise AnswerUnavailable("incomplete line readings")
         return number(count_line_crossings(V))
     if tid == 18:
-        colors = {p.color for p in rd.points if p.color is not None}
-        if not colors:
-            raise AnswerUnavailable("no lines detected")
+        colors = _found({p.color for p in rd.points if p.color is not None}, "no lines detected")
         return yes_no(len(colors) == len(rd.legend_texts))
     if tid in (19, 20, 21, 22):
         i = parse_ordinal(b["i"])
-        if not rd.bars:
-            raise AnswerUnavailable("no bars detected")
-        votes: dict[str, int] = {}
-        for group in rd.bar_groups():
-            if i < 1 or i > len(group):
-                continue
-            label = rd.legend_label_of(group[-i if tid in (20, 22) else i - 1].color)
-            if label:
-                votes[label] = votes.get(label, 0) + 1
-        if not votes:
-            raise AnswerUnavailable("bar order unreadable")
-        return text(max(sorted(votes), key=lambda k: votes[k]))
+        picked = (_pick(group, i, tid in (20, 22)) for group in rd.bar_groups())
+        # a group without an i-th bar, or whose bar matches no legend colour, casts no vote
+        named = (rd.legend_label_of(bar.color) for bar in picked if bar is not None)
+        votes = _found(Counter(filter(None, named)), "bar order unreadable")
+        return text(max(sorted(votes), key=votes.__getitem__))
     if tid in (23, 24):
-        j = parse_ordinal(b["j"])
-        if j < 1 or j > len(rd.cat_refs):
-            raise AnswerUnavailable(f"no {b['j']} group")
-        return text(rd.cat_refs[j - 1].text)
+        return text(_nth(rd.cat_refs, b["j"], False, "group").text)
     if tid == 26:
-        if len(rd.val_ticks) < 2:
-            raise AnswerUnavailable(TOO_FEW_VALUE_TICKS)
         ordered = sorted(v for v, _ in rd.val_ticks)
-        step = float(np.median([b2 - a2 for a2, b2 in zip(ordered, ordered[1:])]))
+        steps = _found([b2 - a2 for a2, b2 in zip(ordered, ordered[1:])], TOO_FEW_VALUE_TICKS)
+        step = float(np.median(steps))
         if not math.isfinite(step):  # finite ticks far apart can overflow
             raise AnswerUnavailable("tick step is not finite")
         return number(step)
     if tid == 27:
-        if not rd.val_tick_texts:
-            raise AnswerUnavailable("no value ticks detected")
-        hits = sum(1 for t in rd.val_tick_texts if _SCI_RE.fullmatch(t))
-        return yes_no(hits > len(rd.val_tick_texts) / 2.0)
+        texts = _found(rd.val_tick_texts, "no value ticks detected")
+        return yes_no(sum(1 for t in texts if _SCI_RE.fullmatch(t)) > len(texts) / 2.0)
     if tid in (28, 30, 31):
         cls = {28: "title", 30: "xaxis_label", 31: "yaxis_label"}[tid]
-        label = rd.label_text(cls)
-        if not label:
-            raise AnswerUnavailable(f"no {cls} detected")
-        return text(label)
+        return text(_found(rd.label_text(cls), f"no {cls} detected"))
     raise ValueError(f"template {tid} routes to the classification branch but has no geometry answer")
 
 

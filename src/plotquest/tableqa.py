@@ -4,8 +4,7 @@ Questions parse deterministically against the closed template grammar into
 logical forms, small expression trees over aggregation / selection /
 comparison primitives, which the executor evaluates directly on the
 ``SemiStructuredTable``: a column expression is the column's (row header,
-value) pairs, a cell reference looks a row up by its header. A table whose
-rows cannot be told apart by header answers nothing (``_check_rows``).
+value) pairs, a cell reference looks a row up by its header.
 
 A question reads the column named by its legend label, or, when it names
 no legend label, the one named by its value phrase (``y_label``) or title:
@@ -20,12 +19,19 @@ Out-of-grammar text raises UnparseableQuestion.
 
 Missing cells simply never contribute: a column expression yields only the
 rows that have values, and direct cell references to holes give
-AnswerUnavailable rather than a fabricated number.
+AnswerUnavailable rather than a fabricated number. The executor gives up
+for nine reasons, each raised by one check: duplicate row headers, no such
+column, no such cell, a missing span endpoint, no values (``_values``; an
+exclusive span between adjacent rows has none), rows that do not line up
+(``_aligned``), a rank outside its column, a zero denominator, and a value
+that is not finite.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import statistics
 from dataclasses import dataclass
 
 from .answers import Answer, AnswerUnavailable, UnparseableQuestion, number, parse_number, text, yes_no
@@ -33,6 +39,7 @@ from .table import SemiStructuredTable
 from .templates import Template, default_matcher
 
 LF = tuple  # ("op", arg, ...) expression trees
+Items = list[tuple[str, float]]  # a list expression's (row header, value) pairs
 
 
 # ---------------------------------------------------------------------------
@@ -145,11 +152,7 @@ def parse(question: str) -> ParsedQuestion:
 # ---------------------------------------------------------------------------
 # execution
 
-_CMP = {
-    ">": lambda a, b: a > b,
-    "<": lambda a, b: a < b,
-    "!=": lambda a, b: a != b,
-}
+_CMP = {">": operator.gt, "<": operator.lt, "!=": operator.ne}
 
 
 def _check_rows(t: SemiStructuredTable) -> None:
@@ -169,13 +172,13 @@ def _resolve_col(t: SemiStructuredTable, name: str) -> int:
     raise AnswerUnavailable(f"no column named {name!r}")
 
 
-def _column(t: SemiStructuredTable, name: str) -> list[tuple[str, float]]:
+def _column(t: SemiStructuredTable, name: str) -> Items:
     """(row header, value) pairs of one column's non-empty cells, in row order."""
     j = _resolve_col(t, name)
     return [(header, float(row[j])) for header, row in zip(t.row_headers, t.cells) if row[j] is not None]
 
 
-def _eval_list(lf: LF, t: SemiStructuredTable) -> list[tuple[str, float]]:
+def _eval_list(lf: LF, t: SemiStructuredTable) -> Items:
     op = lf[0]
     if op == "col":
         return _column(t, lf[1])
@@ -188,20 +191,29 @@ def _eval_list(lf: LF, t: SemiStructuredTable) -> list[tuple[str, float]]:
         a, b2, mode = lf[2], lf[3], lf[4]
         if a not in labels or b2 not in labels:
             raise AnswerUnavailable(f"span endpoint missing: {a!r}..{b2!r}")
-        i, j = labels.index(a), labels.index(b2)
-        if i > j:
-            i, j = j, i
-        if mode == "exclusive":
+        i, j = sorted((labels.index(a), labels.index(b2)))
+        if mode == "exclusive":  # adjacent or equal endpoints leave no rows
             i, j = i + 1, j - 1
-        if i > j:
-            raise AnswerUnavailable("empty span")
         return items[i:j + 1]
     if op == "pointwise_sum":
-        xs, ys = _eval_list(lf[1], t), _eval_list(lf[2], t)
-        if [l for l, _ in xs] != [l for l, _ in ys]:
-            raise AnswerUnavailable("pointwise sum over misaligned columns")
+        xs, ys = _aligned(_eval_list(lf[1], t), _eval_list(lf[2], t))
         return [(l, vx + vy) for (l, vx), (_, vy) in zip(xs, ys)]
     raise ValueError(f"not a list expression: {op}")
+
+
+def _values(lf: LF, t: SemiStructuredTable) -> Items:
+    """A list expression's items; a list with none answers nothing."""
+    items = _eval_list(lf, t)
+    if not items:
+        raise AnswerUnavailable("no values")
+    return items
+
+
+def _aligned(xs: Items, ys: Items) -> tuple[Items, Items]:
+    """Two list expressions' items, when they cover the same rows in order."""
+    if [l for l, _ in xs] != [l for l, _ in ys]:
+        raise AnswerUnavailable("columns do not line up")
+    return xs, ys
 
 
 def _eval_scalar(lf: LF, t: SemiStructuredTable) -> float:
@@ -209,7 +221,7 @@ def _eval_scalar(lf: LF, t: SemiStructuredTable) -> float:
     sum/mean/median/add/diff/ratio, and such a value answers nothing."""
     value = _scalar(lf, t)
     if not math.isfinite(value):
-        raise AnswerUnavailable(f"{lf[0]} is not finite")
+        raise AnswerUnavailable("value is not finite")
     return value
 
 
@@ -226,9 +238,7 @@ def _scalar(lf: LF, t: SemiStructuredTable) -> float:
                 return value
         raise AnswerUnavailable(f"no cell ({row_text!r}, {col_name!r})")
     if op in ("max", "min", "sum", "mean", "median"):
-        values = [v for _, v in _eval_list(lf[1], t)]
-        if not values:
-            raise AnswerUnavailable(f"{op} over an empty column")
+        values = [v for _, v in _values(lf[1], t)]
         if op == "max":
             return max(values)
         if op == "min":
@@ -237,10 +247,7 @@ def _scalar(lf: LF, t: SemiStructuredTable) -> float:
             return float(sum(values))
         if op == "mean":
             return float(sum(values)) / len(values)
-        vs = sorted(values)
-        k = len(vs)
-        mid = k // 2
-        return vs[mid] if k % 2 else (vs[mid - 1] + vs[mid]) / 2.0
+        return statistics.median(values)
     if op == "nth_from":
         values = [v for _, v in _eval_list(lf[1], t)]
         k, direction = int(lf[2]), lf[3]
@@ -270,28 +277,20 @@ def execute(lf: LF, t: SemiStructuredTable) -> Answer:
     _check_rows(t)
     op = lf[0]
     if op in ("argmax", "argmin"):
-        items = _eval_list(lf[1], t)
-        if not items:
-            raise AnswerUnavailable(f"{op} over an empty column")
+        items = _values(lf[1], t)
         # first occurrence wins on ties: max and min keep the first
         best = max(items, key=lambda it: it[1]) if op == "argmax" else min(items, key=lambda it: it[1])
         return text(best[0])
     if op == "has_col":
         return yes_no(lf[1] in t.col_headers)
     if op == "monotonic_increasing":
-        values = [v for _, v in _eval_list(lf[1], t)]
-        if not values:
-            raise AnswerUnavailable("monotonicity of an empty column")
+        values = [v for _, v in _values(lf[1], t)]
         return yes_no(all(b >= a for a, b in zip(values, values[1:])))
     if op == "strictly_dominates":
-        xs, ys = _eval_list(lf[1], t), _eval_list(lf[2], t)
-        if not xs or [l for l, _ in xs] != [l for l, _ in ys]:
-            raise AnswerUnavailable("dominance over misaligned columns")
+        xs, ys = _aligned(_values(lf[1], t), _eval_list(lf[2], t))
         return yes_no(all(vx > vy for (_, vx), (_, vy) in zip(xs, ys)))
     if op == "majority_gt":
-        items = _eval_list(lf[1], t)
-        if not items:
-            raise AnswerUnavailable("majority over an empty span")
+        items = _values(lf[1], t)
         threshold = _eval_scalar(lf[2], t)
         return yes_no(sum(1 for _, v in items if v > threshold) > len(items) / 2.0)
     if op == "cmp":

@@ -102,20 +102,27 @@ class Template:
         return text
 
 
-def load_templates() -> list[Template]:
-    """Load the bundled 74-template grammar."""
-    text = resources.files("plotquest.data").joinpath("templates.txt").read_text("utf-8")
+def _parse_templates(text: str) -> list[Template]:
     out = []
     for lineno, (tid_s, category, answer_type, pattern) in data_rows(text, 4, TemplateError):
+        try:
+            tid = int(tid_s)
+        except ValueError:
+            raise TemplateError(f"line {lineno}: template id {tid_s!r} is not an integer")
         if category not in CATEGORIES:
             raise TemplateError(f"line {lineno}: bad category {category!r}")
         if answer_type not in ANSWER_TYPES:
             raise TemplateError(f"line {lineno}: bad answer_type {answer_type!r}")
-        out.append(Template(int(tid_s), category, answer_type, pattern))
+        out.append(Template(tid, category, answer_type, pattern))
     ids = [t.id for t in out]
     if len(set(ids)) != len(ids):
         raise TemplateError("duplicate template ids")
     return out
+
+
+def load_templates() -> list[Template]:
+    """Load the bundled 74-template grammar."""
+    return _parse_templates(resources.files("plotquest.data").joinpath("templates.txt").read_text("utf-8"))
 
 
 class TemplateMatcher:

@@ -124,11 +124,34 @@ def test_structural_crossing_lines_counted():
 
 
 def test_structural_missing_elements_unavailable():
-    det = DetectionSet([Detection("bar", (10, 10, 5, 5), 1.0, color=0)])
-    with pytest.raises(AnswerUnavailable):
-        answer_structural("What is the title of the graph?", det)
-    with pytest.raises(AnswerUnavailable):
-        answer_structural("How many legend labels are there?", det)
+    # every guarded family, on a detection set without what it needs, and
+    # every ordinal past the end give the one reason their guard states
+    lone_bar = DetectionSet([Detection("bar", (10, 10, 5, 5), 1.0, color=0)])
+    nothing = DetectionSet([])
+    cases = [
+        ("Does the graph contain any zero values?", nothing, "no data values readable"),
+        ("How many legend labels are there?", lone_bar, "no legend detected"),
+        ("How many years are there in the graph?", lone_bar, "no category ticks detected"),
+        ("How many bars are there?", nothing, "no bar elements detected"),
+        ("How many different colored lines are there?", lone_bar, "no line elements detected"),
+        ("How many dotlines are there?", lone_bar, "no dotline elements detected"),
+        ("How many groups of bars are there?", nothing, "no bars detected"),
+        ("Are all the bars in the graph horizontal?", nothing, "no bars detected"),
+        ("Is the number of lines equal to the number of legend labels?", lone_bar, "no lines detected"),
+        *[(f"What does the 2nd bar from the {end} in each group represent?", nothing, "no bars detected")
+          for end in ("left", "right", "top", "bottom")],
+        ("How many bars are there on the 1st tick from the bottom?", nothing, "no 1st tick"),
+        ("What is the label of the 3rd group of bars from the top?", lone_bar, "no 3rd group"),
+        ("Are the values on the major ticks of Y-axis written in scientific E-notation?", lone_bar,
+         "no value ticks detected"),
+        ("What is the title of the graph?", lone_bar, "no title detected"),
+        ("What is the label or title of the X-axis?", lone_bar, "no xaxis_label detected"),
+        ("What is the label or title of the Y-axis?", lone_bar, "no yaxis_label detected"),
+    ]
+    for question, det, reason in cases:
+        with pytest.raises(AnswerUnavailable) as err:
+            answer_structural(question, det)
+        assert str(err.value) == reason, question
 
 
 def test_bar_order_without_category_ticks_says_so():

@@ -146,6 +146,62 @@ def test_overflowing_scalars_are_unavailable():
             execute(lf, t)
 
 
+# rows a, b, c: x is missing at b and y at c, so the two do not line up;
+# e and f have no values at all
+GAPS = SemiStructuredTable(["a", "b", "c"], ["x", "y", "e", "f"],
+                           [[1.0, 2.0, None, None], [None, 3.0, None, None], [4.0, None, None, None]])
+HUGE = SemiStructuredTable(["a", "b"], ["x"], [[1e308], [1e308]])
+X, Y, E, F = (("col", c) for c in "xyef")
+
+# each way the executor gives up, a table and the forms that give up that way
+GIVE_UPS = {
+    "duplicate row headers make rows ambiguous": (
+        SemiStructuredTable(["a", "a"], ["x"], [[1.0], [2.0]]),
+        [("max", X), ("cell", "a", "x"), ("has_col", "x"), ("argmax", X),
+         ("cmp", ">", ("num", 1.0), ("num", 0.0))]),
+    "no column named 'zz'": (
+        GAPS, [("max", ("col", "zz")), ("cell", "a", "zz"), ("argmin", ("col", "zz")),
+               ("strictly_dominates", X, ("col", "zz")), ("count_where", ("col", "zz"), ">", ("num", 0.0))]),
+    "no cell ('b', 'x')": (
+        GAPS, [("cell", "b", "x"), ("diff", ("cell", "a", "y"), ("cell", "b", "x")),
+               ("ratio", ("cell", "a", "x"), ("cell", "b", "x"))]),
+    "span endpoint missing: 'a'..'b'": (
+        GAPS, [("sum", ("span", X, "a", "b", "inclusive")),
+               ("majority_gt", ("span", X, "a", "b", "exclusive"), ("num", 0.0))]),
+    "no values": (
+        GAPS, [*((op, E) for op in ("max", "min", "sum", "mean", "median", "argmax", "argmin",
+                                     "monotonic_increasing")),
+               ("majority_gt", E, ("num", 0.0)),
+               # an exclusive span between adjacent rows holds none
+               ("majority_gt", ("span", Y, "a", "b", "exclusive"), ("num", 0.0)),
+               # two empty columns line up, yet dominance over nothing has no answer
+               ("strictly_dominates", E, F),
+               ("max", ("pointwise_sum", E, F))]),
+    "columns do not line up": (
+        GAPS, [("strictly_dominates", X, Y), ("strictly_dominates", Y, X), ("strictly_dominates", X, E),
+               ("max", ("pointwise_sum", X, Y)), ("strictly_dominates", ("pointwise_sum", X, X), Y)]),
+    "rank 3 outside column of size 2": (
+        GAPS, [("nth_from", X, 3, "largest"), ("nth_from", X, 3, "smallest"),
+               ("diff", ("nth_from", Y, 1, "largest"), ("nth_from", Y, 3, "largest"))]),
+    "ratio with zero denominator": (
+        GAPS, [("ratio", ("cell", "a", "x"), ("num", 0.0)),
+               ("ratio", ("cell", "a", "x"), ("diff", ("cell", "a", "x"), ("cell", "a", "x")))]),
+    "value is not finite": (
+        HUGE, [("sum", X), ("mean", X), ("median", X), ("add", ("cell", "a", "x"), ("cell", "b", "x")),
+               ("diff", ("num", -1e308), ("max", X)), ("ratio", ("cell", "a", "x"), ("num", 1e-300)),
+               ("cmp", ">", ("sum", X), ("num", 0.0))]),
+}
+
+
+@pytest.mark.parametrize("reason", list(GIVE_UPS))
+def test_each_way_to_give_up_has_one_message(reason):
+    table, forms = GIVE_UPS[reason]
+    for lf in forms:
+        with pytest.raises(AnswerUnavailable) as err:
+            execute(lf, table)
+        assert str(err.value) == reason, to_sexpr(lf)
+
+
 def test_answer_composition():
     t = SemiStructuredTable(["2008", "2009"], ["price of diesel"], [[0.5], [0.9]])
     got = execute(parse("What is the price of diesel in 2008?").logical_form, t)

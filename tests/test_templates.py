@@ -1,15 +1,19 @@
 """TemplateMatcher against the linear scan it indexes: every template's
 regex tried in priority order (most literal text first, then id) until one
 full-matches. The prefix index must return exactly what that scan returns,
-the same template and the same bindings, for any grammar and any text."""
+the same template and the same bindings, for any grammar and any text.
+A malformed line of the grammar file is a TemplateError that names it."""
 
+import re
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from plotquest.cli import stable_seed
 from plotquest.corpus import sample_plot_data
 from plotquest.plotgen import make_plot_spec
 from plotquest.qgen import instantiate, instantiate_all
-from plotquest.templates import Template, TemplateMatcher, default_matcher
+from plotquest.templates import Template, TemplateError, TemplateMatcher, _parse_templates, default_matcher
 
 
 def linear_scan(templates):
@@ -107,6 +111,18 @@ def test_a_repeated_slot_binds_once():
 def test_an_empty_grammar_matches_nothing():
     assert TemplateMatcher([]).match("") is None
     assert TemplateMatcher([]).match("What is the title of the graph?") is None
+
+
+@pytest.mark.parametrize("line,reason", [
+    ("x2 | structural | yes_no | Is it?", "template id 'x2' is not an integer"),
+    ("2 | visual | yes_no | Is it?", "bad category 'visual'"),
+    ("2 | structural | maybe | Is it?", "bad answer_type 'maybe'"),
+    ("2 | structural | yes_no", "expected 4 '|'-separated fields, got 3"),
+])
+def test_a_malformed_grammar_line_is_named(line, reason):
+    text = f"# id | category | answer_type | pattern\n1 | structural | yes_no | Is it?\n\n{line}\n"
+    with pytest.raises(TemplateError, match=re.escape(f"line 4: {reason}")):
+        _parse_templates(text)
 
 
 # small grammars and texts over a few shared pieces, so that prefixes nest,
