@@ -9,8 +9,9 @@ detections are associated once however many questions it has. The
 classification branch answers from the reading's geometry: element counts,
 positions, style metadata, tick/legend/axis-label texts and, for the
 zero-value and line-crossing questions, the per-series value rows. One
-detection guard (``_found``) and one ordinal guard (``_nth``) say why it
-gives up. The pipeline branch is ``tableqa.execute`` on the reading's table.
+detection guard (``_found``, which also covers missing style metadata) and
+one ordinal guard (``_nth``) say why it gives up. The pipeline branch is
+``tableqa.execute`` on the reading's table.
 
 Each question is parsed once, and ``route`` alone decides its branch from
 the parse. The two ablation arms are the hybrid gated to one branch: a
@@ -40,6 +41,7 @@ CLASSIFICATION_BRANCH = "classification_branch"
 PIPELINE_BRANCH = "pipeline_branch"
 
 _SCI_RE = re.compile(r"-?\d\.\d{3}e[+-]\d+")
+_NO_STYLE = "no style metadata available"
 
 
 @dataclass(frozen=True)
@@ -57,12 +59,6 @@ def route(question: str | ParsedQuestion) -> Route:
 
 # ---------------------------------------------------------------------------
 # classification-branch answering
-
-def _style_or_unavailable(reading: PlotReading):
-    if reading.style is None:
-        raise AnswerUnavailable("no style metadata available")
-    return reading.style
-
 
 def _found(found, reason: str):
     """What the reading found; AnswerUnavailable(reason) when it is empty."""
@@ -91,16 +87,16 @@ def _structural(tid: int, b: dict[str, str], rd: PlotReading) -> Answer:
         _, V = rd.series_rows()
         return yes_no(0.0 in _found(V[~np.isnan(V)].tolist(), "no data values readable"))
     if tid == 2:
-        return yes_no(_style_or_unavailable(rd).grid)
+        return yes_no(_found(rd.style, _NO_STYLE).grid)
     if tid == 3:
-        return text(_style_or_unavailable(rd).legend_position)
+        return text(_found(rd.style, _NO_STYLE).legend_position)
     if tid == 4:
-        return number(len(_found(rd.detections.by_class("legend_label"), "no legend detected")))
+        return number(len(_found(rd.elements["legend_label"], "no legend detected")))
     if tid == 5:
-        labels = rd.detections.by_class("legend_label")
+        labels = rd.elements["legend_label"]
         if len(labels) >= 2:
             return text("horizontal" if _stacked_horizontally(labels) else "vertical")
-        pos = _style_or_unavailable(rd).legend_position
+        pos = _found(rd.style, _NO_STYLE).legend_position
         return text("horizontal" if pos.startswith("bottom") else "vertical")
     if tid == 6:
         return number(len(_found(rd.cat_refs, NO_CATEGORY_TICKS)))

@@ -444,16 +444,23 @@ def render(spec: PlotSpec) -> tuple[bytes, PlotAnnotation]:
         raise LayoutError(f"canvas {W}x{H} leaves plot area {area_w:.0f}x{area_h:.0f}")
     area_r, area_b = area_x + area_w, area_y + area_h
 
+    # the one orientation decision: categories run down y and values right
+    # along x for hbar; categories run along x and values up y otherwise
+    if horizontal:
+        cat_start, cat_len, val_start, val_len, val_dir = area_y, area_h, area_x, area_w, 1.0
+    else:
+        cat_start, cat_len, val_start, val_len, val_dir = area_x, area_w, area_b, area_h, -1.0
+
+    def screen(c: float, v: float) -> tuple[float, float]:
+        # (category-axis, value-axis) coordinates -> (x, y) on the canvas
+        return (v, c) if horizontal else (c, v)
+
     def vpix(v: float) -> float:
         # value -> pixel along the value axis
-        if horizontal:
-            return area_x + v / axis_max * area_w
-        return area_b - v / axis_max * area_h
+        return val_start + val_dir * (v / axis_max * val_len)
 
     def cat_center(i: int) -> float:
-        if horizontal:
-            return area_y + (i + 0.5) * area_h / data.n_categories
-        return area_x + (i + 0.5) * area_w / data.n_categories
+        return cat_start + (i + 0.5) * cat_len / data.n_categories
 
     svg = _Svg(W, H)
     elements: list[VisualElement] = []
@@ -470,10 +477,7 @@ def render(spec: PlotSpec) -> tuple[bytes, PlotAnnotation]:
     if style.grid:
         for t in ticks:
             p = vpix(t)
-            if horizontal:
-                svg.line(p, area_y, p, area_b, stroke="#dddddd")
-            else:
-                svg.line(area_x, p, area_r, p, stroke="#dddddd")
+            svg.line(*screen(cat_start, p), *screen(cat_start + cat_len, p), stroke="#dddddd")
 
     # axes
     svg.line(area_x, area_y, area_x, area_b)
@@ -502,7 +506,7 @@ def render(spec: PlotSpec) -> tuple[bytes, PlotAnnotation]:
     values = data.values_matrix()
     n_series, n_cats = data.n_series, data.n_categories
     if mark_cls == "bar":
-        slot = (area_h if horizontal else area_w) / n_cats
+        slot = cat_len / n_cats
         usable = 0.7 * slot
         bw = usable / (n_series + 0.1 * (n_series - 1))
         gap = 0.1 * bw
@@ -512,17 +516,15 @@ def render(spec: PlotSpec) -> tuple[bytes, PlotAnnotation]:
                 v = float(values[s][i])
                 color = style.series_colors[s]
                 off = start + s * (bw + gap)
-                if horizontal:
-                    bbox = (area_x, off, vpix(v) - area_x, bw)
-                else:
-                    bbox = (off, vpix(v), bw, area_b - vpix(v))
+                top = vpix(v)  # the bar runs from the value axis's start to here
+                bbox = (*screen(off, min(top, val_start)), *screen(bw, abs(top - val_start)))
                 elements.append(VisualElement("bar", bbox, color=color, series_index=s, x_index=i))
                 svg.rect(*bbox, fill=color_hex(color))
     else:
         dash = _DASHES[style.line_style]
         for s in range(n_series):
             color = style.series_colors[s]
-            pts = [(cat_center(i), vpix(float(values[s][i]))) for i in range(n_cats)]
+            pts = [screen(cat_center(i), vpix(float(values[s][i]))) for i in range(n_cats)]
             svg.polyline(pts, color_hex(color), dash=dash)
             for i, (px, py) in enumerate(pts):
                 bbox = (px - _MARKER_SIZE / 2.0, py - _MARKER_SIZE / 2.0, _MARKER_SIZE, _MARKER_SIZE)

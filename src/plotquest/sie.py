@@ -19,16 +19,20 @@ interpolated from the bar's value-edge pixel between the two bracketing
 numeric ticks. Tick text is read as a number by ``answers.parse_number``.
 
 Legend labels pair with previews by minimal Euclidean centroid distance
-(ties broken in reading order). Marks pair with category ticks by centroid
-distance projected onto the category axis: the perpendicular coordinate of
-a bar centroid scales with its value, so unprojected distance misassigns
-long bars even on noise-free input. Anything that cannot be associated
-(unmatched color, unparseable tick text, too few numeric ticks, a value
-that is not finite) degrades to an empty cell; extraction never guesses
-and never raises once inputs are detections.
+(ties broken in reading order); the legend map, and so the table's columns,
+lists the labels in reading order along the legend's stacking direction,
+whatever order the pairs were accepted in. Marks pair with category ticks
+by centroid distance projected onto the category axis: the perpendicular
+coordinate of a bar centroid scales with its value, so unprojected distance
+misassigns long bars even on noise-free input. Anything that cannot be
+associated (unmatched color, unparseable tick text, too few numeric ticks,
+a value that is not finite) degrades to an empty cell; extraction never
+guesses and never raises once inputs are detections.
 
-All association is permutation-invariant: detections are put into a
-canonical order before any tie can matter.
+All association is permutation-invariant: a reading sorts its detections
+once into canonical order, before any tie can matter, and keeps one list
+per element class (``elements``). Orientation is one boolean, and each axis
+is a centre-coordinate index (``cat_axis``, ``val_axis``: 0 = x, 1 = y).
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ import numpy as np
 
 from .answers import AnswerUnavailable, parse_number, within_rel_tol
 from .detsim import ZERO_NOISE, Detection, DetectionSet, perturb
-from .plotgen import PlotAnnotation
+from .plotgen import ELEMENT_CLASSES, PlotAnnotation
 from .table import SemiStructuredTable
 
 
@@ -48,6 +52,11 @@ from .table import SemiStructuredTable
 class _TickRef:
     text: str
     pos: float  # label center projected onto the axis
+
+
+# the tick-label and axis-label classes of axis 0 (x) and axis 1 (y)
+_TICK_LABELS = ("xtick_label", "ytick_label")
+_AXIS_LABELS = ("xaxis_label", "yaxis_label")
 
 
 def _canonical(dets: list[Detection]) -> list[Detection]:
@@ -69,29 +78,23 @@ def _reading_order(dets: list[Detection]) -> list[Detection]:
     """Order legend entries along their stacking direction."""
     if len(dets) <= 1:
         return list(dets)
-    horizontal = _stacked_horizontally(dets)
-    return sorted(dets, key=(lambda d: d.center[0]) if horizontal else (lambda d: d.center[1]))
+    axis = 0 if _stacked_horizontally(dets) else 1
+    return sorted(dets, key=lambda d: d.center[axis])
 
 
-def associate_legend(d: DetectionSet) -> dict[str, int]:
-    """Map legend label text -> color id of its nearest preview swatch.
+def associate_legend(labels: list[Detection], previews: list[Detection]) -> dict[str, int]:
+    """Map legend label text -> color id of its nearest preview swatch, keys
+    in the labels' reading order (both lists come in canonical order).
 
     One-to-one greedy matching on centroid distance; equidistant pairs fall
-    back to reading order. An empty map signals the single-series fallback.
+    back to reading order, and a text on two labels takes the colour of its
+    first accepted pair. An empty map signals the single-series fallback.
     """
-    labels = _reading_order(_canonical(d.by_class("legend_label")))
-    previews = _reading_order(_canonical(d.by_class("legend_preview")))
-    labels = [l for l in labels if l.text]
-    previews = [p for p in previews if p.color is not None]
-    if not labels or not previews:
-        return {}
-    pairs = []
-    for li, lab in enumerate(labels):
-        for pi, prev in enumerate(previews):
-            dist = math.dist(lab.center, prev.center)
-            pairs.append((dist, li, pi))
-    pairs.sort()
-    out: dict[str, int] = {}
+    labels = [l for l in _reading_order(labels) if l.text]
+    previews = [p for p in _reading_order(previews) if p.color is not None]
+    pairs = sorted((math.dist(lab.center, prev.center), li, pi)
+                   for li, lab in enumerate(labels) for pi, prev in enumerate(previews))
+    first: dict[str, tuple[int, int]] = {}  # text -> (label index, colour) of its first pair
     used_l: set[int] = set()
     used_p: set[int] = set()
     for _, li, pi in pairs:
@@ -99,23 +102,16 @@ def associate_legend(d: DetectionSet) -> dict[str, int]:
             continue
         used_l.add(li)
         used_p.add(pi)
-        label_text = labels[li].text
-        if label_text not in out:
-            out[label_text] = int(previews[pi].color)
-    return out
+        first.setdefault(labels[li].text, (li, int(previews[pi].color)))
+    # each key sits where the label that gave its colour sits in reading order
+    return {t: color for t, (_, color) in sorted(first.items(), key=lambda item: item[1])}
 
 
-def _tick_refs(d: DetectionSet, axis: str) -> list[_TickRef]:
-    """Labelled ticks on axis 'x' or 'y', ordered by pixel position."""
-    cls = "xtick_label" if axis == "x" else "ytick_label"
-    refs = []
-    for det in _canonical(d.by_class(cls)):
-        if det.text is None:
-            continue
-        cx, cy = det.center
-        refs.append(_TickRef(det.text, cx if axis == "x" else cy))
-    refs.sort(key=lambda r: r.pos)
-    return refs
+def _tick_refs(labels: list[Detection], axis: int) -> list[_TickRef]:
+    """The labelled ticks among ``labels`` (canonical order), placed at their
+    centre coordinate ``axis`` (0 = x, 1 = y) and ordered by it."""
+    return sorted((_TickRef(det.text, det.center[axis]) for det in labels if det.text is not None),
+                  key=lambda r: r.pos)
 
 
 # ---------------------------------------------------------------------------
@@ -171,13 +167,14 @@ class MarkAssignment:
     reason: str | None = None
 
 
-def _infer_orientation(bars: list[Detection]) -> str:
-    """Bars share a baseline: bottoms align for vertical, lefts for horizontal."""
+def _horizontal(bars: list[Detection]) -> bool:
+    """Bars share a baseline: bottoms align for vertical bars, lefts for
+    horizontal ones; fewer than 2 bars read as vertical."""
     if len(bars) < 2:
-        return "vertical"
+        return False
     bottoms = [b.bbox[1] + b.bbox[3] for b in bars]
     lefts = [b.bbox[0] for b in bars]
-    return "vertical" if np.std(bottoms) <= np.std(lefts) else "horizontal"
+    return not np.std(bottoms) <= np.std(lefts)
 
 
 class PlotReading:
@@ -190,20 +187,25 @@ class PlotReading:
     def __init__(self, d: DetectionSet):
         self.detections = d
         self.style = d.style
-        self.bars = _canonical(d.by_class("bar"))
-        self.points = _canonical([det for det in d.detections if det.cls in ("line", "dotline")])
+        # one canonical sort: each class keeps its detections in that order
+        self.elements: dict[str, list[Detection]] = {cls: [] for cls in ELEMENT_CLASSES}
+        for det in _canonical(d.detections):
+            self.elements[det.cls].append(det)
+        self.bars = self.elements["bar"]
+        self.points = self.elements["dotline"] + self.elements["line"]  # as the sort orders them
         # majority vote between mark families: a lone misclassified element
         # must not displace the real data marks
         self.bars_are_data = len(self.bars) >= len(self.points)
-        self.horizontal = self.bars_are_data and _infer_orientation(self.bars) == "horizontal"
-        self.cat_axis = "y" if self.horizontal else "x"
-        self.val_axis = "x" if self.horizontal else "y"
-        self.cat_refs = _tick_refs(d, self.cat_axis)
-        val_refs = _tick_refs(d, self.val_axis)
+        self.horizontal = self.bars_are_data and _horizontal(self.bars)
+        # each axis as the index of its centre coordinate: 0 = x, 1 = y
+        self.cat_axis = int(self.horizontal)
+        self.val_axis = 1 - self.cat_axis
+        self.cat_refs = _tick_refs(self.elements[_TICK_LABELS[self.cat_axis]], self.cat_axis)
+        val_refs = _tick_refs(self.elements[_TICK_LABELS[self.val_axis]], self.val_axis)
         self.val_tick_texts = [r.text for r in val_refs]
         parsed = ((parse_number(r.text), r.pos) for r in val_refs)
         self.val_ticks = _value_anchors((v, pos) for v, pos in parsed if v is not None)
-        self.legend_map = associate_legend(d)  # text -> color, reading order
+        self.legend_map = associate_legend(self.elements["legend_label"], self.elements["legend_preview"])
         self._color_to_col = {c: k for k, c in enumerate(self.legend_map.values())}
         self.assignments = [self._assign(mark) for mark in self.data_marks]  # parallel to data_marks
         self._table: SemiStructuredTable | None = None
@@ -221,20 +223,16 @@ class PlotReading:
     def label_text(self, cls: str) -> str:
         """The text of the first ``cls`` detection, in canonical order, that
         has one ("" when none does): the title or an axis label."""
-        return next((det.text for det in _canonical(self.detections.by_class(cls)) if det.text), "")
+        return next((det.text for det in self.elements[cls] if det.text), "")
 
     def legend_label_of(self, color: int | None) -> str | None:
         """The legend text whose preview carries ``color``, or None."""
         col = self._color_to_col.get(color)
         return None if col is None else self.legend_texts[col]
 
-    def _cat_pos(self, det: Detection) -> float:
-        """A mark's centre projected onto the category axis."""
-        return det.center[1] if self.horizontal else det.center[0]
-
     def _nearest_cat(self, det: Detection) -> int:
         """Index of the category tick nearest a mark along the category axis."""
-        c_axis = self._cat_pos(det)
+        c_axis = det.center[self.cat_axis]
         return min(range(len(self.cat_refs)), key=lambda k: abs(self.cat_refs[k].pos - c_axis))
 
     def _assign(self, mark: Detection) -> MarkAssignment:
@@ -253,7 +251,7 @@ class PlotReading:
             x, y, w, _ = mark.bbox
             p = x + w if self.horizontal else y
         else:
-            p = mark.center[0] if self.horizontal else mark.center[1]
+            p = mark.center[self.val_axis]
         value = float(_interp(p, self.val_ticks))
         if not math.isfinite(value):  # finite ticks far apart can overflow
             return MarkAssignment(None, None, None, NON_FINITE_VALUE)
@@ -265,7 +263,7 @@ class PlotReading:
             if self.legend_map:
                 col_headers = self.legend_texts  # insertion follows reading order
             else:
-                col_headers = [self.label_text(f"{self.val_axis}axis_label") or "value"]
+                col_headers = [self.label_text(_AXIS_LABELS[self.val_axis]) or "value"]
             cells: list[list[float | None]] = [[None] * len(col_headers) for _ in self.cat_refs]
             for a in self.assignments:
                 if a.reason is None and cells[a.row][a.col] is None:
@@ -274,7 +272,7 @@ class PlotReading:
                 row_headers=[r.text for r in self.cat_refs],
                 col_headers=col_headers,
                 cells=cells,
-                row_label=self.label_text(f"{self.cat_axis}axis_label"),
+                row_label=self.label_text(_AXIS_LABELS[self.cat_axis]),
             )
         return self._table
 
@@ -309,7 +307,7 @@ class PlotReading:
             groups: list[list[Detection]] = [[] for _ in self.cat_refs]
             for bar in self.bars:
                 groups[self._nearest_cat(bar)].append(bar)
-            self._bar_groups = [sorted(g, key=self._cat_pos) for g in groups]
+            self._bar_groups = [sorted(g, key=lambda bar: bar.center[self.cat_axis]) for g in groups]
         return self._bar_groups
 
 

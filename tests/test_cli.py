@@ -126,18 +126,21 @@ def test_run_unknown_preset_is_usage_error(dataset, tmp_path):
 
 
 def test_extract_gold_annotation_matches_gold_table(dataset, tmp_path):
-    out_csv = tmp_path / "t.csv"
-    ann_path = os.path.join(dataset, "annotations", "0000.json")
-    assert main(["extract", "--input", ann_path, "--out", str(out_csv)]) == 0
-    got = SemiStructuredTable.from_csv(out_csv.read_text())
-    gold = SemiStructuredTable.from_csv(
-        open(os.path.join(dataset, "tables", "0000.csv")).read())
-    assert got.row_headers == gold.row_headers
-    assert got.col_headers == gold.col_headers
-    for grow, prow in zip(gold.cells, got.cells):
-        for gv, pv in zip(grow, prow):
-            assert pv is not None
-            assert abs(pv - gv) <= 0.005 * abs(gv)
+    # every plot's headers come out in the gold table's order: legend columns
+    # in the legend's reading order, rows along the category axis
+    for plot_id in range(10):
+        out_csv = tmp_path / f"{plot_id:04d}.csv"
+        ann_path = os.path.join(dataset, "annotations", f"{plot_id:04d}.json")
+        assert main(["extract", "--input", ann_path, "--out", str(out_csv)]) == 0
+        got = SemiStructuredTable.from_csv(out_csv.read_text())
+        gold = SemiStructuredTable.from_csv(
+            open(os.path.join(dataset, "tables", f"{plot_id:04d}.csv")).read())
+        assert got.row_headers == gold.row_headers, plot_id
+        assert got.col_headers == gold.col_headers, plot_id
+        for grow, prow in zip(gold.cells, got.cells):
+            for gv, pv in zip(grow, prow):
+                assert pv is not None
+                assert abs(pv - gv) <= 0.005 * abs(gv)
 
 
 def test_extract_corrupted_tick_fixture(tmp_path):

@@ -104,9 +104,9 @@ detection_sets = st.one_of(scratch_sets(), damaged_plots())
 
 def _value_ticks(plot: DetectionSet) -> list[int]:
     """Indices of a plot's value-axis tick labels, in pixel order."""
-    axis = read(plot).val_axis
-    ticks = [k for k, det in enumerate(plot.detections) if det.cls == f"{axis}tick_label"]
-    return sorted(ticks, key=lambda k: plot.detections[k].center[0 if axis == "x" else 1])
+    axis = read(plot).val_axis  # 0 = x, 1 = y
+    ticks = [k for k, det in enumerate(plot.detections) if det.cls == ("xtick_label", "ytick_label")[axis]]
+    return sorted(ticks, key=lambda k: plot.detections[k].center[axis])
 
 
 VALUE_TICKS = [_value_ticks(plot) for plot in CLEAN_PLOTS]

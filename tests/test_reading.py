@@ -16,7 +16,7 @@ from plotquest.plotgen import make_plot_spec, render
 from plotquest.qgen import instantiate_all
 from plotquest.sie import (
     NO_CATEGORY_TICKS, TOO_FEW_VALUE_TICKS, UNASSIGNED_COLOR,
-    _canonical, _infer_orientation, _interp, _tick_refs, associate_legend, read,
+    _canonical, _horizontal, _interp, _tick_refs, associate_legend, read,
 )
 
 from conftest import HEAVY
@@ -27,14 +27,16 @@ def brute_series_rows(d: DetectionSet) -> tuple[list[str], np.ndarray]:
     bars = _canonical(d.by_class("bar"))
     points = _canonical([x for x in d.detections if x.cls in ("line", "dotline")])
     data = bars if len(bars) >= len(points) else points
-    horizontal = len(bars) >= len(points) and _infer_orientation(bars) == "horizontal"
-    cat_refs = _tick_refs(d, "y" if horizontal else "x")
+    horizontal = len(bars) >= len(points) and _horizontal(bars)
+    xticks, yticks = _canonical(d.by_class("xtick_label")), _canonical(d.by_class("ytick_label"))
+    cat_refs = _tick_refs(yticks, 1) if horizontal else _tick_refs(xticks, 0)
     val_ticks = []
-    for r in _tick_refs(d, "x" if horizontal else "y"):
+    for r in _tick_refs(xticks, 0) if horizontal else _tick_refs(yticks, 1):
         v = parse_tick_value(r.text)
         if v is not None:
             val_ticks.append((v, r.pos))
-    legend_map = associate_legend(d)
+    legend_map = associate_legend(_canonical(d.by_class("legend_label")),
+                                  _canonical(d.by_class("legend_preview")))
     if legend_map:
         names = list(legend_map)
         color_to_row = {c: k for k, (_, c) in enumerate(legend_map.items())}

@@ -9,7 +9,7 @@ from plotquest.detsim import ZERO_NOISE, Detection, DetectionSet, perturb
 from plotquest.palette import PALETTE
 from plotquest.plotgen import make_plot_spec, render
 from plotquest.sie import (
-    TOO_FEW_VALUE_TICKS, UNASSIGNED_COLOR, associate_legend, extract_table, read,
+    TOO_FEW_VALUE_TICKS, UNASSIGNED_COLOR, extract_table, read,
     table_f1,
 )
 from plotquest.table import SemiStructuredTable
@@ -32,7 +32,7 @@ def test_legend_label_maps_to_adjacent_preview_color():
         Detection("legend_preview", (100, 40, 18, 10), 1.0, color=crimson),
         Detection("legend_label", (123, 40, 50, 12), 1.0, text="Iceland"),
     ])
-    m = associate_legend(d)
+    m = read(d).legend_map
     assert m == {"Brazil": dark_cyan, "Iceland": crimson}
 
 
@@ -41,7 +41,7 @@ def test_legend_single_pairing():
         Detection("legend_preview", (10, 10, 18, 10), 1.0, color=5),
         Detection("legend_label", (200, 300, 30, 12), 1.0, text="Only"),
     ])
-    assert associate_legend(d) == {"Only": 5}
+    assert read(d).legend_map == {"Only": 5}
 
 
 def test_legend_tie_broken_by_reading_order():
@@ -51,11 +51,36 @@ def test_legend_tie_broken_by_reading_order():
         Detection("legend_preview", (140, 50, 10, 10), 1.0, color=2),
         Detection("legend_label", (120, 50, 10, 10), 1.0, text="A"),
     ])
-    assert associate_legend(d)["A"] == 1
+    assert read(d).legend_map["A"] == 1
+
+
+def test_legend_keys_follow_reading_order():
+    # the lower label sits nearer its swatch, so its pair is accepted first;
+    # the map still lists the labels top to bottom
+    d = DetectionSet([
+        Detection("legend_preview", (100, 10, 18, 10), 1.0, color=1),
+        Detection("legend_label", (140, 10, 40, 12), 1.0, text="Top"),
+        Detection("legend_preview", (100, 40, 18, 10), 1.0, color=2),
+        Detection("legend_label", (120, 40, 40, 12), 1.0, text="Bottom"),
+    ])
+    assert list(read(d).legend_map.items()) == [("Top", 1), ("Bottom", 2)]
+
+
+def test_legend_repeated_text_keeps_first_accepted_colour():
+    # "A" heads the reading order but its nearer pair is the lower one
+    d = DetectionSet([
+        Detection("legend_preview", (100, 10, 18, 10), 1.0, color=1),
+        Detection("legend_label", (150, 10, 40, 12), 1.0, text="A"),
+        Detection("legend_preview", (100, 40, 18, 10), 1.0, color=2),
+        Detection("legend_label", (120, 40, 40, 12), 1.0, text="A"),
+        Detection("legend_preview", (100, 70, 18, 10), 1.0, color=3),
+        Detection("legend_label", (130, 70, 40, 12), 1.0, text="B"),
+    ])
+    assert list(read(d).legend_map.items()) == [("A", 2), ("B", 3)]
 
 
 def test_legend_empty_when_no_labels():
-    assert associate_legend(DetectionSet([])) == {}
+    assert read(DetectionSet([])).legend_map == {}
 
 
 # -- tick association ---------------------------------------------------------
