@@ -12,10 +12,12 @@ sign/digit damage on numeric strings).
 
 AP uses every-point interpolation (area under the precision envelope) with
 greedy one-to-one matching in score order; an exact half-recall detection
-set therefore scores AP = 0.5. Scoring takes one pass per plot: one IOU
-matrix of all the plot's detections against all its gold elements, masked
-to same-class pairs and matched at all thresholds from that matrix, with
-only the compact match records pooled across plots (APPool).
+set therefore scores AP = 0.5. Scoring takes one pass per plot: each
+detection is tested against the gold elements of its class alone, a gold
+strictly beyond one of its edges is skipped with two comparisons per axis,
+every other pair is scored by the one pair rule ``iou``, and all thresholds
+are matched from those candidates, with only the compact match records
+pooled across plots (APPool).
 
 The random stream is part of the behaviour. Perturbation draws everything
 from one generator per plot: first one block per per-element quantity
@@ -29,6 +31,7 @@ those draws or their order changes every noisy output.
 from __future__ import annotations
 
 import json
+import math
 from array import array
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -181,37 +184,33 @@ class DetectionSet:
 # ---------------------------------------------------------------------------
 # geometry
 
-def iou_matrix(a: Sequence[BBox], b: Sequence[BBox]) -> np.ndarray:
-    """Intersection over union of every (x, y, w, h) box in ``a`` against
-    every box in ``b``, as an len(a) x len(b) float64 matrix of values in
-    [0, 1]; no edge, area or union overflows for finite boxes."""
-    A = np.asarray(a, dtype=np.float64).reshape(-1, 4)
-    B = np.asarray(b, dtype=np.float64).reshape(-1, 4)
-    if (A[:, 2:] < 0).any() or (B[:, 2:] < 0).any():
-        raise ValueError("box extents must be non-negative")
-    big = max(np.abs(A).max(initial=0.0), np.abs(B).max(initial=0.0))
-    if big > 2.0 ** 500:
-        # IOU does not change with scale: bring every number below 1 by a
-        # power of two; boxes of ordinary size are never rescaled
-        k = -np.frexp(big)[1]
-        A, B = np.ldexp(A, k), np.ldexp(B, k)
-    ax, ay, aw, ah = (c[:, None] for c in A.T)
-    bx, by, bw, bh = B.T
-    ix = np.maximum(0.0, np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx))
-    iy = np.maximum(0.0, np.minimum(ay + ah, by + bh) - np.maximum(ay, by))
-    inter = ix * iy
-    union = aw * ah + bw * bh - inter
-    degenerate = union <= 0.0
-    if not degenerate.any():
-        return np.minimum(inter / union, 1.0)  # edge rounding can put inter a few ulps above union
-    # two degenerate boxes; identical ones still count as a perfect match
-    same = (A[:, None, :] == B[None, :, :]).all(axis=2)
-    return np.where(degenerate, same.astype(np.float64), np.minimum(inter / np.where(degenerate, 1.0, union), 1.0))
-
-
 def iou(a: BBox, b: BBox) -> float:
-    """Intersection over union of two (x, y, w, h) boxes."""
-    return float(iou_matrix([a], [b])[0, 0])
+    """Intersection over union of two (x, y, w, h) boxes, in [0, 1]; no
+    edge, area or union overflows for finite boxes, and the IOU of a pair
+    depends on its two boxes alone."""
+    ax, ay, aw, ah = a
+    bx, by, bw, bh = b
+    if aw < 0 or ah < 0 or bw < 0 or bh < 0:
+        raise ValueError("box extents must be non-negative")
+    big = 2.0 ** 500
+    if not (-big <= ax <= big and -big <= ay <= big and aw <= big and ah <= big
+            and -big <= bx <= big and -big <= by <= big and bw <= big and bh <= big):
+        # IOU does not change with scale: bring the pair's numbers below 1
+        # by a power of two; boxes of ordinary size are never rescaled
+        k = -math.frexp(max(abs(ax), abs(ay), aw, ah, abs(bx), abs(by), bw, bh))[1]
+        ax, ay, aw, ah, bx, by, bw, bh = (math.ldexp(v, k) for v in (ax, ay, aw, ah, bx, by, bw, bh))
+    # conditional expressions, not min/max: the builtin calls would cost
+    # more than the rest of the rule
+    ax1, bx1, ay1, by1 = ax + aw, bx + bw, ay + ah, by + bh
+    ix = (ax1 if ax1 < bx1 else bx1) - (ax if ax > bx else bx)
+    iy = (ay1 if ay1 < by1 else by1) - (ay if ay > by else by)
+    inter = ix * iy if ix > 0.0 and iy > 0.0 else 0.0
+    union = aw * ah + bw * bh - inter
+    if union <= 0.0:
+        # two degenerate boxes; identical ones still count as a perfect match
+        return 1.0 if (ax, ay, aw, ah) == (bx, by, bw, bh) else 0.0
+    v = inter / union
+    return v if v < 1.0 else 1.0  # edge rounding can put inter a few ulps above union
 
 
 # ---------------------------------------------------------------------------
@@ -292,18 +291,21 @@ def perturb_with_provenance(
     r_score = rng.random(n).tolist()
     texts = [e.text if e.text is None else _corrupt(e.text, noise, rng) for e in elements]
 
-    sigmas: dict[str, float] = {}  # per class, looked up once per call
+    # the knobs, read once per call; a class's sigma is looked up on first use
+    drop_prob, misclass_prob = noise.drop_prob, noise.misclass_prob
+    sigmas: dict[str, float] = {}
     detections: list[Detection] = []
     provenance: list[tuple[VisualElement, Detection | None]] = []
     for e, drop_u, jit, mis_u, pick, score_u, text in zip(
             elements, r_drop, jitter, r_mis, mis_pick, r_score, texts):
-        if drop_u < noise.drop_prob:
+        if drop_u < drop_prob:
             provenance.append((e, None))
             continue
 
-        sigma = sigmas.get(e.cls)
+        cls = e.cls
+        sigma = sigmas.get(cls)
         if sigma is None:
-            sigma = sigmas[e.cls] = noise.sigma_for(e.cls)
+            sigma = sigmas[cls] = noise.sigma_for(cls)
         if sigma > 0:
             x, y, w, h = e.bbox
             x1 = x + sigma * jit[0]
@@ -314,11 +316,9 @@ def perturb_with_provenance(
         else:
             bbox = e.bbox
 
-        cls = e.cls
-        if mis_u < noise.misclass_prob:
-            cls = [c for c in classes if c != e.cls][pick]
-        score = 1.0 if zero else 0.5 + 0.5 * score_u
-        det = Detection(cls=cls, bbox=bbox, score=score, text=text, color=e.color)
+        if mis_u < misclass_prob:
+            cls = [c for c in classes if c != cls][pick]
+        det = Detection(cls, bbox, 1.0 if zero else 0.5 + 0.5 * score_u, text, e.color)
         detections.append(det)
         provenance.append((e, det))
     return DetectionSet(detections, style=annotation.style), provenance
@@ -330,12 +330,13 @@ def perturb_with_provenance(
 class APPool:
     """Per-class AP and mAP at several IOU thresholds, fed one plot at a time.
 
-    ``add`` matches one plot's detections to its gold elements: one IOU
-    matrix of all detections against all golds, masked to same-class pairs
-    that clear the lowest threshold, then greedy one-to-one matching in
-    score order at every threshold (among golds tied at the best IOU the
-    last one wins). Only the compact match records are kept, so a caller
-    can drop the plot after ``add``. Records pool per class across plots.
+    ``add`` matches one plot's detections to its gold elements: per
+    detection, the golds of its class that clear the lowest threshold
+    (``_candidates``: separated boxes are skipped, every other pair is
+    scored by ``iou``), then greedy one-to-one matching in score order at
+    every threshold (among golds tied at the best IOU the last one wins).
+    Only the compact match records are kept, so a caller can drop the plot
+    after ``add``. Records pool per class across plots.
     """
 
     def __init__(self, thresholds: Sequence[float]):
@@ -357,21 +358,13 @@ class APPool:
             return
         codes: dict[str, int] = {}  # class -> index, in order of first detection
         det_codes = [codes.setdefault(d.cls, len(codes)) for d in dets]
-        gold_codes = [codes.get(e.cls, -1) for e in gold.elements]
         scores = [self._scores.setdefault(cls, array("d")) for cls in codes]
         for d, c in zip(dets, det_codes):
             scores[c].append(d.score)
-        m = iou_matrix([d.bbox for d in dets], [e.bbox for e in gold.elements])
-        same_cls = np.array(det_codes)[:, None] == np.array(gold_codes, dtype=np.int64)[None, :]
-        rows, cols = np.nonzero(same_cls & (m >= self._lowest))
-        # per detection, the golds of its class that clear the lowest
-        # threshold, in plot order
-        candidates: list[list[tuple[int, float]]] = [[] for _ in dets]
-        for i, g, v in zip(rows.tolist(), cols.tolist(), m[rows, cols].tolist()):
-            candidates[i].append((g, v))
+        candidates = _candidates(dets, gold.elements, self._lowest)
         for thr, hits in zip(self.thresholds, self._hits):
             outs = [hits.setdefault(cls, bytearray()) for cls in codes]
-            taken = [False] * len(gold_codes)  # golds of different classes never compete
+            taken = [False] * len(gold.elements)  # golds of different classes never compete
             for c, row in zip(det_codes, candidates):
                 best, best_iou = -1, thr
                 for g, v in row:
@@ -392,6 +385,31 @@ class APPool:
                 hit = np.array(hits.get(cls, ()), dtype=np.bool_)[order]
                 aps[cls] = _every_point_ap(hit, n_gold)
         return [(aps, float(np.mean(list(aps.values()))) if aps else 0.0) for aps in per_class]
+
+
+def _candidates(dets: Sequence[Detection], golds: Sequence[VisualElement],
+                lowest: float) -> list[list[tuple[int, float]]]:
+    """Per detection, the (gold index, IOU) of every gold of its class whose
+    IOU with it is at least ``lowest``, in plot order. A gold strictly
+    beyond one of the detection's edges cannot overlap it and is skipped
+    unscored; every other pair is scored by ``iou``."""
+    edges: dict[str, list[tuple[int, float, float, float, float, BBox]]] = {}
+    for g, e in enumerate(golds):
+        x, y, w, h = e.bbox
+        edges.setdefault(e.cls, []).append((g, x, y, x + w, y + h, e.bbox))
+    out: list[list[tuple[int, float]]] = []
+    for d in dets:
+        row: list[tuple[int, float]] = []
+        x, y, w, h = box = d.bbox
+        x1, y1 = x + w, y + h
+        for g, gx, gy, gx1, gy1, gold_box in edges.get(d.cls, ()):
+            if x1 < gx or gx1 < x or y1 < gy or gy1 < y:
+                continue
+            v = iou(box, gold_box)
+            if v >= lowest:
+                row.append((g, v))
+        out.append(row)
+    return out
 
 
 def _every_point_ap(hit: np.ndarray, n_gold: int) -> float:

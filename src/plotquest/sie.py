@@ -29,15 +29,20 @@ associated (unmatched color, unparseable tick text, too few numeric ticks,
 a value that is not finite) degrades to an empty cell; extraction never
 guesses and never raises once inputs are detections.
 
-All association is permutation-invariant: a reading sorts its detections
-once into canonical order, before any tie can matter, and keeps one list
-per element class (``elements``). Orientation is one boolean, and each axis
-is a centre-coordinate index (``cat_axis``, ``val_axis``: 0 = x, 1 = y).
+All association is permutation-invariant: a reading partitions its
+detections by element class and sorts each class list once into canonical
+order, before any tie can matter (``elements``). A mark finds its category
+tick by bisection over the sorted tick positions, with the first of
+equally near ticks winning. Orientation is one boolean, and each axis is a
+centre-coordinate index (``cat_axis``, ``val_axis``: 0 = x, 1 = y); bar
+boxes too large for their spreads to be taken directly are rescaled by a
+power of two before orientation is decided.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,8 +64,12 @@ _TICK_LABELS = ("xtick_label", "ytick_label")
 _AXIS_LABELS = ("xaxis_label", "yaxis_label")
 
 
+def _canonical_key(d: Detection) -> tuple:
+    return (d.cls, d.bbox, d.text or "", -1 if d.color is None else d.color)
+
+
 def _canonical(dets: list[Detection]) -> list[Detection]:
-    return sorted(dets, key=lambda d: (d.cls, d.bbox, d.text or "", -1 if d.color is None else d.color))
+    return sorted(dets, key=_canonical_key)
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +183,14 @@ def _horizontal(bars: list[Detection]) -> bool:
         return False
     bottoms = [b.bbox[1] + b.bbox[3] for b in bars]
     lefts = [b.bbox[0] for b in bars]
+    big = max(max(bottoms), -min(bottoms), max(lefts), -min(lefts))
+    if not big <= 2.0 ** 500:  # also when a bottom edge overflows to inf
+        # the comparison does not change with scale: bring every number
+        # below 1 by a power of two, so no bottom edge or spread overflows;
+        # boxes of ordinary size are never rescaled
+        boxes = np.array([b.bbox for b in bars])
+        boxes = np.ldexp(boxes, -np.frexp(np.abs(boxes).max())[1])
+        bottoms, lefts = boxes[:, 1] + boxes[:, 3], boxes[:, 0]
     return not np.std(bottoms) <= np.std(lefts)
 
 
@@ -187,10 +204,13 @@ class PlotReading:
     def __init__(self, d: DetectionSet):
         self.detections = d
         self.style = d.style
-        # one canonical sort: each class keeps its detections in that order
+        # each class keeps its detections in canonical order (the class
+        # leads the key, so sorting each class list sorts the whole set)
         self.elements: dict[str, list[Detection]] = {cls: [] for cls in ELEMENT_CLASSES}
-        for det in _canonical(d.detections):
+        for det in d.detections:
             self.elements[det.cls].append(det)
+        for dets in self.elements.values():
+            dets.sort(key=_canonical_key)
         self.bars = self.elements["bar"]
         self.points = self.elements["dotline"] + self.elements["line"]  # as the sort orders them
         # majority vote between mark families: a lone misclassified element
@@ -201,6 +221,7 @@ class PlotReading:
         self.cat_axis = int(self.horizontal)
         self.val_axis = 1 - self.cat_axis
         self.cat_refs = _tick_refs(self.elements[_TICK_LABELS[self.cat_axis]], self.cat_axis)
+        self._cat_pos = [r.pos for r in self.cat_refs]  # ascending
         val_refs = _tick_refs(self.elements[_TICK_LABELS[self.val_axis]], self.val_axis)
         self.val_tick_texts = [r.text for r in val_refs]
         parsed = ((parse_number(r.text), r.pos) for r in val_refs)
@@ -231,9 +252,20 @@ class PlotReading:
         return None if col is None else self.legend_texts[col]
 
     def _nearest_cat(self, det: Detection) -> int:
-        """Index of the category tick nearest a mark along the category axis."""
-        c_axis = det.center[self.cat_axis]
-        return min(range(len(self.cat_refs)), key=lambda k: abs(self.cat_refs[k].pos - c_axis))
+        """Index of the category tick nearest a mark along the category axis;
+        of ticks at the same distance (as computed), the first.
+
+        The distance falls towards the mark and rises past it, so the nearest
+        tick is a neighbour of the mark's bisection point; when the left
+        neighbour is no farther than the right one, the answer is the first
+        tick left of the mark at the left neighbour's distance. A mark whose
+        centre overflows to +inf is equally far from every tick: tick 0."""
+        c = det.center[self.cat_axis]
+        pos = self._cat_pos
+        i = bisect_left(pos, c)
+        if i == len(pos) or (i > 0 and not abs(pos[i] - c) < abs(pos[i - 1] - c)):
+            return bisect_left(pos, -abs(pos[i - 1] - c), 0, i, key=lambda p: -abs(p - c))
+        return i
 
     def _assign(self, mark: Detection) -> MarkAssignment:
         # colour first, then category ticks, then value ticks

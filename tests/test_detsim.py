@@ -1,3 +1,4 @@
+import math
 import sys
 import warnings
 from dataclasses import fields, replace
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from plotquest.corpus import sample_plot_data
 from plotquest.detsim import (
     CHAR_CONFUSION, DIGIT_CONFUSION, PAPER_LIKE, ZERO_NOISE, APPool, Detection, DetectionSet,
-    NoiseModel, _is_numericish, average_precision, corrupt_text, get_preset, iou, iou_matrix,
+    NoiseModel, _candidates, _is_numericish, average_precision, corrupt_text, get_preset, iou,
     ocr_accuracy, perturb, perturb_with_provenance,
 )
 from plotquest.plotgen import ELEMENT_CLASSES, VisualElement
@@ -64,8 +65,19 @@ def test_iou_of_finite_boxes_is_in_unit_interval_without_warnings(a, b):
     # finite boxes near 1e308 used to overflow to a NaN IOU with RuntimeWarnings
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        m = iou_matrix(a, a + b)
+        m = np.array([[iou(x, y) for y in a + b] for x in a])
     assert ((m >= 0.0) & (m <= 1.0)).all(), m  # a NaN fails both
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(a=_finite_boxes, b=_finite_boxes)
+def test_iou_equals_the_matrix_kernel_on_one_pair(a, b):
+    assert iou(a, b) == iou_matrix([a], [b])[0, 0]
+    # coordinates shared by both boxes, so that overlaps and identical
+    # degenerate boxes come up at every scale
+    c = (a[0], b[1], a[2], b[3])
+    assert iou(a, c) == iou_matrix([a], [c])[0, 0]
+    assert iou(c, c) == iou_matrix([c], [c])[0, 0]
 
 
 # -- perturb -----------------------------------------------------------------
@@ -222,6 +234,56 @@ def test_appool_validates_thresholds():
     for bad in ((), (0.5, 1.0), (0.0,)):
         with pytest.raises(ValueError):
             APPool(bad)
+
+
+# -- the IOU matrix kernel ---------------------------------------------------
+# APPool once scored each plot through one IOU matrix of all its detections
+# against all its golds, masked to same-class pairs; kept verbatim as the
+# reference for the pair rule ``iou`` and the candidate search that replaced it.
+
+def iou_matrix(a, b) -> np.ndarray:
+    """Intersection over union of every (x, y, w, h) box in ``a`` against
+    every box in ``b``, as an len(a) x len(b) float64 matrix of values in
+    [0, 1]; no edge, area or union overflows for finite boxes."""
+    A = np.asarray(a, dtype=np.float64).reshape(-1, 4)
+    B = np.asarray(b, dtype=np.float64).reshape(-1, 4)
+    if (A[:, 2:] < 0).any() or (B[:, 2:] < 0).any():
+        raise ValueError("box extents must be non-negative")
+    big = max(np.abs(A).max(initial=0.0), np.abs(B).max(initial=0.0))
+    if big > 2.0 ** 500:
+        # IOU does not change with scale: bring every number below 1 by a
+        # power of two; boxes of ordinary size are never rescaled
+        k = -np.frexp(big)[1]
+        A, B = np.ldexp(A, k), np.ldexp(B, k)
+    ax, ay, aw, ah = (c[:, None] for c in A.T)
+    bx, by, bw, bh = B.T
+    ix = np.maximum(0.0, np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx))
+    iy = np.maximum(0.0, np.minimum(ay + ah, by + bh) - np.maximum(ay, by))
+    inter = ix * iy
+    union = aw * ah + bw * bh - inter
+    degenerate = union <= 0.0
+    if not degenerate.any():
+        return np.minimum(inter / union, 1.0)  # edge rounding can put inter a few ulps above union
+    # two degenerate boxes; identical ones still count as a perfect match
+    same = (A[:, None, :] == B[None, :, :]).all(axis=2)
+    return np.where(degenerate, same.astype(np.float64), np.minimum(inter / np.where(degenerate, 1.0, union), 1.0))
+
+
+def _matrix_candidates(dets, golds, lowest):
+    """Per detection, the (gold index, IOU) of the golds of its class that
+    clear ``lowest``, in plot order, read off one masked IOU matrix."""
+    if not dets:
+        return []
+    codes = {}
+    det_codes = [codes.setdefault(d.cls, len(codes)) for d in dets]
+    gold_codes = [codes.get(e.cls, -1) for e in golds]
+    m = iou_matrix([d.bbox for d in dets], [e.bbox for e in golds])
+    same_cls = np.array(det_codes)[:, None] == np.array(gold_codes, dtype=np.int64)[None, :]
+    rows, cols = np.nonzero(same_cls & (m >= lowest))
+    candidates = [[] for _ in dets]
+    for i, g, v in zip(rows.tolist(), cols.tolist(), m[rows, cols].tolist()):
+        candidates[i].append((g, v))
+    return candidates
 
 
 def test_iou_matrix_matches_pairwise_iou():
@@ -393,6 +455,64 @@ def test_appool_equals_oracle_on_perturbed_plots(corpus, noise):
         anns.append(ann)
         dets.append(perturb(ann, noise.with_seed(noise.seed + seed)))
     _assert_matches_oracle(dets, anns)
+
+
+# -- candidate search ------------------------------------------------------
+
+def _scaled(dets, ann, k):
+    """The plot with every box scaled by 2**k: the same plot at another scale."""
+    def scale(box):
+        return tuple(math.ldexp(v, k) for v in box)
+    return (DetectionSet([replace(d, bbox=scale(d.bbox)) for d in dets.detections]),
+            replace(ann, elements=[replace(e, bbox=scale(e.bbox)) for e in ann.elements]))
+
+
+def _assert_candidates_match_matrix(plots):
+    for dets, ann in plots:
+        for lowest in THRESHOLDS:
+            want = _matrix_candidates(dets.detections, ann.elements, lowest)
+            assert _candidates(dets.detections, ann.elements, lowest) == want
+
+
+def test_candidates_equal_the_matrix_kernel_on_grid_plots():
+    # touching edges, identical zero-area boxes and duplicate golds are
+    # common on the integer grid; 2**1020 puts its coordinates near the
+    # float max, with every box of the plot at one scale
+    _, _, template = rendered(make_data([[3.0, 7.0]]), "vbar")
+    classes = ["bar", "title", "xtick_label"]
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        dets, ann = _grid_plot(rng, template, classes, int(rng.integers(0, 8)), int(rng.integers(0, 10)))
+        _assert_candidates_match_matrix(_scaled(dets, ann, k) for k in (0, -600, 600, 1020))
+
+
+@pytest.mark.parametrize("noise", [ZERO_NOISE, PAPER_LIKE, HEAVY], ids=["zero", "paper_like", "heavy"])
+def test_candidates_equal_the_matrix_kernel_on_perturbed_plots(corpus, noise):
+    plots = [render(make_plot_spec(sample_plot_data(corpus, seed), seed))[1] for seed in range(10)]
+    plots += [rendered(make_data([[0.0, 7.0], [3.0, 0.0]]), plot_type)[2] for plot_type in ("vbar", "hbar")]
+    pairs = [(perturb(ann, noise.with_seed(noise.seed + k)), ann) for k, ann in enumerate(plots)]
+    # a zero value draws a zero-height bar: at zero noise its detection is
+    # identical to it and scores 1.0 by the degenerate rule, while jitter
+    # gives every detected box some height
+    flat_ious = [v for d, a in pairs
+                 for det, row in zip(d.detections, _candidates(d.detections, a.elements, 0.5))
+                 for _, v in row if det.bbox[3] == 0.0]
+    assert (1.0 in flat_ious) == noise.is_zero()
+    _assert_candidates_match_matrix(_scaled(d, a, k) for d, a in pairs for k in (0, 1010, 1013))
+
+
+def test_a_pair_scores_alike_whatever_else_its_plot_holds():
+    # a coordinate above 2**500 once rescaled the whole plot's IOU matrix by
+    # its power of two, which underflowed every ordinary pair to IOU 0: a
+    # title 1e308 wide made a well-placed bar miss
+    _, _, template = rendered(make_data([[3.0, 7.0]]), "vbar")
+    bar = VisualElement("bar", (10.0, 20.0, 30.0, 40.0))
+    title = VisualElement("title", (0.0, 0.0, 1e308, 10.0))
+    det = DetectionSet([Detection("bar", (10.2, 20.0, 30.0, 40.0), 1.0)])
+    for elements in ([bar], [bar, title]):
+        for thr in THRESHOLDS:
+            per_class, _ = average_precision(det, replace(template, elements=elements), thr)
+            assert per_class["bar"] == 1.0
 
 
 # -- corrupt_text oracle -----------------------------------------------------

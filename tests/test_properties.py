@@ -11,9 +11,12 @@ which keeps enough structure for value questions to get past extraction. Texts
 and colours come from small pools with duplicates, empty and None texts,
 and colours off the palette. A third generator, with its own tests, gives
 clean plots value ticks that read 1e308 and -1e308 in turn: finite texts
-whose interpolated values overflow."""
+whose interpolated values overflow; a fourth scales every box of a clean
+plot by 2**1010 to 2**1013, finite boxes whose edges and spreads overflow
+unless computed at another scale."""
 
 import math
+import warnings
 
 from hypothesis import given, settings, strategies as st
 
@@ -174,3 +177,21 @@ def test_answering_raises_only_documented_errors(d, data):
 def test_overflowing_value_ticks_keep_the_contract(d, data):
     _assert_extraction_is_finite_and_ignores_order(d, data)
     _assert_answering_raises_only_documented_errors(d, data)
+
+
+@st.composite
+def huge_plots(draw):
+    """A clean plot with every box scaled by a power of two from 2**1010 to
+    2**1013: rendered coordinates stay below 1024, so every number is finite."""
+    plot = draw(st.sampled_from(CLEAN_PLOTS))
+    k = draw(st.integers(1010, 1013))
+    return DetectionSet([Detection(det.cls, tuple(math.ldexp(v, k) for v in det.bbox), det.score,
+                                   det.text, det.color) for det in plot.detections], style=plot.style)
+
+
+@PROPERTY_SETTINGS
+@given(d=huge_plots(), data=st.data())
+def test_huge_boxes_extract_without_warnings(d, data):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _assert_extraction_is_finite_and_ignores_order(d, data)

@@ -3,10 +3,13 @@ branches. The brute-force oracle below is the per-mark loop the structural
 branch used before the reading owned the association; it stays as an
 independent check on the reading's series values."""
 
+import math
 import random
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plotquest.answers import AnswerUnavailable, parse_number as parse_tick_value
 from plotquest.corpus import sample_plot_data
@@ -161,3 +164,59 @@ def test_shared_reading_answers_like_fresh_calls(corpus, noise):
         reading = read(det)
         for q in instantiate_all(spec, seed):
             assert result(reading, q.text) == result(det, q.text), (seed, q.text)
+
+
+# -- the nearest category tick -------------------------------------------------
+# The reading finds a mark's category tick by bisection; the scan below, the
+# first tick at the least distance as computed, is the rule it must keep.
+
+def _scan_nearest(reading, mark) -> int:
+    c = mark.center[reading.cat_axis]
+    return min(range(len(reading.cat_refs)), key=lambda k: abs(reading.cat_refs[k].pos - c))
+
+
+def _at(x: float, w: float = 0.0) -> tuple[float, float, float, float]:
+    """A box whose centre lies at x + w / 2 on the x axis."""
+    return (x, 0.0, w, 1.0)
+
+
+def _assert_bisection_is_the_scan(tick_boxes, mark_boxes):
+    reading = read(DetectionSet([Detection("xtick_label", box, 1.0, text=str(k))
+                                 for k, box in enumerate(tick_boxes)]))
+    assert reading.cat_axis == 0
+    for box in mark_boxes:
+        mark = Detection("dotline", box, 1.0)
+        assert reading._nearest_cat(mark) == _scan_nearest(reading, mark), (tick_boxes, box)
+
+
+def test_nearest_tick_by_bisection_on_coincident_ticks_and_midpoints():
+    marks = [_at(v / 2) for v in range(-2, 16)]
+    _assert_bisection_is_the_scan([_at(1.0), _at(1.0), _at(1.0), _at(3.0), _at(3.0)], marks)
+    _assert_bisection_is_the_scan([_at(0.0), _at(2.0), _at(4.0), _at(6.0)], marks)  # every odd mark is a midpoint
+    _assert_bisection_is_the_scan([_at(2.0)] * 3, marks)
+
+
+def test_nearest_tick_by_bisection_at_overflowing_centres():
+    big = sys.float_info.max / 1.5
+    inf_centre = _at(big, big)  # finite box, centre overflows to +inf
+    assert Detection("dotline", inf_centre, 1.0).center[0] == math.inf
+    ticks = [_at(0.0), _at(2.0), _at(1e20)]
+    _assert_bisection_is_the_scan(ticks, [inf_centre, _at(1e40), _at(-1e40)])
+    _assert_bisection_is_the_scan(ticks + [inf_centre, inf_centre], [inf_centre, _at(5.0), _at(big)])
+    _assert_bisection_is_the_scan([inf_centre], [inf_centre, _at(0.0)])
+    # 1e40 is as far from 1.0 as from 2.0 once rounded: the first tick wins
+    _assert_bisection_is_the_scan([_at(1.0), _at(2.0)], [_at(1e40), _at(-1e40)])
+    reading = read(DetectionSet([Detection("xtick_label", _at(p), 1.0, text="t") for p in (1.0, 2.0)]))
+    assert reading._nearest_cat(Detection("dotline", inf_centre, 1.0)) == 0  # the scan's answer, kept
+
+
+_MAX = sys.float_info.max
+_coords = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, -1.0, 1e20, -1e20, 5e-324, _MAX / 1.5, -_MAX]),
+                    st.floats(-_MAX, _MAX))
+_boxes = st.builds(_at, _coords, st.sampled_from([0.0, 1.0, 3.0, _MAX / 1.5, _MAX]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(ticks=st.lists(_boxes, min_size=1, max_size=6), marks=st.lists(_boxes, min_size=1, max_size=4))
+def test_nearest_tick_by_bisection_is_the_scan(ticks, marks):
+    _assert_bisection_is_the_scan(ticks, marks)
