@@ -24,7 +24,7 @@ print("zero noise:", len(clean.detections), "detections for", len(annotation.ele
 # mAP@0.5 ~ 0.96, mAP@0.9 ~ 0.72 and mean table F1 ~ 0.68 over 1,000 plots
 noisy = pq.perturb(annotation, pq.PAPER_LIKE.with_seed(42))
 for thr in (0.5, 0.75, 0.9):
-    per_class, m = pq.average_precision(noisy, annotation, thr)
+    per_class, m = pq.average_precision([(noisy, annotation)], thr)
     print(f"mAP@{thr}: {m:.3f}")
 
 # text corruption has three modes; each fixture is reproducible by seed
@@ -32,7 +32,8 @@ print("\ntruncation:  Indoor ->", pq.corrupt_text("Indoor", NoiseModel(ocr_trunc
 print("substitution: Operator ->", pq.corrupt_text("Operator", NoiseModel(ocr_char_sub_prob=1.0), 0))
 print("digit damage: 2008 ->", pq.corrupt_text("2008", NoiseModel(ocr_sign_digit_prob=1.0), 4))
 
-# OCR accuracy is an exact-match rate per element class
+# OCR accuracy is an exact-match rate per element class, scored over
+# (class, predicted text, gold text) triples
 gold = [(e.cls, e.text) for e in annotation.elements if e.text is not None]
-pred = [(cls, pq.corrupt_text(t, pq.PAPER_LIKE, k)) for k, (cls, t) in enumerate(gold)]
-print("\nOCR accuracy:", {k: round(v, 3) for k, v in pq.ocr_accuracy(pred, gold).items()})
+texts = [(cls, pq.corrupt_text(t, pq.PAPER_LIKE, k), t) for k, (cls, t) in enumerate(gold)]
+print("\nOCR accuracy:", {k: round(v, 3) for k, v in pq.ocr_accuracy(texts).items()})

@@ -21,20 +21,20 @@ for q in ("How many legend labels are there?",
 
 # build a small evaluation batch under calibrated noise
 corpus = pq.default_corpus()
-questions, det_of = [], {}
+# each question is paired with the noisy detections of its own plot
+cases = []
 for i in range(80):
     data = pq.sample_plot_data(corpus, stable_seed(1, "data", i))
     spec = pq.make_plot_spec(data, stable_seed(1, "style", i))
     _, ann = pq.render(spec)
     det = pq.perturb(ann, pq.PAPER_LIKE.with_seed(stable_seed(1, "noise", i)))
-    for q in pq.instantiate(spec, stable_seed(1, "q", i)):
-        questions.append(q)
-        det_of[id(q)] = det
+    cases.extend((q, det) for q in pq.instantiate(spec, stable_seed(1, "q", i)))
 
+# evaluate calls fn(question text, detections), so each answerer plugs in as it is
 for name, fn in (("hybrid", answer_hybrid),
                  ("pipeline only", answer_pipeline_only),
                  ("structural only", answer_structural)):
-    report = pq.evaluate(questions, lambda q: fn(q.text, det_of[id(q)]))
+    report = pq.evaluate(cases, fn)
     print(f"\n=== {name}: {100 * report.overall_accuracy:.1f}% overall")
     if name == "hybrid":
         print(report.render_text())

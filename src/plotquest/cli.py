@@ -22,7 +22,11 @@ Per plot, ``generate`` appends its question lines to questions.jsonl and
 ``harness.Tally``. ``run`` checks every question line before any output and
 accepts them in any order, so it keeps the run split's questions by plot:
 memory linear in the run split. A ``run`` that exits 2 mid-pass may leave a
-partial predictions.jsonl, but never a report.
+partial predictions.jsonl, but never a report. Every scorer takes its items
+paired: ``run`` feeds the AP pool (detections, annotation) per plot and
+``detsim.ocr_accuracy`` one (class, predicted, gold) triple per detected
+gold text, and ``evaluate`` hands ``harness.evaluate`` each (question,
+stored prediction) record as it was read.
 """
 
 from __future__ import annotations
@@ -236,7 +240,7 @@ def cmd_run(dataset_dir: str, noise_spec: str, out_dir: str, run_split: str = "t
 
     ap_pool = APPool(MAP_THRESHOLDS)
     f1s = []
-    ocr_pairs_pred, ocr_pairs_gold = [], []
+    ocr_texts = []  # (class, predicted, gold) of each gold text whose element was detected
     tally = Tally()
 
     # Per plot: perturb, add the detections to the AP pool, read once, score
@@ -254,11 +258,8 @@ def cmd_run(dataset_dir: str, noise_spec: str, out_dir: str, run_split: str = "t
             ap_pool.add(det, annotation)
             reading = read(det)
             f1s.append(table_f1(extract_table(reading), annotation.gold_table, TABLE_F1_REL_TOL)[2])
-            for gold_el, d in provenance:
-                if gold_el.text is None or d is None:
-                    continue
-                ocr_pairs_gold.append((gold_el.cls, gold_el.text))
-                ocr_pairs_pred.append((gold_el.cls, d.text or ""))
+            ocr_texts.extend((g.cls, d.text or "", g.text) for g, d in provenance
+                             if g.text is not None and d is not None)
             for q in by_plot.pop(pid):
                 try:
                     pred = answer_hybrid(q.text, reading)
@@ -276,7 +277,7 @@ def cmd_run(dataset_dir: str, noise_spec: str, out_dir: str, run_split: str = "t
     map_scores = {str(thr): m for thr, (_, m) in zip(MAP_THRESHOLDS, ap_pool.result())}
 
     # looked up on the module at call time, so perfbench's wrap of detsim.ocr_accuracy counts it
-    ocr_total = detsim.ocr_accuracy(ocr_pairs_pred, ocr_pairs_gold)["total"] if ocr_pairs_gold else None
+    ocr_total = detsim.ocr_accuracy(ocr_texts)["total"] if ocr_texts else None
 
     report = tally.report(map_scores, ocr_total, sum(f1s) / len(f1s))
     text_out = report.render_text()
@@ -317,8 +318,7 @@ def cmd_evaluate(predictions_path: str, out_path: str | None) -> int:
     records = _read_jsonl(predictions_path, "prediction", _prediction_record)
     if not records:
         raise DataError(f"empty predictions file {predictions_path}")
-    lookup = {id(q): p for q, p in records}
-    report = evaluate([q for q, _ in records], lambda q: lookup[id(q)])
+    report = evaluate(records, lambda _, prediction: prediction)
     text_out = report.render_text()
     if out_path:
         _write(out_path, [report.dumps().encode()])

@@ -17,7 +17,9 @@ detection is tested against the gold elements of its class alone, a gold
 strictly beyond one of its edges is skipped with two comparisons per axis,
 every other pair is scored by the one pair rule ``iou``, and all thresholds
 are matched from those candidates, with only the compact match records
-pooled across plots (APPool).
+pooled across plots (APPool). Each scorer takes its items paired: AP one
+(detections, annotation) pair per plot, OCR one (class, predicted, gold)
+triple per text, and scoring no items is a ValueError.
 
 The random stream is part of the behaviour. Perturbation draws everything
 from one generator per plot: first one block per per-element quantity
@@ -33,7 +35,7 @@ from __future__ import annotations
 import json
 import math
 from array import array
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -336,7 +338,8 @@ class APPool:
     scored by ``iou``), then greedy one-to-one matching in score order at
     every threshold (among golds tied at the best IOU the last one wins).
     Only the compact match records are kept, so a caller can drop the plot
-    after ``add``. Records pool per class across plots.
+    after ``add``. Records pool per class across plots; a pool fed no
+    plot has nothing to score, and ``result`` raises ValueError.
     """
 
     def __init__(self, thresholds: Sequence[float]):
@@ -346,11 +349,13 @@ class APPool:
             raise ValueError("iou_threshold must lie in (0, 1)")
         self.thresholds = tuple(thresholds)
         self._lowest = min(self.thresholds)
+        self._n_plots = 0
         self._n_gold: dict[str, int] = {}
         self._scores: dict[str, array] = {}  # per class, in match order
         self._hits: list[dict[str, bytearray]] = [{} for _ in self.thresholds]
 
     def add(self, pred: DetectionSet, gold: PlotAnnotation) -> None:
+        self._n_plots += 1
         for e in gold.elements:
             self._n_gold[e.cls] = self._n_gold.get(e.cls, 0) + 1
         dets = sorted(pred.detections, key=lambda d: -d.score)  # stable: ties keep detection order
@@ -377,6 +382,8 @@ class APPool:
     def result(self) -> list[tuple[dict[str, float], float]]:
         """One (per-class AP, mAP) per threshold; mAP averages over the
         classes present in gold."""
+        if not self._n_plots:
+            raise ValueError("no plots to score")
         per_class: list[dict[str, float]] = [{} for _ in self.thresholds]
         for cls, n_gold in sorted(self._n_gold.items()):
             scores = np.array(self._scores.get(cls, ()), dtype=np.float64)
@@ -431,40 +438,25 @@ def _every_point_ap(hit: np.ndarray, n_gold: int) -> float:
 
 
 def average_precision(
-    pred: DetectionSet | list[DetectionSet],
-    gold: PlotAnnotation | list[PlotAnnotation],
-    iou_threshold: float,
+    plots: Iterable[tuple[DetectionSet, PlotAnnotation]], iou_threshold: float,
 ) -> tuple[dict[str, float], float]:
-    """Per-class AP and mAP at one IOU threshold.
-
-    Accepts a single (pred, gold) pair or parallel lists of pairs; in list
-    form detections are pooled per class across plots (matching stays
-    within each plot). mAP averages over the classes present in gold.
-    """
+    """Per-class AP and mAP at one IOU threshold over (detections,
+    annotation) pairs, pooled per class across plots by ``APPool``
+    (matching stays within each plot); no plots is a ValueError."""
     pool = APPool((iou_threshold,))
-    preds = [pred] if isinstance(pred, DetectionSet) else list(pred)
-    golds = [gold] if isinstance(gold, PlotAnnotation) else list(gold)
-    if len(preds) != len(golds):
-        raise ValueError("pred/gold list lengths differ")
-    for p, g in zip(preds, golds):
-        pool.add(p, g)
+    for pred, gold in plots:
+        pool.add(pred, gold)
     return pool.result()[0]
 
 
-def ocr_accuracy(
-    pred_texts: list[tuple[str, str]],
-    gold_texts: list[tuple[str, str]],
-) -> dict[str, float]:
-    """Exact-match rate per element class plus 'total'.
-
-    Inputs are parallel (class, text) lists aligned by element identity.
-    """
-    if len(pred_texts) != len(gold_texts):
-        raise ValueError(f"length mismatch: {len(pred_texts)} pred vs {len(gold_texts)} gold")
-    hits: dict[str, list[int]] = {}
-    for (cls, p), (_, g) in zip(pred_texts, gold_texts):
-        hits.setdefault(cls, []).append(1 if p == g else 0)
+def ocr_accuracy(texts: Iterable[tuple[str, str, str]]) -> dict[str, float]:
+    """Exact-match rate per element class plus 'total', over (class,
+    predicted text, gold text) triples; no texts is a ValueError."""
+    hits: dict[str, list[bool]] = {}
+    for cls, pred, gold in texts:
+        hits.setdefault(cls, []).append(pred == gold)
+    if not hits:
+        raise ValueError("no texts to score")
     out = {cls: float(np.mean(v)) for cls, v in sorted(hits.items())}
-    total = [h for v in hits.values() for h in v]
-    out["total"] = float(np.mean(total)) if total else 0.0
+    out["total"] = float(np.mean([h for v in hits.values() for h in v]))
     return out

@@ -10,7 +10,8 @@ Reports break accuracy down over the 3x3 question-category x answer-type
 grid; the structural x open-vocabulary cell is structurally empty and
 reported as NA. ``Tally`` is the one tabulation, fed each question's score
 as it is made: ``plotquest run`` feeds it without keeping the questions,
-and ``evaluate`` answers, scores and feeds it.
+and ``evaluate`` answers, scores and feeds it from (question, context)
+pairs, so each question is answered from the context it came with.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, TypeVar
 
 import numpy as np
 
@@ -28,6 +29,8 @@ from .qgen import QuestionInstance
 from .templates import ANSWER_TYPES, CATEGORIES
 
 REL_TOL = 0.05  # closed ball: |pred - gold| <= 0.05 |gold|
+
+Context = TypeVar("Context")  # what an answerer reads a question from: a plot, a stored prediction
 
 
 def _norm(s: str) -> str:
@@ -170,17 +173,19 @@ class Tally:
         return EvalReport(overall, accuracy_by, counts, map_scores, ocr_accuracy, mean_table_f1)
 
 
-def evaluate(questions: list[QuestionInstance], system: Callable[[QuestionInstance], Answer]) -> EvalReport:
-    """Run the system over gold questions and tabulate the 3x3 grid, with no
-    perception scores (``Tally.report`` takes those).
+def evaluate(cases: Iterable[tuple[QuestionInstance, Context]],
+             answer: Callable[[str, Context], Answer | None]) -> EvalReport:
+    """Answer each question from its paired context, ``answer(q.text,
+    context)``, and tabulate the 3x3 grid, with no perception scores
+    (``Tally.report`` takes those).
 
-    System exceptions of the AnswerUnavailable / UnparseableQuestion kind
-    score as incorrect; anything else propagates; no questions is a ValueError.
+    AnswerUnavailable / UnparseableQuestion score as incorrect; anything
+    else propagates; no cases is a ValueError.
     """
     tally = Tally()
-    for q in questions:
+    for q, context in cases:
         try:
-            pred = system(q)
+            pred = answer(q.text, context)
         except (AnswerUnavailable, UnparseableQuestion):
             pred = None
         tally.add(q, score_answer(pred, q.gold_answer))

@@ -145,13 +145,13 @@ def test_criterion_ap_monotonicity():
     violations = 0
     for i in range(100):
         ann = plots[i][2]
-        maps = [average_precision(noisy[i], ann, thr)[1] for thr in (0.5, 0.75, 0.9)]
+        maps = [average_precision([(noisy[i], ann)], thr)[1] for thr in (0.5, 0.75, 0.9)]
         if not (maps[2] <= maps[1] <= maps[0]):
             violations += 1
     ann = plots[0][2]
     perfect = perturb(ann, ZERO_NOISE)
     perfect_ok = all(
-        average_precision(perfect, ann, thr)[1] == pytest.approx(1.0)
+        average_precision([(perfect, ann)], thr)[1] == pytest.approx(1.0)
         for thr in (0.5, 0.75, 0.9)
     )
     _report("AP monotonicity", violations == 0 and perfect_ok,
@@ -162,8 +162,8 @@ def test_criterion_calibrated_noise_reproduction():
     plots, _ = _generated_plots()
     noisy = _paper_like_detections()
     anns = [p[2] for p in plots]
-    map5 = average_precision(noisy, anns, 0.5)[1]
-    map9 = average_precision(noisy, anns, 0.9)[1]
+    map5 = average_precision(zip(noisy, anns), 0.5)[1]
+    map9 = average_precision(zip(noisy, anns), 0.9)[1]
     f1s = [
         table_f1(extract_table(det), ann.gold_table, 0.02)[2]
         for det, ann in zip(noisy, anns)
@@ -178,15 +178,10 @@ def test_criterion_calibrated_noise_reproduction():
 def test_criterion_ablation_ordering():
     plots, _ = _generated_plots()
     noisy = _paper_like_detections()
-    subset = range(0, 250)
-    questions, det_of = [], {}
-    for i in subset:
-        for q in plots[i][3]:
-            questions.append(q)
-            det_of[id(q)] = noisy[i]
+    cases = [(q, noisy[i]) for i in range(250) for q in plots[i][3]]
 
     def run(fn):
-        return evaluate(questions, lambda q: fn(q.text, det_of[id(q)]))
+        return evaluate(cases, fn)
 
     hybrid = run(answer_hybrid)
     pipeline = run(answer_pipeline_only)
@@ -216,11 +211,11 @@ def test_criterion_ocr_fixtures():
     classes = ("title", "xaxis_label", "yaxis_label", "xtick_label", "ytick_label", "legend_label")
     gold = [(classes[k % len(classes)], f"token{k}") for k in range(10_000)]
     trunc = NoiseModel(ocr_truncate_prob=1.0)
-    pred = [
-        (cls, corrupt_text(text, trunc, k) if k < 300 else text)
+    texts = [
+        (cls, corrupt_text(text, trunc, k) if k < 300 else text, text)
         for k, (cls, text) in enumerate(gold)
     ]
-    rate = ocr_accuracy(pred, gold)["total"]
+    rate = ocr_accuracy(texts)["total"]
     batch_ok = abs(rate - 0.97) <= 0.002
     _report("OCR fixtures", fixtures_ok and batch_ok,
             f"Indoo/Dperator/200B reproduced; 97%-clean batch reports {rate:.4f}")

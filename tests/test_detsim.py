@@ -189,7 +189,7 @@ def test_ap_perfect_detections(corpus):
     _, ann = render(make_plot_spec(data, 9))
     det = perturb(ann, ZERO_NOISE)
     for thr in (0.5, 0.75, 0.9):
-        per_class, m = average_precision(det, ann, thr)
+        per_class, m = average_precision([(det, ann)], thr)
         assert m == pytest.approx(1.0)
         assert all(v == pytest.approx(1.0) for v in per_class.values())
 
@@ -200,9 +200,9 @@ def test_ap_half_recall_is_half():
     _, _, ann = rendered(data, "vbar")
     bars = [e for e in ann.elements if e.cls == "bar"]
     det = DetectionSet([Detection("bar", bars[0].bbox, 1.0, color=bars[0].color)])
-    per_class, _ = average_precision(det, ann, 0.5)
+    per_class, _ = average_precision([(det, ann)], 0.5)
     for thr in (0.5, 0.75, 0.9):
-        per_class, _ = average_precision(det, ann, thr)
+        per_class, _ = average_precision([(det, ann)], thr)
         assert per_class["bar"] == pytest.approx(0.5)
 
 
@@ -211,23 +211,30 @@ def test_ap_monotone_in_threshold(corpus):
         data = sample_plot_data(corpus, seed)
         _, ann = render(make_plot_spec(data, seed))
         det = perturb(ann, PAPER_LIKE.with_seed(seed))
-        maps = [average_precision(det, ann, thr)[1] for thr in (0.5, 0.75, 0.9)]
+        maps = [average_precision([(det, ann)], thr)[1] for thr in (0.5, 0.75, 0.9)]
         assert maps[0] >= maps[1] >= maps[2]
 
 
 def test_ap_dataset_pooling(corpus):
-    anns, dets = [], []
+    plots = []
     for seed in range(6):
         data = sample_plot_data(corpus, seed)
         _, ann = render(make_plot_spec(data, seed))
-        anns.append(ann)
-        dets.append(perturb(ann, ZERO_NOISE))
-    per_class, m = average_precision(dets, anns, 0.9)
+        plots.append((perturb(ann, ZERO_NOISE), ann))
+    per_class, m = average_precision(plots, 0.9)
     assert m == pytest.approx(1.0)
     with pytest.raises(ValueError):
-        average_precision(dets[:2], anns, 0.9)
-    with pytest.raises(ValueError):
-        average_precision(dets[0], anns[0], 1.5)
+        average_precision(plots[:1], 1.5)
+
+
+def test_ap_of_no_plots_is_an_error():
+    # no plots is nothing scored, not an mAP of 0; a plot without gold is scored
+    with pytest.raises(ValueError, match="no plots"):
+        average_precision([], 0.5)
+    with pytest.raises(ValueError, match="no plots"):
+        APPool(THRESHOLDS).result()
+    _, _, template = rendered(make_data([[3.0, 7.0]]), "vbar")
+    assert average_precision([(DetectionSet([]), replace(template, elements=[]))], 0.5) == ({}, 0.0)
 
 
 def test_appool_validates_thresholds():
@@ -359,13 +366,13 @@ def _oracle_ap_from_records(records, n_gold):
     return float(ap)
 
 
-def _oracle_average_precision(preds, golds, thr):
-    classes = sorted({e.cls for g in golds for e in g.elements})
+def _oracle_average_precision(plots, thr):
+    classes = sorted({e.cls for _, g in plots for e in g.elements})
     per_class = {}
     for cls in classes:
         records = []
         n_gold = 0
-        for p, g in zip(preds, golds):
+        for p, g in plots:
             gold_elems = [e for e in g.elements if e.cls == cls]
             n_gold += len(gold_elems)
             records.extend(_oracle_match_plot(p.by_class(cls), gold_elems, thr))
@@ -379,14 +386,14 @@ HEAVY = NoiseModel(box_jitter_sigma=6.0, drop_prob=0.35, misclass_prob=0.2, ocr_
                    ocr_truncate_prob=0.4, ocr_sign_digit_prob=0.4, seed=5)
 
 
-def _assert_matches_oracle(dets, anns):
+def _assert_matches_oracle(plots):
     pool = APPool(THRESHOLDS)
-    for d, a in zip(dets, anns):
+    for d, a in plots:
         pool.add(d, a)
     for thr, got in zip(THRESHOLDS, pool.result()):
-        want = _oracle_average_precision(dets, anns, thr)
+        want = _oracle_average_precision(plots, thr)
         assert got == want  # per-class dict and mAP, exactly
-        assert average_precision(dets, anns, thr) == want
+        assert average_precision(plots, thr) == want
 
 
 def _grid_plot(rng, template, classes, n_gold, n_pred):
@@ -419,7 +426,7 @@ def test_appool_equals_oracle_on_grid_plots():
         rng = np.random.default_rng(seed)
         plots = [_grid_plot(rng, template, classes, int(rng.integers(0, 8)), int(rng.integers(0, 10)))
                  for _ in range(int(rng.integers(1, 6)))]
-        _assert_matches_oracle([d for d, _ in plots], [a for _, a in plots])
+        _assert_matches_oracle(plots)
 
 
 def test_appool_equals_oracle_on_edge_cases():
@@ -434,27 +441,27 @@ def test_appool_equals_oracle_on_edge_cases():
         Detection("bar", zero_a, 0.5), Detection("bar", zero_b, 1.0), Detection("bar", zero_a, 0.25),
         # misclassified: the only "title" gold is in the other plot
         Detection("title", (0.0, 0.0, 4.0, 1.0), 1.0)])
+    no_gold = replace(template, elements=[])
     cases = [
-        ([dets_a, DetectionSet([])], [plot_a, plot_b]),
-        ([DetectionSet([]), DetectionSet([])], [plot_a, plot_b]),
-        ([dets_a], [plot_a]),
-        ([DetectionSet([])], [replace(template, elements=[])]),
-        ([dets_a], [replace(template, elements=[])]),
+        [(dets_a, plot_a), (DetectionSet([]), plot_b)],
+        [(DetectionSet([]), plot_a), (DetectionSet([]), plot_b)],
+        [(dets_a, plot_a)],
+        [(DetectionSet([]), no_gold)],
+        [(dets_a, no_gold)],
     ]
-    for dets, anns in cases:
-        _assert_matches_oracle(dets, anns)
-    per_class, _ = average_precision(dets_a, plot_a, 0.5)
+    for plots in cases:
+        _assert_matches_oracle(plots)
+    per_class, _ = average_precision([(dets_a, plot_a)], 0.5)
     assert per_class["bar"] == 1.0  # both duplicates and both zero-size golds found
 
 
 @pytest.mark.parametrize("noise", [PAPER_LIKE, HEAVY], ids=["paper_like", "heavy"])
 def test_appool_equals_oracle_on_perturbed_plots(corpus, noise):
-    anns, dets = [], []
+    plots = []
     for seed in range(25):
         _, ann = render(make_plot_spec(sample_plot_data(corpus, seed), seed))
-        anns.append(ann)
-        dets.append(perturb(ann, noise.with_seed(noise.seed + seed)))
-    _assert_matches_oracle(dets, anns)
+        plots.append((perturb(ann, noise.with_seed(noise.seed + seed)), ann))
+    _assert_matches_oracle(plots)
 
 
 # -- candidate search ------------------------------------------------------
@@ -511,7 +518,7 @@ def test_a_pair_scores_alike_whatever_else_its_plot_holds():
     det = DetectionSet([Detection("bar", (10.2, 20.0, 30.0, 40.0), 1.0)])
     for elements in ([bar], [bar, title]):
         for thr in THRESHOLDS:
-            per_class, _ = average_precision(det, replace(template, elements=elements), thr)
+            per_class, _ = average_precision([(det, replace(template, elements=elements))], thr)
             assert per_class["bar"] == 1.0
 
 
@@ -689,27 +696,27 @@ def test_noise_marginals_match_the_model(noise):
 # -- ocr accuracy ------------------------------------------------------------
 
 def test_ocr_accuracy_all_match():
-    pairs = [("title", "Hello"), ("xtick_label", "2008")]
-    assert ocr_accuracy(pairs, pairs)["total"] == 1.0
+    texts = [("title", "Hello", "Hello"), ("xtick_label", "2008", "2008")]
+    assert ocr_accuracy(texts)["total"] == 1.0
 
 
 def test_ocr_accuracy_one_in_ten():
-    gold = [("xtick_label", str(k)) for k in range(10)]
-    pred = list(gold)
-    pred[3] = ("xtick_label", "oops")
-    out = ocr_accuracy(pred, gold)
+    texts = [("xtick_label", str(k), str(k)) for k in range(10)]
+    texts[3] = ("xtick_label", "oops", "3")
+    out = ocr_accuracy(texts)
     assert out["total"] == pytest.approx(0.9)
     assert out["xtick_label"] == pytest.approx(0.9)
 
 
 def test_ocr_truncation_counts_as_mismatch():
-    out = ocr_accuracy([("legend_label", "Indoo")], [("legend_label", "Indoor")])
+    out = ocr_accuracy([("legend_label", "Indoo", "Indoor")])
     assert out["total"] == 0.0
 
 
-def test_ocr_accuracy_length_mismatch():
-    with pytest.raises(ValueError, match="mismatch"):
-        ocr_accuracy([("a", "x")], [])
+def test_ocr_accuracy_of_no_texts_is_an_error():
+    # no texts is nothing scored, not an accuracy of 0
+    with pytest.raises(ValueError, match="no texts"):
+        ocr_accuracy([])
 
 
 def test_presets():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from plotquest.answers import Answer, AnswerUnavailable, number, text, yes_no
+from plotquest.answers import Answer, AnswerUnavailable, UnparseableQuestion, number, text, yes_no
 from plotquest.harness import EvalReport, SplitSpec, Tally, evaluate, score_answer, split
 from plotquest.qgen import QuestionInstance
 
@@ -130,7 +130,7 @@ def _grid_questions():
 
 def test_perfect_system_scores_one():
     qs = _grid_questions()
-    rep = evaluate(qs, lambda q: q.gold_answer)
+    rep = evaluate([(q, q.gold_answer) for q in qs], lambda _, gold: gold)
     assert rep.overall_accuracy == 1.0
     for cat in rep.accuracy_by:
         for at, v in rep.accuracy_by[cat].items():
@@ -141,12 +141,12 @@ def test_perfect_system_scores_one():
 def test_yes_no_only_system():
     qs = _grid_questions()
 
-    def system(q):
+    def system(_, q):
         if q.answer_type == "yes_no":
             return q.gold_answer
         raise AnswerUnavailable("nope")
 
-    rep = evaluate(qs, system)
+    rep = evaluate([(q, q) for q in qs], system)
     for cat in ("structural", "data_retrieval", "reasoning"):
         assert rep.accuracy_by[cat]["yes_no"] == 1.0
         if rep.accuracy_by[cat]["fixed_vocab"] is not None:
@@ -156,14 +156,14 @@ def test_yes_no_only_system():
 def test_overall_is_count_weighted_mean():
     qs = _grid_questions()
     rng = np.random.default_rng(5)
-    flaky = {id(q): bool(rng.random() < 0.6) for q in qs}
 
-    def system(q):
-        if flaky[id(q)]:
+    def system(_, case):
+        q, hit = case
+        if hit:
             return q.gold_answer
         raise AnswerUnavailable("miss")
 
-    rep = evaluate(qs, system)
+    rep = evaluate([(q, (q, bool(rng.random() < 0.6))) for q in qs], system)
     num = den = 0.0
     for cat, row in rep.accuracy_by.items():
         for at, v in row.items():
@@ -178,19 +178,58 @@ def test_evaluate_order_invariant():
     qs = _grid_questions()
     rng = np.random.default_rng(8)
     flaky = {q.text: bool(rng.random() < 0.5) for q in qs}
+    cases = [(q, q) for q in qs]
 
-    def system(q):
+    def system(_, q):
         return q.gold_answer if flaky[q.text] else number(-999999.0)
 
-    a = evaluate(qs, system)
-    b = evaluate(qs[::-1], system)
+    a = evaluate(cases, system)
+    b = evaluate(cases[::-1], system)
     assert a.overall_accuracy == b.overall_accuracy
     assert a.accuracy_by == b.accuracy_by
 
 
 def test_evaluate_rejects_empty():
     with pytest.raises(ValueError):
-        evaluate([], lambda q: None)
+        evaluate([], lambda _, context: None)
+
+
+def test_equal_questions_are_scored_on_their_own_contexts():
+    # one question object twice and an equal copy: each is answered from its
+    # text and the context it is paired with, not from another case's
+    q = _question("data_retrieval", "open_vocab", number(5))
+    twin = _question("data_retrieval", "open_vocab", number(5))
+    assert twin == q and twin is not q
+    cases = [(q, number(5)), (q, number(9)), (twin, number(5)), (twin, None)]
+    seen = []
+
+    def system(question_text, prediction):
+        seen.append((question_text, prediction))
+        return prediction
+
+    rep = evaluate(cases, system)
+    assert seen == [(c.text, p) for c, p in cases]
+    assert rep.counts["data_retrieval"]["open_vocab"] == 4
+    assert rep.overall_accuracy == 0.5
+
+
+def test_evaluate_scores_only_the_documented_failures_as_unanswered():
+    q = _question("reasoning", "open_vocab", number(5))
+
+    def system(_, outcome):
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    cases = [(q, number(5)), (q, AnswerUnavailable("no cell")), (q, UnparseableQuestion("no template"))]
+    rep = evaluate(cases, system)
+    assert rep.counts["reasoning"]["open_vocab"] == 3
+    assert rep.overall_accuracy == pytest.approx(1 / 3)
+    # a programming error in the answerer is never scored as a wrong answer
+    for bug in (KeyError("id"), ValueError("unknown op")):
+        with pytest.raises(type(bug)) as raised:
+            evaluate([(q, number(5)), (q, bug)], system)
+        assert raised.value is bug
 
 
 def test_report_json_roundtrip():

@@ -216,26 +216,18 @@ def test_hybrid_never_panics_under_heavy_noise(corpus):
 
 
 def test_hybrid_strictly_dominates_single_branches_at_zero_noise(corpus):
-    from plotquest.answers import UnparseableQuestion
     from plotquest.harness import evaluate
     from plotquest.hybrid import answer_pipeline_only
-    questions, dets = [], {}
+    cases = []
     for seed in range(15):
         data = sample_plot_data(corpus, seed)
         spec = make_plot_spec(data, seed)
         _, ann = render(spec)
         det = clean_detections(ann)
-        for q in instantiate_all(spec, seed):
-            questions.append(q)
-            dets[id(q)] = det
+        cases.extend((q, det) for q in instantiate_all(spec, seed))
 
     def run(fn):
-        def system(q):
-            try:
-                return fn(q.text, dets[id(q)])
-            except UnparseableQuestion:
-                return None
-        return evaluate(questions, system).overall_accuracy
+        return evaluate(cases, fn).overall_accuracy
 
     hybrid = run(answer_hybrid)
     pipeline = run(answer_pipeline_only)
