@@ -234,9 +234,9 @@ def _load_dataset(dataset_dir: str, run_split: str) -> dict[int, list[QuestionIn
 def cmd_run(dataset_dir: str, noise_spec: str, out_dir: str, run_split: str = "test") -> int:
     by_plot = _load_dataset(dataset_dir, run_split)
     noise = _load_noise(noise_spec)
-    _make_out_dir(out_dir)
     if not by_plot:
         raise DataError(f"no questions in split {run_split!r}")
+    _make_out_dir(out_dir)
 
     ap_pool = APPool(MAP_THRESHOLDS)
     f1s = []

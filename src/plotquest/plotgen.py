@@ -18,6 +18,9 @@ Conventions (the underlying study leaves these open):
   with an intra-group gap of 10% of the bar width
 - text boxes use nominal font metrics (0.6 em advance, 1.2 em line height)
 - canvas defaults to 800x600 px; origin top-left, y grows downward
+- a rendered plot passes validate_annotation, the one annotation check:
+  render raises LayoutError with its first violation. A bar of value 0
+  has zero height and is valid
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import math
 import sys
 from dataclasses import MISSING, dataclass, fields
 from functools import cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -58,7 +62,8 @@ _PREVIEW_W, _PREVIEW_H = 18.0, 10.0
 
 
 class LayoutError(ValueError):
-    """Canvas too small to place all textual elements without overlap."""
+    """Canvas too small for the plot area, or for every element to stay on
+    it with no two texts overlapping."""
 
 
 def finite_number(v) -> bool:
@@ -532,7 +537,7 @@ def render(spec: PlotSpec) -> tuple[bytes, PlotAnnotation]:
                 if mark_cls == "dotline":
                     svg.marker(px, py, style.marker, color_hex(color))
 
-    # legend
+    # legend: the layout places each entry's origin, a preview left of its label
     if legend_at_bottom:
         total = sum(entry_ws) + 14.0 * (len(legends) - 1)
         if style.legend_position == "bottom-left":
@@ -542,19 +547,31 @@ def render(spec: PlotSpec) -> tuple[bytes, PlotAnnotation]:
         else:
             x0 = area_r - total
         cy = H - 8.0 - legend_row_h / 2.0
-        for s, name in enumerate(legends):
-            _legend_entry(svg, elements, style, name, s, x0, cy, fs, mark_cls)
-            x0 += entry_ws[s] + 14.0
+        origins = [(x, cy) for x in accumulate((w + 14.0 for w in entry_ws[:-1]), initial=x0)]
     else:
-        max_entry = max(entry_ws)
-        x0 = area_r - 10.0 - max_entry
+        x0 = area_r - 10.0 - max(entry_ws)
         step_y = legend_row_h + 6.0
         if style.legend_position == "top-right":
             y0 = area_y + 10.0 + legend_row_h / 2.0
         else:  # center-right
             y0 = area_y + area_h / 2.0 - step_y * (len(legends) - 1) / 2.0
-        for s, name in enumerate(legends):
-            _legend_entry(svg, elements, style, name, s, x0, y0 + s * step_y, fs, mark_cls)
+        origins = [(x0, y0 + s * step_y) for s in range(len(legends))]
+    for s, (name, (x0, cy)) in enumerate(zip(legends, origins)):
+        color = style.series_colors[s]
+        pbox = (x0, cy - _PREVIEW_H / 2.0, _PREVIEW_W, _PREVIEW_H)
+        if mark_cls == "bar":
+            svg.rect(*pbox, fill=color_hex(color))
+        else:
+            svg.line(x0, cy, x0 + _PREVIEW_W, cy, stroke=color_hex(color), width=2.0,
+                     dash=_DASHES[style.line_style])
+            if mark_cls == "dotline":
+                svg.marker(x0 + _PREVIEW_W / 2.0, cy, style.marker, color_hex(color))
+        elements.append(VisualElement("legend_preview", pbox, color=color, series_index=s))
+        lw = _text_w(name, fs)
+        lx = x0 + _PREVIEW_W + 5.0
+        elements.append(VisualElement("legend_label", (lx, cy - th / 2.0, lw, th),
+                                      text=name, series_index=s))
+        svg.text(lx + lw / 2.0, cy, name, fs)
 
     gold = SemiStructuredTable(
         row_headers=list(data.x_categories),
@@ -564,27 +581,14 @@ def render(spec: PlotSpec) -> tuple[bytes, PlotAnnotation]:
     )
     annotation = PlotAnnotation(elements=elements, style=style, plot_type=ptype, gold_table=gold)
 
-    _check_layout(annotation, W, H)
+    violations = validate_annotation(annotation)
+    if violations:
+        raise LayoutError(violations[0])
     return svg.tobytes(), annotation
 
 
-def _legend_entry(svg, elements, style, name, series_idx, x0, cy, fs, mark_cls) -> None:
-    color = style.series_colors[series_idx]
-    pbox = (x0, cy - _PREVIEW_H / 2.0, _PREVIEW_W, _PREVIEW_H)
-    if mark_cls == "bar":
-        svg.rect(*pbox, fill=color_hex(color))
-    else:
-        svg.line(x0, cy, x0 + _PREVIEW_W, cy, stroke=color_hex(color), width=2.0,
-                 dash=_DASHES[style.line_style])
-        if mark_cls == "dotline":
-            svg.marker(x0 + _PREVIEW_W / 2.0, cy, style.marker, color_hex(color))
-    elements.append(VisualElement("legend_preview", pbox, color=color, series_index=series_idx))
-    lw = _text_w(name, fs)
-    lx = x0 + _PREVIEW_W + 5.0
-    elements.append(VisualElement("legend_label", (lx, cy - _text_h(fs) / 2.0, lw, _text_h(fs)),
-                                  text=name, series_index=series_idx))
-    svg.text(lx + lw / 2.0, cy, name, fs)
-
+# ---------------------------------------------------------------------------
+# validation
 
 def _boxes_overlap(a, b) -> bool:
     ax, ay, aw, ah = a
@@ -592,36 +596,30 @@ def _boxes_overlap(a, b) -> bool:
     return ax < bx + bw and bx < ax + aw and ay < by + bh and by < ay + ah
 
 
-def _check_layout(annotation: PlotAnnotation, W: float, H: float) -> None:
-    texts = [e for e in annotation.elements if e.cls in TEXTUAL_CLASSES]
-    for i, a in enumerate(texts):
-        x, y, w, h = a.bbox
-        if x < 0 or y < 0 or x + w > W or y + h > H:
-            raise LayoutError(f"{a.cls} {a.text!r} spills off the canvas")
-        for b in texts[i + 1:]:
-            if _boxes_overlap(a.bbox, b.bbox):
-                raise LayoutError(f"{a.cls} {a.text!r} overlaps {b.cls} {b.text!r}")
-
-
-# ---------------------------------------------------------------------------
-# validation
-
 def validate_annotation(annotation: PlotAnnotation) -> list[str]:
-    """Check PlotAnnotation invariants; returns human-readable violations."""
+    """Check PlotAnnotation invariants; returns human-readable violations.
+
+    Every box lies on the canvas (to 1e-9 px) and no two text boxes
+    overlap. A box may have zero extent: a bar of value 0 has no height."""
     out = []
     W, H = annotation.style.canvas
     counts = {cls: 0 for cls in ELEMENT_CLASSES}
+    texts = []
     for e in annotation.elements:
         counts[e.cls] += 1
         x, y, w, h = e.bbox
-        if w <= 0 or h <= 0:
-            out.append(f"{e.cls} has degenerate bbox {e.bbox}")
         if x < -1e-9 or y < -1e-9 or x + w > W + 1e-9 or y + h > H + 1e-9:
             out.append(f"{e.cls} bbox {e.bbox} outside canvas")
-        if e.cls in TEXTUAL_CLASSES and not e.text:
-            out.append(f"{e.cls} carries no text")
+        if e.cls in TEXTUAL_CLASSES:
+            texts.append(e)
+            if not e.text:
+                out.append(f"{e.cls} carries no text")
         if e.cls in MARK_CLASSES and e.color is None:
             out.append(f"{e.cls} carries no color")
+    for i, a in enumerate(texts):
+        for b in texts[i + 1:]:
+            if _boxes_overlap(a.bbox, b.bbox):
+                out.append(f"{a.cls} {a.text!r} overlaps {b.cls} {b.text!r}")
 
     for cls in ("title", "xaxis_label", "yaxis_label"):
         if counts[cls] != 1:

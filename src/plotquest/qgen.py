@@ -45,7 +45,7 @@ import numpy as np
 
 from .answers import Answer, number, text, yes_no
 from .corpus import legend_pool, pluralize
-from .plotgen import PLOT_TYPE_MARK_CLASS, PlotSpec, plot_title, screen_axis_labels, value_axis
+from .plotgen import PLOT_TYPE_MARK_CLASS, PlotSpec, format_tick, plot_title, screen_axis_labels, value_axis
 from .templates import (
     ANSWER_TYPES, CATEGORIES, Template, default_templates, ordinal, parse_ordinal,
 )
@@ -125,10 +125,13 @@ class _Ctx:
         self.is_bar = self.figure_type == "bar"
         self.legends = list(data.legend_labels)
         self.cats = list(data.x_categories)
-        self.y = data.y_label
-        self.x_singular = data.x_label.lower()
-        self.x_plural = pluralize(self.x_singular)
         self.title = plot_title(data)
+        x_singular = data.x_label.lower()
+        # the text of each slot filled from the plot alone, in the order a
+        # binding lists them (questions.jsonl keeps that order)
+        self.plot_slots = {"y_label": data.y_label, "x_singular": x_singular,
+                           "x_plural": pluralize(x_singular), "figure_type": self.figure_type,
+                           "title": self.title}
         self.tick_step = value_axis(data)[1]
         self.eps = _EPS_REL * max(1.0, float(self.V.max()))
 
@@ -203,7 +206,8 @@ def applicable_templates(spec: PlotSpec) -> list[Template]:
 # binding samplers
 
 def _threshold_string(values: np.ndarray, rng: np.random.Generator, eps: float) -> str:
-    """A round threshold strictly between two data values (or above all)."""
+    """A round threshold strictly between two data values (or above all),
+    written as a standard tick label is."""
     uniq = sorted(set(float(v) for v in values))
     if len(uniq) == 1:
         v = uniq[0]
@@ -211,7 +215,7 @@ def _threshold_string(values: np.ndarray, rng: np.random.Generator, eps: float) 
         n = float(f"{n:.3g}")
         if n <= v + eps:
             n = v * 2 + 1.0
-        return _num_str(n)
+        return format_tick(n, "standard")
     q = float(rng.choice([0.25, 0.5, 0.75]))
     target = uniq[0] + q * (uniq[-1] - uniq[0])
     gaps = sorted(
@@ -225,13 +229,8 @@ def _threshold_string(values: np.ndarray, rng: np.random.Generator, eps: float) 
         for digits in range(1, 17):
             cand = float(f"{mid:.{digits}g}")
             if lo + eps < cand < hi - eps:
-                return _num_str(cand)
+                return format_tick(cand, "standard")
     raise Degenerate("no representable threshold between data values")
-
-
-def _num_str(v: float) -> str:
-    s = str(int(v)) if float(v).is_integer() and abs(v) < 1e16 else str(v)
-    return s.lstrip("+")
 
 
 def _pick_cat(ctx: _Ctx, rng) -> int:
@@ -253,19 +252,8 @@ def sample_bindings(template: Template, ctx: _Ctx, rng: np.random.Generator) -> 
     values; knife-edge comparisons are caught by the gold answer.
     """
     tid = template.id
-    b: dict[str, str] = {}
     slots = template.slots
-
-    if "y_label" in slots:
-        b["y_label"] = ctx.y
-    if "x_singular" in slots:
-        b["x_singular"] = ctx.x_singular
-    if "x_plural" in slots:
-        b["x_plural"] = ctx.x_plural
-    if "figure_type" in slots:
-        b["figure_type"] = ctx.figure_type
-    if "title" in slots:
-        b["title"] = ctx.title
+    b = {name: v for name, v in ctx.plot_slots.items() if name in slots}
 
     if tid in (12, 13, 14, 15):
         b["i"] = ordinal(int(rng.integers(1, ctx.n_cats + 1)))

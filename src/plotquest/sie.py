@@ -227,6 +227,7 @@ class PlotReading:
         parsed = ((parse_number(r.text), r.pos) for r in val_refs)
         self.val_ticks = _value_anchors((v, pos) for v, pos in parsed if v is not None)
         self.legend_map = associate_legend(self.elements["legend_label"], self.elements["legend_preview"])
+        self.legend_texts = list(self.legend_map)  # in reading order
         self._color_to_col = {c: k for k, c in enumerate(self.legend_map.values())}
         self.assignments = [self._assign(mark) for mark in self.data_marks]  # parallel to data_marks
         self._table: SemiStructuredTable | None = None
@@ -236,10 +237,6 @@ class PlotReading:
     @property
     def data_marks(self) -> list[Detection]:
         return self.bars if self.bars_are_data else self.points
-
-    @property
-    def legend_texts(self) -> list[str]:
-        return list(self.legend_map.keys())
 
     def label_text(self, cls: str) -> str:
         """The text of the first ``cls`` detection, in canonical order, that

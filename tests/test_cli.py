@@ -120,6 +120,15 @@ def test_run_missing_dataset_is_data_error(tmp_path):
     assert main(["run", "--dataset", str(tmp_path / "nope"), "--out", str(tmp_path / "o")]) == 2
 
 
+def test_run_on_an_empty_split_is_data_error_that_writes_nothing(tmp_path, capsys):
+    # every plot goes to train, so the default test split has no questions
+    ds, out = tmp_path / "ds", tmp_path / "o"
+    assert main(["generate", "--n-plots", "2", "--split", "1,0,0", "--out", str(ds)]) == 0
+    assert main(["run", "--dataset", str(ds), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: no questions in split 'test'\n"
+    assert not out.exists()
+
+
 def test_run_unknown_preset_is_usage_error(dataset, tmp_path):
     assert main(["run", "--dataset", dataset, "--noise", "bogus",
                  "--out", str(tmp_path / "o")]) == 1

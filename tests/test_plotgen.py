@@ -226,6 +226,22 @@ def test_layout_error_on_tiny_canvas():
         rendered(data, "vbar", canvas=(120.0, 90.0))
 
 
+@pytest.mark.parametrize("ptype", ["vbar", "hbar"])
+def test_zero_valued_bar_renders_and_validates(ptype):
+    data = make_data([[0.0, 2.0, 3.0]])
+    _, _, ann = rendered(data, ptype)
+    bar = next(e for e in ann.by_class("bar") if e.x_index == 0)
+    assert bar.bbox[2 if ptype == "hbar" else 3] == 0.0
+    assert validate_annotation(ann) == []
+
+
+def test_layout_error_on_overlapping_tick_labels():
+    # twelve year labels 31.2 px wide each in category slots under 30 px
+    data = make_data([list(range(1, 13))])
+    with pytest.raises(LayoutError, match="overlaps"):
+        rendered(data, "vbar", font_size=13.0, canvas=(400.0, 300.0))
+
+
 def test_gold_table_matches_data(corpus):
     data = sample_plot_data(corpus, 17)
     _, _, ann = rendered(data)
