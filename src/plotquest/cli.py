@@ -7,10 +7,10 @@ matters and a rerun with the same config writes byte-identical outputs.
 
 Dataset layout under --out:
     plots/NNNN.svg         rendered plots
-    annotations/NNNN.json  ground-truth element annotations
+    annotations/NNNN.json  ground-truth element annotations, one line of JSON
     tables/NNNN.csv        gold tables
     questions.jsonl        one question instance per line (with plot_id)
-    manifest.json          config echo, split assignment, file hashes
+    manifest.json          config echo, split assignment, file hashes (indented)
 
 Exit codes: 0 success, 1 usage error, 2 data error. Two rules hold at the
 file boundary of every command, each with one line on stderr: an input file

@@ -180,7 +180,7 @@ class DetectionSet:
         return DetectionSet([Detection.from_json(d) for d in obj["detections"]], style=style)
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json(), indent=1)
+        return json.dumps(self.to_json())
 
 
 # ---------------------------------------------------------------------------

@@ -247,7 +247,7 @@ class PlotAnnotation:
         )
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json(), indent=1)
+        return json.dumps(self.to_json())
 
     @staticmethod
     def loads(text: str | bytes) -> "PlotAnnotation":

@@ -152,7 +152,11 @@ def _interp(p: float, ticks: list[tuple[float, float]]) -> float:
         else:
             lo, hi = ticks[-2], ticks[-1]
     (v0, p0), (v1, p1) = lo, hi
-    return v0 + (p - p0) * (v1 - v0) / (p1 - p0)
+    value = v0 + (p - p0) * (v1 - v0) / (p1 - p0)
+    if math.isfinite(value):
+        return value
+    # huge pixel spans overflow the product, not the reading: divide first
+    return v0 + (p - p0) / (p1 - p0) * (v1 - v0)
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ def test_generate_reproducible(dataset, tmp_path):
 # sha256 of the ``dataset`` fixture's manifest.json, which lists the hash of
 # every generated file, and of predictions.jsonl and report.json from a
 # paper_like run of its train split; measured with numpy 2.4.6
-MANIFEST_SHA256 = "cc2c3ffc1697fe11c441aae07fbd19071d71686ba185285435140598ea6b277b"
+MANIFEST_SHA256 = "927cbd7fd72a5d288fc79fe897ffa2fd3090356b5c59858ba13bc96b162560f4"
 PREDICTIONS_SHA256 = "f971a1746b84b7df48f80ea8645fe27a58835fd5be0a6257d45adabce4a0d177"
 REPORT_SHA256 = "1281f703cab250cd35c4653c453bdd6188de1ceef48552f8505cc7803bc665d1"
 
@@ -60,6 +60,25 @@ def test_outputs_match_the_pinned_behaviour(dataset, tmp_path):
     assert got == (MANIFEST_SHA256, PREDICTIONS_SHA256, REPORT_SHA256), (
         f"generate or run output changed (numpy {np.__version__}): a refactor must keep the bytes; "
         "a deliberate behaviour change updates these constants and says so in CHANGES.md")
+
+
+def test_run_and_extract_read_annotations_written_indented(dataset, tmp_path):
+    # datasets written before annotations became one-line JSON hold them
+    # indented; run and extract read them as they read the compact files
+    ds = _copy_dataset(dataset, tmp_path)
+    for path in (ds / "annotations").iterdir():
+        text = path.read_text()
+        assert "\n" not in text
+        path.write_text(json.dumps(json.loads(text), indent=1))
+    out = tmp_path / "run"
+    assert main(["run", "--dataset", str(ds), "--noise", "paper_like", "--run-split", "train",
+                 "--out", str(out)]) == 0
+    assert (hashlib.sha256((out / "predictions.jsonl").read_bytes()).hexdigest(),
+            hashlib.sha256((out / "report.json").read_bytes()).hexdigest()) == (PREDICTIONS_SHA256, REPORT_SHA256)
+    name = os.path.join("annotations", "0000.json")
+    assert main(["extract", "--input", str(ds / name), "--out", str(tmp_path / "indented.csv")]) == 0
+    assert main(["extract", "--input", os.path.join(dataset, name), "--out", str(tmp_path / "compact.csv")]) == 0
+    assert (tmp_path / "indented.csv").read_bytes() == (tmp_path / "compact.csv").read_bytes()
 
 
 def test_run_on_a_1e308_box_scores_it_without_overflow(dataset, tmp_path):

@@ -281,14 +281,18 @@ def test_annotation_json_roundtrip(corpus):
     assert again.to_json() == ann.to_json()
 
     # every annotation, detection set and question of a small dataset
-    # re-encodes to the same bytes after decoding
+    # re-encodes to the same bytes after decoding; an annotation or a
+    # detection set is one line of compact JSON
     for i in range(12):
         spec = make_plot_spec(sample_plot_data(corpus, 100 + i), 200 + i)
-        text = render(spec)[1].dumps()
-        ann = PlotAnnotation.loads(text)
-        assert ann.dumps() == text
-        dets = perturb(ann, PAPER_LIKE.with_seed(i)).dumps()
-        assert DetectionSet.from_json(json.loads(dets)).dumps() == dets
+        ann = render(spec)[1]
+        text = ann.dumps()
+        assert text == json.dumps(ann.to_json()) and "\n" not in text
+        assert PlotAnnotation.loads(text).dumps() == text
+        dets = perturb(ann, PAPER_LIKE.with_seed(i))
+        dets_text = dets.dumps()
+        assert dets_text == json.dumps(dets.to_json()) and "\n" not in dets_text
+        assert DetectionSet.from_json(json.loads(dets_text)).dumps() == dets_text
         for q in instantiate(spec, 300 + i):
             line = json.dumps(q.to_json())
             assert json.dumps(QuestionInstance.from_json(json.loads(line)).to_json()) == line

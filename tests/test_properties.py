@@ -13,7 +13,8 @@ and colours off the palette. A third generator, with its own tests, gives
 clean plots value ticks that read 1e308 and -1e308 in turn: finite texts
 whose interpolated values overflow; a fourth scales every box of a clean
 plot by 2**1010 to 2**1013, finite boxes whose edges and spreads overflow
-unless computed at another scale."""
+unless computed at another scale, and which must read the unscaled plot's
+table."""
 
 import math
 import warnings
@@ -179,14 +180,19 @@ def test_overflowing_value_ticks_keep_the_contract(d, data):
     _assert_answering_raises_only_documented_errors(d, data)
 
 
+HUGE_SCALES = range(1010, 1014)
+
+
+def _scaled(plot: DetectionSet, k: int) -> DetectionSet:
+    return DetectionSet([Detection(det.cls, tuple(math.ldexp(v, k) for v in det.bbox), det.score,
+                                   det.text, det.color) for det in plot.detections], style=plot.style)
+
+
 @st.composite
 def huge_plots(draw):
     """A clean plot with every box scaled by a power of two from 2**1010 to
     2**1013: rendered coordinates stay below 1024, so every number is finite."""
-    plot = draw(st.sampled_from(CLEAN_PLOTS))
-    k = draw(st.integers(1010, 1013))
-    return DetectionSet([Detection(det.cls, tuple(math.ldexp(v, k) for v in det.bbox), det.score,
-                                   det.text, det.color) for det in plot.detections], style=plot.style)
+    return _scaled(draw(st.sampled_from(CLEAN_PLOTS)), draw(st.sampled_from(HUGE_SCALES)))
 
 
 @PROPERTY_SETTINGS
@@ -195,3 +201,16 @@ def test_huge_boxes_extract_without_warnings(d, data):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         _assert_extraction_is_finite_and_ignores_order(d, data)
+
+
+def test_huge_boxes_read_the_table_of_scale_1():
+    # the strategy's whole space: each clean plot at each huge scale fills
+    # the cells it fills at scale 1, with the same values up to rounding
+    for plot in CLEAN_PLOTS:
+        table = extract_table(plot)
+        for k in HUGE_SCALES:
+            huge = extract_table(_scaled(plot, k))
+            assert (huge.row_headers, huge.col_headers) == (table.row_headers, table.col_headers)
+            for row, huge_row in zip(table.cells, huge.cells):
+                assert [v is None for v in huge_row] == [v is None for v in row], k
+                assert all(v is None or math.isclose(h, v, rel_tol=1e-12) for v, h in zip(row, huge_row)), k
