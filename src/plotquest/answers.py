@@ -38,6 +38,9 @@ class UnparseableQuestion(Exception):
     """The question text matches none of the shipped templates."""
 
 
+UNANSWERED = (AnswerUnavailable, UnparseableQuestion)  # the two ways an answerer gives up
+
+
 def parse_number(text: str) -> float | None:
     """Text to a finite float; None when it does not parse or is not finite."""
     try:

@@ -22,11 +22,13 @@ Per plot, ``generate`` appends its question lines to questions.jsonl and
 ``harness.Tally``. ``run`` checks every question line before any output and
 accepts them in any order, so it keeps the run split's questions by plot:
 memory linear in the run split. A ``run`` that exits 2 mid-pass may leave a
-partial predictions.jsonl, but never a report. Every scorer takes its items
-paired: ``run`` feeds the AP pool (detections, annotation) per plot and
-``detsim.ocr_accuracy`` one (class, predicted, gold) triple per detected
-gold text, and ``evaluate`` hands ``harness.evaluate`` each (question,
-stored prediction) record as it was read.
+partial predictions.jsonl, but never a report; a ``generate`` that cannot
+lay out a plot exits 2 and removes every file and directory it made. Every
+scorer takes its items paired: ``run`` feeds the AP pool (detections,
+annotation) per plot and ``detsim.ocr_accuracy`` one (class, predicted,
+gold) triple per detected gold text, and ``evaluate`` hands
+``harness.evaluate`` each (question, stored prediction) record as it was
+read.
 """
 
 from __future__ import annotations
@@ -36,9 +38,11 @@ import hashlib
 import json
 import os
 import sys
+from contextlib import suppress
+from dataclasses import replace
 
 from . import __version__, detsim
-from .answers import Answer, AnswerUnavailable, UnparseableQuestion
+from .answers import UNANSWERED, Answer
 from .corpus import CorpusError, default_corpus, load_corpus, sample_plot_data
 from .detsim import APPool, DetectionSet, NoiseModel, get_preset, perturb_with_provenance
 from .harness import EvalReport, SplitSpec, Tally, evaluate, score_answer, split
@@ -120,11 +124,17 @@ def _write(path: str, chunks) -> None:
         raise UsageError(f"cannot write --out {path}: {e.strerror}")
 
 
-def _make_out_dir(path: str) -> None:
+def _make_out_dir(path: str) -> list[str]:
+    """Make the directory ``path``; return the directories made, deepest first."""
+    made, head = [], path
+    while head and not os.path.lexists(head):
+        made.append(head)
+        head = os.path.dirname(head)
     try:
         os.makedirs(path, exist_ok=True)
     except OSError as e:  # an existing file, a file on the path, no permission
         raise UsageError(f"cannot use --out {path} as a directory: {e.strerror}")
+    return made
 
 
 def _load_noise(spec: str) -> NoiseModel:
@@ -148,8 +158,9 @@ def cmd_generate(corpus_path: str | None, n_plots: int, seed: int,
     corpus = load_corpus(corpus_path) if corpus_path else default_corpus()
     if not corpus:
         raise DataError("corpus is empty")
+    made: list[str] = []  # the directories this pass makes, deepest first
     for sub in ("plots", "annotations", "tables"):
-        _make_out_dir(os.path.join(out, sub))
+        made[:0] = _make_out_dir(os.path.join(out, sub))
 
     hashes: dict[str, str] = {}
 
@@ -176,7 +187,16 @@ def cmd_generate(corpus_path: str | None, n_plots: int, seed: int,
                 yield line
             n_questions += len(questions)
 
-    _write(os.path.join(out, "questions.jsonl"), question_lines())
+    try:
+        _write(os.path.join(out, "questions.jsonl"), question_lines())
+    except LayoutError:  # no partial dataset; a failed removal never hides the error
+        for name in [*hashes, "questions.jsonl"]:
+            with suppress(OSError):
+                os.remove(os.path.join(out, name))
+        for path in made:
+            with suppress(OSError):
+                os.rmdir(path)
+        raise
     hashes["questions.jsonl"] = questions_hash.hexdigest()
 
     ids = list(range(n_plots))
@@ -264,7 +284,7 @@ def cmd_run(dataset_dir: str, noise_spec: str, out_dir: str, run_split: str = "t
                 try:
                     pred = answer_hybrid(q.text, reading)
                     pred_json = pred.to_json()
-                except (AnswerUnavailable, UnparseableQuestion) as e:
+                except UNANSWERED as e:
                     pred, pred_json = None, {"error": type(e).__name__}
                 ok = score_answer(pred, q.gold_answer)
                 tally.add(q, ok)
@@ -274,12 +294,10 @@ def cmd_run(dataset_dir: str, noise_spec: str, out_dir: str, run_split: str = "t
 
     _write(os.path.join(out_dir, "predictions.jsonl"), prediction_lines())
 
-    map_scores = {str(thr): m for thr, (_, m) in zip(MAP_THRESHOLDS, ap_pool.result())}
-
     # looked up on the module at call time, so perfbench's wrap of detsim.ocr_accuracy counts it
     ocr_total = detsim.ocr_accuracy(ocr_texts)["total"] if ocr_texts else None
-
-    report = tally.report(map_scores, ocr_total, sum(f1s) / len(f1s))
+    report = replace(tally.report(), ocr_accuracy=ocr_total, mean_table_f1=sum(f1s) / len(f1s),
+                     map={str(thr): m for thr, (_, m) in zip(MAP_THRESHOLDS, ap_pool.result())})
     text_out = report.render_text()
     _write(os.path.join(out_dir, "report.json"), [report.dumps().encode()])
     _write(os.path.join(out_dir, "report.txt"), [text_out.encode()])

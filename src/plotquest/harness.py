@@ -7,11 +7,12 @@ an exact 0. A prediction that merely fails to parse as a number falls back
 to string comparison, so OCR junk like "100-" scores false against 98.
 
 Reports break accuracy down over the 3x3 question-category x answer-type
-grid; the structural x open-vocabulary cell is structurally empty and
-reported as NA. ``Tally`` is the one tabulation, fed each question's score
-as it is made: ``plotquest run`` feeds it without keeping the questions,
-and ``evaluate`` answers, scores and feeds it from (question, context)
-pairs, so each question is answered from the context it came with.
+grid; a cell that no question falls in reads NA, and a report's JSON is its
+fields. ``Tally`` is the one tabulation, fed each question's score as it is
+made: ``plotquest run`` feeds it without keeping the questions, then adds
+its perception scores by field name, and ``evaluate`` answers, scores and
+feeds it from (question, context) pairs, so each question is answered from
+the context it came with.
 """
 
 from __future__ import annotations
@@ -19,12 +20,12 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Callable, Iterable, TypeVar
 
 import numpy as np
 
-from .answers import Answer, AnswerUnavailable, UnparseableQuestion, parse_number, within_rel_tol
+from .answers import UNANSWERED, Answer, parse_number, within_rel_tol
 from .qgen import QuestionInstance
 from .templates import ANSWER_TYPES, CATEGORIES
 
@@ -92,33 +93,18 @@ class EvalReport:
     overall_accuracy: float
     accuracy_by: dict[str, dict[str, float | None]]  # category -> answer type
     counts: dict[str, dict[str, int]]
-    map_scores: dict[str, float] | None = None  # {"0.5": ..., "0.75": ..., "0.9": ...}
+    map: dict[str, float] | None = None  # {"0.5": ..., "0.75": ..., "0.9": ...}
     ocr_accuracy: float | None = None
     mean_table_f1: float | None = None
 
-    def cell(self, category: str, answer_type: str) -> float | None:
-        return self.accuracy_by[category][answer_type]
-
     def to_json(self) -> dict:
-        return {
-            "overall_accuracy": self.overall_accuracy,
-            "accuracy_by": self.accuracy_by,
-            "counts": self.counts,
-            "map": self.map_scores,
-            "ocr_accuracy": self.ocr_accuracy,
-            "mean_table_f1": self.mean_table_f1,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_json(obj: dict) -> "EvalReport":
-        return EvalReport(
-            overall_accuracy=obj["overall_accuracy"],
-            accuracy_by=obj["accuracy_by"],
-            counts=obj["counts"],
-            map_scores=obj.get("map"),
-            ocr_accuracy=obj.get("ocr_accuracy"),
-            mean_table_f1=obj.get("mean_table_f1"),
-        )
+        """Inverse of to_json: a field with no default is required, other keys are ignored."""
+        return EvalReport(**{f.name: obj[f.name] if f.default is MISSING else obj.get(f.name)
+                             for f in fields(EvalReport)})
 
     def render_text(self) -> str:
         def fmt(v: float | None) -> str:
@@ -135,8 +121,8 @@ class EvalReport:
                 n = self.counts[c][at]
                 row += f"{fmt(self.accuracy_by[c][at]):>10} ({n:>4})"
             lines.append(row)
-        if self.map_scores:
-            pretty = ", ".join(f"mAP@{k}={100 * v:.2f}%" for k, v in sorted(self.map_scores.items()))
+        if self.map:
+            pretty = ", ".join(f"mAP@{k}={100 * v:.2f}%" for k, v in sorted(self.map.items()))
             lines.append("")
             lines.append(pretty)
         if self.ocr_accuracy is not None:
@@ -162,31 +148,29 @@ class Tally:
         self.totals[key] += 1
         self.hits[key] += ok
 
-    def report(self, map_scores: dict[str, float] | None, ocr_accuracy: float | None,
-               mean_table_f1: float | None) -> EvalReport:
+    def report(self) -> EvalReport:
+        """The 3x3 grid, with no perception scores; a cell with no question is NA."""
         if not self.totals:
             raise ValueError("no questions to evaluate")
         counts = {c: {at: self.totals[(c, at)] for at in ANSWER_TYPES} for c in CATEGORIES}
-        accuracy_by = {c: {at: self.hits[(c, at)] / n if n and (c, at) != ("structural", "open_vocab") else None
-                           for at, n in row.items()} for c, row in counts.items()}
-        overall = sum(self.hits.values()) / sum(self.totals.values())
-        return EvalReport(overall, accuracy_by, counts, map_scores, ocr_accuracy, mean_table_f1)
+        accuracy_by = {c: {at: self.hits[(c, at)] / n if n else None for at, n in row.items()}
+                       for c, row in counts.items()}
+        return EvalReport(sum(self.hits.values()) / sum(self.totals.values()), accuracy_by, counts)
 
 
 def evaluate(cases: Iterable[tuple[QuestionInstance, Context]],
              answer: Callable[[str, Context], Answer | None]) -> EvalReport:
     """Answer each question from its paired context, ``answer(q.text,
-    context)``, and tabulate the 3x3 grid, with no perception scores
-    (``Tally.report`` takes those).
+    context)``, and tabulate the 3x3 grid, with no perception scores.
 
-    AnswerUnavailable / UnparseableQuestion score as incorrect; anything
-    else propagates; no cases is a ValueError.
+    The ``UNANSWERED`` errors score as incorrect; anything else propagates;
+    no cases is a ValueError.
     """
     tally = Tally()
     for q, context in cases:
         try:
             pred = answer(q.text, context)
-        except (AnswerUnavailable, UnparseableQuestion):
+        except UNANSWERED:
             pred = None
         tally.add(q, score_answer(pred, q.gold_answer))
-    return tally.report(None, None, None)
+    return tally.report()

@@ -102,8 +102,7 @@ def _structural(tid: int, b: dict[str, str], rd: PlotReading) -> Answer:
         return number(len(_found(rd.cat_refs, NO_CATEGORY_TICKS)))
     if tid in (7, 8):
         ft = b["figure_type"]
-        dets = _found(rd.bars if ft == "bar" else [p for p in rd.points if p.cls == ft],
-                      f"no {ft} elements detected")
+        dets = _found(rd.elements[ft], f"no {ft} elements detected")
         if tid == 8 or ft != "bar":
             return number(len({det.color for det in dets if det.color is not None}))
         return number(len(dets))

@@ -258,16 +258,20 @@ class PlotAnnotation:
 # style sampling
 
 def make_plot_spec(data: PlotData, seed: int) -> PlotSpec:
-    """Draw plot type and styling deterministically from the seed."""
+    """Draw plot type and styling from the seed, each uniformly among its options."""
     rng = np.random.default_rng(seed)
-    plot_type = PLOT_TYPES[int(rng.integers(4))]
+
+    def pick(options: tuple[str, ...]) -> str:
+        return options[int(rng.integers(len(options)))]
+
+    plot_type = pick(PLOT_TYPES)
     style = StyleParams(
         grid=bool(rng.random() < 0.5),
         font_size=float(rng.integers(10, 14)),
-        tick_notation=TICK_NOTATIONS[int(rng.integers(2))],
-        line_style=LINE_STYLES[int(rng.integers(4))],
-        marker=MARKERS[int(rng.integers(6))],
-        legend_position=LEGEND_POSITIONS[int(rng.integers(5))],
+        tick_notation=pick(TICK_NOTATIONS),
+        line_style=pick(LINE_STYLES),
+        marker=pick(MARKERS),
+        legend_position=pick(LEGEND_POSITIONS),
         series_colors=tuple(int(c) for c in rng.choice(N_COLORS, size=data.n_series, replace=False)),
     )
     return PlotSpec(data=data, plot_type=plot_type, style=style)

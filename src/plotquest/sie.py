@@ -139,19 +139,10 @@ def _value_anchors(value_ticks) -> list[tuple[float, float]]:
 
 
 def _interp(p: float, ticks: list[tuple[float, float]]) -> float:
-    """Linear value at pixel p given >= 2 ``_value_anchors``."""
-    lo, hi = None, None
-    for k in range(len(ticks) - 1):
-        if ticks[k][1] <= p <= ticks[k + 1][1]:
-            lo, hi = ticks[k], ticks[k + 1]
-            break
-    if lo is None:
-        # outside the tick span: extrapolate from the two nearest extremes
-        if p < ticks[0][1]:
-            lo, hi = ticks[0], ticks[1]
-        else:
-            lo, hi = ticks[-2], ticks[-1]
-    (v0, p0), (v1, p1) = lo, hi
+    """Linear value at pixel p given >= 2 ``_value_anchors``, from the pair
+    that brackets p, found by bisection, or the nearer end pair outside it."""
+    k = min(max(bisect_left(ticks, p, key=lambda t: t[1]), 1), len(ticks) - 1)
+    (v0, p0), (v1, p1) = ticks[k - 1], ticks[k]
     value = v0 + (p - p0) * (v1 - v0) / (p1 - p0)
     if math.isfinite(value):
         return value

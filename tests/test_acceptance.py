@@ -186,8 +186,8 @@ def test_criterion_ablation_ordering():
     hybrid = run(answer_hybrid)
     pipeline = run(answer_pipeline_only)
     structural = run(answer_structural)
-    yes_no_cell = hybrid.cell("structural", "yes_no")
-    open_reasoning = hybrid.cell("reasoning", "open_vocab")
+    yes_no_cell = hybrid.accuracy_by["structural"]["yes_no"]
+    open_reasoning = hybrid.accuracy_by["reasoning"]["open_vocab"]
     ok = (
         hybrid.overall_accuracy > pipeline.overall_accuracy
         and hybrid.overall_accuracy > structural.overall_accuracy

@@ -356,6 +356,25 @@ def test_generate_corpus_with_braces_is_data_error(tmp_path, capsys):
     assert not (tmp_path / "o" / "manifest.json").exists()
 
 
+def test_generate_that_cannot_lay_out_a_plot_leaves_nothing_behind(tmp_path, capsys):
+    # under seed 0, plots 0 and 1 draw the ordinary indicator and render; plot
+    # 2 draws the one whose unit phrase cannot fit the canvas
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("price of diesel | price of diesel | countries | 0.1 | 3 | float\n"
+                      f"a | {'very long unit phrase ' * 8}| countries | 0 | 3 | integer\n")
+    argv = ["generate", "--seed", "0", "--corpus", str(corpus), "--out"]
+    assert main(argv + [str(tmp_path / "two"), "--n-plots", "2"]) == 0
+    assert len(os.listdir(tmp_path / "two" / "plots")) == 2
+    kept = tmp_path / "kept"  # a directory that exists before the pass stays
+    kept.mkdir()
+    for out in (tmp_path / "new" / "ds", kept):
+        assert main(argv + [str(out), "--n-plots", "5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: title bbox") and err.count("\n") == 1
+    assert sorted(os.listdir(tmp_path)) == ["corpus.txt", "kept", "two"]
+    assert os.listdir(kept) == []
+
+
 def _copy_dataset(dataset, tmp_path):
     import shutil
     dst = tmp_path / "ds"

@@ -1,3 +1,6 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -138,6 +141,16 @@ def test_perfect_system_scores_one():
     assert rep.accuracy_by["structural"]["open_vocab"] is None
 
 
+def test_a_cell_is_na_exactly_when_no_question_falls_in_it():
+    forged = _question("structural", "open_vocab", number(5))
+    rep = evaluate([(forged, number(5)), (forged, number(9))], lambda _, prediction: prediction)
+    assert rep.counts["structural"]["open_vocab"] == 2
+    assert rep.accuracy_by["structural"]["open_vocab"] == 0.5
+    assert "50.0% (   2)" in rep.render_text()
+    empty = [(c, at) for c, row in rep.counts.items() for at, n in row.items() if n == 0]
+    assert len(empty) == 8 and all(rep.accuracy_by[c][at] is None for c, at in empty)
+
+
 def test_yes_no_only_system():
     qs = _grid_questions()
 
@@ -236,8 +249,18 @@ def test_report_json_roundtrip():
     tally = Tally()
     for q in _grid_questions():
         tally.add(q, True)
-    rep = tally.report(map_scores={"0.5": 0.96}, ocr_accuracy=0.97, mean_table_f1=0.68)
+    rep = replace(tally.report(), map={"0.5": 0.96}, ocr_accuracy=0.97, mean_table_f1=0.68)
     again = EvalReport.from_json(rep.to_json())
     assert again.overall_accuracy == rep.overall_accuracy
-    assert again.map_scores == {"0.5": 0.96}
+    assert again.map == {"0.5": 0.96}
     assert "overall accuracy" in rep.render_text()
+    # a run's report, all three perception scores set, reads back to its bytes
+    assert list(json.loads(rep.dumps())) == ["overall_accuracy", "accuracy_by", "counts", "map",
+                                             "ocr_accuracy", "mean_table_f1"]
+    assert EvalReport.from_json(json.loads(rep.dumps())).dumps() == rep.dumps()
+    # every field without a default is a required key; other keys are ignored
+    assert EvalReport.from_json({**rep.to_json(), "extra": 1}) == rep
+    for key in ("overall_accuracy", "accuracy_by", "counts"):
+        with pytest.raises(KeyError):
+            EvalReport.from_json({k: v for k, v in rep.to_json().items() if k != key})
+    assert EvalReport.from_json({k: v for k, v in rep.to_json().items() if k != "map"}).map is None

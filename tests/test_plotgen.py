@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from plotquest import plotgen
 from plotquest.answers import number
 from plotquest.corpus import sample_plot_data
 from plotquest.detsim import PAPER_LIKE, Detection, DetectionSet, perturb
@@ -30,6 +31,23 @@ def test_spec_sampling_covers_all_choices(corpus):
         types.add(spec.plot_type)
     assert positions == set(LEGEND_POSITIONS)
     assert types == set(PLOT_TYPES)
+
+
+@pytest.mark.parametrize("options, drawn", [
+    ("PLOT_TYPES", lambda spec: spec.plot_type),
+    ("TICK_NOTATIONS", lambda spec: spec.style.tick_notation),
+    ("LINE_STYLES", lambda spec: spec.style.line_style),
+    ("MARKERS", lambda spec: spec.style.marker),
+    ("LEGEND_POSITIONS", lambda spec: spec.style.legend_position),
+], ids=["plot_type", "tick_notation", "line_style", "marker", "legend_position"])
+def test_spec_sampling_draws_every_option_of_each_style_list(corpus, monkeypatch, options, drawn):
+    # the draw reads each list's length: an option added to a list is drawn,
+    # and a list cut short is never indexed past its end
+    data = sample_plot_data(corpus, 5)
+    full = getattr(plotgen, options)
+    for patched in (full, full + ("added",), full[:-1]):
+        monkeypatch.setattr(plotgen, options, patched)
+        assert {drawn(make_plot_spec(data, seed)) for seed in range(300)} == set(patched), patched
 
 
 def test_four_series_get_distinct_colors(corpus):

@@ -220,3 +220,43 @@ _boxes = st.builds(_at, _coords, st.sampled_from([0.0, 1.0, 3.0, _MAX / 1.5, _MA
 @given(ticks=st.lists(_boxes, min_size=1, max_size=6), marks=st.lists(_boxes, min_size=1, max_size=4))
 def test_nearest_tick_by_bisection_is_the_scan(ticks, marks):
     _assert_bisection_is_the_scan(ticks, marks)
+
+
+# -- value interpolation -----------------------------------------------------------
+# The reading finds a mark's bracketing value anchors by bisection; the scan
+# below, the first pair of neighbouring anchors whose pixels bracket p, else
+# the pair at the nearer end, is the rule it must keep.
+
+def _scan_interp(p: float, anchors: list[tuple[float, float]]) -> float:
+    pairs = list(zip(anchors, anchors[1:]))
+    outside = pairs[0] if p < anchors[0][1] else pairs[-1]
+    (v0, p0), (v1, p1) = next((pair for pair in pairs if pair[0][1] <= p <= pair[1][1]), outside)
+    value = v0 + (p - p0) * (v1 - v0) / (p1 - p0)
+    return value if math.isfinite(value) else v0 + (p - p0) / (p1 - p0) * (v1 - v0)
+
+
+def _assert_interp_is_the_scan(anchors, pixels):
+    for p in pixels:
+        got, want = _interp(p, anchors), _scan_interp(p, anchors)
+        assert got == want or (math.isnan(got) and math.isnan(want)), (anchors, p)
+
+
+def test_interp_by_bisection_at_anchors_between_and_outside_them():
+    anchors = [(0.0, 0.0), (10.0, 100.0), (20.0, 200.0), (25.0, 300.0)]
+    pixels = [-50.0, 0.0, 50.0, 100.0, 150.0, 200.0, 300.0, 400.0, math.inf, -math.inf]
+    _assert_interp_is_the_scan(anchors, pixels)
+    _assert_interp_is_the_scan([(1.0, 0.0), (2.0, math.inf)], [0.0, 5.0, math.inf])
+    _assert_interp_is_the_scan([(1.0, -math.inf), (2.0, 0.0)], [-math.inf, -5.0, 0.0])
+
+
+_pixels = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 1e20, _MAX, -_MAX, math.inf, -math.inf]),
+                    st.floats(allow_nan=False))
+_anchor_sets = st.lists(st.tuples(st.floats(-1e300, 1e300), _pixels), min_size=2, max_size=6,
+                        unique_by=lambda a: a[1]).map(lambda anchors: sorted(anchors, key=lambda a: a[1]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(anchors=_anchor_sets, data=st.data())
+def test_interp_by_bisection_is_the_scan(anchors, data):
+    at_anchor = st.sampled_from([p for _, p in anchors])
+    _assert_interp_is_the_scan(anchors, data.draw(st.lists(st.one_of(at_anchor, _pixels), min_size=1, max_size=6)))
