@@ -3,10 +3,10 @@ Template questions with gold answers
 ====================================
 
 Instantiate the 74-template question grammar over one plot, given by its
-PlotSpec alone. Every question carries its category, answer type, slot
-bindings and a gold answer computed directly from the plot's data
-(``spec.data``). The same grammar parses questions back, so
-generation and parsing can never drift apart.
+PlotSpec alone. Every question carries its template (and with it the
+template's category and answer type), its slot bindings and a gold answer
+computed directly from the plot's data (``spec.data``). The same grammar
+parses questions back, so generation and parsing can never drift apart.
 """
 
 import plotquest as pq
@@ -27,12 +27,3 @@ parsed = tableqa.parse(q.text)
 assert (parsed.template_id, parsed.bindings) == (q.template_id, q.bindings)
 print("\nround trip ok:", q.template_id, "->", tableqa.to_sexpr(parsed.logical_form))
 
-# surface phrasing can be adjusted with a substitution lexicon
-lexicon = {"race of the students(%) of Asian": "percentage of Asian students"}
-text = pq.paraphrase(
-    "In how many cities, is the {y_label} greater than the average {y_label} "
-    "taken over all cities?",
-    {"y_label": "race of the students(%) of Asian"},
-    lexicon,
-)
-print("\nparaphrased:", text)

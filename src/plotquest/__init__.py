@@ -37,7 +37,7 @@ from .plotgen import (
     PlotAnnotation, PlotSpec, StyleParams, VisualElement, LayoutError,
     make_plot_spec, render, validate_annotation,
 )
-from .qgen import QuestionInstance, gold_answer, instantiate, instantiate_all, paraphrase
+from .qgen import QuestionInstance, gold_answer, instantiate, instantiate_all
 from .sie import PlotReading, associate_legend, extract_table, read, table_f1
 from .table import SemiStructuredTable
 from .tableqa import ParsedQuestion, execute, parse, to_sexpr
@@ -52,7 +52,7 @@ __all__ = [
     "Route", "answer_hybrid", "answer_structural", "route",
     "PlotAnnotation", "PlotSpec", "StyleParams", "VisualElement", "LayoutError",
     "make_plot_spec", "render", "validate_annotation",
-    "QuestionInstance", "gold_answer", "instantiate", "instantiate_all", "paraphrase",
+    "QuestionInstance", "gold_answer", "instantiate", "instantiate_all",
     "PlotReading", "associate_legend", "extract_table", "read", "table_f1",
     "SemiStructuredTable",
     "ParsedQuestion", "execute", "parse", "to_sexpr",

@@ -23,6 +23,7 @@ stay numeric.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 
@@ -94,7 +95,7 @@ class Answer:
             raise ValueError(f"bad answer kind: {self.kind}")
         if type(self.value) not in _VALUE_TYPES[self.kind]:
             raise TypeError(f"{self.kind} answer value {self.value!r} is a {type(self.value).__name__}")
-        if self.kind == "number" and not math.isfinite(float(self.value)):
+        if self.kind == "number" and not abs(self.value) <= sys.float_info.max:  # NaN and huge ints too
             raise ValueError("numeric answers must be finite")
 
     def rendered(self) -> str:

@@ -368,13 +368,10 @@ def _at_least_one(text: str) -> int:
 
 
 def _split_ratios(text: str) -> tuple[float, float, float]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"needs 3 comma-separated ratios, got {text!r}")
     try:
-        ratios = tuple(float(p) for p in parts)
+        ratios = tuple(float(p) for p in text.split(","))
         SplitSpec(ratios)
-    except ValueError as e:  # a ratio that is not a number, negative ratios, a sum other than 1
+    except ValueError as e:  # a ratio that is not a number, not three in [0, 1], a sum other than 1
         raise argparse.ArgumentTypeError(str(e))
     return ratios
 

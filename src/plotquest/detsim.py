@@ -155,7 +155,7 @@ class Detection(ElementRecord):
     color: int | None = None
 
     def __post_init__(self):
-        if not (0.0 < self.score <= 1.0):
+        if not (isinstance(self.score, (int, float)) and 0.0 < self.score <= 1.0):
             raise ValueError(f"detection score {self.score} outside (0, 1]")
         super().__post_init__()
 

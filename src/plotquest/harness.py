@@ -60,8 +60,8 @@ class SplitSpec:
     def __post_init__(self):
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
             raise ValueError(f"split seed {self.seed!r} is not a non-negative integer")
-        if any(r < 0 for r in self.ratios):
-            raise ValueError("split ratios must be non-negative")
+        if len(self.ratios) != 3 or not all(0 <= r <= 1 for r in self.ratios):  # NaN fails too
+            raise ValueError(f"split ratios {self.ratios} are not three numbers in [0, 1]")
         if abs(sum(self.ratios) - 1.0) > 1e-9:
             raise ValueError(f"split ratios sum to {sum(self.ratios)}, expected 1")
 

@@ -152,7 +152,7 @@ def check_element(cls, bbox, text, color) -> None:
     try:
         finite = (len(bbox) == 4 and math.isfinite(bbox[0]) and math.isfinite(bbox[1])
                   and math.isfinite(bbox[2]) and math.isfinite(bbox[3]))
-    except OverflowError:  # an int too large for a float
+    except (OverflowError, TypeError):  # an int too large for a float, a box that is not numbers
         finite = False
     if not finite or bbox[2] < 0 or bbox[3] < 0:
         raise ValueError(f"bbox {bbox} is not (x, y, w, h) with finite values and w, h >= 0")

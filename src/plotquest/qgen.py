@@ -38,17 +38,14 @@ Two rules keep generated questions well-posed:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from operator import attrgetter, itemgetter
+from dataclasses import dataclass
 
 import numpy as np
 
 from .answers import Answer, number, text, yes_no
 from .corpus import legend_pool, pluralize
 from .plotgen import PLOT_TYPE_MARK_CLASS, PlotSpec, format_tick, plot_title, screen_axis_labels, value_axis
-from .templates import (
-    ANSWER_TYPES, CATEGORIES, Template, default_templates, ordinal, parse_ordinal,
-)
+from .templates import Template, default_templates, ordinal, parse_ordinal, templates_by_id
 
 DEFAULT_QUESTIONS_PER_PLOT = 12
 
@@ -70,44 +67,44 @@ class Degenerate(Exception):
 
 @dataclass(frozen=True)
 class QuestionInstance:
-    template_id: int
-    category: str
-    answer_type: str
+    """One question of a template; its id, category and answer type are the
+    template's."""
+    template: Template
     text: str
     bindings: dict[str, str]
     gold_answer: Answer
 
     def __post_init__(self):
-        if isinstance(self.template_id, bool) or not isinstance(self.template_id, int):
-            raise ValueError(f"template_id {self.template_id!r} is not an integer")
         if not isinstance(self.text, str):
             raise ValueError(f"text {self.text!r} is not a string")
-        if self.category not in CATEGORIES:
-            raise ValueError(f"unknown category {self.category!r}")
-        if self.answer_type not in ANSWER_TYPES:
-            raise ValueError(f"unknown answer_type {self.answer_type!r}")
         if not isinstance(self.bindings, dict) or not all(isinstance(v, str) for v in self.bindings.values()):
             raise ValueError(f"bindings {self.bindings!r} do not map slot names to strings")
 
+    template_id = property(lambda self: self.template.id)
+    category = property(lambda self: self.template.category)
+    answer_type = property(lambda self: self.template.answer_type)
+
     def to_json(self) -> dict:
-        """Every field in declaration order, the bindings copied and the gold
-        answer as Answer JSON."""
-        rec = dict(zip(_QUESTION_FIELDS, _question_attrs(self)))
-        rec["bindings"] = dict(self.bindings)
-        rec["gold_answer"] = self.gold_answer.to_json()
-        return rec
+        """The template's id, category and answer type, the text, the
+        bindings copied and the gold answer as Answer JSON."""
+        t = self.template
+        return {"template_id": t.id, "category": t.category, "answer_type": t.answer_type, "text": self.text,
+                "bindings": dict(self.bindings), "gold_answer": self.gold_answer.to_json()}
 
     @staticmethod
     def from_json(obj: dict) -> "QuestionInstance":
-        """Inverse of to_json; the fields are checked as in the constructor.
-        Keys that are not fields, such as the ``plot_id`` of a
-        questions.jsonl line, are ignored."""
-        *values, gold_answer = _question_values(obj)  # gold_answer is declared last
-        return QuestionInstance(*values, Answer.from_json(gold_answer))
-
-
-_QUESTION_FIELDS = tuple(f.name for f in fields(QuestionInstance))
-_question_attrs, _question_values = attrgetter(*_QUESTION_FIELDS), itemgetter(*_QUESTION_FIELDS)
+        """Inverse of to_json: the template is the bundled one with the
+        line's id, and the line must state its category and answer type.
+        Other keys, such as the ``plot_id`` of a questions.jsonl line, are
+        ignored."""
+        tid = obj["template_id"]
+        t = templates_by_id().get(tid) if type(tid) is int else None
+        if t is None:
+            raise ValueError(f"no template with id {tid!r}")
+        if (obj["category"], obj["answer_type"]) != (t.category, t.answer_type):
+            raise ValueError(f"template {tid} is {t.category} / {t.answer_type}, "
+                             f"not {obj['category']!r} / {obj['answer_type']!r}")
+        return QuestionInstance(t, obj["text"], obj["bindings"], Answer.from_json(obj["gold_answer"]))
 
 
 # ---------------------------------------------------------------------------
@@ -451,16 +448,6 @@ def _gold(tid: int, b: dict[str, str], ctx: _Ctx) -> Answer:
 # ---------------------------------------------------------------------------
 # surface realization
 
-def paraphrase(pattern: str, bindings: dict[str, str], lexicon: dict[str, str]) -> str:
-    """Fill a pattern after mapping binding values through the lexicon.
-
-    Values without a lexicon entry substitute verbatim; a slot missing from
-    the bindings raises naming the slot.
-    """
-    mapped = {k: lexicon.get(str(v), str(v)) for k, v in bindings.items()}
-    return Template(0, "structural", "yes_no", pattern).fill(mapped)
-
-
 def _cdf(weights: list[float]) -> np.ndarray:
     """The cumulative distribution that ``Generator.choice`` builds from
     ``p=weights / sum(weights)``, so that ``_draw`` picks what it picks."""
@@ -486,8 +473,7 @@ def _question(template: Template, ctx: _Ctx, rng: np.random.Generator, seen=()) 
         filled = template.fill(bindings)
         if filled in seen:
             return None
-        return QuestionInstance(template.id, template.category, template.answer_type,
-                                filled, bindings, _gold(template.id, bindings, ctx))
+        return QuestionInstance(template, filled, bindings, _gold(template.id, bindings, ctx))
     except Degenerate:
         return None
 

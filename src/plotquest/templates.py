@@ -158,6 +158,11 @@ def default_templates() -> list[Template]:
 
 
 @cache
+def templates_by_id() -> dict[int, Template]:
+    return {t.id: t for t in default_templates()}
+
+
+@cache
 def default_matcher() -> TemplateMatcher:
     return TemplateMatcher(default_templates())
 

@@ -8,6 +8,7 @@ import pytest
 
 from plotquest.cli import main
 from plotquest.table import SemiStructuredTable
+from plotquest.templates import ANSWER_TYPES, CATEGORIES
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +102,16 @@ def test_generate_rejects_zero_plots(tmp_path):
 def test_generate_bad_split_is_usage_error(tmp_path):
     assert main(["generate", "--n-plots", "2", "--split", "0.5,0.5",
                  "--out", str(tmp_path / "x")]) == 1
+
+
+@pytest.mark.parametrize("ratios", ["nan,0.5,0.5", "0.5,0.5", "0.25,0.25,0.25,0.25"])
+def test_generate_split_of_other_than_three_finite_ratios_is_usage_error_that_writes_nothing(
+        tmp_path, capsys, ratios):
+    out = tmp_path / "o"
+    assert main(["generate", "--n-plots", "2", "--split", ratios, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_generate_negative_seed_is_usage_error_that_writes_nothing(tmp_path, capsys):
@@ -245,6 +256,10 @@ GOOD_PREDICTION = {
     json.dumps({**GOOD_PREDICTION, "template_id": True}).encode(),
     json.dumps({**GOOD_PREDICTION, "category": "visual"}).encode(),
     json.dumps({**GOOD_PREDICTION, "answer_type": "free"}).encode(),
+    json.dumps({**GOOD_PREDICTION, "template_id": 999}).encode(),
+    json.dumps({**GOOD_PREDICTION, "template_id": 4.0}).encode(),
+    json.dumps({**GOOD_PREDICTION, "category": "reasoning"}).encode(),
+    json.dumps({**GOOD_PREDICTION, "answer_type": "open_vocab"}).encode(),
     json.dumps({**GOOD_PREDICTION, "bindings": {"i": 1}}).encode(),
     json.dumps({**GOOD_PREDICTION, "prediction": {"kind": "boolean", "value": "no"}}).encode(),
     json.dumps({**GOOD_PREDICTION, "prediction": {"kind": "text", "value": 2}}).encode(),
@@ -253,6 +268,7 @@ GOOD_PREDICTION = {
     json.dumps({**GOOD_PREDICTION, "prediction": {"kind": "number", "value": 10**400}}).encode(),
 ], ids=["malformed-json", "unknown-answer-kind", "missing-key", "not-an-object", "not-utf8",
         "int-text", "str-template-id", "bool-template-id", "unknown-category", "unknown-answer-type",
+        "unknown-template-id", "float-template-id", "other-category", "other-answer-type",
         "int-binding", "str-boolean-value", "int-text-value", "bool-number-value", "str-number-value",
         "huge-int-number-value"])
 def test_evaluate_bad_line_is_data_error(tmp_path, capsys, line):
@@ -389,6 +405,25 @@ def test_run_malformed_question_line_is_data_error(dataset, tmp_path, capsys):
     assert main(["run", "--dataset", str(ds), "--out", str(tmp_path / "o")]) == 2
     assert "malformed question" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()  # the last line is checked before any output
+
+
+@pytest.mark.parametrize("relabel", [
+    lambda r: {**r, "template_id": 999},
+    lambda r: {**r, "category": next(c for c in CATEGORIES if c != r["category"])},
+    lambda r: {**r, "answer_type": next(a for a in ANSWER_TYPES if a != r["answer_type"])},
+], ids=["unknown-template-id", "other-category", "other-answer-type"])
+def test_run_question_line_that_is_not_its_templates_is_data_error(dataset, tmp_path, capsys, relabel):
+    # a question's category and answer type are its template's, so a line
+    # that states others would fill a grid cell its template is not in
+    ds = _copy_dataset(dataset, tmp_path)
+    path = ds / "questions.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    lines[2] = json.dumps(relabel(json.loads(lines[2]))) + "\n"
+    path.write_text("".join(lines))
+    assert main(["run", "--dataset", str(ds), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: malformed question at {path}:3:") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()  # every line is checked before any output
 
 
 def test_run_answers_out_of_grammar_questions_as_unparseable(dataset, tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from plotquest.answers import Answer, AnswerUnavailable, UnparseableQuestion, number, text, yes_no
 from plotquest.harness import EvalReport, SplitSpec, Tally, evaluate, score_answer, split
 from plotquest.qgen import QuestionInstance
+from plotquest.templates import default_templates
 
 
 # -- score_answer --------------------------------------------------------------
@@ -113,10 +114,19 @@ def test_split_rejects_bad_ratios():
         SplitSpec((-0.1, 0.6, 0.5), seed=0)
 
 
+def test_split_spec_needs_three_finite_ratios():
+    nan, inf = float("nan"), float("inf")
+    for ratios in [(nan, 0.5, 0.5), (0.5, 0.5), (0.25, 0.25, 0.25, 0.25), (inf, -inf, 1.0)]:
+        with pytest.raises(ValueError):
+            SplitSpec(ratios, seed=0)
+
+
 # -- evaluate ---------------------------------------------------------------------
 
 def _question(cat, at, gold, k=0):
-    return QuestionInstance(1, cat, at, f"q{cat}{at}{k}", {}, gold)
+    """A question of the first template in the (category, answer type) cell."""
+    template = next(t for t in default_templates() if (t.category, t.answer_type) == (cat, at))
+    return QuestionInstance(template, f"q{cat}{at}{k}", {}, gold)
 
 
 def _grid_questions():
@@ -142,10 +152,14 @@ def test_perfect_system_scores_one():
 
 
 def test_a_cell_is_na_exactly_when_no_question_falls_in_it():
-    forged = _question("structural", "open_vocab", number(5))
-    rep = evaluate([(forged, number(5)), (forged, number(9))], lambda _, prediction: prediction)
-    assert rep.counts["structural"]["open_vocab"] == 2
-    assert rep.accuracy_by["structural"]["open_vocab"] == 0.5
+    # no template is structural x open_vocab, so a line that claims that cell is refused
+    forged = {**_question("structural", "yes_no", number(5)).to_json(), "answer_type": "open_vocab"}
+    with pytest.raises(ValueError, match="structural / yes_no"):
+        QuestionInstance.from_json(forged)
+    q = _question("data_retrieval", "open_vocab", number(5))
+    rep = evaluate([(q, number(5)), (q, number(9))], lambda _, prediction: prediction)
+    assert rep.counts["data_retrieval"]["open_vocab"] == 2
+    assert rep.accuracy_by["data_retrieval"]["open_vocab"] == 0.5
     assert "50.0% (   2)" in rep.render_text()
     empty = [(c, at) for c, row in rep.counts.items() for at, n in row.items() if n == 0]
     assert len(empty) == 8 and all(rep.accuracy_by[c][at] is None for c, at in empty)

@@ -12,7 +12,7 @@ from plotquest.corpus import sample_plot_data
 from plotquest.plotgen import make_plot_spec
 from plotquest.qgen import (
     ANSWER_TYPE_WEIGHTS, CATEGORY_WEIGHTS, Degenerate, _cdf, _draw, applicable_templates, gold_answer,
-    instantiate, instantiate_all, paraphrase,
+    instantiate, instantiate_all,
 )
 from plotquest.templates import Template, TemplateError, default_templates, ordinal
 
@@ -121,22 +121,9 @@ def test_average_answer_against_brute_force(templates):
     assert gold.rendered() == "51.67"
 
 
-def test_paraphrase_lexicon_substitution():
-    lexicon = {"race of the students(%) of Asian": "percentage of Asian students"}
-    text = paraphrase("In how many cities, is the {y_label} greater than the average "
-                      "{y_label} taken over all cities?",
-                      {"y_label": "race of the students(%) of Asian"}, lexicon)
-    assert text == ("In how many cities, is the percentage of Asian students greater than "
-                    "the average percentage of Asian students taken over all cities?")
-
-
-def test_paraphrase_empty_lexicon_is_verbatim():
-    assert paraphrase("What is the {y_label}?", {"y_label": "alpha rate"}, {}) == "What is the alpha rate?"
-
-
-def test_paraphrase_missing_slot_names_it():
+def test_fill_names_an_unbound_slot():
     with pytest.raises(TemplateError, match="y_label"):
-        paraphrase("What is the {y_label}?", {}, {})
+        Template(33, "data_retrieval", "open_vocab", "What is the {y_label} in {x_tick}?").fill({"x_tick": "2001"})
 
 
 def test_instances_parse_back(corpus):
