@@ -20,7 +20,7 @@ _, annotation = pq.render(spec)
 # association step can be inspected on the one reading it returns
 clean = pq.perturb(annotation, pq.ZERO_NOISE)
 reading = pq.read(clean)
-table = reading.table()
+table = reading.table
 print("extracted from clean detections:")
 print(table.to_csv())
 

@@ -155,8 +155,8 @@ class Detection(ElementRecord):
     color: int | None = None
 
     def __post_init__(self):
-        if not (isinstance(self.score, (int, float)) and 0.0 < self.score <= 1.0):
-            raise ValueError(f"detection score {self.score} outside (0, 1]")
+        if not (type(self.score) in (int, float) and 0.0 < self.score <= 1.0):  # a bool is no score
+            raise ValueError(f"detection score {self.score!r} is not a number in (0, 1]")
         super().__post_init__()
 
 

@@ -84,7 +84,7 @@ def _structural(tid: int, b: dict[str, str], rd: PlotReading) -> Answer:
     if tid in (9, 16, 19, 20, 21, 22):  # questions about the bars themselves
         _found(rd.bars, "no bars detected")
     if tid == 1:
-        _, V = rd.series_rows()
+        _, V = rd.series_rows
         return yes_no(0.0 in _found(V[~np.isnan(V)].tolist(), "no data values readable"))
     if tid == 2:
         return yes_no(_found(rd.style, _NO_STYLE).grid)
@@ -109,18 +109,18 @@ def _structural(tid: int, b: dict[str, str], rd: PlotReading) -> Answer:
     if tid == 9:
         return number(len(rd.cat_refs))
     if tid in (10, 11):
-        counts = [len(g) for g in _found(rd.bar_groups(), NO_CATEGORY_TICKS)]
+        counts = [len(g) for g in _found(rd.bar_groups, NO_CATEGORY_TICKS)]
         if tid == 10:
             return yes_no(all(c == len(rd.legend_texts) for c in counts))
         return yes_no(len(set(counts)) == 1)
     # cat_refs run left to right (vertical plots) or top to bottom
     # (horizontal ones); an ordinal from the right or bottom counts from the end
     if tid in (12, 13, 14, 15):
-        return number(len(_nth(rd.bar_groups(), b["i"], tid in (13, 15), "tick")))
+        return number(len(_nth(rd.bar_groups, b["i"], tid in (13, 15), "tick")))
     if tid == 16:
         return yes_no(rd.horizontal)
     if tid == 17:
-        _, V = rd.series_rows()
+        _, V = rd.series_rows
         if np.isnan(V).any():
             raise AnswerUnavailable("incomplete line readings")
         return number(count_line_crossings(V))
@@ -129,7 +129,7 @@ def _structural(tid: int, b: dict[str, str], rd: PlotReading) -> Answer:
         return yes_no(len(colors) == len(rd.legend_texts))
     if tid in (19, 20, 21, 22):
         i = parse_ordinal(b["i"])
-        picked = (_pick(group, i, tid in (20, 22)) for group in rd.bar_groups())
+        picked = (_pick(group, i, tid in (20, 22)) for group in rd.bar_groups)
         # a group without an i-th bar, or whose bar matches no legend colour, casts no vote
         named = (rd.legend_label_of(bar.color) for bar in picked if bar is not None)
         votes = _found(Counter(filter(None, named)), "bar order unreadable")
@@ -167,7 +167,7 @@ def _answer(question: str, d: DetectionSet | PlotAnnotation | PlotReading, branc
     rd = read(d)
     if routed == CLASSIFICATION_BRANCH:
         return _structural(parsed.template_id, parsed.bindings, rd)
-    return tableqa.execute(parsed.logical_form, rd.table())
+    return tableqa.execute(parsed.logical_form, rd.table)
 
 
 def answer_hybrid(question: str, d: DetectionSet | PlotAnnotation | PlotReading) -> Answer:

@@ -373,27 +373,25 @@ class _Svg:
             f'<rect x="{_fnum(x)}" y="{_fnum(y)}" width="{_fnum(w)}" height="{_fnum(h)}" fill="{fill}"/>'
         )
 
-    def polyline(self, pts, stroke, width=2.0, dash=None):
+    def polyline(self, pts, stroke, dash=None):
         coords = " ".join(f"{_fnum(x)},{_fnum(y)}" for x, y in pts)
         d = f' stroke-dasharray="{dash}"' if dash else ""
-        self.parts.append(
-            f'<polyline points="{coords}" fill="none" stroke="{stroke}" stroke-width="{_fnum(width)}"{d}/>'
-        )
+        self.parts.append(f'<polyline points="{coords}" fill="none" stroke="{stroke}" stroke-width="2"{d}/>')
 
-    def text(self, x, y, s, fs, anchor="middle", rotate=False):
+    def text(self, x, y, s, fs, rotate=False):
         esc = s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         tr = f' transform="rotate(-90 {_fnum(x)} {_fnum(y)})"' if rotate else ""
         self.parts.append(
             f'<text x="{_fnum(x)}" y="{_fnum(y)}" font-family="Helvetica" font-size="{_fnum(fs)}"'
-            f' text-anchor="{anchor}" dominant-baseline="middle"{tr}>{esc}</text>'
+            f' text-anchor="middle" dominant-baseline="middle"{tr}>{esc}</text>'
         )
 
-    def marker(self, x, y, kind, color, size=7.0):
-        r = size / 2.0
+    def marker(self, x, y, kind, color):
+        r = 3.5  # drawn 7 px across, inside its _MARKER_SIZE element box
         if kind == "circle":
             self.parts.append(f'<circle cx="{_fnum(x)}" cy="{_fnum(y)}" r="{_fnum(r)}" fill="{color}"/>')
         elif kind == "square":
-            self.rect(x - r, y - r, size, size, color)
+            self.rect(x - r, y - r, 2 * r, 2 * r, color)
         elif kind == "diamond":
             pts = [(x, y - r), (x + r, y), (x, y + r), (x - r, y)]
             self._polygon(pts, color)
@@ -474,12 +472,11 @@ def render(spec: PlotSpec) -> tuple[bytes, PlotAnnotation]:
     svg = _Svg(W, H)
     elements: list[VisualElement] = []
 
-    def add_text(cls: str, cx: float, cy: float, s: str, size: float,
-                 rotate: bool = False, **extra) -> None:
+    def add_text(cls: str, cx: float, cy: float, s: str, size: float, rotate: bool = False) -> None:
         w, h = _text_w(s, size), _text_h(size)
         if rotate:
             w, h = h, w
-        elements.append(VisualElement(cls, (cx - w / 2.0, cy - h / 2.0, w, h), text=s, **extra))
+        elements.append(VisualElement(cls, (cx - w / 2.0, cy - h / 2.0, w, h), text=s))
         svg.text(cx, cy, s, size, rotate=rotate)
 
     # grid

@@ -75,6 +75,8 @@ class QuestionInstance:
     gold_answer: Answer
 
     def __post_init__(self):
+        if not isinstance(self.template, Template):
+            raise ValueError(f"template {self.template!r} is not a Template")
         if not isinstance(self.text, str):
             raise ValueError(f"text {self.text!r} is not a string")
         if not isinstance(self.bindings, dict) or not all(isinstance(v, str) for v in self.bindings.values()):
@@ -230,10 +232,6 @@ def _threshold_string(values: np.ndarray, rng: np.random.Generator, eps: float) 
     raise Degenerate("no representable threshold between data values")
 
 
-def _pick_cat(ctx: _Ctx, rng) -> int:
-    return int(rng.integers(ctx.n_cats))
-
-
 def _pick_two_cats(ctx: _Ctx, rng, ordered: bool = False) -> tuple[int, int]:
     i, j = rng.choice(ctx.n_cats, size=2, replace=False)
     i, j = int(i), int(j)
@@ -289,7 +287,7 @@ def sample_bindings(template: Template, ctx: _Ctx, rng: np.random.Generator) -> 
         i, j = _pick_two_cats(ctx, rng)
         b["x_tick"], b["x_tick2"] = ctx.cats[i], ctx.cats[j]
     elif "x_tick" in slots:
-        b["x_tick"] = ctx.cats[_pick_cat(ctx, rng)]
+        b["x_tick"] = ctx.cats[int(rng.integers(ctx.n_cats))]
 
     if "n" in slots:
         b["n"] = _threshold_string(ctx.named_series(b), rng, ctx.eps)

@@ -5,7 +5,7 @@ and returns a ``PlotReading``: the canonical marks, the category and value
 ticks (``cat_refs``, ``val_ticks``), the legend map, the orientation, and
 one ``MarkAssignment`` per data mark (its cell and value, or the reason it
 was left out). Everything downstream reads from it: ``extract_table(d)`` is
-``read(d).table()``, the bar questions read ``bar_groups()``, and both
+``read(d).table``, the bar questions read ``bar_groups``, and both
 answering branches in ``hybrid`` share one reading for all of a plot's
 questions. ``PlotReading.label_text`` is the one rule for a title or axis
 label: the table's row label and no-legend column header, and the answers
@@ -44,6 +44,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -193,7 +194,8 @@ class PlotReading:
     """Everything geometric association learns from one detection set.
 
     Built once per plot by ``read``; the table, the per-series value rows
-    and the bar groups are derived from it on first use and kept.
+    and the bar groups are cached properties, derived on first use and kept
+    (an unavailable view is not kept: it raises on every access).
     """
 
     def __init__(self, d: DetectionSet):
@@ -225,9 +227,6 @@ class PlotReading:
         self.legend_texts = list(self.legend_map)  # in reading order
         self._color_to_col = {c: k for k, c in enumerate(self.legend_map.values())}
         self.assignments = [self._assign(mark) for mark in self.data_marks]  # parallel to data_marks
-        self._table: SemiStructuredTable | None = None
-        self._series: tuple[list[str], np.ndarray] | None = None
-        self._bar_groups: list[list[Detection]] | None = None
 
     @property
     def data_marks(self) -> list[Detection]:
@@ -281,25 +280,25 @@ class PlotReading:
             return MarkAssignment(None, None, None, NON_FINITE_VALUE)
         return MarkAssignment(self._nearest_cat(mark), col, value)
 
+    @cached_property
     def table(self) -> SemiStructuredTable:
         """The extracted table; the first mark assigned to a cell wins."""
-        if self._table is None:
-            if self.legend_map:
-                col_headers = self.legend_texts  # insertion follows reading order
-            else:
-                col_headers = [self.label_text(_AXIS_LABELS[self.val_axis]) or "value"]
-            cells: list[list[float | None]] = [[None] * len(col_headers) for _ in self.cat_refs]
-            for a in self.assignments:
-                if a.reason is None and cells[a.row][a.col] is None:
-                    cells[a.row][a.col] = a.value
-            self._table = SemiStructuredTable(
-                row_headers=[r.text for r in self.cat_refs],
-                col_headers=col_headers,
-                cells=cells,
-                row_label=self.label_text(_AXIS_LABELS[self.cat_axis]),
-            )
-        return self._table
+        if self.legend_map:
+            col_headers = self.legend_texts  # insertion follows reading order
+        else:
+            col_headers = [self.label_text(_AXIS_LABELS[self.val_axis]) or "value"]
+        cells: list[list[float | None]] = [[None] * len(col_headers) for _ in self.cat_refs]
+        for a in self.assignments:
+            if a.reason is None and cells[a.row][a.col] is None:
+                cells[a.row][a.col] = a.value
+        return SemiStructuredTable(
+            row_headers=[r.text for r in self.cat_refs],
+            col_headers=col_headers,
+            cells=cells,
+            row_label=self.label_text(_AXIS_LABELS[self.cat_axis]),
+        )
 
+    @cached_property
     def series_rows(self) -> tuple[list[str], np.ndarray]:
         """Per-series value readings aligned to category order (nan = missing).
 
@@ -307,32 +306,28 @@ class PlotReading:
         Unavailable when any data mark that passes the colour filter cannot
         be placed for lack of category ticks or of 2 numeric value ticks.
         """
-        if self._series is None:
-            for a in self.assignments:
-                if a.reason in (NO_CATEGORY_TICKS, TOO_FEW_VALUE_TICKS):
-                    raise AnswerUnavailable(a.reason)
-            names = self.legend_texts if self.legend_map else [""]
-            cells = self.table().cells
-            V = np.full((len(names), len(self.cat_refs)), np.nan)
-            for i, row in enumerate(cells):
-                for j, v in enumerate(row):
-                    if v is not None:
-                        V[j][i] = v
-            self._series = (names, V)
-        return self._series
+        for a in self.assignments:
+            if a.reason in (NO_CATEGORY_TICKS, TOO_FEW_VALUE_TICKS):
+                raise AnswerUnavailable(a.reason)
+        names = self.legend_texts if self.legend_map else [""]
+        V = np.full((len(names), len(self.cat_refs)), np.nan)
+        for i, row in enumerate(self.table.cells):
+            for j, v in enumerate(row):
+                if v is not None:
+                    V[j][i] = v
+        return names, V
 
+    @cached_property
     def bar_groups(self) -> list[list[Detection]]:
         """The bars under each category tick, parallel to ``cat_refs``: every
         bar joins its nearest tick, and each group runs along the category
         axis. Unavailable when there are bars but no category ticks."""
-        if self._bar_groups is None:
-            if self.bars and not self.cat_refs:
-                raise AnswerUnavailable(NO_CATEGORY_TICKS)
-            groups: list[list[Detection]] = [[] for _ in self.cat_refs]
-            for bar in self.bars:
-                groups[self._nearest_cat(bar)].append(bar)
-            self._bar_groups = [sorted(g, key=lambda bar: bar.center[self.cat_axis]) for g in groups]
-        return self._bar_groups
+        if self.bars and not self.cat_refs:
+            raise AnswerUnavailable(NO_CATEGORY_TICKS)
+        groups: list[list[Detection]] = [[] for _ in self.cat_refs]
+        for bar in self.bars:
+            groups[self._nearest_cat(bar)].append(bar)
+        return [sorted(g, key=lambda bar: bar.center[self.cat_axis]) for g in groups]
 
 
 def read(d: DetectionSet | PlotAnnotation | PlotReading) -> PlotReading:
@@ -349,7 +344,7 @@ def extract_table(d: DetectionSet | PlotAnnotation | PlotReading) -> SemiStructu
     Always returns a table; association failures leave empty cells and
     unreadable axes simply produce no values.
     """
-    return read(d).table()
+    return read(d).table
 
 
 # ---------------------------------------------------------------------------

@@ -28,17 +28,6 @@ class SemiStructuredTable:
             if len(r) != len(self.col_headers):
                 raise ValueError("cell column count != column header count")
 
-    @property
-    def n_rows(self) -> int:
-        return len(self.row_headers)
-
-    @property
-    def n_cols(self) -> int:
-        return len(self.col_headers)
-
-    def cell(self, row: str, col: str) -> float | None:
-        return self.cells[self.row_headers.index(row)][self.col_headers.index(col)]
-
     # -- serialization ------------------------------------------------------
 
     def to_csv(self) -> str:

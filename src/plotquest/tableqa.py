@@ -153,6 +153,9 @@ def parse(question: str) -> ParsedQuestion:
 # execution
 
 _CMP = {">": operator.gt, "<": operator.lt, "!=": operator.ne}
+# each aggregate over a non-empty list of values
+_AGGREGATES = {"max": max, "min": min, "sum": sum, "mean": lambda values: sum(values) / len(values),
+               "median": statistics.median}
 
 
 def _check_rows(t: SemiStructuredTable) -> None:
@@ -237,17 +240,8 @@ def _scalar(lf: LF, t: SemiStructuredTable) -> float:
             if label == row_text:
                 return value
         raise AnswerUnavailable(f"no cell ({row_text!r}, {col_name!r})")
-    if op in ("max", "min", "sum", "mean", "median"):
-        values = [v for _, v in _values(lf[1], t)]
-        if op == "max":
-            return max(values)
-        if op == "min":
-            return min(values)
-        if op == "sum":
-            return float(sum(values))
-        if op == "mean":
-            return float(sum(values)) / len(values)
-        return statistics.median(values)
+    if op in _AGGREGATES:
+        return _AGGREGATES[op]([v for _, v in _values(lf[1], t)])
     if op == "nth_from":
         values = [v for _, v in _eval_list(lf[1], t)]
         k, direction = int(lf[2]), lf[3]
@@ -277,9 +271,8 @@ def execute(lf: LF, t: SemiStructuredTable) -> Answer:
     _check_rows(t)
     op = lf[0]
     if op in ("argmax", "argmin"):
-        items = _values(lf[1], t)
-        # first occurrence wins on ties: max and min keep the first
-        best = max(items, key=lambda it: it[1]) if op == "argmax" else min(items, key=lambda it: it[1])
+        pick = max if op == "argmax" else min  # on ties both keep the first
+        best = pick(_values(lf[1], t), key=lambda it: it[1])
         return text(best[0])
     if op == "has_col":
         return yes_no(lf[1] in t.col_headers)

@@ -1,7 +1,9 @@
-"""Every script under demos/, and the noise calibration tool on a few plots,
-runs to completion from a scratch directory."""
+"""Every script under demos/, the README's library quickstart, and the noise
+calibration tool on a few plots, run to completion from a scratch
+directory."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -29,3 +31,12 @@ def test_demo_runs(demo, tmp_path):
 def test_calibrate_noise_runs(tmp_path):
     proc = run_script(ROOT / "tools" / "calibrate_noise.py", tmp_path, "5")
     assert proc.stdout.startswith("current paper_like: mAP@0.5=")
+
+
+def test_readme_quickstart_runs(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    code = re.search(r"^```python\n(.*?)^```$", readme, re.S | re.M).group(1)
+    script = tmp_path / "quickstart.py"
+    script.write_text(code, encoding="utf-8")
+    proc = run_script(script, tmp_path)
+    assert "-> " in proc.stdout and "(gold: " in proc.stdout

@@ -138,7 +138,7 @@ def test_jittered_bar_edge_shifts_reading():
     jittered = (100.0, 800.0 - 760.0, 40.0, 760.0)
     for box, value in ((gold_box, 680.0), (jittered, 760.0)):
         reading = read(DetectionSet(axes + [Detection("bar", box, 1.0, color=0)]))
-        assert reading.table().cells == [[pytest.approx(value)]]
+        assert reading.table.cells == [[pytest.approx(value)]]
 
 
 # -- corrupt_text ------------------------------------------------------------

@@ -97,7 +97,7 @@ def test_row_label_is_the_x_axis_answer_when_the_first_label_has_no_text():
     blank = Detection("xaxis_label", (0.0, 0.0, 1.0, 1.0), 1.0)
     rd = read(DetectionSet([blank, *det.detections], style=det.style))
     answer = answer_hybrid("What is the label or title of the X-axis?", rd)
-    assert rd.table().row_label == answer.value == "Year"
+    assert rd.table.row_label == answer.value == "Year"
 
 
 def test_structural_legend_stacking_horizontal():
@@ -257,7 +257,7 @@ def test_overflowing_value_ticks_answer_nothing():
         Detection("bar", (300, 250, 30, 150), 1.0, color=0),
     ]))
     assert [a.reason for a in reading.assignments] == [NON_FINITE_VALUE] * 2
-    assert reading.table().cells == [[None], [None]]
+    assert reading.table.cells == [[None], [None]]
     for q in ("What is the median price?",
               "What is the difference between two consecutive major ticks on the Y-axis?"):
         with pytest.raises(AnswerUnavailable):

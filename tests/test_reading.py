@@ -119,7 +119,7 @@ def test_series_rows_match_brute_force_oracle():
         d = random_detections(rng)
         want = outcome(lambda: brute_series_rows(d))
         reading = read(d)
-        got = outcome(reading.series_rows)
+        got = outcome(lambda: reading.series_rows)
         if isinstance(want[1], str):
             assert got == want
             seen["raised"] += 1
@@ -138,7 +138,7 @@ def test_reading_assignments_fill_the_table():
     rng = random.Random(7)
     for _ in range(500):
         reading = read(random_detections(rng))
-        table = reading.table()
+        table = reading.table
         assert len(reading.assignments) == len(reading.data_marks)
         first: dict[tuple[int, int], float] = {}
         for a in reading.assignments:
@@ -146,6 +146,44 @@ def test_reading_assignments_fill_the_table():
                 first.setdefault((a.row, a.col), a.value)
         filled = {(i, j): v for i, row in enumerate(table.cells) for j, v in enumerate(row) if v is not None}
         assert filled == first
+
+
+def test_reading_views_are_derived_once():
+    # a two-series bar plot with ticks on both axes: every view is available
+    d = DetectionSet([
+        Detection("xtick_label", (100, 310, 30, 12), 1.0, text="2008"),
+        Detection("ytick_label", (10, 100, 30, 12), 1.0, text="100"),
+        Detection("ytick_label", (10, 300, 30, 12), 1.0, text="0"),
+        Detection("legend_label", (400, 20, 40, 12), 1.0, text="Brazil"),
+        Detection("legend_preview", (370, 20, 18, 10), 1.0, color=0),
+        Detection("legend_label", (400, 40, 40, 12), 1.0, text="Chile"),
+        Detection("legend_preview", (370, 40, 18, 10), 1.0, color=1),
+        Detection("bar", (105, 206, 10, 100), 1.0, color=0),
+        Detection("bar", (117, 256, 10, 50), 1.0, color=1),
+    ])
+    rd = read(d)
+    assert rd.table is rd.table
+    assert rd.series_rows is rd.series_rows
+    assert rd.bar_groups is rd.bar_groups
+    assert rd.table.cells == [[pytest.approx(50.0), pytest.approx(25.0)]]
+    assert [len(g) for g in rd.bar_groups] == [2]
+
+
+def test_unavailable_reading_view_raises_on_every_access():
+    # no category ticks: the series rows and the bar groups are unavailable,
+    # and a failed view is not kept, so a second access raises again
+    d = DetectionSet([
+        Detection("ytick_label", (10, 100, 30, 12), 1.0, text="100"),
+        Detection("ytick_label", (10, 300, 30, 12), 1.0, text="0"),
+        Detection("bar", (105, 206, 10, 100), 1.0),
+    ])
+    rd = read(d)
+    for _ in range(2):
+        with pytest.raises(AnswerUnavailable, match=NO_CATEGORY_TICKS):
+            rd.series_rows
+        with pytest.raises(AnswerUnavailable, match=NO_CATEGORY_TICKS):
+            rd.bar_groups
+    assert rd.table.cells == []
 
 
 @pytest.mark.parametrize("noise", [ZERO_NOISE, PAPER_LIKE, HEAVY], ids=["zero", "paper_like", "heavy"])

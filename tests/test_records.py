@@ -12,6 +12,7 @@ from plotquest.detsim import Detection, NoiseModel
 from plotquest.plotgen import PlotAnnotation, PlotSpec, StyleParams, VisualElement
 from plotquest.qgen import QuestionInstance
 from plotquest.table import SemiStructuredTable
+from plotquest.templates import templates_by_id
 
 from conftest import make_data, make_indicator, make_style
 
@@ -45,6 +46,8 @@ CASES = {
                                 dict(bbox=(0.0, 0.0, 1.0, 10**400))),
     "element-str-bbox": (VisualElement, dict(cls="bar", bbox=(0.0, 0.0, 1.0, 1.0)), dict(bbox=("a", 0, 1, 1))),
     "detection-str-score": (Detection, dict(cls="bar", bbox=(0.0, 0.0, 1.0, 1.0), score=1.0), dict(score="x")),
+    # a bool is no score, though True == 1
+    "detection-bool-score": (Detection, dict(cls="bar", bbox=(0.0, 0.0, 1.0, 1.0), score=1.0), dict(score=True)),
     "annotation-plot-type": (PlotAnnotation, _ANNOTATION, dict(plot_type="pie")),
     "style-grid": (StyleParams, _STYLE, dict(grid="no")),
     # an int beyond the float range is not a finite number
@@ -57,6 +60,9 @@ CASES = {
                                         style=make_style(3)), dict(style=make_style(1))),
     "data-one-category": (PlotData, _DATA, dict(x_categories=("2000",), series=(("Brazil", (1.0,)),))),
     "indicator-value-kind": (IndicatorVariable, _INDICATOR, dict(value_kind="dollars")),
+    "question-template": (QuestionInstance, dict(template=templates_by_id()[1], text=_QUESTION_LINE["text"],
+                                                 bindings={}, gold_answer=Answer("boolean", False)),
+                          dict(template=1)),
     "question-category": (_question_from_line, _QUESTION_LINE, dict(category="reasoning")),
     "question-answer-type": (_question_from_line, _QUESTION_LINE, dict(answer_type="fixed_vocab")),
     "question-unknown-template-id": (_question_from_line, _QUESTION_LINE, dict(template_id=999)),

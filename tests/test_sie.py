@@ -129,7 +129,7 @@ def test_associate_ticks_needs_two():
     reading = read(d)
     assert reading.val_ticks == [(0.0, 106.0)]
     assert [a.reason for a in reading.assignments] == [TOO_FEW_VALUE_TICKS]
-    assert reading.table().cells == [[None]]
+    assert reading.table.cells == [[None]]
 
 
 def test_scientific_tick_text_parses():
@@ -152,10 +152,11 @@ def test_sixteen_bars_get_distinct_cells():
     assert len(set(pairs)) == 16  # every (row, col) distinct
     assert all(a.reason is None for a in reading.assignments)
     # cell (row, col) holds that mark's value, and it matches gold
-    table = reading.table()
+    table = reading.table
     for a in reading.assignments:
         assert table.cells[a.row][a.col] == a.value
-        gold = ann.gold_table.cell(table.row_headers[a.row], table.col_headers[a.col])
+        g = ann.gold_table
+        gold = g.cells[g.row_headers.index(table.row_headers[a.row])][g.col_headers.index(table.col_headers[a.col])]
         assert a.value == pytest.approx(gold, rel=1e-6)
 
 
@@ -201,7 +202,7 @@ def test_corrupted_bar_color_leaves_cell_empty():
 def test_interpolate_midpoint():
     reading = read(DetectionSet([ytick("0", 300), ytick("100", 100), xtick("2008", 115),
                                  vbar(115, 200, 300)]))
-    assert reading.table().cells == [[pytest.approx(50.0)]]
+    assert reading.table.cells == [[pytest.approx(50.0)]]
 
 
 def test_interpolate_exact_at_tick():
@@ -209,7 +210,7 @@ def test_interpolate_exact_at_tick():
         ytick("0", 300), ytick("50", 200), ytick("100", 100),
         xtick("2008", 115), xtick("2009", 315), vbar(115, 200, 300), vbar(315, 100, 300),
     ]))
-    assert reading.table().cells == [[50.0], [100.0]]
+    assert reading.table.cells == [[50.0], [100.0]]
 
 
 def test_interpolate_extrapolates_beyond_ticks():
@@ -219,7 +220,7 @@ def test_interpolate_extrapolates_beyond_ticks():
         ytick("0", 300), ytick("50", 200), ytick("150", 100),
         xtick("2008", 115), xtick("2009", 315), vbar(115, 50), vbar(315, 350),
     ]))
-    assert reading.table().cells == [[pytest.approx(200.0)], [pytest.approx(-25.0)]]
+    assert reading.table.cells == [[pytest.approx(200.0)], [pytest.approx(-25.0)]]
 
 
 def test_interpolate_horizontal_uses_right_edge():
@@ -230,7 +231,7 @@ def test_interpolate_horizontal_uses_right_edge():
         Detection("bar", (100.0, 150, 150.0, 20), 1.0, color=0),
     ]))
     assert reading.horizontal
-    assert reading.table().cells == [[pytest.approx(5.0)], [pytest.approx(7.5)]]
+    assert reading.table.cells == [[pytest.approx(5.0)], [pytest.approx(7.5)]]
 
 
 def test_interpolate_requires_two_ticks():
@@ -245,7 +246,7 @@ def test_interpolate_requires_two_ticks():
         reading = read(DetectionSet(ticks + [xtick("2008", 115), vbar(115, 100, 300)]))
         assert reading.val_ticks == anchors
         assert [a.reason for a in reading.assignments] == [TOO_FEW_VALUE_TICKS]
-        assert reading.table().cells == [[None]]
+        assert reading.table.cells == [[None]]
 
 
 # -- full extraction ----------------------------------------------------------
