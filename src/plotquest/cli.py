@@ -251,7 +251,7 @@ def _load_dataset(dataset_dir: str, run_split: str) -> dict[int, list[QuestionIn
     return by_plot
 
 
-def cmd_run(dataset_dir: str, noise_spec: str, out_dir: str, run_split: str = "test") -> int:
+def cmd_run(dataset_dir: str, noise_spec: str, out_dir: str, run_split: str) -> int:
     by_plot = _load_dataset(dataset_dir, run_split)
     noise = _load_noise(noise_spec)
     if not by_plot:
@@ -317,7 +317,7 @@ def _plot_source(f) -> PlotAnnotation | DetectionSet:
 
 def cmd_extract(input_path: str, out_path: str | None) -> int:
     reading = read(_read(input_path, "input", _plot_source))
-    if not reading.detections.detections:
+    if not any(reading.elements.values()):
         print("warning: empty detection set", file=sys.stderr)
     csv_text = extract_table(reading).to_csv()
     if out_path:

@@ -54,7 +54,7 @@ def score_answer(pred: Answer | None, gold: Answer) -> bool:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    ratios: tuple[float, float, float] = (0.70, 0.15, 0.15)
+    ratios: tuple[float, float, float]
     seed: int = 0
 
     def __post_init__(self):

@@ -8,9 +8,10 @@ Both branches answer from one ``sie.PlotReading`` per plot, so a plot's
 detections are associated once however many questions it has. The
 classification branch answers from the reading's geometry: element counts,
 positions, style metadata, tick/legend/axis-label texts and, for the
-zero-value and line-crossing questions, the per-series value rows. One
-detection guard (``_found``, which also covers missing style metadata) and
-one ordinal guard (``_nth``) say why it gives up. The pipeline branch is
+zero-value and line-crossing questions, the table. The reading never gives
+up; one detection guard (``_found``, which also covers missing style
+metadata and bar groups), one tick guard for the series questions and one
+ordinal guard (``_nth``) say why this branch does. The pipeline branch is
 ``tableqa.execute`` on the reading's table.
 
 Each question is parsed once, and ``route`` alone decides its branch from
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import math
 import re
+import statistics
 from collections import Counter
 from dataclasses import dataclass
 
@@ -83,9 +85,15 @@ def _nth(items: list, ordinal: str, from_end: bool, what: str):
 def _structural(tid: int, b: dict[str, str], rd: PlotReading) -> Answer:
     if tid in (9, 16, 19, 20, 21, 22):  # questions about the bars themselves
         _found(rd.bars, "no bars detected")
+    if tid in (1, 17):  # a mark past the colour filter needs both axes' ticks
+        for a in rd.assignments:
+            if a.reason in (NO_CATEGORY_TICKS, TOO_FEW_VALUE_TICKS):
+                raise AnswerUnavailable(a.reason)
+    if 10 <= tid <= 15 or 19 <= tid <= 22:  # questions about the bar groups
+        groups = _found(rd.bar_groups, NO_CATEGORY_TICKS)
     if tid == 1:
-        _, V = rd.series_rows
-        return yes_no(0.0 in _found(V[~np.isnan(V)].tolist(), "no data values readable"))
+        values = [v for row in rd.table.cells for v in row if v is not None]
+        return yes_no(0.0 in _found(values, "no data values readable"))
     if tid == 2:
         return yes_no(_found(rd.style, _NO_STYLE).grid)
     if tid == 3:
@@ -109,18 +117,19 @@ def _structural(tid: int, b: dict[str, str], rd: PlotReading) -> Answer:
     if tid == 9:
         return number(len(rd.cat_refs))
     if tid in (10, 11):
-        counts = [len(g) for g in _found(rd.bar_groups, NO_CATEGORY_TICKS)]
+        counts = [len(g) for g in groups]
         if tid == 10:
             return yes_no(all(c == len(rd.legend_texts) for c in counts))
         return yes_no(len(set(counts)) == 1)
     # cat_refs run left to right (vertical plots) or top to bottom
     # (horizontal ones); an ordinal from the right or bottom counts from the end
     if tid in (12, 13, 14, 15):
-        return number(len(_nth(rd.bar_groups, b["i"], tid in (13, 15), "tick")))
+        return number(len(_nth(groups, b["i"], tid in (13, 15), "tick")))
     if tid == 16:
         return yes_no(rd.horizontal)
     if tid == 17:
-        _, V = rd.series_rows
+        t = rd.table  # series-major; an empty cell reads as nan
+        V = np.array(t.cells, dtype=float).reshape(len(t.row_headers), len(t.col_headers)).T
         if np.isnan(V).any():
             raise AnswerUnavailable("incomplete line readings")
         return number(count_line_crossings(V))
@@ -129,7 +138,7 @@ def _structural(tid: int, b: dict[str, str], rd: PlotReading) -> Answer:
         return yes_no(len(colors) == len(rd.legend_texts))
     if tid in (19, 20, 21, 22):
         i = parse_ordinal(b["i"])
-        picked = (_pick(group, i, tid in (20, 22)) for group in rd.bar_groups)
+        picked = (_pick(group, i, tid in (20, 22)) for group in groups)
         # a group without an i-th bar, or whose bar matches no legend colour, casts no vote
         named = (rd.legend_label_of(bar.color) for bar in picked if bar is not None)
         votes = _found(Counter(filter(None, named)), "bar order unreadable")
@@ -139,7 +148,7 @@ def _structural(tid: int, b: dict[str, str], rd: PlotReading) -> Answer:
     if tid == 26:
         ordered = sorted(v for v, _ in rd.val_ticks)
         steps = _found([b2 - a2 for a2, b2 in zip(ordered, ordered[1:])], TOO_FEW_VALUE_TICKS)
-        step = float(np.median(steps))
+        step = statistics.median(steps)
         if not math.isfinite(step):  # finite ticks far apart can overflow
             raise AnswerUnavailable("tick step is not finite")
         return number(step)

@@ -158,17 +158,15 @@ class _Ctx:
 def count_line_crossings(V: np.ndarray) -> int:
     """Crossing points between distinct series polylines on a shared x grid.
 
-    A crossing is a strict sign flip of the pairwise difference across one
-    category interval; contacts at shared vertices do not count.
+    A crossing is a strict swap of the pair's order across one category
+    interval; contacts at shared vertices do not count. Compared, not
+    subtracted: no difference overflows and no product underflows.
     """
-    n_series, n_cats = V.shape
     crossings = 0
-    for a in range(n_series):
-        for b in range(a + 1, n_series):
-            d = V[a] - V[b]
-            for i in range(n_cats - 1):
-                if d[i] * d[i + 1] < 0:
-                    crossings += 1
+    for a in range(len(V)):
+        for b in range(a + 1, len(V)):
+            above, below = V[a] > V[b], V[a] < V[b]
+            crossings += int(np.count_nonzero((above[:-1] & below[1:]) | (below[:-1] & above[1:])))
     return crossings
 
 

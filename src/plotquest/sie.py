@@ -1,10 +1,11 @@
 """Geometric reconstruction of the underlying table from a detection set.
 
-``read(d)`` is the extraction API. It associates a plot's detections once
-and returns a ``PlotReading``: the canonical marks, the category and value
-ticks (``cat_refs``, ``val_ticks``), the legend map, the orientation, and
-one ``MarkAssignment`` per data mark (its cell and value, or the reason it
-was left out). Everything downstream reads from it: ``extract_table(d)`` is
+``read(d)`` is the extraction API. It associates a plot's detections, or
+an annotation's elements as they are, once and returns a ``PlotReading``:
+the canonical marks, the category and value ticks (``cat_refs``,
+``val_ticks``), the legend map, the orientation, and one ``MarkAssignment``
+per data mark (its cell and value, or the reason it was left out).
+Everything downstream reads from it: ``extract_table(d)`` is
 ``read(d).table``, the bar questions read ``bar_groups``, and both
 answering branches in ``hybrid`` share one reading for all of a plot's
 questions. ``PlotReading.label_text`` is the one rule for a title or axis
@@ -26,8 +27,9 @@ by centroid distance projected onto the category axis: the perpendicular
 coordinate of a bar centroid scales with its value, so unprojected distance
 misassigns long bars even on noise-free input. Anything that cannot be
 associated (unmatched color, unparseable tick text, too few numeric ticks,
-a value that is not finite) degrades to an empty cell; extraction never
-guesses and never raises once inputs are detections.
+a value that is not finite) degrades to an empty cell, and a plot without
+category ticks to an empty table and no bar groups: extraction never
+guesses and never raises, and giving up is the answerer's call.
 
 All association is permutation-invariant: a reading partitions its
 detections by element class and sorts each class list once into canonical
@@ -48,8 +50,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .answers import AnswerUnavailable, parse_number, within_rel_tol
-from .detsim import ZERO_NOISE, Detection, DetectionSet, perturb
+from .answers import parse_number, within_rel_tol
+from .detsim import Detection, DetectionSet
 from .plotgen import ELEMENT_CLASSES, PlotAnnotation
 from .table import SemiStructuredTable
 
@@ -154,8 +156,8 @@ def _interp(p: float, ticks: list[tuple[float, float]]) -> float:
 # ---------------------------------------------------------------------------
 # one reading per plot
 
-# why a data mark was left out of the table; the tick reasons also make every
-# series reading unavailable (their texts double as AnswerUnavailable messages)
+# why a data mark was left out of the table; ``hybrid`` gives up on the series
+# questions with the first tick reason among the assignments, as its message
 UNASSIGNED_COLOR = "mark colour matches no legend entry"
 NO_CATEGORY_TICKS = "no category ticks detected"
 TOO_FEW_VALUE_TICKS = "fewer than 2 readable value ticks"
@@ -191,20 +193,18 @@ def _horizontal(bars: list[Detection]) -> bool:
 
 
 class PlotReading:
-    """Everything geometric association learns from one detection set.
-
-    Built once per plot by ``read``; the table, the per-series value rows
-    and the bar groups are cached properties, derived on first use and kept
-    (an unavailable view is not kept: it raises on every access).
+    """Everything geometric association learns from one detection set or
+    annotation. Built once per plot by ``read``; the table and the bar
+    groups are cached properties, derived on first use and kept. No view
+    raises: without category ticks, both are empty.
     """
 
-    def __init__(self, d: DetectionSet):
-        self.detections = d
+    def __init__(self, d: DetectionSet | PlotAnnotation):
         self.style = d.style
-        # each class keeps its detections in canonical order (the class
-        # leads the key, so sorting each class list sorts the whole set)
+        # each class keeps its elements in canonical order (the class leads
+        # the key, so sorting each class list sorts the whole set)
         self.elements: dict[str, list[Detection]] = {cls: [] for cls in ELEMENT_CLASSES}
-        for det in d.detections:
+        for det in d.elements if isinstance(d, PlotAnnotation) else d.detections:
             self.elements[det.cls].append(det)
         for dets in self.elements.values():
             dets.sort(key=_canonical_key)
@@ -299,31 +299,12 @@ class PlotReading:
         )
 
     @cached_property
-    def series_rows(self) -> tuple[list[str], np.ndarray]:
-        """Per-series value readings aligned to category order (nan = missing).
-
-        Series names are the legend texts, or a lone "" without a legend.
-        Unavailable when any data mark that passes the colour filter cannot
-        be placed for lack of category ticks or of 2 numeric value ticks.
-        """
-        for a in self.assignments:
-            if a.reason in (NO_CATEGORY_TICKS, TOO_FEW_VALUE_TICKS):
-                raise AnswerUnavailable(a.reason)
-        names = self.legend_texts if self.legend_map else [""]
-        V = np.full((len(names), len(self.cat_refs)), np.nan)
-        for i, row in enumerate(self.table.cells):
-            for j, v in enumerate(row):
-                if v is not None:
-                    V[j][i] = v
-        return names, V
-
-    @cached_property
     def bar_groups(self) -> list[list[Detection]]:
         """The bars under each category tick, parallel to ``cat_refs``: every
         bar joins its nearest tick, and each group runs along the category
-        axis. Unavailable when there are bars but no category ticks."""
-        if self.bars and not self.cat_refs:
-            raise AnswerUnavailable(NO_CATEGORY_TICKS)
+        axis. Empty when there are no category ticks."""
+        if not self.cat_refs:  # before _nearest_cat, which needs a tick
+            return []
         groups: list[list[Detection]] = [[] for _ in self.cat_refs]
         for bar in self.bars:
             groups[self._nearest_cat(bar)].append(bar)
@@ -331,11 +312,9 @@ class PlotReading:
 
 
 def read(d: DetectionSet | PlotAnnotation | PlotReading) -> PlotReading:
-    """Associate a detection set once; never raises. An annotation is read
-    as its zero-noise detections, and a reading passes through unchanged."""
-    if isinstance(d, PlotReading):
-        return d
-    return PlotReading(perturb(d, ZERO_NOISE) if isinstance(d, PlotAnnotation) else d)
+    """Associate a detection set, or an annotation's elements, once; never
+    raises. A reading passes through unchanged."""
+    return d if isinstance(d, PlotReading) else PlotReading(d)
 
 
 def extract_table(d: DetectionSet | PlotAnnotation | PlotReading) -> SemiStructuredTable:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -128,6 +129,7 @@ def test_structural_missing_elements_unavailable():
     # every ordinal past the end give the one reason their guard states
     lone_bar = DetectionSet([Detection("bar", (10, 10, 5, 5), 1.0, color=0)])
     nothing = DetectionSet([])
+    one_tick = DetectionSet([Detection("xtick_label", (10, 30, 20, 10), 1.0, text="2001")])
     cases = [
         ("Does the graph contain any zero values?", nothing, "no data values readable"),
         ("How many legend labels are there?", lone_bar, "no legend detected"),
@@ -140,7 +142,9 @@ def test_structural_missing_elements_unavailable():
         ("Is the number of lines equal to the number of legend labels?", lone_bar, "no lines detected"),
         *[(f"What does the 2nd bar from the {end} in each group represent?", nothing, "no bars detected")
           for end in ("left", "right", "top", "bottom")],
-        ("How many bars are there on the 1st tick from the bottom?", nothing, "no 1st tick"),
+        ("How many bars are there on the 2nd tick from the bottom?", one_tick, "no 2nd tick"),
+        # neither bars nor category ticks: the bar groups give up first
+        ("How many bars are there on the 1st tick from the bottom?", nothing, "no category ticks detected"),
         ("What is the label of the 3rd group of bars from the top?", lone_bar, "no 3rd group"),
         ("Are the values on the major ticks of Y-axis written in scientific E-notation?", lone_bar,
          "no value ticks detected"),
@@ -155,7 +159,8 @@ def test_structural_missing_elements_unavailable():
 
 
 def test_bar_order_without_category_ticks_says_so():
-    # bars and a legend but no tick labels: the bars are there, their groups are not
+    # bars and a legend but no tick labels: the bars are there, their groups
+    # are not, for every question about the groups
     det = DetectionSet([
         Detection("bar", (100, 200, 30, 200), 1.0, color=0),
         Detection("bar", (130, 250, 30, 150), 1.0, color=1),
@@ -164,9 +169,14 @@ def test_bar_order_without_category_ticks_says_so():
         Detection("legend_preview", (400, 40, 10, 10), 1.0, color=1),
         Detection("legend_label", (415, 40, 40, 10), 1.0, text="Iceland"),
     ])
+    questions = ["Are the number of bars on each tick equal to the number of legend labels?",
+                 "Are the number of bars in each group equal?"]
     for end in ("left", "right", "top", "bottom"):
+        questions.append(f"How many bars are there on the 1st tick from the {end}?")
+        questions.append(f"What does the 1st bar from the {end} in each group represent?")
+    for question in questions:
         with pytest.raises(AnswerUnavailable, match="no category ticks detected"):
-            answer_structural(f"What does the 1st bar from the {end} in each group represent?", det)
+            answer_structural(question, det)
     with pytest.raises(AnswerUnavailable, match="no bars detected"):
         answer_structural("What does the 1st bar from the left in each group represent?",
                           DetectionSet([d for d in det.detections if d.cls != "bar"]))
@@ -236,6 +246,43 @@ def test_hybrid_strictly_dominates_single_branches_at_zero_noise(corpus):
     # each single branch fails on the other branch's questions
     assert pipeline < hybrid
     assert structural < hybrid
+
+
+def _line_plot(marks, x_ticks=(("2001", 100), ("2002", 300)), y_ticks=(("1e200", 100), ("-1e200", 300))):
+    """Line marks (x, y, colour) on a two-series legend (colours 0 and 1)
+    with category ticks on x and value ticks on y, as (text, position)."""
+    return DetectionSet([
+        *(Detection("xtick_label", (x - 15, 430, 30, 12), 1.0, text=t) for t, x in x_ticks),
+        *(Detection("ytick_label", (10, y - 6, 30, 12), 1.0, text=t) for t, y in y_ticks),
+        Detection("legend_preview", (600, 20, 18, 10), 1.0, color=0),
+        Detection("legend_label", (623, 20, 40, 12), 1.0, text="A"),
+        Detection("legend_preview", (600, 40, 18, 10), 1.0, color=1),
+        Detection("legend_label", (623, 40, 40, 12), 1.0, text="B"),
+        *(Detection("line", (x - 5, y - 5, 10, 10), 1.0, color=c) for x, y, c in marks),
+    ])
+
+
+def test_line_crossing_without_category_ticks():
+    # a line mark the legend matches needs a category tick; marks the legend
+    # does not match read as no series values, and no values never cross
+    q = "How many lines intersect with each other?"
+    with pytest.raises(AnswerUnavailable, match="no category ticks detected"):
+        answer_hybrid(q, _line_plot([(100, 100, 0), (300, 300, 5)], x_ticks=()))
+    assert answer_hybrid(q, _line_plot([(100, 100, 5), (300, 300, 5)], x_ticks=())).value == 0
+
+
+def test_classification_answers_near_the_float_limit_do_not_warn():
+    # finite readings whose differences, products or sums overflow: lines
+    # at +-1e200 that swap once, and tick steps of 1.2e308 whose mean does not fit
+    crossing = _line_plot([(100, 100, 0), (300, 300, 0), (100, 300, 1), (300, 100, 1)])
+    steps = DetectionSet([Detection("ytick_label", (10, y, 30, 12), 1.0, text=t)
+                          for t, y in (("7e307", 0), ("-5e307", 100), ("-1.7e308", 200))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert answer_hybrid("How many lines intersect with each other?", crossing).value == 1
+        with pytest.raises(AnswerUnavailable, match="tick step is not finite"):
+            answer_hybrid("What is the difference between two consecutive major ticks on the Y-axis?",
+                          steps)
 
 
 def test_unparseable_question_fails_loudly_via_pipeline(corpus):

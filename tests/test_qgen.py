@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from plotquest.cli import stable_seed
 from plotquest.corpus import sample_plot_data
 from plotquest.plotgen import make_plot_spec
 from plotquest.qgen import (
-    ANSWER_TYPE_WEIGHTS, CATEGORY_WEIGHTS, Degenerate, _cdf, _draw, applicable_templates, gold_answer,
-    instantiate, instantiate_all,
+    ANSWER_TYPE_WEIGHTS, CATEGORY_WEIGHTS, Degenerate, _cdf, _draw, applicable_templates,
+    count_line_crossings, gold_answer, instantiate, instantiate_all,
 )
 from plotquest.templates import Template, TemplateError, default_templates, ordinal
 
@@ -74,6 +75,19 @@ def test_series_need_of_every_template():
             for tid in set(range(25, 75)) - {26, 27, 32}:  # 26, 27, 32 need a plot type only
                 need = n_series == 1 if tid in exactly_one else n_series >= at_least.get(tid, 1)
                 assert (tid in ids) == need, (tid, n_series, ptype)
+
+
+def test_line_crossings_compare_without_arithmetic():
+    # a swap counts however far apart or close together the values are: no
+    # difference overflows and no product underflows to a missed crossing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert count_line_crossings(np.array([[1e200, -1e200], [-1e200, 1e200]])) == 1
+        assert count_line_crossings(np.array([[1e-200, -1e-200], [0.0, 0.0]])) == 1
+    # a contact at a shared vertex is no crossing; each swapped pair counts
+    assert count_line_crossings(np.array([[1.0, 2.0, 3.0], [2.0, 2.0, 1.0]])) == 0
+    assert count_line_crossings(np.array([[0.0, 3.0, 0.0], [1.0, 1.0, 1.0], [2.0, 0.0, 2.0]])) == 6
+    assert count_line_crossings(np.zeros((3, 0))) == 0
 
 
 def test_median_template_odd_length(templates):

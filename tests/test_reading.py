@@ -1,7 +1,7 @@
 """PlotReading: one association pass per plot, shared by both answering
 branches. The brute-force oracle below is the per-mark loop the structural
 branch used before the reading owned the association; it stays as an
-independent check on the reading's series values."""
+independent check on the values of the reading's table."""
 
 import math
 import random
@@ -112,20 +112,22 @@ def outcome(fn):
         return ("unavailable", str(e))
 
 
-def test_series_rows_match_brute_force_oracle():
+def test_table_matches_brute_force_oracle():
     rng = random.Random(20240)
     seen = {"raised": 0, "answered": 0, UNASSIGNED_COLOR: 0, NO_CATEGORY_TICKS: 0, TOO_FEW_VALUE_TICKS: 0}
     for _ in range(3000):
         d = random_detections(rng)
         want = outcome(lambda: brute_series_rows(d))
         reading = read(d)
-        got = outcome(lambda: reading.series_rows)
+        t = reading.table  # series-major, an empty cell as nan
+        got = np.array(t.cells, dtype=float).reshape(len(t.row_headers), len(t.col_headers)).T
         if isinstance(want[1], str):
-            assert got == want
+            # where the oracle gives up, the table holds no value
+            assert np.isnan(got).all()
             seen["raised"] += 1
         else:
-            assert got[0] == want[0]
-            assert np.array_equal(got[1], want[1], equal_nan=True)
+            assert want[0] == (t.col_headers if reading.legend_map else [""])
+            assert np.array_equal(got, want[1], equal_nan=True)
             seen["answered"] += 1
         for a in reading.assignments:
             if a.reason:
@@ -163,27 +165,27 @@ def test_reading_views_are_derived_once():
     ])
     rd = read(d)
     assert rd.table is rd.table
-    assert rd.series_rows is rd.series_rows
     assert rd.bar_groups is rd.bar_groups
     assert rd.table.cells == [[pytest.approx(50.0), pytest.approx(25.0)]]
     assert [len(g) for g in rd.bar_groups] == [2]
 
 
-def test_unavailable_reading_view_raises_on_every_access():
-    # no category ticks: the series rows and the bar groups are unavailable,
-    # and a failed view is not kept, so a second access raises again
+def test_no_reading_view_raises():
+    # no category ticks: the table has no rows and there are no bar groups;
+    # the answerer, not the reader, gives up on the questions that need them
     d = DetectionSet([
         Detection("ytick_label", (10, 100, 30, 12), 1.0, text="100"),
         Detection("ytick_label", (10, 300, 30, 12), 1.0, text="0"),
         Detection("bar", (105, 206, 10, 100), 1.0),
     ])
     rd = read(d)
-    for _ in range(2):
-        with pytest.raises(AnswerUnavailable, match=NO_CATEGORY_TICKS):
-            rd.series_rows
-        with pytest.raises(AnswerUnavailable, match=NO_CATEGORY_TICKS):
-            rd.bar_groups
     assert rd.table.cells == []
+    assert rd.bar_groups == []
+    for q in ("Does the graph contain any zero values?",
+              "Are the number of bars on each tick equal to the number of legend labels?",
+              "How many lines intersect with each other?"):
+        with pytest.raises(AnswerUnavailable, match=NO_CATEGORY_TICKS):
+            answer_hybrid(q, rd)
 
 
 @pytest.mark.parametrize("noise", [ZERO_NOISE, PAPER_LIKE, HEAVY], ids=["zero", "paper_like", "heavy"])

@@ -9,7 +9,7 @@ from plotquest.detsim import ZERO_NOISE, Detection, DetectionSet, perturb
 from plotquest.palette import PALETTE
 from plotquest.plotgen import make_plot_spec, render
 from plotquest.sie import (
-    TOO_FEW_VALUE_TICKS, UNASSIGNED_COLOR, extract_table, read,
+    TOO_FEW_VALUE_TICKS, UNASSIGNED_COLOR, _canonical_key, extract_table, read,
     table_f1,
 )
 from plotquest.table import SemiStructuredTable
@@ -262,12 +262,16 @@ def test_zero_noise_roundtrip_all_types(corpus):
 
 
 def test_read_takes_every_input_one_way(corpus):
-    # an annotation reads as its zero-noise detections; a reading passes through
+    # an annotation's elements read as its zero-noise detections do: the same
+    # canonical elements and the same table; a reading passes through
     for seed in range(5):
         _, ann = render(make_spec(sample_plot_data(corpus, seed), "vbar"))
         reading = read(ann)
         assert read(reading) is reading
-        assert reading.detections.detections == perturb(ann, ZERO_NOISE).detections
+        clean = read(perturb(ann, ZERO_NOISE))
+        keys = lambda rd: {cls: list(map(_canonical_key, dets)) for cls, dets in rd.elements.items()}
+        assert keys(reading) == keys(clean)
+        assert reading.table == clean.table
         assert reading.style == ann.style
         assert extract_table(reading).to_csv() == extract_table(ann).to_csv()
 
