@@ -37,6 +37,6 @@ for mark, a in list(zip(reading.data_marks, reading.assignments))[:3]:
 # the matching tolerance for extraction tuples is 2% (the QA metric's 5%
 # tolerance is a separate, looser contract)
 noisy = pq.perturb(annotation, pq.PAPER_LIKE.with_seed(3))
-noisy_table = pq.extract_table(noisy)
+noisy_table = pq.extract_table(pq.read(noisy))
 p, r, f1 = pq.table_f1(noisy_table, annotation.gold_table, rel_tol=0.02)
 print(f"\nnoisy extraction at 2% tolerance: P={p:.3f} R={r:.3f} F1={f1:.3f}")

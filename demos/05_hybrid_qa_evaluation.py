@@ -2,10 +2,11 @@
 Hybrid question answering, end to end
 =====================================
 
-Route each question to the right branch, answer it from noisy detections,
-and score the whole thing with the 5%-tolerance metric broken down over the
-question-category x answer-type grid. The hybrid beats either branch alone
-because they fail on complementary question families.
+Route each question to the right branch, answer it from its plot's one
+reading of noisy detections, and score the whole thing with the
+5%-tolerance metric broken down over the question-category x answer-type
+grid. The hybrid beats either branch alone because they fail on
+complementary question families.
 """
 
 import plotquest as pq
@@ -21,16 +22,17 @@ for q in ("How many legend labels are there?",
 
 # build a small evaluation batch under calibrated noise
 corpus = pq.default_corpus()
-# each question is paired with the noisy detections of its own plot
+# each question is paired with the one reading of its own plot's noisy
+# detections, so every plot is read once however many questions it has
 cases = []
 for i in range(80):
     data = pq.sample_plot_data(corpus, stable_seed(1, "data", i))
     spec = pq.make_plot_spec(data, stable_seed(1, "style", i))
     _, ann = pq.render(spec)
-    det = pq.perturb(ann, pq.PAPER_LIKE.with_seed(stable_seed(1, "noise", i)))
-    cases.extend((q, det) for q in pq.instantiate(spec, stable_seed(1, "q", i)))
+    reading = pq.read(pq.perturb(ann, pq.PAPER_LIKE.with_seed(stable_seed(1, "noise", i))))
+    cases.extend((q, reading) for q in pq.instantiate(spec, stable_seed(1, "q", i)))
 
-# evaluate calls fn(question text, detections), so each answerer plugs in as it is
+# evaluate calls fn(question text, reading), so each answerer plugs in as it is
 for name, fn in (("hybrid", answer_hybrid),
                  ("pipeline only", answer_pipeline_only),
                  ("structural only", answer_structural)):

@@ -44,7 +44,7 @@ from dataclasses import replace
 from . import __version__, detsim
 from .answers import UNANSWERED, Answer
 from .corpus import CorpusError, default_corpus, load_corpus, sample_plot_data
-from .detsim import APPool, DetectionSet, NoiseModel, get_preset, perturb_with_provenance
+from .detsim import PRESETS, APPool, DetectionSet, NoiseModel, get_preset, perturb_with_provenance
 from .harness import EvalReport, SplitSpec, Tally, evaluate, score_answer, split
 from .hybrid import answer_hybrid
 from .plotgen import LayoutError, PlotAnnotation, make_plot_spec, render
@@ -138,7 +138,8 @@ def _make_out_dir(path: str) -> list[str]:
 
 
 def _load_noise(spec: str) -> NoiseModel:
-    if os.path.exists(spec):
+    """A preset name, whatever exists under it, or else a noise-model file."""
+    if spec not in PRESETS and os.path.exists(spec):
         return _read(spec, "noise model", lambda f: NoiseModel.from_json(json.load(f)))
     try:
         return get_preset(spec)

@@ -188,8 +188,9 @@ class DetectionSet:
 
 def iou(a: BBox, b: BBox) -> float:
     """Intersection over union of two (x, y, w, h) boxes, in [0, 1]; no
-    edge, area or union overflows for finite boxes, and the IOU of a pair
-    depends on its two boxes alone."""
+    edge, area or union overflows for finite boxes less than the float range
+    apart (a pair farther apart scores 0), and the IOU of a pair depends on
+    its two boxes alone."""
     ax, ay, aw, ah = a
     bx, by, bw, bh = b
     if aw < 0 or ah < 0 or bw < 0 or bh < 0:
@@ -197,9 +198,12 @@ def iou(a: BBox, b: BBox) -> float:
     big = 2.0 ** 500
     if not (-big <= ax <= big and -big <= ay <= big and aw <= big and ah <= big
             and -big <= bx <= big and -big <= by <= big and bw <= big and bh <= big):
-        # IOU does not change with scale: bring the pair's numbers below 1
-        # by a power of two; boxes of ordinary size are never rescaled
-        k = -math.frexp(max(abs(ax), abs(ay), aw, ah, abs(bx), abs(by), bw, bh))[1]
+        # IOU does not change with translation or scale: move the pair to
+        # its own origin, then bring its numbers below 1 by a power of two;
+        # boxes of ordinary size are never moved or rescaled
+        ox, oy = (ax if ax < bx else bx), (ay if ay < by else by)
+        ax, ay, bx, by = ax - ox, ay - oy, bx - ox, by - oy
+        k = -math.frexp(max(ax, ay, aw, ah, bx, by, bw, bh))[1]  # all >= 0 now
         ax, ay, aw, ah, bx, by, bw, bh = (math.ldexp(v, k) for v in (ax, ay, aw, ah, bx, by, bw, bh))
     # conditional expressions, not min/max: the builtin calls would cost
     # more than the rest of the rule

@@ -4,8 +4,8 @@ structure, ordinal bar order, tick step, title, axis labels) or to the
 multi-stage pipeline branch (everything whose answer lives in the extracted
 table, yes/no questions over values included).
 
-Both branches answer from one ``sie.PlotReading`` per plot, so a plot's
-detections are associated once however many questions it has. The
+Every answerer takes the plot's ``sie.PlotReading``, so ``sie.read``
+associates a plot's detections once however many questions it has. The
 classification branch answers from the reading's geometry: element counts,
 positions, style metadata, tick/legend/axis-label texts and, for the
 zero-value and line-crossing questions, the table. The reading never gives
@@ -17,14 +17,13 @@ ordinal guard (``_nth``) say why this branch does. The pipeline branch is
 Each question is parsed once, and ``route`` alone decides its branch from
 the parse. The two ablation arms are the hybrid gated to one branch: a
 question routed to the other branch is AnswerUnavailable there, before the
-plot is read. Unparseable questions raise ``UnparseableQuestion``.
+reading is consulted. Unparseable questions raise ``UnparseableQuestion``.
 """
 
 from __future__ import annotations
 
 import math
 import re
-import statistics
 from collections import Counter
 from dataclasses import dataclass
 
@@ -32,10 +31,8 @@ import numpy as np
 
 from . import tableqa
 from .answers import Answer, AnswerUnavailable, number, text, yes_no
-from .detsim import DetectionSet
-from .plotgen import PlotAnnotation
 from .qgen import count_line_crossings
-from .sie import NO_CATEGORY_TICKS, TOO_FEW_VALUE_TICKS, PlotReading, _stacked_horizontally, read
+from .sie import NO_CATEGORY_TICKS, TOO_FEW_VALUE_TICKS, PlotReading, _stacked_horizontally
 from .tableqa import ParsedQuestion, parse as parse_question
 from .templates import parse_ordinal
 
@@ -147,9 +144,10 @@ def _structural(tid: int, b: dict[str, str], rd: PlotReading) -> Answer:
         return text(_nth(rd.cat_refs, b["j"], False, "group").text)
     if tid == 26:
         ordered = sorted(v for v, _ in rd.val_ticks)
-        steps = _found([b2 - a2 for a2, b2 in zip(ordered, ordered[1:])], TOO_FEW_VALUE_TICKS)
-        step = statistics.median(steps)
-        if not math.isfinite(step):  # finite ticks far apart can overflow
+        steps = sorted(_found([b2 - a2 for a2, b2 in zip(ordered, ordered[1:])], TOO_FEW_VALUE_TICKS))
+        mid = len(steps) // 2  # the median; an even count halves before adding, so the mean stays finite
+        step = steps[mid] if len(steps) % 2 else steps[mid - 1] / 2 + steps[mid] / 2
+        if not math.isfinite(step):  # a step between finite ticks can itself overflow
             raise AnswerUnavailable("tick step is not finite")
         return number(step)
     if tid == 27:
@@ -164,35 +162,34 @@ def _structural(tid: int, b: dict[str, str], rd: PlotReading) -> Answer:
 # ---------------------------------------------------------------------------
 # composition
 
-def _answer(question: str, d: DetectionSet | PlotAnnotation | PlotReading, branch: str | None) -> Answer:
+def _answer(question: str, rd: PlotReading, branch: str | None) -> Answer:
     """Parse once and route; a question routed away from ``branch`` (None:
-    either) is AnswerUnavailable before the plot is read. Raises only
+    either) is AnswerUnavailable before the reading is consulted. Raises only
     AnswerUnavailable or UnparseableQuestion."""
     parsed = parse_question(question)
     routed = route(parsed).branch
     if branch not in (None, routed):
         raise AnswerUnavailable(
             f"template {parsed.template_id} is not a {branch.replace('_', '-')} question")
-    rd = read(d)
     if routed == CLASSIFICATION_BRANCH:
         return _structural(parsed.template_id, parsed.bindings, rd)
     return tableqa.execute(parsed.logical_form, rd.table)
 
 
-def answer_hybrid(question: str, d: DetectionSet | PlotAnnotation | PlotReading) -> Answer:
-    """Answer on the question's routed branch. Pass one ``sie.read`` result
-    for all of a plot's questions to associate its detections once."""
-    return _answer(question, d, None)
+def answer_hybrid(question: str, rd: PlotReading) -> Answer:
+    """Answer on the question's routed branch from the plot's reading, the
+    one ``sie.read`` result that all of the plot's questions share."""
+    return _answer(question, rd, None)
 
 
-def answer_pipeline_only(question: str, d: DetectionSet | PlotAnnotation | PlotReading) -> Answer:
+def answer_pipeline_only(question: str, rd: PlotReading) -> Answer:
     """The hybrid gated to the table branch (ablation arm): a question with a
     visual logical form is AnswerUnavailable here."""
-    return _answer(question, d, PIPELINE_BRANCH)
+    return _answer(question, rd, PIPELINE_BRANCH)
 
 
-def answer_structural(question: str, d: DetectionSet | PlotAnnotation | PlotReading) -> Answer:
+def answer_structural(question: str, rd: PlotReading) -> Answer:
     """The hybrid gated to the classification branch (ablation arm): only
     templates with a visual logical form have a geometry answer; every other
     question is AnswerUnavailable here."""
-    return _answer(question, d, CLASSIFICATION_BRANCH)
+    return _answer(question, rd, CLASSIFICATION_BRANCH)

@@ -1,14 +1,14 @@
 """Geometric reconstruction of the underlying table from a detection set.
 
-``read(d)`` is the extraction API. It associates a plot's detections, or
-an annotation's elements as they are, once and returns a ``PlotReading``:
-the canonical marks, the category and value ticks (``cat_refs``,
-``val_ticks``), the legend map, the orientation, and one ``MarkAssignment``
-per data mark (its cell and value, or the reason it was left out).
-Everything downstream reads from it: ``extract_table(d)`` is
-``read(d).table``, the bar questions read ``bar_groups``, and both
-answering branches in ``hybrid`` share one reading for all of a plot's
-questions. ``PlotReading.label_text`` is the one rule for a title or axis
+``read(d)``, the extraction API, is the one place a plot is read. It
+associates a plot's detections, or an annotation's elements as they are,
+once and returns a ``PlotReading``: the canonical marks, the category and
+value ticks (``cat_refs``, ``val_ticks``), the legend map, the orientation
+and one ``MarkAssignment`` per data mark (its cell and value, or the reason
+it was left out). Everything downstream takes the reading:
+``extract_table(reading)`` is ``reading.table``, the bar questions read
+``bar_groups``, and every answerer in ``hybrid`` takes the one reading of
+a plot. ``PlotReading.label_text`` is the one rule for a title or axis
 label: the table's row label and no-legend column header, and the answers
 to the title and axis-label questions, come from it.
 
@@ -311,19 +311,16 @@ class PlotReading:
         return [sorted(g, key=lambda bar: bar.center[self.cat_axis]) for g in groups]
 
 
-def read(d: DetectionSet | PlotAnnotation | PlotReading) -> PlotReading:
+def read(d: DetectionSet | PlotAnnotation) -> PlotReading:
     """Associate a detection set, or an annotation's elements, once; never
-    raises. A reading passes through unchanged."""
-    return d if isinstance(d, PlotReading) else PlotReading(d)
+    raises."""
+    return PlotReading(d)
 
 
-def extract_table(d: DetectionSet | PlotAnnotation | PlotReading) -> SemiStructuredTable:
-    """Reconstruct the semi-structured table from detections.
-
-    Always returns a table; association failures leave empty cells and
-    unreadable axes simply produce no values.
-    """
-    return read(d).table
+def extract_table(reading: PlotReading) -> SemiStructuredTable:
+    """The semi-structured table of a plot's reading: association failures
+    leave empty cells, and unreadable axes produce no values."""
+    return reading.table
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from plotquest.detsim import (
 from plotquest.harness import evaluate, score_answer
 from plotquest.hybrid import answer_hybrid, answer_pipeline_only, answer_structural
 from plotquest.qgen import ANSWER_TYPE_WEIGHTS, instantiate, instantiate_all
-from plotquest.sie import extract_table, table_f1
+from plotquest.sie import extract_table, read, table_f1
 from plotquest.tableqa import parse
 from plotquest.templates import default_templates
 
@@ -74,14 +74,14 @@ def test_criterion_roundtrip_exactness():
     n_questions = n_correct = 0
     for data, spec, ann, questions in plots:
         types_seen.add(spec.plot_type)
-        det = perturb(ann, ZERO_NOISE)
-        table = extract_table(det)
+        reading = read(perturb(ann, ZERO_NOISE))
+        table = extract_table(reading)
         _, _, f1 = table_f1(table, ann.gold_table, 0.005)
         assert f1 == 1.0, f"tuple F1 {f1} != 1.0 on a zero-noise plot"
         for q in questions:
             n_questions += 1
             try:
-                pred = answer_hybrid(q.text, det)
+                pred = answer_hybrid(q.text, reading)
             except (AnswerUnavailable, UnparseableQuestion):
                 pred = None
             if score_answer(pred, q.gold_answer):
@@ -165,7 +165,7 @@ def test_criterion_calibrated_noise_reproduction():
     map5 = average_precision(zip(noisy, anns), 0.5)[1]
     map9 = average_precision(zip(noisy, anns), 0.9)[1]
     f1s = [
-        table_f1(extract_table(det), ann.gold_table, 0.02)[2]
+        table_f1(extract_table(read(det)), ann.gold_table, 0.02)[2]
         for det, ann in zip(noisy, anns)
     ]
     mean_f1 = float(np.mean(f1s))
@@ -178,7 +178,8 @@ def test_criterion_calibrated_noise_reproduction():
 def test_criterion_ablation_ordering():
     plots, _ = _generated_plots()
     noisy = _paper_like_detections()
-    cases = [(q, noisy[i]) for i in range(250) for q in plots[i][3]]
+    readings = [read(det) for det in noisy[:250]]
+    cases = [(q, readings[i]) for i in range(250) for q in plots[i][3]]
 
     def run(fn):
         return evaluate(cases, fn)

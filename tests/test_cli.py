@@ -164,6 +164,28 @@ def test_run_unknown_preset_is_usage_error(dataset, tmp_path):
                  "--out", str(tmp_path / "o")]) == 1
 
 
+def test_a_preset_name_means_its_preset_whatever_the_working_directory_holds(dataset, tmp_path, monkeypatch):
+    # an earlier `run --out zero` leaves a directory named like a preset
+    presets = ("zero", "paper_like")
+    for cwd in ("clean", "crowded"):
+        (tmp_path / cwd).mkdir()
+    for preset in presets:
+        (tmp_path / "crowded" / preset).mkdir()
+    predictions = {}
+    for cwd in ("clean", "crowded"):
+        monkeypatch.chdir(tmp_path / cwd)
+        for preset in presets:
+            assert main(["run", "--dataset", dataset, "--noise", preset, "--out", f"run_{preset}"]) == 0
+            predictions[cwd, preset] = (tmp_path / cwd / f"run_{preset}" / "predictions.jsonl").read_bytes()
+    assert all(predictions["crowded", p] == predictions["clean", p] for p in presets)
+    # a noise-model file named like a preset is read through a path
+    monkeypatch.chdir(tmp_path / "clean")
+    (tmp_path / "clean" / "zero").write_text(json.dumps({"drop_prob": 1.0, "seed": 1}))
+    assert main(["run", "--dataset", dataset, "--noise", "./zero", "--out", "run_file"]) == 0
+    with open(tmp_path / "clean" / "run_file" / "report.json") as f:
+        assert json.load(f)["overall_accuracy"] < 0.15
+
+
 def test_extract_gold_annotation_matches_gold_table(dataset, tmp_path):
     # every plot's headers come out in the gold table's order: legend columns
     # in the legend's reading order, rows along the category axis

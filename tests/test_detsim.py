@@ -80,6 +80,35 @@ def test_iou_equals_the_matrix_kernel_on_one_pair(a, b):
     assert iou(c, c) == iou_matrix([c], [c])[0, 0]
 
 
+# ordinary-sized boxes at a huge coordinate once lost their extents to the
+# rescale, which scaled the pair by its largest number, the offset included
+_OFFSET_PAIR = ((2.0 ** 600, 0.0, 1.0, 1.0), (2.0 ** 600, 0.0, 2.0, 2.0))
+_SEPARATED_FLAT_PAIR = ((2.0 ** 600, 1e-300, 0.0, 0.0), (2.0 ** 600, 2e-300, 0.0, 0.0))
+
+
+def test_iou_keeps_a_pairs_extents_at_a_huge_coordinate():
+    assert iou(*_OFFSET_PAIR) == 0.25
+    assert iou(*_SEPARATED_FLAT_PAIR) == 0.0  # distinct zero-area boxes, not identical ones
+    for a, b in (_OFFSET_PAIR, _SEPARATED_FLAT_PAIR):
+        assert iou(a, b) == iou_matrix([a], [b])[0, 0]
+
+
+def test_candidates_agree_with_iou_at_a_huge_coordinate():
+    for a, b in (_OFFSET_PAIR, _SEPARATED_FLAT_PAIR):
+        for lowest in THRESHOLDS:
+            got = _candidates([Detection("bar", a, 1.0)], [VisualElement("bar", b)], lowest)
+            assert got == [[(0, iou(a, b))] if iou(a, b) >= lowest else []]
+
+
+def test_iou_of_a_pair_farther_apart_than_the_float_range_is_zero():
+    # moving the pair to its origin overflows the far box's coordinate to inf
+    a, b = (-1.7e308, 0.0, 1e308, 1.0), (1.7e308, 0.0, 1.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert iou(a, b) == iou(b, a) == 0.0
+        assert iou_matrix([a], [b])[0, 0] == 0.0
+
+
 # -- perturb -----------------------------------------------------------------
 
 def _det_key(d):
@@ -245,34 +274,46 @@ def test_appool_validates_thresholds():
 
 # -- the IOU matrix kernel ---------------------------------------------------
 # APPool once scored each plot through one IOU matrix of all its detections
-# against all its golds, masked to same-class pairs; kept verbatim as the
-# reference for the pair rule ``iou`` and the candidate search that replaced it.
+# against all its golds, masked to same-class pairs; kept as the reference
+# for the pair rule ``iou`` and the candidate search that replaced it, with
+# the pair rule's move to each huge pair's own origin.
 
 def iou_matrix(a, b) -> np.ndarray:
     """Intersection over union of every (x, y, w, h) box in ``a`` against
     every box in ``b``, as an len(a) x len(b) float64 matrix of values in
-    [0, 1]; no edge, area or union overflows for finite boxes."""
+    [0, 1]; no edge, area or union overflows for finite boxes closer than
+    the float range."""
     A = np.asarray(a, dtype=np.float64).reshape(-1, 4)
     B = np.asarray(b, dtype=np.float64).reshape(-1, 4)
     if (A[:, 2:] < 0).any() or (B[:, 2:] < 0).any():
         raise ValueError("box extents must be non-negative")
-    big = max(np.abs(A).max(initial=0.0), np.abs(B).max(initial=0.0))
-    if big > 2.0 ** 500:
-        # IOU does not change with scale: bring every number below 1 by a
-        # power of two; boxes of ordinary size are never rescaled
-        k = -np.frexp(big)[1]
-        A, B = np.ldexp(A, k), np.ldexp(B, k)
-    ax, ay, aw, ah = (c[:, None] for c in A.T)
-    bx, by, bw, bh = B.T
-    ix = np.maximum(0.0, np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx))
-    iy = np.maximum(0.0, np.minimum(ay + ah, by + bh) - np.maximum(ay, by))
-    inter = ix * iy
-    union = aw * ah + bw * bh - inter
+    shape = (len(A), len(B))
+    ax, ay, aw, ah = (np.broadcast_to(c[:, None], shape) for c in A.T)
+    bx, by, bw, bh = (np.broadcast_to(c[None, :], shape) for c in B.T)
+    big = 2.0 ** 500
+    huge = (np.abs(A).max(axis=1, initial=0.0)[:, None] > big) | (np.abs(B).max(axis=1, initial=0.0)[None, :] > big)
+    # a pair farther apart than the float range moves to inf, and its
+    # unscaled areas may overflow: its IOU is still 0
+    with np.errstate(over="ignore"):
+        # IOU does not change with translation or scale: move each pair with
+        # a number above 2**500 to its own origin, then bring its numbers
+        # below 1 by a power of two; boxes of ordinary size are never moved
+        # or rescaled
+        ox, oy = np.where(huge, np.minimum(ax, bx), 0.0), np.where(huge, np.minimum(ay, by), 0.0)
+        ax, ay, bx, by = ax - ox, ay - oy, bx - ox, by - oy
+        largest = np.max([ax, ay, aw, ah, bx, by, bw, bh], axis=0)  # all >= 0 once moved
+        k = np.where(huge, -np.frexp(largest)[1], 0)
+        ax, ay, aw, ah, bx, by, bw, bh = (np.ldexp(v, k) for v in (ax, ay, aw, ah, bx, by, bw, bh))
+        ix = np.maximum(0.0, np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx))
+        iy = np.maximum(0.0, np.minimum(ay + ah, by + bh) - np.maximum(ay, by))
+        inter = ix * iy
+        union = aw * ah + bw * bh - inter
     degenerate = union <= 0.0
     if not degenerate.any():
         return np.minimum(inter / union, 1.0)  # edge rounding can put inter a few ulps above union
-    # two degenerate boxes; identical ones still count as a perfect match
-    same = (A[:, None, :] == B[None, :, :]).all(axis=2)
+    # two degenerate boxes, compared as moved and scaled; identical ones
+    # still count as a perfect match
+    same = (ax == bx) & (ay == by) & (aw == bw) & (ah == bh)
     return np.where(degenerate, same.astype(np.float64), np.minimum(inter / np.where(degenerate, 1.0, union), 1.0))
 
 

@@ -15,7 +15,7 @@ from plotquest.hybrid import (
 )
 from plotquest.plotgen import make_plot_spec, render
 from plotquest.qgen import instantiate_all
-from plotquest.sie import NON_FINITE_VALUE, read
+from plotquest.sie import NON_FINITE_VALUE, extract_table, read
 from plotquest.tableqa import parse
 
 from conftest import HEAVY, clean_detections, make_data, make_spec, rendered
@@ -60,7 +60,7 @@ def test_route_partitions_every_template(corpus, templates):
 def test_structural_bars_on_second_tick_from_top():
     data = make_data([[3, 4], [5, 6]], legends=["Indoor", "Outdoor"])
     _, _, ann = rendered(data, "hbar")
-    got = answer_structural("How many bars are there on the 2nd tick from the top?", ann)
+    got = answer_structural("How many bars are there on the 2nd tick from the top?", read(ann))
     assert got.value == 2
 
 
@@ -104,32 +104,33 @@ def test_row_label_is_the_x_axis_answer_when_the_first_label_has_no_text():
 def test_structural_legend_stacking_horizontal():
     data = make_data([[1, 2], [3, 4]])
     _, _, ann = rendered(data, "vbar", legend_position="bottom-centre")
-    got = answer_structural("How are the legend labels stacked?", ann)
+    got = answer_structural("How are the legend labels stacked?", read(ann))
     assert got.value == "horizontal"
     _, _, ann2 = rendered(data, "vbar", legend_position="center-right")
-    assert answer_structural("How are the legend labels stacked?", ann2).value == "vertical"
+    assert answer_structural("How are the legend labels stacked?", read(ann2)).value == "vertical"
 
 
 def test_structural_parallel_lines_never_intersect():
     data = make_data([[2.0, 2.0, 2.0], [5.0, 5.0, 5.0]])
     _, _, ann = rendered(data, "line")
-    got = answer_structural("How many lines intersect with each other?", ann)
+    got = answer_structural("How many lines intersect with each other?", read(ann))
     assert got.value == 0
 
 
 def test_structural_crossing_lines_counted():
     data = make_data([[1.0, 6.0], [6.0, 1.0]])
     _, _, ann = rendered(data, "line")
-    got = answer_structural("How many lines intersect with each other?", ann)
+    got = answer_structural("How many lines intersect with each other?", read(ann))
     assert got.value == 1
 
 
 def test_structural_missing_elements_unavailable():
-    # every guarded family, on a detection set without what it needs, and
-    # every ordinal past the end give the one reason their guard states
-    lone_bar = DetectionSet([Detection("bar", (10, 10, 5, 5), 1.0, color=0)])
-    nothing = DetectionSet([])
-    one_tick = DetectionSet([Detection("xtick_label", (10, 30, 20, 10), 1.0, text="2001")])
+    # every guarded family, on the reading of a detection set without what
+    # it needs, and every ordinal past the end give the one reason their
+    # guard states
+    lone_bar = read(DetectionSet([Detection("bar", (10, 10, 5, 5), 1.0, color=0)]))
+    nothing = read(DetectionSet([]))
+    one_tick = read(DetectionSet([Detection("xtick_label", (10, 30, 20, 10), 1.0, text="2001")]))
     cases = [
         ("Does the graph contain any zero values?", nothing, "no data values readable"),
         ("How many legend labels are there?", lone_bar, "no legend detected"),
@@ -152,9 +153,9 @@ def test_structural_missing_elements_unavailable():
         ("What is the label or title of the X-axis?", lone_bar, "no xaxis_label detected"),
         ("What is the label or title of the Y-axis?", lone_bar, "no yaxis_label detected"),
     ]
-    for question, det, reason in cases:
+    for question, rd, reason in cases:
         with pytest.raises(AnswerUnavailable) as err:
-            answer_structural(question, det)
+            answer_structural(question, rd)
         assert str(err.value) == reason, question
 
 
@@ -174,12 +175,34 @@ def test_bar_order_without_category_ticks_says_so():
     for end in ("left", "right", "top", "bottom"):
         questions.append(f"How many bars are there on the 1st tick from the {end}?")
         questions.append(f"What does the 1st bar from the {end} in each group represent?")
+    rd = read(det)
     for question in questions:
         with pytest.raises(AnswerUnavailable, match="no category ticks detected"):
-            answer_structural(question, det)
+            answer_structural(question, rd)
     with pytest.raises(AnswerUnavailable, match="no bars detected"):
         answer_structural("What does the 1st bar from the left in each group represent?",
-                          DetectionSet([d for d in det.detections if d.cls != "bar"]))
+                          read(DetectionSet([d for d in det.detections if d.cls != "bar"])))
+
+
+def test_every_consumer_of_a_plot_takes_its_reading():
+    # only sie.read takes detections or an annotation: handed one instead of
+    # the plot's reading, an answerer raises once the question needs the
+    # plot's elements or table, and so does extract_table; neither error is
+    # an answering error, so evaluate lets it through unscored
+    data = make_data([[3, 4], [5, 6]], legends=["Indoor", "Outdoor"])
+    _, _, ann = rendered(data, "vbar")
+    det = clean_detections(ann)
+    visual, table = "How many bars are there?", "What is the price of diesel in Outdoor in the year 2001?"
+    asked = [(answer_structural, visual), (answer_pipeline_only, table),
+             (answer_hybrid, visual), (answer_hybrid, table)]
+    for fn, question in asked:
+        fn(question, read(ann))  # the reading answers it
+        for plot in (ann, det):
+            with pytest.raises((AttributeError, TypeError)):  # an annotation's elements are a list
+                fn(question, plot)
+    for plot in (ann, det):
+        with pytest.raises(AttributeError):
+            extract_table(plot)
 
 
 def test_structural_works_on_detections_and_annotations(corpus):
@@ -187,7 +210,7 @@ def test_structural_works_on_detections_and_annotations(corpus):
     _, ann = render(make_plot_spec(data, 3))
     det = clean_detections(ann)
     q = "Where does the legend appear in the graph?"
-    assert answer_structural(q, ann).value == answer_structural(q, det).value
+    assert answer_structural(q, read(ann)).value == answer_structural(q, read(det)).value
 
 
 def test_count_answers_survive_jitter():
@@ -196,7 +219,7 @@ def test_count_answers_survive_jitter():
     data = make_data([[3, 4, 5], [5, 6, 7]])
     _, _, ann = rendered(data, "vbar")
     noisy = perturb(ann, NoiseModel(box_jitter_sigma=2.5, seed=11))
-    got = answer_hybrid("How many bars are there?", noisy)
+    got = answer_hybrid("How many bars are there?", read(noisy))
     assert got.value == 6
 
 
@@ -206,9 +229,9 @@ def test_hybrid_zero_noise_equals_gold(corpus):
         data = sample_plot_data(corpus, seed)
         spec = make_plot_spec(data, seed)
         _, ann = render(spec)
-        det = clean_detections(ann)
+        reading = read(clean_detections(ann))
         for q in instantiate_all(spec, seed):
-            got = answer_hybrid(q.text, det)
+            got = answer_hybrid(q.text, reading)
             assert score_answer(got, q.gold_answer), (seed, q.text, got, q.gold_answer)
 
 
@@ -217,10 +240,10 @@ def test_hybrid_never_panics_under_heavy_noise(corpus):
         data = sample_plot_data(corpus, seed)
         spec = make_plot_spec(data, seed)
         _, ann = render(spec)
-        det = perturb(ann, HEAVY.with_seed(seed))
+        reading = read(perturb(ann, HEAVY.with_seed(seed)))
         for q in instantiate_all(spec, seed):
             try:
-                answer_hybrid(q.text, det)
+                answer_hybrid(q.text, reading)
             except AnswerUnavailable:
                 pass  # the only acceptable failure mode
 
@@ -233,8 +256,8 @@ def test_hybrid_strictly_dominates_single_branches_at_zero_noise(corpus):
         data = sample_plot_data(corpus, seed)
         spec = make_plot_spec(data, seed)
         _, ann = render(spec)
-        det = clean_detections(ann)
-        cases.extend((q, det) for q in instantiate_all(spec, seed))
+        reading = read(clean_detections(ann))
+        cases.extend((q, reading) for q in instantiate_all(spec, seed))
 
     def run(fn):
         return evaluate(cases, fn).overall_accuracy
@@ -267,22 +290,27 @@ def test_line_crossing_without_category_ticks():
     # does not match read as no series values, and no values never cross
     q = "How many lines intersect with each other?"
     with pytest.raises(AnswerUnavailable, match="no category ticks detected"):
-        answer_hybrid(q, _line_plot([(100, 100, 0), (300, 300, 5)], x_ticks=()))
-    assert answer_hybrid(q, _line_plot([(100, 100, 5), (300, 300, 5)], x_ticks=())).value == 0
+        answer_hybrid(q, read(_line_plot([(100, 100, 0), (300, 300, 5)], x_ticks=())))
+    assert answer_hybrid(q, read(_line_plot([(100, 100, 5), (300, 300, 5)], x_ticks=()))).value == 0
 
 
 def test_classification_answers_near_the_float_limit_do_not_warn():
     # finite readings whose differences, products or sums overflow: lines
-    # at +-1e200 that swap once, and tick steps of 1.2e308 whose mean does not fit
-    crossing = _line_plot([(100, 100, 0), (300, 300, 0), (100, 300, 1), (300, 100, 1)])
-    steps = DetectionSet([Detection("ytick_label", (10, y, 30, 12), 1.0, text=t)
-                          for t, y in (("7e307", 0), ("-5e307", 100), ("-1.7e308", 200))])
+    # at +-1e200 that swap once, tick steps of 1.2e308 whose sum does not
+    # fit, and adjacent ticks at +-1.7e308, whose step itself does not fit
+    crossing = read(_line_plot([(100, 100, 0), (300, 300, 0), (100, 300, 1), (300, 100, 1)]))
+
+    def ticks(*texts):
+        return read(DetectionSet([Detection("ytick_label", (10, 100 * i, 30, 12), 1.0, text=t)
+                                  for i, t in enumerate(texts)]))
+
+    step = "What is the difference between two consecutive major ticks on the Y-axis?"
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert answer_hybrid("How many lines intersect with each other?", crossing).value == 1
+        assert answer_hybrid(step, ticks("7e307", "-5e307", "-1.7e308")).value == 1.2e308
         with pytest.raises(AnswerUnavailable, match="tick step is not finite"):
-            answer_hybrid("What is the difference between two consecutive major ticks on the Y-axis?",
-                          steps)
+            answer_hybrid(step, ticks("1.7e308", "-1.7e308"))
 
 
 def test_unparseable_question_fails_loudly_via_pipeline(corpus):
@@ -290,7 +318,7 @@ def test_unparseable_question_fails_loudly_via_pipeline(corpus):
     data = sample_plot_data(corpus, 0)
     _, ann = render(make_plot_spec(data, 0))
     with pytest.raises(UnparseableQuestion):
-        answer_hybrid("what is the airspeed of an unladen swallow?", ann)
+        answer_hybrid("what is the airspeed of an unladen swallow?", read(ann))
 
 
 def test_overflowing_value_ticks_answer_nothing():

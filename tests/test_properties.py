@@ -145,10 +145,10 @@ def questions(draw, d: DetectionSet):
 
 
 def _assert_extraction_is_finite_and_ignores_order(d, data):
-    table = extract_table(d)
+    table = extract_table(read(d))
     assert all(v is None or math.isfinite(v) for row in table.cells for v in row), table.cells
     shuffled = data.draw(st.permutations(d.detections))
-    assert extract_table(DetectionSet(shuffled, style=d.style)).to_json() == table.to_json()
+    assert extract_table(read(DetectionSet(shuffled, style=d.style))).to_json() == table.to_json()
 
 
 def _assert_answering_raises_only_documented_errors(d, data):
@@ -207,9 +207,9 @@ def test_huge_boxes_read_the_table_of_scale_1():
     # the strategy's whole space: each clean plot at each huge scale fills
     # the cells it fills at scale 1, with the same values up to rounding
     for plot in CLEAN_PLOTS:
-        table = extract_table(plot)
+        table = extract_table(read(plot))
         for k in HUGE_SCALES:
-            huge = extract_table(_scaled(plot, k))
+            huge = extract_table(read(_scaled(plot, k)))
             assert (huge.row_headers, huge.col_headers) == (table.row_headers, table.col_headers)
             for row, huge_row in zip(table.cells, huge.cells):
                 assert [v is None for v in huge_row] == [v is None for v in row], k

@@ -190,9 +190,9 @@ def test_no_reading_view_raises():
 
 @pytest.mark.parametrize("noise", [ZERO_NOISE, PAPER_LIKE, HEAVY], ids=["zero", "paper_like", "heavy"])
 def test_shared_reading_answers_like_fresh_calls(corpus, noise):
-    def result(d, text):
+    def result(rd, text):
         try:
-            return answer_hybrid(text, d).to_json()
+            return answer_hybrid(text, rd).to_json()
         except Exception as e:  # compare failure types, whatever they are
             return type(e).__name__
 
@@ -203,7 +203,7 @@ def test_shared_reading_answers_like_fresh_calls(corpus, noise):
         det = perturb(ann, noise.with_seed(seed))
         reading = read(det)
         for q in instantiate_all(spec, seed):
-            assert result(reading, q.text) == result(det, q.text), (seed, q.text)
+            assert result(reading, q.text) == result(read(det), q.text), (seed, q.text)
 
 
 # -- the nearest category tick -------------------------------------------------
