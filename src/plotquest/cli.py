@@ -162,6 +162,13 @@ def cmd_generate(corpus_path: str | None, n_plots: int, seed: int,
     made: list[str] = []  # the directories this pass makes, deepest first
     for sub in ("plots", "annotations", "tables"):
         made[:0] = _make_out_dir(os.path.join(out, sub))
+    manifest_path = os.path.join(out, "manifest.json")
+    try:  # an old dataset's manifest goes first; the new one is written last
+        os.remove(manifest_path)
+    except FileNotFoundError:
+        pass
+    except OSError as e:  # a directory, no permission
+        raise UsageError(f"cannot write --out {manifest_path}: {e.strerror}")
 
     hashes: dict[str, str] = {}
 
@@ -216,7 +223,7 @@ def cmd_generate(corpus_path: str | None, n_plots: int, seed: int,
         "files": hashes,  # sort_keys orders it
     }
     encoder = json.JSONEncoder(indent=1, sort_keys=True)  # json.dumps's bytes, written as encoded
-    _write(os.path.join(out, "manifest.json"), (chunk.encode() for chunk in encoder.iterencode(manifest)))
+    _write(manifest_path, (chunk.encode() for chunk in encoder.iterencode(manifest)))
     print(f"wrote {n_plots} plots, {n_questions} questions to {out}")
     return 0
 

@@ -165,7 +165,10 @@ def _structural(tid: int, b: dict[str, str], rd: PlotReading) -> Answer:
 def _answer(question: str, rd: PlotReading, branch: str | None) -> Answer:
     """Parse once and route; a question routed away from ``branch`` (None:
     either) is AnswerUnavailable before the reading is consulted. Raises only
-    AnswerUnavailable or UnparseableQuestion."""
+    AnswerUnavailable or UnparseableQuestion, or TypeError when ``rd`` is not
+    a reading (a programming error, never scored)."""
+    if not isinstance(rd, PlotReading):
+        raise TypeError(f"answerers take the plot's PlotReading, not {type(rd).__name__}")
     parsed = parse_question(question)
     routed = route(parsed).branch
     if branch not in (None, routed):

@@ -12,6 +12,10 @@ Every entry point takes the plot's ``PlotSpec`` alone: the data the plot
 shows is ``spec.data``, so the questions, their gold answers and the
 rendered plot describe one plot.
 
+A question is its template, its bindings and its gold answer; its text is
+the template's fill of the bindings, derived once when the question is
+built, so a question line whose text is not that fill is a data error.
+
 Gold answers are computed directly in value space from ``spec.data`` (plus
 style metadata for structural questions), independently of the extraction
 pipeline that will later answer the same questions from detections. Table
@@ -67,20 +71,23 @@ class Degenerate(Exception):
 
 @dataclass(frozen=True)
 class QuestionInstance:
-    """One question of a template; its id, category and answer type are the
-    template's."""
+    """One question of a template: its id, category and answer type are the
+    template's, and its ``text`` is the template filled with its bindings,
+    whose keys are exactly the template's slots. The text is filled once, at
+    construction, so bindings that cannot fill it are refused there."""
     template: Template
-    text: str
     bindings: dict[str, str]
     gold_answer: Answer
 
     def __post_init__(self):
         if not isinstance(self.template, Template):
             raise ValueError(f"template {self.template!r} is not a Template")
-        if not isinstance(self.text, str):
-            raise ValueError(f"text {self.text!r} is not a string")
         if not isinstance(self.bindings, dict) or not all(isinstance(v, str) for v in self.bindings.values()):
             raise ValueError(f"bindings {self.bindings!r} do not map slot names to strings")
+        if self.bindings.keys() != set(self.template.slots):
+            raise ValueError(f"binding keys {list(self.bindings)} are not the slots "
+                             f"{list(self.template.slots)} of template {self.template.id}")
+        object.__setattr__(self, "text", self.template.fill(self.bindings))  # derived, so not a field
 
     template_id = property(lambda self: self.template.id)
     category = property(lambda self: self.template.category)
@@ -96,9 +103,9 @@ class QuestionInstance:
     @staticmethod
     def from_json(obj: dict) -> "QuestionInstance":
         """Inverse of to_json: the template is the bundled one with the
-        line's id, and the line must state its category and answer type.
-        Other keys, such as the ``plot_id`` of a questions.jsonl line, are
-        ignored."""
+        line's id, and the line must state its category, its answer type and
+        its text, the template's fill of its bindings. Other keys, such as
+        the ``plot_id`` of a questions.jsonl line, are ignored."""
         tid = obj["template_id"]
         t = templates_by_id().get(tid) if type(tid) is int else None
         if t is None:
@@ -106,7 +113,10 @@ class QuestionInstance:
         if (obj["category"], obj["answer_type"]) != (t.category, t.answer_type):
             raise ValueError(f"template {tid} is {t.category} / {t.answer_type}, "
                              f"not {obj['category']!r} / {obj['answer_type']!r}")
-        return QuestionInstance(t, obj["text"], obj["bindings"], Answer.from_json(obj["gold_answer"]))
+        q = QuestionInstance(t, obj["bindings"], Answer.from_json(obj["gold_answer"]))
+        if obj["text"] != q.text:
+            raise ValueError(f"text {obj['text']!r} is not template {tid}'s fill {q.text!r}")
+        return q
 
 
 # ---------------------------------------------------------------------------
@@ -466,10 +476,9 @@ def _question(template: Template, ctx: _Ctx, rng: np.random.Generator, seen=()) 
     draws nothing from ``rng``, so skipping it leaves the stream as it was."""
     try:
         bindings = sample_bindings(template, ctx, rng)
-        filled = template.fill(bindings)
-        if filled in seen:
+        if template.fill(bindings) in seen:
             return None
-        return QuestionInstance(template, filled, bindings, _gold(template.id, bindings, ctx))
+        return QuestionInstance(template, bindings, _gold(template.id, bindings, ctx))
     except Degenerate:
         return None
 

@@ -5,9 +5,12 @@ Templates live in ``data/templates.txt`` (id | category | answer_type |
 pattern, read by ``corpus.data_rows``, the one reader of the ``|``-separated
 data files) so the generator and the parser work from one grammar source; a
 question filled from a pattern re-parses to the same template id and
-bindings by construction. Slots are typed: ordinals and thresholds match
-tight sub-regexes, text slots match lazily, and repeated slot names
-compile to backreferences so both mentions must agree.
+bindings by construction. A question's text is its template's fill of its
+bindings, so a question line whose text is another is a data error. Each
+pattern is split at its slots once; its slots, literal prefix and size,
+regex and fill all read that one split. Slots are typed: ordinals and
+thresholds match tight sub-regexes, text slots match lazily, and repeated
+slot names compile to backreferences so both mentions must agree.
 
 Parsing tries only the templates a question's literal prefix admits: an
 index keyed by the text before each pattern's first slot picks the
@@ -51,9 +54,14 @@ class Template:
     surface_pattern: str
 
     @cached_property
+    def _parts(self) -> tuple[str, ...]:
+        """The pattern split at its slots: literals at even positions, slot names at odd ones."""
+        return tuple(_SLOT_RE.split(self.surface_pattern))
+
+    @cached_property
     def slots(self) -> tuple[str, ...]:
         """Slot names in order of first appearance."""
-        return tuple(dict.fromkeys(m.group(1) for m in _SLOT_RE.finditer(self.surface_pattern)))
+        return tuple(dict.fromkeys(self._parts[1::2]))
 
     @cached_property
     def legend_slots(self) -> tuple[str, ...]:
@@ -63,40 +71,35 @@ class Template:
 
     @property
     def literal_size(self) -> int:
-        return len(_SLOT_RE.sub("", self.surface_pattern))
+        return sum(map(len, self._parts[::2]))
 
     @property
     def literal_prefix(self) -> str:
         """The pattern text before the first slot (all of it when there is
         no slot); every text the pattern matches starts with it."""
-        return _SLOT_RE.split(self.surface_pattern, 1)[0]
+        return self._parts[0]
 
     def compile(self) -> re.Pattern:
         out = []
-        pos = 0
         seen: set[str] = set()
-        for m in _SLOT_RE.finditer(self.surface_pattern):
-            out.append(re.escape(self.surface_pattern[pos:m.start()]))
-            name = m.group(1)
-            if name in seen:
-                out.append(f"(?P={name})")
+        for k, part in enumerate(self._parts):
+            if k % 2 == 0:
+                out.append(re.escape(part))
+            elif part in seen:
+                out.append(f"(?P={part})")
             else:
-                seen.add(name)
-                sub = _SLOT_PATTERNS.get(name, _DEFAULT_SLOT_PATTERN)
-                out.append(f"(?P<{name}>{sub})")
-            pos = m.end()
-        out.append(re.escape(self.surface_pattern[pos:]))
+                seen.add(part)
+                out.append(f"(?P<{part}>{_SLOT_PATTERNS.get(part, _DEFAULT_SLOT_PATTERN)})")
         return re.compile("".join(out))
 
     def fill(self, bindings: dict[str, str]) -> str:
         """Substitute bindings into the pattern; every slot must be bound."""
-        def sub(m: re.Match) -> str:
-            name = m.group(1)
-            if name not in bindings:
-                raise TemplateError(f"unbound slot {name!r} in template {self.id}")
-            return str(bindings[name])
-
-        text = _SLOT_RE.sub(sub, self.surface_pattern)
+        parts = list(self._parts)
+        try:
+            parts[1::2] = [str(bindings[name]) for name in parts[1::2]]
+        except KeyError as e:
+            raise TemplateError(f"unbound slot {e.args[0]!r} in template {self.id}") from None
+        text = "".join(parts)
         if "{" in text or "}" in text:
             raise TemplateError(f"unfilled slot marker remains in {text!r}")
         return text

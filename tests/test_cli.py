@@ -413,6 +413,26 @@ def test_generate_that_cannot_lay_out_a_plot_leaves_nothing_behind(tmp_path, cap
     assert os.listdir(kept) == []
 
 
+def test_generate_that_fails_into_an_old_dataset_leaves_no_manifest(tmp_path, capsys):
+    # the old manifest goes before any plot file is written, so a failed
+    # pass leaves a directory that run refuses, naming the manifest
+    out = tmp_path / "ds"
+    assert main(["generate", "--n-plots", "3", "--seed", "0", "--out", str(out)]) == 0
+    manifest = (out / "manifest.json").read_bytes()
+    corpus = tmp_path / "corpus.txt"
+    # a corpus that cannot be read leaves the old dataset as it was
+    assert main(["generate", "--corpus", str(corpus), "--n-plots", "5", "--out", str(out)]) == 2
+    assert (out / "manifest.json").read_bytes() == manifest
+    corpus.write_text("price of diesel | price of diesel | countries | 0.1 | 3 | float\n"
+                      f"a | {'very long unit phrase ' * 8}| countries | 0 | 3 | integer\n")
+    capsys.readouterr()
+    assert main(["generate", "--seed", "0", "--corpus", str(corpus), "--n-plots", "5", "--out", str(out)]) == 2
+    assert not (out / "manifest.json").exists()
+    assert main(["run", "--dataset", str(out), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and str(out / "manifest.json") in err[1]
+
+
 def _copy_dataset(dataset, tmp_path):
     import shutil
     dst = tmp_path / "ds"
@@ -448,30 +468,30 @@ def test_run_question_line_that_is_not_its_templates_is_data_error(dataset, tmp_
     assert not (tmp_path / "o").exists()  # every line is checked before any output
 
 
-def test_run_answers_out_of_grammar_questions_as_unparseable(dataset, tmp_path):
-    # one text starts with no template's literal prefix, the other with a
-    # real one ("What is the ") but matches no template
+def test_run_refuses_a_question_whose_text_is_not_its_templates_fill(dataset, tmp_path, capsys):
+    # a line keeps a real template's id and bindings but carries a foreign
+    # text: one starts with no template's literal prefix, the other with a
+    # real one ("What is the ") but matches no template. A question's text is
+    # its template's fill, so either line is a data error before any output
     from plotquest.templates import default_matcher, default_templates
     out_of_grammar = ["Why is the sky blue?", "What is the airspeed of an unladen swallow?"]
     prefixes = [t.literal_prefix for t in default_templates()]
     assert [any(t.startswith(p) for p in prefixes) for t in out_of_grammar] == [False, True]
     assert all(default_matcher().match(t) is None for t in out_of_grammar)
     ds = _copy_dataset(dataset, tmp_path)
-    records = [json.loads(line) for line in (ds / "questions.jsonl").read_text().splitlines()]
+    path = ds / "questions.jsonl"
+    records = [json.loads(line) for line in path.read_text().splitlines()]
     pid = json.loads((ds / "manifest.json").read_text())["splits"]["train"][0]
     record = next(r for r in records if r["plot_id"] == pid)
-    with open(ds / "questions.jsonl", "a") as f:
+    with open(path, "a") as f:
         for t in out_of_grammar:
             f.write(json.dumps({**record, "text": t}) + "\n")
-    argv = ["run", "--noise", "paper_like", "--run-split", "train"]
-    assert main([*argv, "--dataset", dataset, "--out", str(tmp_path / "before")]) == 0
-    assert main([*argv, "--dataset", str(ds), "--out", str(tmp_path / "after")]) == 0
-    before = [json.loads(line) for line in open(tmp_path / "before" / "predictions.jsonl")]
-    after = [json.loads(line) for line in open(tmp_path / "after" / "predictions.jsonl")]
-    added = [r for r in after if r["text"] in out_of_grammar]
-    assert [r["text"] for r in added] == out_of_grammar
-    assert all(r["prediction"] == {"error": "UnparseableQuestion"} and not r["correct"] for r in added)
-    assert [r for r in after if r["text"] not in out_of_grammar] == before
+    out = tmp_path / "o"
+    assert main(["run", "--noise", "paper_like", "--run-split", "train", "--dataset", str(ds),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: malformed question at {path}:{len(records) + 1}:") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_run_malformed_annotation_is_data_error(dataset, tmp_path, capsys):

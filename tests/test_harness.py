@@ -124,9 +124,11 @@ def test_split_spec_needs_three_finite_ratios():
 # -- evaluate ---------------------------------------------------------------------
 
 def _question(cat, at, gold, k=0):
-    """A question of the first template in the (category, answer type) cell."""
-    template = next(t for t in default_templates() if (t.category, t.answer_type) == (cat, at))
-    return QuestionInstance(template, f"q{cat}{at}{k}", {}, gold)
+    """A question of the k-th template (cycling) in the (category, answer
+    type) cell, each slot bound to its name and k, so no two k share a text."""
+    cell = [t for t in default_templates() if (t.category, t.answer_type) == (cat, at)]
+    template = cell[k % len(cell)]
+    return QuestionInstance(template, {s: f"{s}{k}" for s in template.slots}, gold)
 
 
 def _grid_questions():

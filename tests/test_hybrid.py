@@ -186,19 +186,22 @@ def test_bar_order_without_category_ticks_says_so():
 
 def test_every_consumer_of_a_plot_takes_its_reading():
     # only sie.read takes detections or an annotation: handed one instead of
-    # the plot's reading, an answerer raises once the question needs the
-    # plot's elements or table, and so does extract_table; neither error is
-    # an answering error, so evaluate lets it through unscored
+    # the plot's reading, an answerer raises TypeError, even on the grid and
+    # legend-position questions whose style every plot source carries, and
+    # extract_table raises once it reads the table; neither error is an
+    # answering error, so evaluate lets it through unscored
     data = make_data([[3, 4], [5, 6]], legends=["Indoor", "Outdoor"])
     _, _, ann = rendered(data, "vbar")
     det = clean_detections(ann)
     visual, table = "How many bars are there?", "What is the price of diesel in Outdoor in the year 2001?"
+    grid, legend = "Does the graph contain grids?", "Where does the legend appear in the graph?"
     asked = [(answer_structural, visual), (answer_pipeline_only, table),
-             (answer_hybrid, visual), (answer_hybrid, table)]
+             (answer_hybrid, visual), (answer_hybrid, table),
+             (answer_structural, grid), (answer_hybrid, legend)]
     for fn, question in asked:
         fn(question, read(ann))  # the reading answers it
         for plot in (ann, det):
-            with pytest.raises((AttributeError, TypeError)):  # an annotation's elements are a list
+            with pytest.raises(TypeError):
                 fn(question, plot)
     for plot in (ann, det):
         with pytest.raises(AttributeError):

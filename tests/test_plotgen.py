@@ -285,8 +285,7 @@ _RECORD_JSON = [
     (make_style(2), '{"grid": true, "font_size": 12.0, "tick_notation": "standard", "line_style": "solid", '
                     '"marker": "circle", "legend_position": "top-right", "series_colors": [0, 1], '
                     '"canvas": [800.0, 600.0]}'),
-    (QuestionInstance(templates_by_id()[33], "What is the price of diesel in 2001?",
-                      {"y_label": "price of diesel", "x_tick": "2001"}, number(1.5)),
+    (QuestionInstance(templates_by_id()[33], {"y_label": "price of diesel", "x_tick": "2001"}, number(1.5)),
      '{"template_id": 33, "category": "data_retrieval", "answer_type": "open_vocab", '
      '"text": "What is the price of diesel in 2001?", "bindings": {"y_label": "price of diesel", "x_tick": "2001"}, '
      '"gold_answer": {"kind": "number", "value": 1.5, "rendered": "1.5"}}'),

@@ -2,7 +2,8 @@
 code with a bad field raises ValueError at once, the same as one decoded
 from JSON, so no caller has to remember a separate check. A question line
 decodes to the bundled template with its id, so a line that states another
-category or answer type, or an id no template has, is refused."""
+category or answer type, an id no template has, binding keys other than the
+template's slots, or a text other than the template's fill, is refused."""
 
 import pytest
 
@@ -25,7 +26,7 @@ _STYLE = dict(grid=True, font_size=12.0, tick_notation="standard", line_style="s
 _ANNOTATION = dict(elements=[], style=make_style(1), plot_type="vbar",
                    gold_table=SemiStructuredTable(["2000"], ["Brazil"], [[1.0]]))
 # a questions.jsonl line: its template is the bundled one with its id, whose
-# category and answer type it must state
+# category, answer type and fill of the bindings it must state
 _QUESTION_LINE = dict(template_id=1, category="structural", answer_type="yes_no",
                       text="Does the graph contain any zero values?", bindings={},
                       gold_answer={"kind": "boolean", "value": False})
@@ -60,9 +61,12 @@ CASES = {
                                         style=make_style(3)), dict(style=make_style(1))),
     "data-one-category": (PlotData, _DATA, dict(x_categories=("2000",), series=(("Brazil", (1.0,)),))),
     "indicator-value-kind": (IndicatorVariable, _INDICATOR, dict(value_kind="dollars")),
-    "question-template": (QuestionInstance, dict(template=templates_by_id()[1], text=_QUESTION_LINE["text"],
-                                                 bindings={}, gold_answer=Answer("boolean", False)),
+    "question-template": (QuestionInstance, dict(template=templates_by_id()[1], bindings={},
+                                                 gold_answer=Answer("boolean", False)),
                           dict(template=1)),
+    # a line's text is its template's fill: template 2's text on template 1's line
+    "question-text": (_question_from_line, _QUESTION_LINE, dict(text=templates_by_id()[2].fill({}))),
+    "question-binding-keys": (_question_from_line, _QUESTION_LINE, dict(bindings={"zz": "q"})),
     "question-category": (_question_from_line, _QUESTION_LINE, dict(category="reasoning")),
     "question-answer-type": (_question_from_line, _QUESTION_LINE, dict(answer_type="fixed_vocab")),
     "question-unknown-template-id": (_question_from_line, _QUESTION_LINE, dict(template_id=999)),

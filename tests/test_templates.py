@@ -113,6 +113,45 @@ def test_an_empty_grammar_matches_nothing():
     assert TemplateMatcher([]).match("What is the title of the graph?") is None
 
 
+def oracle_fill(pattern, bindings):
+    """The reference fill: each slot marker substituted in place by a regex,
+    then any brace left over refused."""
+    def sub(m):
+        if m.group(1) not in bindings:
+            raise TemplateError(f"unbound slot {m.group(1)!r}")
+        return str(bindings[m.group(1)])
+
+    text = re.sub(r"\{([a-z_0-9]+)\}", sub, pattern)
+    if "{" in text or "}" in text:
+        raise TemplateError(f"unfilled slot marker remains in {text!r}")
+    return text
+
+
+def outcome(fill, *args):
+    try:
+        return fill(*args)
+    except TemplateError as e:
+        return type(e)
+
+
+def test_fill_agrees_with_the_regex_oracle(templates):
+    # every bundled template bound fully, with an extra binding, with one
+    # slot left out and with a brace in a value; then hand-made patterns
+    # whose braces are not slots
+    cases = []
+    for t in templates:
+        full = {s: f"v {s}" for s in t.slots}
+        cases += [(t.surface_pattern, full), (t.surface_pattern, {**full, "extra": "x"})]
+        for s in t.slots[:1]:
+            cases += [(t.surface_pattern, {k: v for k, v in full.items() if k != s}),
+                      (t.surface_pattern, {**full, s: "{x}"})]
+    for p in ("A {0} b", "A {x.y} b", "A } b", "A {{x}} b"):
+        cases += [(p, {}), (p, {"0": "z", "x": "v", "x.y": "w"})]
+    assert len(cases) > 2 * len(templates)
+    for p, bindings in cases:
+        assert outcome(Template(1, "reasoning", "open_vocab", p).fill, bindings) == outcome(oracle_fill, p, bindings)
+
+
 @pytest.mark.parametrize("line,reason", [
     ("x2 | structural | yes_no | Is it?", "template id 'x2' is not an integer"),
     ("2 | visual | yes_no | Is it?", "bad category 'visual'"),
