@@ -29,12 +29,12 @@ with open("demo_plot.svg", "wb") as f:
 print("\nwrote demo_plot.svg,", len(svg), "bytes")
 
 # the annotation lists every data-bearing element with a float bbox
-by_class = {}
+census = {}
 for e in annotation.elements:
-    by_class[e.cls] = by_class.get(e.cls, 0) + 1
-print("\nelement census:", by_class)
+    census[e.cls] = census.get(e.cls, 0) + 1
+print("\nelement census:", census)
 
-title = annotation.by_class("title")[0]
+title = next(e for e in annotation.elements if e.cls == "title")
 print("title:", repr(title.text), "at", [round(v, 1) for v in title.bbox])
 
 # the gold table is the plot's content in tabular form

@@ -29,7 +29,7 @@ from .corpus import (
 )
 from .detsim import (
     APPool, Detection, DetectionSet, NoiseModel, PAPER_LIKE, ZERO_NOISE,
-    average_precision, corrupt_text, get_preset, iou, ocr_accuracy, perturb,
+    average_precision, corrupt_text, iou, ocr_accuracy, perturb,
 )
 from .harness import EvalReport, SplitSpec, evaluate, score_answer, split
 from .hybrid import Route, answer_hybrid, answer_structural, route
@@ -47,7 +47,7 @@ __all__ = [
     "Answer", "AnswerUnavailable", "UnparseableQuestion",
     "IndicatorVariable", "PlotData", "default_corpus", "load_corpus", "sample_plot_data",
     "APPool", "Detection", "DetectionSet", "NoiseModel", "PAPER_LIKE", "ZERO_NOISE",
-    "average_precision", "corrupt_text", "get_preset", "iou", "ocr_accuracy", "perturb",
+    "average_precision", "corrupt_text", "iou", "ocr_accuracy", "perturb",
     "EvalReport", "SplitSpec", "evaluate", "score_answer", "split",
     "Route", "answer_hybrid", "answer_structural", "route",
     "PlotAnnotation", "PlotSpec", "StyleParams", "VisualElement", "LayoutError",

@@ -16,14 +16,20 @@ Exit codes: 0 success, 1 usage error, 2 data error. Two rules hold at the
 file boundary of every command, each with one line on stderr: an input file
 that cannot be read or decoded exits 2 naming the file (``_read``), and an
 output path that cannot be written exits 1 naming the path (``_write``).
+Every command prints only after its files are written, so a stdout closed
+early (``plotquest report ... | head -1``) is not an error: it exits 0.
 
 Per plot, ``generate`` appends its question lines to questions.jsonl and
 ``run`` its predictions to predictions.jsonl, each answer scored once into a
 ``harness.Tally``. ``run`` checks every question line before any output and
 accepts them in any order, so it keeps the run split's questions by plot:
-memory linear in the run split. A ``run`` that exits 2 mid-pass may leave a
-partial predictions.jsonl, but never a report; a ``generate`` that cannot
-lay out a plot exits 2 and removes every file and directory it made. Every
+memory linear in the run split. Before it writes, a pass removes the old
+files it replaces (``_remove``): ``run`` an old report.json and report.txt,
+so a ``run`` that exits 2 mid-pass may leave a partial predictions.jsonl,
+but never a report; ``generate`` an old manifest.json and every file named
+like a plot's (NNNN.svg, NNNN.json, NNNN.csv in its directory), so no old
+plot outlives its manifest. A ``generate`` that cannot lay out a plot exits
+2 and removes every file and directory it made. Every
 scorer takes its items paired: ``run`` feeds the AP pool (detections,
 annotation) per plot and ``detsim.ocr_accuracy`` one (class, predicted,
 gold) triple per detected gold text, and ``evaluate`` hands
@@ -44,7 +50,7 @@ from dataclasses import replace
 from . import __version__, detsim
 from .answers import UNANSWERED, Answer
 from .corpus import CorpusError, default_corpus, load_corpus, sample_plot_data
-from .detsim import PRESETS, APPool, DetectionSet, NoiseModel, get_preset, perturb_with_provenance
+from .detsim import PRESETS, APPool, DetectionSet, NoiseModel, perturb_with_provenance
 from .harness import EvalReport, SplitSpec, Tally, evaluate, score_answer, split
 from .hybrid import answer_hybrid
 from .plotgen import LayoutError, PlotAnnotation, make_plot_spec, render
@@ -124,6 +130,24 @@ def _write(path: str, chunks) -> None:
         raise UsageError(f"cannot write --out {path}: {e.strerror}")
 
 
+def _remove(paths) -> None:
+    """Remove the old files at ``paths`` that a pass replaces; a path that
+    does not exist is fine, and one that cannot be removed is a usage error."""
+    for path in paths:
+        try:
+            os.remove(path)
+        except FileNotFoundError:
+            pass
+        except OSError as e:  # a directory, no permission
+            raise UsageError(f"cannot write --out {path}: {e.strerror}")
+
+
+def _is_plot_file(name: str, ext: str) -> bool:
+    """``name`` is how ``generate`` names some plot's file with extension ``ext``."""
+    stem = name[:-len(ext)] if name.endswith(ext) else ""
+    return stem.isdecimal() and f"{int(stem):04d}" == stem
+
+
 def _make_out_dir(path: str) -> list[str]:
     """Make the directory ``path``; return the directories made, deepest first."""
     made, head = [], path
@@ -139,12 +163,12 @@ def _make_out_dir(path: str) -> list[str]:
 
 def _load_noise(spec: str) -> NoiseModel:
     """A preset name, whatever exists under it, or else a noise-model file."""
-    if spec not in PRESETS and os.path.exists(spec):
+    preset = PRESETS.get(spec)
+    if preset is not None:
+        return preset
+    if os.path.exists(spec):
         return _read(spec, "noise model", lambda f: NoiseModel.from_json(json.load(f)))
-    try:
-        return get_preset(spec)
-    except KeyError as e:
-        raise UsageError(str(e))
+    raise UsageError(f"unknown noise preset {spec!r}; have {sorted(PRESETS)}")
 
 
 # ---------------------------------------------------------------------------
@@ -160,15 +184,14 @@ def cmd_generate(corpus_path: str | None, n_plots: int, seed: int,
     if not corpus:
         raise DataError("corpus is empty")
     made: list[str] = []  # the directories this pass makes, deepest first
-    for sub in ("plots", "annotations", "tables"):
+    old_plot_files = []
+    for sub, ext in (("plots", ".svg"), ("annotations", ".json"), ("tables", ".csv")):
         made[:0] = _make_out_dir(os.path.join(out, sub))
+        old_plot_files += [os.path.join(out, sub, name) for name in os.listdir(os.path.join(out, sub))
+                           if _is_plot_file(name, ext)]
+    # an old dataset's manifest goes first, then its plot files; the new manifest is written last
     manifest_path = os.path.join(out, "manifest.json")
-    try:  # an old dataset's manifest goes first; the new one is written last
-        os.remove(manifest_path)
-    except FileNotFoundError:
-        pass
-    except OSError as e:  # a directory, no permission
-        raise UsageError(f"cannot write --out {manifest_path}: {e.strerror}")
+    _remove([manifest_path, *old_plot_files])
 
     hashes: dict[str, str] = {}
 
@@ -222,8 +245,7 @@ def cmd_generate(corpus_path: str | None, n_plots: int, seed: int,
         "n_questions": n_questions,
         "files": hashes,  # sort_keys orders it
     }
-    encoder = json.JSONEncoder(indent=1, sort_keys=True)  # json.dumps's bytes, written as encoded
-    _write(manifest_path, (chunk.encode() for chunk in encoder.iterencode(manifest)))
+    _write(manifest_path, [json.dumps(manifest, indent=1, sort_keys=True).encode()])
     print(f"wrote {n_plots} plots, {n_questions} questions to {out}")
     return 0
 
@@ -265,6 +287,7 @@ def cmd_run(dataset_dir: str, noise_spec: str, out_dir: str, run_split: str) -> 
     if not by_plot:
         raise DataError(f"no questions in split {run_split!r}")
     _make_out_dir(out_dir)
+    _remove([os.path.join(out_dir, "report.json"), os.path.join(out_dir, "report.txt")])
 
     ap_pool = APPool(MAP_THRESHOLDS)
     f1s = []
@@ -420,15 +443,24 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command == "generate":
-            return cmd_generate(args.corpus, args.n_plots, args.seed, args.split,
+            code = cmd_generate(args.corpus, args.n_plots, args.seed, args.split,
                                 args.questions_per_plot, args.out)
-        if args.command == "run":
-            return cmd_run(args.dataset, args.noise, args.out, args.run_split)
-        if args.command == "extract":
-            return cmd_extract(args.input, args.out)
-        if args.command == "evaluate":
-            return cmd_evaluate(args.predictions, args.out)
-        return cmd_report(args.report)  # argparse admits no other command
+        elif args.command == "run":
+            code = cmd_run(args.dataset, args.noise, args.out, args.run_split)
+        elif args.command == "extract":
+            code = cmd_extract(args.input, args.out)
+        elif args.command == "evaluate":
+            code = cmd_evaluate(args.predictions, args.out)
+        else:  # argparse admits no other command
+            code = cmd_report(args.report)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:  # every command prints only after its files are written
+        with suppress(OSError, ValueError):  # a stdout with no file descriptor flushes nothing at exit
+            fd, devnull = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)  # the exit flush writes what is left to devnull
+            os.close(devnull)
+        return 0
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1

@@ -139,13 +139,6 @@ PAPER_LIKE = NoiseModel(
 PRESETS = {"zero": ZERO_NOISE, "paper_like": PAPER_LIKE}
 
 
-def get_preset(name: str) -> NoiseModel:
-    try:
-        return PRESETS[name]
-    except KeyError:
-        raise KeyError(f"unknown noise preset {name!r}; have {sorted(PRESETS)}")
-
-
 @dataclass(frozen=True)
 class Detection(ElementRecord):
     cls: str
@@ -164,9 +157,6 @@ class Detection(ElementRecord):
 class DetectionSet:
     detections: list[Detection]
     style: StyleParams | None = None  # image-level styling survives detection
-
-    def by_class(self, cls: str) -> list[Detection]:
-        return [d for d in self.detections if d.cls == cls]
 
     def to_json(self) -> dict:
         rec: dict = {"detections": [d.to_json() for d in self.detections]}

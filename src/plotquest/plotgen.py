@@ -226,9 +226,6 @@ class PlotAnnotation:
         if self.plot_type not in PLOT_TYPES:
             raise ValueError(f"bad plot_type {self.plot_type!r}")
 
-    def by_class(self, cls: str) -> list[VisualElement]:
-        return [e for e in self.elements if e.cls == cls]
-
     def to_json(self) -> dict:
         return {
             "plot_type": self.plot_type,

@@ -71,10 +71,6 @@ def _canonical_key(d: Detection) -> tuple:
     return (d.cls, d.bbox, d.text or "", -1 if d.color is None else d.color)
 
 
-def _canonical(dets: list[Detection]) -> list[Detection]:
-    return sorted(dets, key=_canonical_key)
-
-
 # ---------------------------------------------------------------------------
 # associations
 

@@ -38,19 +38,6 @@ class SemiStructuredTable:
             w.writerow([rh] + ["" if v is None else repr(float(v)) for v in row])
         return buf.getvalue()
 
-    @staticmethod
-    def from_csv(text: str) -> "SemiStructuredTable":
-        rows = list(csv.reader(io.StringIO(text)))
-        if not rows:
-            return SemiStructuredTable([], [], [], "")
-        header, body = rows[0], rows[1:]
-        cells: list[list[float | None]] = []
-        row_headers = []
-        for r in body:
-            row_headers.append(r[0])
-            cells.append([None if c == "" else float(c) for c in r[1:]])
-        return SemiStructuredTable(row_headers, header[1:], cells, row_label=header[0])
-
     def to_json(self) -> dict:
         return {
             "row_label": self.row_label,

@@ -1,13 +1,16 @@
+import csv
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from plotquest.cli import main
-from plotquest.table import SemiStructuredTable
 from plotquest.templates import ANSWER_TYPES, CATEGORIES
 
 
@@ -193,15 +196,16 @@ def test_extract_gold_annotation_matches_gold_table(dataset, tmp_path):
         out_csv = tmp_path / f"{plot_id:04d}.csv"
         ann_path = os.path.join(dataset, "annotations", f"{plot_id:04d}.json")
         assert main(["extract", "--input", ann_path, "--out", str(out_csv)]) == 0
-        got = SemiStructuredTable.from_csv(out_csv.read_text())
-        gold = SemiStructuredTable.from_csv(
-            open(os.path.join(dataset, "tables", f"{plot_id:04d}.csv")).read())
-        assert got.row_headers == gold.row_headers, plot_id
-        assert got.col_headers == gold.col_headers, plot_id
-        for grow, prow in zip(gold.cells, got.cells):
-            for gv, pv in zip(grow, prow):
-                assert pv is not None
-                assert abs(pv - gv) <= 0.005 * abs(gv)
+        with open(out_csv, newline="") as f:
+            got = list(csv.reader(f))
+        with open(os.path.join(dataset, "tables", f"{plot_id:04d}.csv"), newline="") as f:
+            gold = list(csv.reader(f))
+        assert [r[0] for r in got] == [r[0] for r in gold], plot_id  # the corner cell, then row headers
+        assert got[0] == gold[0], plot_id  # column headers
+        for grow, prow in zip(gold[1:], got[1:]):
+            for gv, pv in zip(grow[1:], prow[1:]):
+                assert pv != ""
+                assert abs(float(pv) - float(gv)) <= 0.005 * abs(float(gv))
 
 
 def test_extract_corrupted_tick_fixture(tmp_path):
@@ -242,6 +246,28 @@ def test_evaluate_and_report_commands(dataset, tmp_path):
     with open(tmp_path / "rescored.json") as f:
         assert json.load(f)["overall_accuracy"] == 1.0
     assert main(["report", "--report", str(run_out / "report.json")]) == 0
+
+
+def test_a_closed_stdout_is_not_an_error(dataset, tmp_path):
+    # each command runs in a process whose stdout is a pipe nobody reads:
+    # what it prints is lost, but it exits 0 and says nothing on stderr
+    run_out = tmp_path / "run"
+    assert main(["run", "--dataset", dataset, "--out", str(run_out)]) == 0
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    for argv in (["report", "--report", str(run_out / "report.json")],
+                 ["evaluate", "--predictions", str(run_out / "predictions.jsonl")],
+                 ["extract", "--input", os.path.join(dataset, "annotations", "0000.json")],
+                 ["generate", "--n-plots", "2", "--out", str(tmp_path / "ds")]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "plotquest.cli", *argv], stdout=write_end,
+                                  stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (0, ""), argv
 
 
 def test_evaluate_rescores_a_noisy_run_to_its_report(dataset, tmp_path):
@@ -433,6 +459,18 @@ def test_generate_that_fails_into_an_old_dataset_leaves_no_manifest(tmp_path, ca
     assert len(err) == 2 and str(out / "manifest.json") in err[1]
 
 
+def test_generate_into_a_larger_old_dataset_leaves_no_stale_plot_files(tmp_path):
+    # every old file named like a plot's goes; a file of another name stays
+    out = tmp_path / "ds"
+    assert main(["generate", "--n-plots", "3", "--seed", "0", "--out", str(out)]) == 0
+    (out / "plots" / "notes.txt").write_text("kept")
+    assert main(["generate", "--n-plots", "2", "--seed", "0", "--out", str(out)]) == 0
+    assert sorted(os.listdir(out / "plots")) == ["0000.svg", "0001.svg", "notes.txt"]
+    assert sorted(os.listdir(out / "annotations")) == ["0000.json", "0001.json"]
+    assert sorted(os.listdir(out / "tables")) == ["0000.csv", "0001.csv"]
+    assert (out / "plots" / "notes.txt").read_text() == "kept"
+
+
 def _copy_dataset(dataset, tmp_path):
     import shutil
     dst = tmp_path / "ds"
@@ -501,6 +539,23 @@ def test_run_malformed_annotation_is_data_error(dataset, tmp_path, capsys):
     (ds / "annotations" / f"{pid:04d}.json").write_text("not json")
     assert main(["run", "--dataset", str(ds), "--out", str(tmp_path / "o")]) == 2
     assert "malformed annotation" in capsys.readouterr().err
+
+
+def test_a_failed_run_into_an_old_runs_directory_leaves_no_report(dataset, tmp_path, capsys):
+    # the old report described other predictions; a run that fails after
+    # its first plot leaves its partial predictions and no report beside them
+    out = tmp_path / "rr"
+    assert main(["run", "--dataset", dataset, "--noise", "paper_like", "--run-split", "train",
+                 "--out", str(out)]) == 0
+    ds = _copy_dataset(dataset, tmp_path)
+    with open(ds / "manifest.json") as f:
+        pid = sorted(json.load(f)["splits"]["train"])[1]
+    (ds / "annotations" / f"{pid:04d}.json").write_text("not json")
+    capsys.readouterr()
+    assert main(["run", "--dataset", str(ds), "--run-split", "train", "--out", str(out)]) == 2
+    assert "malformed annotation" in capsys.readouterr().err
+    assert sorted(os.listdir(out)) == ["predictions.jsonl"]
+    assert (out / "predictions.jsonl").read_text()  # the first plot's lines
 
 
 def test_run_malformed_manifest_is_data_error(dataset, tmp_path):

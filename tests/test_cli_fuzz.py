@@ -112,7 +112,7 @@ def fuzz_root(tmp_path_factory):
     questions = [json.loads(line) for line in (ds / "questions.jsonl").read_text().splitlines()]
     annotation = PlotAnnotation.loads((ds / "annotations" / "0000.json").read_text())
     assert any(q["template_id"] == 5 and q["plot_id"] == 0 for q in questions)
-    assert len(annotation.by_class("legend_label")) == 1
+    assert sum(e.cls == "legend_label" for e in annotation.elements) == 1
     assert _main(["run", "--dataset", ds, "--out", root / "run"])[0] == 0
     (root / "detections.json").write_text(perturb(annotation, PAPER_LIKE.with_seed(1)).dumps())
     (root / "noise.json").write_text(json.dumps({

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from plotquest.corpus import sample_plot_data
 from plotquest.detsim import (
-    CHAR_CONFUSION, DIGIT_CONFUSION, PAPER_LIKE, ZERO_NOISE, APPool, Detection, DetectionSet,
-    NoiseModel, _candidates, _is_numericish, average_precision, corrupt_text, get_preset, iou,
+    CHAR_CONFUSION, DIGIT_CONFUSION, PAPER_LIKE, PRESETS, ZERO_NOISE, APPool, Detection, DetectionSet,
+    NoiseModel, _candidates, _is_numericish, average_precision, corrupt_text, iou,
     ocr_accuracy, perturb, perturb_with_provenance,
 )
 from plotquest.plotgen import ELEMENT_CLASSES, VisualElement
@@ -416,7 +416,7 @@ def _oracle_average_precision(plots, thr):
         for p, g in plots:
             gold_elems = [e for e in g.elements if e.cls == cls]
             n_gold += len(gold_elems)
-            records.extend(_oracle_match_plot(p.by_class(cls), gold_elems, thr))
+            records.extend(_oracle_match_plot([d for d in p.detections if d.cls == cls], gold_elems, thr))
         per_class[cls] = _oracle_ap_from_records(records, n_gold)
     m_ap = float(np.mean(list(per_class.values()))) if per_class else 0.0
     return per_class, m_ap
@@ -761,10 +761,8 @@ def test_ocr_accuracy_of_no_texts_is_an_error():
 
 
 def test_presets():
-    assert get_preset("zero").is_zero()
-    assert not get_preset("paper_like").is_zero()
-    with pytest.raises(KeyError):
-        get_preset("nope")
+    assert PRESETS["zero"].is_zero()
+    assert not PRESETS["paper_like"].is_zero()
 
 
 def test_noise_model_json_roundtrip():

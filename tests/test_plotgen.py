@@ -18,6 +18,9 @@ from plotquest.templates import templates_by_id
 from conftest import make_data, make_indicator, make_spec, make_style, rendered
 
 
+def of_class(ann: PlotAnnotation, cls: str) -> list[VisualElement]:
+    return [e for e in ann.elements if e.cls == cls]
+
 def test_make_plot_spec_deterministic(corpus):
     data = sample_plot_data(corpus, 5)
     assert make_plot_spec(data, 77) == make_plot_spec(data, 77)
@@ -66,7 +69,7 @@ def test_four_series_get_distinct_colors(corpus):
 def test_bar_count_2x3_vbar():
     data = make_data([[1, 2, 3], [4, 5, 6]])
     _, _, ann = rendered(data, "vbar")
-    assert len(ann.by_class("bar")) == 6
+    assert len(of_class(ann, "bar")) == 6
 
 
 def test_bar_top_is_linear_map_of_value():
@@ -74,9 +77,9 @@ def test_bar_top_is_linear_map_of_value():
     # halfway between their pixel rows
     data = make_data([[50.0, 100.0]], indicator=make_indicator(lo=1, hi=100))
     _, _, ann = rendered(data, "vbar")
-    ticks = {e.text: e.center[1] for e in ann.by_class("ytick_label")}
+    ticks = {e.text: e.center[1] for e in of_class(ann, "ytick_label")}
     y0, y100 = ticks["0"], ticks["100"]
-    bar = next(e for e in ann.by_class("bar") if e.x_index == 0)
+    bar = next(e for e in of_class(ann, "bar") if e.x_index == 0)
     assert bar.bbox[1] == pytest.approx((y0 + y100) / 2.0, abs=1e-9)
 
 
@@ -84,7 +87,7 @@ def test_scientific_tick_label_matches_reference_format():
     assert format_tick(200000.0, "scientific_E") == "2.000e+5"
     data = make_data([[150000.0, 200000.0]], indicator=make_indicator(lo=1, hi=3e5))
     _, _, ann = rendered(data, "vbar", tick_notation="scientific_E")
-    texts = {e.text for e in ann.by_class("ytick_label")}
+    texts = {e.text for e in of_class(ann, "ytick_label")}
     assert "2.000e+5" in texts
 
 
@@ -155,7 +158,7 @@ def test_validate_annotation_clean_render(corpus):
 def test_validate_annotation_flags_out_of_canvas():
     data = make_data([[1, 2, 3]])
     _, _, ann = rendered(data)
-    bad = ann.by_class("bar")[0]
+    bad = of_class(ann, "bar")[0]
     object.__setattr__(bad, "bbox", (-50.0, -50.0, 10.0, 10.0))
     violations = validate_annotation(ann)
     assert any("outside canvas" in v for v in violations)
@@ -201,12 +204,12 @@ def test_roundtrip_value_fidelity_all_types(corpus):
             axis_max, _, _ = value_axis(data)
             V = data.values_matrix()
             if ptype in ("vbar", "hbar"):
-                marks = ann.by_class("bar")
+                marks = of_class(ann, "bar")
             else:
-                marks = ann.by_class("line") + ann.by_class("dotline")
+                marks = of_class(ann, "line") + of_class(ann, "dotline")
             ticks = {
                 float(e.text): e.center[0] if ptype == "hbar" else e.center[1]
-                for e in ann.by_class("xtick_label" if ptype == "hbar" else "ytick_label")
+                for e in of_class(ann, "xtick_label" if ptype == "hbar" else "ytick_label")
             }
             p0, p1 = ticks[0.0], ticks[axis_max]
             for m in marks:
@@ -227,16 +230,16 @@ def test_element_count_formulas(corpus):
         for ptype in PLOT_TYPES:
             _, ann = render(make_spec(data, ptype))
             n, m = data.n_series, data.n_categories
-            assert len(ann.by_class("title")) == 1
-            assert len(ann.by_class("xaxis_label")) == 1
-            assert len(ann.by_class("yaxis_label")) == 1
-            assert len(ann.by_class("legend_label")) == n
-            assert len(ann.by_class("legend_preview")) == n
+            assert len(of_class(ann, "title")) == 1
+            assert len(of_class(ann, "xaxis_label")) == 1
+            assert len(of_class(ann, "yaxis_label")) == 1
+            assert len(of_class(ann, "legend_label")) == n
+            assert len(of_class(ann, "legend_preview")) == n
             if ptype in ("vbar", "hbar"):
-                assert len(ann.by_class("bar")) == n * m
+                assert len(of_class(ann, "bar")) == n * m
             else:
                 cls = "line" if ptype == "line" else "dotline"
-                assert len(ann.by_class(cls)) == n * m
+                assert len(of_class(ann, cls)) == n * m
 
 
 def test_layout_error_on_tiny_canvas():
@@ -249,7 +252,7 @@ def test_layout_error_on_tiny_canvas():
 def test_zero_valued_bar_renders_and_validates(ptype):
     data = make_data([[0.0, 2.0, 3.0]])
     _, _, ann = rendered(data, ptype)
-    bar = next(e for e in ann.by_class("bar") if e.x_index == 0)
+    bar = next(e for e in of_class(ann, "bar") if e.x_index == 0)
     assert bar.bbox[2 if ptype == "hbar" else 3] == 0.0
     assert validate_annotation(ann) == []
 

@@ -19,27 +19,30 @@ from plotquest.plotgen import make_plot_spec, render
 from plotquest.qgen import instantiate_all
 from plotquest.sie import (
     NO_CATEGORY_TICKS, TOO_FEW_VALUE_TICKS, UNASSIGNED_COLOR,
-    _canonical, _horizontal, _interp, _tick_refs, associate_legend, read,
+    _canonical_key, _horizontal, _interp, _tick_refs, associate_legend, read,
 )
 
 from conftest import HEAVY
 
 
+def _of_classes(d: DetectionSet, *classes: str) -> list[Detection]:
+    return sorted((x for x in d.detections if x.cls in classes), key=_canonical_key)
+
+
 def brute_series_rows(d: DetectionSet) -> tuple[list[str], np.ndarray]:
     """Per-series readings by a fresh per-mark association loop."""
-    bars = _canonical(d.by_class("bar"))
-    points = _canonical([x for x in d.detections if x.cls in ("line", "dotline")])
+    bars = _of_classes(d, "bar")
+    points = _of_classes(d, "line", "dotline")
     data = bars if len(bars) >= len(points) else points
     horizontal = len(bars) >= len(points) and _horizontal(bars)
-    xticks, yticks = _canonical(d.by_class("xtick_label")), _canonical(d.by_class("ytick_label"))
+    xticks, yticks = _of_classes(d, "xtick_label"), _of_classes(d, "ytick_label")
     cat_refs = _tick_refs(yticks, 1) if horizontal else _tick_refs(xticks, 0)
     val_ticks = []
     for r in _tick_refs(xticks, 0) if horizontal else _tick_refs(yticks, 1):
         v = parse_tick_value(r.text)
         if v is not None:
             val_ticks.append((v, r.pos))
-    legend_map = associate_legend(_canonical(d.by_class("legend_label")),
-                                  _canonical(d.by_class("legend_preview")))
+    legend_map = associate_legend(_of_classes(d, "legend_label"), _of_classes(d, "legend_preview"))
     if legend_map:
         names = list(legend_map)
         color_to_row = {c: k for k, (_, c) in enumerate(legend_map.items())}
