@@ -28,7 +28,7 @@ from .corpus import (
     IndicatorVariable, PlotData, default_corpus, load_corpus, sample_plot_data,
 )
 from .detsim import (
-    APPool, Detection, DetectionSet, NoiseModel, PAPER_LIKE, ZERO_NOISE,
+    APPool, Detection, DetectionSet, NoiseModel, OCRPool, PAPER_LIKE, ZERO_NOISE,
     average_precision, corrupt_text, iou, ocr_accuracy, perturb,
 )
 from .harness import EvalReport, SplitSpec, evaluate, score_answer, split
@@ -46,7 +46,7 @@ from .templates import Template, default_templates, load_templates
 __all__ = [
     "Answer", "AnswerUnavailable", "UnparseableQuestion",
     "IndicatorVariable", "PlotData", "default_corpus", "load_corpus", "sample_plot_data",
-    "APPool", "Detection", "DetectionSet", "NoiseModel", "PAPER_LIKE", "ZERO_NOISE",
+    "APPool", "Detection", "DetectionSet", "NoiseModel", "OCRPool", "PAPER_LIKE", "ZERO_NOISE",
     "average_precision", "corrupt_text", "iou", "ocr_accuracy", "perturb",
     "EvalReport", "SplitSpec", "evaluate", "score_answer", "split",
     "Route", "answer_hybrid", "answer_structural", "route",

@@ -42,6 +42,12 @@ class UnparseableQuestion(Exception):
 UNANSWERED = (AnswerUnavailable, UnparseableQuestion)  # the two ways an answerer gives up
 
 
+def finite_number(v) -> bool:
+    """An int or float, not a bool, within the float range: NaN, the
+    infinities and an int too large for a float are not."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
 def parse_number(text: str) -> float | None:
     """Text to a finite float; None when it does not parse or is not finite."""
     try:
@@ -65,8 +71,10 @@ def format_scientific(value: float) -> str:
         return "0.000e+0"
     exp = math.floor(math.log10(abs(value)))
     mant = value / 10.0**exp
-    # guard against log10 edge rounding (e.g. 999.999.. -> mant 10.0)
-    if abs(mant) >= 10.0:
+    # one digit before the point once the mantissa is rounded to 3 decimals:
+    # log10 edge rounding (999.999.. -> mant 10.0) and a mantissa such as
+    # 9.9999 (which prints "10.000") both move to the next exponent
+    if abs(round(mant, 3)) >= 10.0:
         mant /= 10.0
         exp += 1
     return f"{mant:.3f}e{exp:+d}"

@@ -30,9 +30,10 @@ but never a report; ``generate`` an old manifest.json and every file named
 like a plot's (NNNN.svg, NNNN.json, NNNN.csv in its directory), so no old
 plot outlives its manifest. A ``generate`` that cannot lay out a plot exits
 2 and removes every file and directory it made. Every
-scorer takes its items paired: ``run`` feeds the AP pool (detections,
-annotation) per plot and ``detsim.ocr_accuracy`` one (class, predicted,
-gold) triple per detected gold text, and ``evaluate`` hands
+scorer takes its items paired: per plot, ``run`` feeds the AP pool
+(detections, annotation) and the OCR pool (``detsim.OCRPool``) one (class,
+predicted, gold) triple per detected gold text, so neither keeps more than
+counts and match records across plots; ``evaluate`` hands
 ``harness.evaluate`` each (question, stored prediction) record as it was
 read.
 """
@@ -47,10 +48,10 @@ import sys
 from contextlib import suppress
 from dataclasses import replace
 
-from . import __version__, detsim
+from . import __version__
 from .answers import UNANSWERED, Answer
 from .corpus import CorpusError, default_corpus, load_corpus, sample_plot_data
-from .detsim import PRESETS, APPool, DetectionSet, NoiseModel, perturb_with_provenance
+from .detsim import PRESETS, APPool, DetectionSet, NoiseModel, OCRPool, perturb_with_provenance
 from .harness import EvalReport, SplitSpec, Tally, evaluate, score_answer, split
 from .hybrid import answer_hybrid
 from .plotgen import LayoutError, PlotAnnotation, make_plot_spec, render
@@ -290,13 +291,14 @@ def cmd_run(dataset_dir: str, noise_spec: str, out_dir: str, run_split: str) -> 
     _remove([os.path.join(out_dir, "report.json"), os.path.join(out_dir, "report.txt")])
 
     ap_pool = APPool(MAP_THRESHOLDS)
+    ocr_pool = OCRPool()
     f1s = []
-    ocr_texts = []  # (class, predicted, gold) of each gold text whose element was detected
     tally = Tally()
 
-    # Per plot: perturb, add the detections to the AP pool, read once, score
-    # the table, answer and score its questions from that one reading, yield
-    # their lines, then let the plot go: the pool keeps only its match records.
+    # Per plot: perturb, add the detections to the AP pool and the detected
+    # gold texts to the OCR pool, read once, score the table, answer and score
+    # its questions from that one reading, yield their lines, then let the
+    # plot go: the pools keep only match records and per-class counts.
     def prediction_lines():
         for pid in sorted(by_plot):
             annotation_path = os.path.join(dataset_dir, "annotations", f"{pid:04d}.json")
@@ -307,10 +309,10 @@ def cmd_run(dataset_dir: str, noise_spec: str, out_dir: str, run_split: str) -> 
             except ValueError as e:  # finite box edges or sigmas whose noisy box overflows
                 raise DataError(f"cannot perturb annotation {annotation_path} under noise {noise_spec}: {e}")
             ap_pool.add(det, annotation)
+            ocr_pool.add((g.cls, d.text or "", g.text) for g, d in provenance
+                         if g.text is not None and d is not None)
             reading = read(det)
             f1s.append(table_f1(extract_table(reading), annotation.gold_table, TABLE_F1_REL_TOL)[2])
-            ocr_texts.extend((g.cls, d.text or "", g.text) for g, d in provenance
-                             if g.text is not None and d is not None)
             for q in by_plot.pop(pid):
                 try:
                     pred = answer_hybrid(q.text, reading)
@@ -325,8 +327,7 @@ def cmd_run(dataset_dir: str, noise_spec: str, out_dir: str, run_split: str) -> 
 
     _write(os.path.join(out_dir, "predictions.jsonl"), prediction_lines())
 
-    # looked up on the module at call time, so perfbench's wrap of detsim.ocr_accuracy counts it
-    ocr_total = detsim.ocr_accuracy(ocr_texts)["total"] if ocr_texts else None
+    ocr_total = ocr_pool.result()["total"] if len(ocr_pool) else None
     report = replace(tally.report(), ocr_accuracy=ocr_total, mean_table_f1=sum(f1s) / len(f1s),
                      map={str(thr): m for thr, (_, m) in zip(MAP_THRESHOLDS, ap_pool.result())})
     text_out = report.render_text()

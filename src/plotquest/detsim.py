@@ -17,7 +17,8 @@ detection is tested against the gold elements of its class alone, a gold
 strictly beyond one of its edges is skipped with two comparisons per axis,
 every other pair is scored by the one pair rule ``iou``, and all thresholds
 are matched from those candidates, with only the compact match records
-pooled across plots (APPool). Each scorer takes its items paired: AP one
+pooled across plots (APPool). OCR is pooled per plot alike (OCRPool): a hit
+count and a total per class. Each scorer takes its items paired: AP one
 (detections, annotation) pair per plot, OCR one (class, predicted, gold)
 triple per text, and scoring no items is a ValueError.
 
@@ -40,7 +41,8 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .plotgen import ELEMENT_CLASSES, ElementRecord, PlotAnnotation, StyleParams, VisualElement, finite_number
+from .answers import finite_number
+from .plotgen import ELEMENT_CLASSES, ElementRecord, PlotAnnotation, StyleParams, VisualElement
 
 BBox = tuple[float, float, float, float]
 
@@ -121,8 +123,9 @@ class NoiseModel:
 
 ZERO_NOISE = NoiseModel()
 
-# Calibrated by grid search (tools/calibrate_noise.py) so that over 1,000
-# generated plots mAP@0.5 ~ 0.96, mAP@0.9 ~ 0.72 and mean extraction F1 ~ 0.68.
+# Calibrated by a grid search (not kept; tools/calibrate_noise.py measures one
+# model) so that over 1,000 generated plots mAP@0.5 ~ 0.96, mAP@0.9 ~ 0.72
+# and mean extraction F1 ~ 0.68.
 # The per-class AP@0.9 profile is deliberately uneven, as real detectors are:
 # near-zero for the wide title box, high for text labels, moderate for bars
 # and line markers.
@@ -443,14 +446,40 @@ def average_precision(
     return pool.result()[0]
 
 
+class OCRPool:
+    """Exact-match OCR rate per element class plus 'total', fed one plot at
+    a time: ``add`` takes one plot's (class, predicted text, gold text)
+    triples and keeps only a hit count and a total per class. A pool fed no
+    text has nothing to score, and ``result`` raises ValueError."""
+
+    def __init__(self):
+        self._hits: dict[str, int] = {}
+        self._totals: dict[str, int] = {}
+
+    def add(self, texts: Iterable[tuple[str, str, str]]) -> None:
+        hits, totals = self._hits, self._totals
+        for cls, pred, gold in texts:
+            totals[cls] = totals.get(cls, 0) + 1
+            hits[cls] = hits.get(cls, 0) + (pred == gold)
+
+    def __len__(self) -> int:
+        """The number of texts added."""
+        return sum(self._totals.values())
+
+    def result(self) -> dict[str, float]:
+        """The rate of each class, in sorted class order, then 'total'. Each
+        is hits / total, the same double as the mean of 0s and 1s."""
+        if not self._totals:
+            raise ValueError("no texts to score")
+        out = {cls: self._hits[cls] / n for cls, n in sorted(self._totals.items())}
+        out["total"] = sum(self._hits.values()) / len(self)
+        return out
+
+
 def ocr_accuracy(texts: Iterable[tuple[str, str, str]]) -> dict[str, float]:
     """Exact-match rate per element class plus 'total', over (class,
-    predicted text, gold text) triples; no texts is a ValueError."""
-    hits: dict[str, list[bool]] = {}
-    for cls, pred, gold in texts:
-        hits.setdefault(cls, []).append(pred == gold)
-    if not hits:
-        raise ValueError("no texts to score")
-    out = {cls: float(np.mean(v)) for cls, v in sorted(hits.items())}
-    out["total"] = float(np.mean([h for v in hits.values() for h in v]))
-    return out
+    predicted text, gold text) triples, scored by one ``OCRPool``; no texts
+    is a ValueError."""
+    pool = OCRPool()
+    pool.add(texts)
+    return pool.result()

@@ -27,14 +27,13 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import MISSING, dataclass, fields
 from functools import cache
 from itertools import accumulate
 
 import numpy as np
 
-from .answers import format_scientific
+from .answers import finite_number, format_scientific
 from .corpus import PlotData
 from .palette import N_COLORS, color_hex
 from .table import SemiStructuredTable
@@ -64,12 +63,6 @@ _PREVIEW_W, _PREVIEW_H = 18.0, 10.0
 class LayoutError(ValueError):
     """Canvas too small for the plot area, or for every element to stay on
     it with no two texts overlapping."""
-
-
-def finite_number(v) -> bool:
-    """An int or float, not a bool, within the float range: NaN, the
-    infinities and an int too large for a float are not."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 def _positive_number(v) -> bool:
@@ -213,6 +206,13 @@ class VisualElement(ElementRecord):
     color: int | None = None
     series_index: int | None = None
     x_index: int | None = None
+
+    def __post_init__(self):
+        super().__post_init__()
+        s, x = self.series_index, self.x_index
+        # type(v) is int: a bool is no index
+        if not ((s is None or type(s) is int and s >= 0) and (x is None or type(x) is int and x >= 0)):
+            raise ValueError(f"series_index {s!r} and x_index {x!r} are not both non-negative integers or None")
 
 
 @dataclass

@@ -66,6 +66,26 @@ def test_outputs_match_the_pinned_behaviour(dataset, tmp_path):
         "a deliberate behaviour change updates these constants and says so in CHANGES.md")
 
 
+def test_run_reports_ocr_accuracy_over_the_splits_detected_texts(dataset, tmp_path):
+    # every gold text whose element survives perturbation, pooled over the
+    # split's plots, scored by the one-shot scorer
+    from plotquest.cli import stable_seed
+    from plotquest.detsim import PAPER_LIKE, ocr_accuracy, perturb_with_provenance
+    from plotquest.plotgen import PlotAnnotation
+    out = tmp_path / "run"
+    assert main(["run", "--dataset", dataset, "--noise", "paper_like", "--run-split", "train",
+                 "--out", str(out)]) == 0
+    pids = sorted({json.loads(line)["plot_id"] for line in open(out / "predictions.jsonl")})
+    assert pids == sorted(json.loads(Path(dataset, "manifest.json").read_text())["splits"]["train"])
+    texts = []
+    for pid in pids:
+        annotation = PlotAnnotation.loads(Path(dataset, "annotations", f"{pid:04d}.json").read_bytes())
+        _, provenance = perturb_with_provenance(
+            annotation, PAPER_LIKE.with_seed(stable_seed(PAPER_LIKE.seed, "plot", pid)))
+        texts += [(g.cls, d.text or "", g.text) for g, d in provenance if g.text is not None and d is not None]
+    assert json.loads((out / "report.json").read_text())["ocr_accuracy"] == ocr_accuracy(texts)["total"] < 1.0
+
+
 def test_run_and_extract_read_annotations_written_indented(dataset, tmp_path):
     # datasets written before annotations became one-line JSON hold them
     # indented; run and extract read them as they read the compact files
@@ -584,6 +604,12 @@ def _edit_annotations(edit):
     return damage
 
 
+def _set_first_gold_cell(value):
+    def edit(ann):
+        ann["gold_table"]["cells"][0][0] = value
+    return _edit_annotations(edit)
+
+
 def _set_question(field, value):
     def damage(ds):
         records = [json.loads(line) for line in (ds / "questions.jsonl").read_text().splitlines()]
@@ -641,13 +667,29 @@ def _annotation_not_utf8(ds):
     (["run", "--dataset", "{ds}", "--noise", "paper_like"],
      _edit_annotations(lambda ann: ann["elements"][0].update(bbox=[1e308, 0, 1e308, 1]))),
     (["run", "--dataset", "{ds}", "--noise", "{ds}/noise.json"], _noise_file({"box_jitter_sigma": 1e308})),
+    # a gold table is valid once built: string headers, finite or empty cells
+    (["run", "--dataset", "{ds}", "--noise", "zero"],
+     _edit_annotations(lambda ann: ann["gold_table"].update(row_headers=[7] + ann["gold_table"]["row_headers"][1:]))),
+    (["run", "--dataset", "{ds}"],
+     _edit_annotations(lambda ann: ann["gold_table"].update(col_headers=[["a"]] + ann["gold_table"]["col_headers"][1:]))),
+    (["run", "--dataset", "{ds}"], _edit_annotations(lambda ann: ann["gold_table"].update(row_label=5))),
+    (["run", "--dataset", "{ds}", "--noise", "zero"], _set_first_gold_cell(float("nan"))),
+    (["run", "--dataset", "{ds}"], _set_first_gold_cell(True)),
+    (["extract", "--input", "{ds}/annotations/0000.json"], _set_first_gold_cell("1.5")),
+    # an element's series and category indices are non-negative integers
+    (["run", "--dataset", "{ds}"], _edit_annotations(lambda ann: ann["elements"][0].update(series_index="abc"))),
+    (["run", "--dataset", "{ds}"], _edit_annotations(lambda ann: ann["elements"][0].update(x_index=[1]))),
+    (["extract", "--input", "{ds}/annotations/0000.json"],
+     _edit_annotations(lambda ann: ann["elements"][0].update(series_index=True))),
 ], ids=["extract-dir", "evaluate-dir", "report-dir", "manifest-dir", "annotation-not-utf8",
         "split-int", "split-of-lists", "split-missing", "int-legend-position", "str-grid",
         "str-font-size", "str-canvas", "pie-plot-type", "extract-str-font-size", "extract-str-canvas",
         "extract-pie-plot-type", "extract-int-legend-position",
         "list-element-class", "int-question-text", "unknown-question-category", "infinite-plot-id",
         "huge-int-noise", "extract-huge-int-bbox", "huge-int-gold-value", "overflowing-jittered-bbox",
-        "overflowing-sigma-noise"])
+        "overflowing-sigma-noise", "int-gold-row-header", "list-gold-col-header", "int-gold-row-label",
+        "nan-gold-cell", "bool-gold-cell", "extract-str-gold-cell", "str-series-index", "list-x-index",
+        "extract-bool-series-index"])
 def test_damaged_input_is_one_line_data_error(dataset, tmp_path, capsys, argv, damage):
     ds = _copy_dataset(dataset, tmp_path)
     if damage:

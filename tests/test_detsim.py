@@ -5,12 +5,12 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from plotquest.corpus import sample_plot_data
 from plotquest.detsim import (
     CHAR_CONFUSION, DIGIT_CONFUSION, PAPER_LIKE, PRESETS, ZERO_NOISE, APPool, Detection, DetectionSet,
-    NoiseModel, _candidates, _is_numericish, average_precision, corrupt_text, iou,
+    NoiseModel, OCRPool, _candidates, _is_numericish, average_precision, corrupt_text, iou,
     ocr_accuracy, perturb, perturb_with_provenance,
 )
 from plotquest.plotgen import ELEMENT_CLASSES, VisualElement
@@ -758,6 +758,37 @@ def test_ocr_accuracy_of_no_texts_is_an_error():
     # no texts is nothing scored, not an accuracy of 0
     with pytest.raises(ValueError, match="no texts"):
         ocr_accuracy([])
+
+
+_plot_texts = st.lists(st.tuples(st.sampled_from(ELEMENT_CLASSES), st.text("ab", max_size=2),
+                                 st.text("ab", max_size=2)), max_size=8)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(plots=st.lists(_plot_texts, min_size=1, max_size=6))
+def test_ocr_pool_fed_plot_by_plot_is_ocr_accuracy_over_all_texts(plots):
+    texts = [t for plot in plots for t in plot]
+    assume(texts)
+    pool = OCRPool()
+    for plot in plots:
+        pool.add(plot)
+    # the oracle is the mean of 0s and 1s, per class in sorted order, then in total
+    oracle = {cls: float(np.mean([pred == gold for c, pred, gold in texts if c == cls]))
+              for cls in sorted({c for c, _, _ in texts})}
+    oracle["total"] = float(np.mean([pred == gold for _, pred, gold in texts]))
+    got = pool.result()
+    assert got == ocr_accuracy(texts) == oracle
+    assert list(got) == list(oracle)
+    assert len(pool) == len(texts)
+
+
+def test_an_ocr_pool_fed_no_text_is_an_error():
+    pool = OCRPool()
+    with pytest.raises(ValueError, match="no texts"):
+        pool.result()
+    pool.add([])
+    with pytest.raises(ValueError, match="no texts"):
+        pool.result()
 
 
 def test_presets():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from plotquest import plotgen
-from plotquest.answers import number
+from plotquest.answers import format_number, format_scientific, number
 from plotquest.corpus import sample_plot_data
 from plotquest.detsim import PAPER_LIKE, Detection, DetectionSet, perturb
 from plotquest.plotgen import (
@@ -89,6 +89,18 @@ def test_scientific_tick_label_matches_reference_format():
     _, _, ann = rendered(data, "vbar", tick_notation="scientific_E")
     texts = {e.text for e in of_class(ann, "ytick_label")}
     assert "2.000e+5" in texts
+
+
+@pytest.mark.parametrize("render,value,want", [
+    (format_number, 200000.0, "2.000e+5"), (format_number, 123456.0, "1.235e+5"),
+    (format_number, 999949.9, "9.999e+5"),
+    # a mantissa that rounds to 10.000 moves to the next exponent
+    (format_number, 999999.7, "1.000e+6"), (format_number, -999999.7, "-1.000e+6"),
+    (format_number, 9999600000.0, "1.000e+10"),
+    (format_scientific, 99999.9, "1.000e+5"), (format_scientific, -99999.9, "-1.000e+5"),
+])
+def test_scientific_rendering_keeps_one_digit_before_the_point(render, value, want):
+    assert render(value) == want
 
 
 def test_value_axis_nice_maximum():

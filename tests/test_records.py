@@ -23,8 +23,9 @@ _DATA = dict(indicator=make_indicator(), x_label="Year",
              x_categories=("2000", "2001"), series=(("Brazil", (1.0, 2.0)),))
 _STYLE = dict(grid=True, font_size=12.0, tick_notation="standard", line_style="solid", marker="circle",
               legend_position="top-right", series_colors=(0,))
-_ANNOTATION = dict(elements=[], style=make_style(1), plot_type="vbar",
-                   gold_table=SemiStructuredTable(["2000"], ["Brazil"], [[1.0]]))
+_TABLE = dict(row_headers=["2000"], col_headers=["Brazil"], cells=[[1.0]], row_label="Year")
+_ANNOTATION = dict(elements=[], style=make_style(1), plot_type="vbar", gold_table=SemiStructuredTable(**_TABLE))
+_ELEMENT = dict(cls="bar", bbox=(0.0, 0.0, 1.0, 1.0), color=0, series_index=0, x_index=1)
 # a questions.jsonl line: its template is the bundled one with its id, whose
 # category, answer type and fill of the bindings it must state
 _QUESTION_LINE = dict(template_id=1, category="structural", answer_type="yes_no",
@@ -79,6 +80,20 @@ CASES = {
     "noise-huge-int-sigma": (NoiseModel, dict(box_jitter_sigma=1.0), dict(box_jitter_sigma=10**400)),
     "noise-huge-int-prob": (NoiseModel, dict(drop_prob=0.5), dict(drop_prob=10**400)),
     "answer-huge-int": (Answer, dict(kind="number", value=1.0), dict(value=10**400)),
+    # a gold table decoded from JSON once held a row header 7 and a NaN cell
+    "table-int-row-header": (SemiStructuredTable, _TABLE, dict(row_headers=[7])),
+    "table-str-row-headers": (SemiStructuredTable, _TABLE, dict(row_headers="2")),
+    "table-list-col-header": (SemiStructuredTable, _TABLE, dict(col_headers=[["Brazil"]])),
+    "table-int-row-label": (SemiStructuredTable, _TABLE, dict(row_label=5)),
+    "table-nan-cell": (SemiStructuredTable, _TABLE, dict(cells=[[float("nan")]])),
+    "table-huge-int-cell": (SemiStructuredTable, _TABLE, dict(cells=[[10**400]])),
+    "table-str-cell": (SemiStructuredTable, _TABLE, dict(cells=[["1.0"]])),
+    "table-bool-cell": (SemiStructuredTable, _TABLE, dict(cells=[[True]])),
+    "element-str-series-index": (VisualElement, _ELEMENT, dict(series_index="abc")),
+    "element-list-x-index": (VisualElement, _ELEMENT, dict(x_index=[1])),
+    "element-bool-series-index": (VisualElement, _ELEMENT, dict(series_index=True)),
+    "element-negative-x-index": (VisualElement, _ELEMENT, dict(x_index=-1)),
+    "element-float-x-index": (VisualElement, _ELEMENT, dict(x_index=1.0)),
 }
 
 
@@ -88,3 +103,11 @@ def test_record_rejects_a_bad_field_at_construction(case):
     record(**good)
     with pytest.raises(ValueError):
         record(**{**good, **bad})
+
+
+def test_a_decoded_table_reads_an_int_cell_as_a_float_and_refuses_true():
+    table = dict(row_label="Year", row_headers=["2000", "2001"], col_headers=["Brazil"], cells=[[1], [None]])
+    cells = SemiStructuredTable.from_json(table).cells
+    assert cells == [[1.0], [None]] and type(cells[0][0]) is float
+    with pytest.raises(ValueError):  # not read as 1.0
+        SemiStructuredTable.from_json({**table, "cells": [[True], [None]]})

@@ -1,8 +1,9 @@
-"""Grid-search helper for the paper_like noise preset.
+"""Measure a noise model: pooled mAP at {0.5, 0.75, 0.9} and mean per-plot
+table F1 over generated plots.
 
-Measures pooled mAP at {0.5, 0.75, 0.9} and mean per-plot table F1 over
-generated plots for candidate noise models. Used offline to pick the
-constants frozen in detsim.PAPER_LIKE.
+Run as a script, it measures the current detsim.PAPER_LIKE preset.
+``measure(noise)`` scores any candidate model; the grid search over
+candidates that picked the PAPER_LIKE constants is not kept here.
 
 Each measurement goes through the command line: ``plotquest generate`` makes
 a one-question-per-plot dataset whose plots are all in the train split, and

@@ -11,43 +11,26 @@ after; the last row is the totals.
 Run: python3 tools/compare_runs.py BEFORE AFTER
 Exit codes: 0 success, 1 usage error, 2 data error (one line on stderr).
 """
-import json
 import os
 import sys
 
-from plotquest.answers import Answer
+from plotquest.cli import DataError, _prediction_record, _read_jsonl
 from plotquest.harness import score_answer
-from plotquest.qgen import QuestionInstance
-
-# what decoding a line raises on content it cannot decode, as in plotquest.cli
-_DECODE_ERRORS = (ValueError, KeyError, TypeError, AttributeError, OverflowError)
-
-
-class DataError(ValueError):
-    pass
 
 
 def read_run(path: str) -> list[tuple[tuple, object, bool]]:
-    """(question key, stored prediction, correct) for each question line;
-    the key is (plot id, template id, text)."""
+    """(question key, stored prediction, correct) for each question line,
+    decoded as ``plotquest evaluate`` decodes it; the key is (plot id,
+    template id, text)."""
     if os.path.isdir(path):
         path = os.path.join(path, "predictions.jsonl")
-    rows = []
-    try:
-        with open(path, encoding="utf-8") as f:
-            for lineno, line in enumerate(f, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                    q = QuestionInstance.from_json(obj)
-                    p = obj.get("prediction")
-                    ok = score_answer(Answer.from_json(p) if p and "kind" in p else None, q.gold_answer)
-                    rows.append(((obj["plot_id"], q.template.id, q.text), p, ok))
-                except _DECODE_ERRORS as e:
-                    raise DataError(f"malformed prediction at {path}:{lineno}: {e!r}")
-    except (OSError, UnicodeDecodeError) as e:
-        raise DataError(f"cannot read predictions file {path}: {e}")
+
+    def row(obj: dict) -> tuple[tuple, object, bool]:
+        q, prediction = _prediction_record(obj)
+        ok = score_answer(prediction, q.gold_answer)
+        return (obj["plot_id"], q.template.id, q.text), obj.get("prediction"), ok
+
+    rows = _read_jsonl(path, "prediction", row)
     if not rows:
         raise DataError(f"empty predictions file {path}")
     return rows
